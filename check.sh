@@ -72,18 +72,25 @@ cmp "$par_tmp/index-j4a.json" "$par_tmp/index-j4b.json"
 cmp "$par_tmp/index-j1.json" "$par_tmp/index-j4a.json"
 ./_build/default/bench/main.exe parallel --check > /dev/null
 
-echo "== ccache smoke: cold == warm == --fresh byte-for-byte, warm hits > 0, check BENCH_concretize.json"
+echo "== ccache smoke: cold == warm == --fresh byte-for-byte, persisted cache deterministic, warm hits > 0, check BENCH_concretize.json"
 # the concretization cache must be observationally invisible: a cold run,
 # a warm run against the persisted cache, and a --fresh run must print
-# byte-identical concrete specs; the warm run must report cache hits
+# byte-identical concrete specs; the warm run must report cache hits.
+# The persisted file itself must be deterministic across processes: the
+# warm run's rewrite and a second cold run's file equal the first cold
+# run's byte-for-byte
 cc_tmp=_build/ccache-smoke
 mkdir -p "$cc_tmp"
-rm -f "$cc_tmp/ccache.json"
+rm -f "$cc_tmp/ccache.json" "$cc_tmp/ccache-cold2.json"
 ./_build/default/bin/spack.exe spec --ccache "$cc_tmp/ccache.json" mpileaks > "$cc_tmp/cold.out"
+cp "$cc_tmp/ccache.json" "$cc_tmp/ccache-cold.json"
 ./_build/default/bin/spack.exe spec --ccache "$cc_tmp/ccache.json" mpileaks > "$cc_tmp/warm.out"
+./_build/default/bin/spack.exe spec --ccache "$cc_tmp/ccache-cold2.json" mpileaks > /dev/null
 ./_build/default/bin/spack.exe spec --fresh mpileaks > "$cc_tmp/fresh.out"
 cmp "$cc_tmp/cold.out" "$cc_tmp/warm.out"
 cmp "$cc_tmp/cold.out" "$cc_tmp/fresh.out"
+cmp "$cc_tmp/ccache-cold.json" "$cc_tmp/ccache.json"
+cmp "$cc_tmp/ccache-cold.json" "$cc_tmp/ccache-cold2.json"
 rm -f "$cc_tmp/stats-ccache.json"
 ./_build/default/bin/spack.exe stats --ccache "$cc_tmp/stats-ccache.json" libdwarf > "$cc_tmp/stats-cold.out"
 ./_build/default/bin/spack.exe stats --ccache "$cc_tmp/stats-ccache.json" libdwarf > "$cc_tmp/stats-warm.out"

@@ -30,9 +30,17 @@ type context = {
   cx_providers : Provider_index.t Lazy.t;
 }
 
+type entry = {
+  e_concrete : Concrete.t;
+  e_rendered : string;
+      (* the entry's final bytes in the persisted document, Merkle
+         fingerprint included: the context never changes, so rendering
+         once at store/load time is exact *)
+}
+
 type t = {
   cc_context : context;
-  cc_entries : (string, Concrete.t) Hashtbl.t;
+  cc_entries : (string, entry) Hashtbl.t;
       (* authoritative: canonical abstract spec -> its concretization *)
   cc_seeds : (string, Concrete.node) Hashtbl.t;
       (* advisory: package name -> a concrete node it pinned to in some
@@ -140,18 +148,44 @@ let key_of ast = Printer.to_string ast
 let lookup t ast =
   let key = key_of ast in
   match Hashtbl.find_opt t.cc_entries key with
-  | Some c ->
+  | Some e ->
       Obs.count t.cc_obs "ccache.hits" 1;
-      Some c
+      Some e.e_concrete
   | None ->
       Obs.count t.cc_obs "ccache.misses" 1;
       None
 
-let store t ast concrete =
-  Hashtbl.replace t.cc_entries (key_of ast) concrete;
+let format_version = 2
+
+let entry_json key ~merkle concrete =
+  Json.Obj
+    [
+      ("spec", Json.String key);
+      ("merkle", Json.String merkle);
+      ("concrete", Concrete.to_json concrete);
+    ]
+
+let document cx entries =
+  Json.Obj
+    [
+      ("format", Json.Int format_version);
+      ("base", Json.String cx.cx_base);
+      ("entries", Json.List entries);
+    ]
+
+(* an entry sits at depth 2 of the document: its object is an item of
+   the "entries" list, itself a field of the top-level object *)
+let add t key ~merkle concrete =
+  let e_rendered =
+    Json.to_string ~indent:2 ~depth:2 (entry_json key ~merkle concrete)
+  in
+  Hashtbl.replace t.cc_entries key { e_concrete = concrete; e_rendered };
   List.iter
     (fun (n : Concrete.node) -> Hashtbl.replace t.cc_seeds n.Concrete.name n)
     (Concrete.nodes concrete)
+
+let store t ast concrete =
+  add t (key_of ast) ~merkle:(entry_fingerprint t.cc_context concrete) concrete
 
 let seeds t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cc_seeds []
@@ -159,26 +193,45 @@ let seeds t =
 
 let length t = Hashtbl.length t.cc_entries
 
-let format_version = 2
+let sorted_entries t =
+  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.cc_entries []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* the reference rendering: every fingerprint recomputed from scratch *)
 let to_json t =
-  let entries =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cc_entries []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (k, v) ->
-           Json.Obj
-             [
-               ("spec", Json.String k);
-               ("merkle", Json.String (entry_fingerprint t.cc_context v));
-               ("concrete", Concrete.to_json v);
-             ])
-  in
-  Json.Obj
-    [
-      ("format", Json.Int format_version);
-      ("base", Json.String t.cc_context.cx_base);
-      ("entries", Json.List entries);
-    ]
+  sorted_entries t
+  |> List.map (fun (k, e) ->
+         entry_json k
+           ~merkle:(entry_fingerprint t.cc_context e.e_concrete)
+           e.e_concrete)
+  |> document t.cc_context
+
+(* Byte-identical to [Json.to_string ~indent:2 (to_json t)], assembled
+   from the fragments rendered at store/load time: the fixed header,
+   the sorted fragments, the fixed footer. *)
+let to_string t =
+  match sorted_entries t with
+  | [] -> Json.to_string ~indent:2 (document t.cc_context [])
+  | entries ->
+      (* one exactly-sized buffer: the file is copied once *)
+      let b =
+        Buffer.create
+          (List.fold_left
+             (fun n (_, e) -> n + String.length e.e_rendered + 6)
+             256 entries)
+      in
+      Printf.bprintf b
+        "{\n  \"format\": %d,\n  \"base\": %s,\n  \"entries\": ["
+        format_version
+        (Json.to_string (Json.String t.cc_context.cx_base));
+      List.iteri
+        (fun i (_, e) ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b "\n    ";
+          Buffer.add_string b e.e_rendered)
+        entries;
+      Buffer.add_string b "\n  ]\n}";
+      Buffer.contents b
 
 (* Validation is per entry: a stored entry survives iff its recorded
    Merkle fingerprint still equals the one its concrete DAG hashes to
@@ -210,11 +263,7 @@ let of_json ?(obs = Obs.disabled) ~context:cx json =
           | Some key, Some merkle, Some cj -> (
               match Concrete.of_json cj with
               | Ok c when entry_fingerprint cx c = merkle ->
-                  Hashtbl.replace t.cc_entries key c;
-                  List.iter
-                    (fun (n : Concrete.node) ->
-                      Hashtbl.replace t.cc_seeds n.Concrete.name n)
-                    (Concrete.nodes c)
+                  add t key ~merkle c
               | Ok _ | Error _ -> evict ())
           | _ -> evict ())
         entries
@@ -235,8 +284,7 @@ let load ?(obs = Obs.disabled) ~context:cx fs ~path =
 
 let save t fs ~path =
   let tmp = path ^ ".tmp" in
-  let rendered = Json.to_string ~indent:2 (to_json t) in
-  match Vfs.write_file fs tmp rendered with
+  match Vfs.write_file fs tmp (to_string t) with
   | Error e -> Error (Vfs.error_to_string e)
   | Ok () -> (
       match Vfs.rename fs ~src:tmp ~dst:path with

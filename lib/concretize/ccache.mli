@@ -32,7 +32,13 @@
 
     Persistence is crash-safe: {!save} writes a sibling temp file and
     {!Ospack_vfs.Vfs.rename}s it over the destination, so readers observe
-    either the old or the new cache, never a torn one. *)
+    either the old or the new cache, never a torn one.
+
+    Persistence is also incremental in cost, though not in format: each
+    entry is fingerprinted and rendered exactly once, when it is stored
+    or survives a load, and a persist is one concatenation of those
+    fragments, one write and one rename. A miss no longer re-hashes or
+    re-serializes the entries already cached. *)
 
 type t
 
@@ -84,7 +90,9 @@ val lookup : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option
 
 val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
 (** Record an authoritative (abstract, concrete) pair, and harvest every
-    node of the concrete DAG into the advisory seed table. *)
+    node of the concrete DAG into the advisory seed table. This is where
+    the entry is fingerprinted and rendered to its persisted bytes, once:
+    later {!save}s reuse them. Re-storing a key replaces its entry. *)
 
 val seeds : t -> (string * Ospack_spec.Concrete.node) list
 (** The sub-DAG memo, sorted by package name: for each package that
@@ -99,7 +107,15 @@ val length : t -> int
 
 val to_json : t -> Ospack_json.Json.t
 (** Serialized form: format version, base fingerprint, and one
-    [{spec; merkle; concrete}] object per entry. *)
+    [{spec; merkle; concrete}] object per entry, sorted by spec. Every
+    Merkle fingerprint is recomputed, so this is the reference the
+    incremental renderer is checked against. *)
+
+val to_string : t -> string
+(** The persisted document: exactly
+    [Ospack_json.Json.to_string ~indent:2 (to_json t)], assembled from the
+    per-entry fragments rendered at {!store}/load time between a fixed
+    header and footer, with no hashing and no JSON tree. *)
 
 val of_json :
   ?obs:Ospack_obs.Obs.t ->
@@ -125,4 +141,8 @@ val load :
     cache, an unparsable one counts one invalidation. *)
 
 val save : t -> Ospack_vfs.Vfs.t -> path:string -> (unit, string) result
-(** Persist: write [path ^ ".tmp"], then rename over [path]. *)
+(** Persist {!to_string}: write [path ^ ".tmp"], then rename over
+    [path]. One concatenation of the already-rendered entries, one write
+    and one rename — no fingerprint is recomputed and no entry is
+    re-serialized, so a persist costs a memory copy of the file rather
+    than O(entries) hashing and rendering. *)

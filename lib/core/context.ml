@@ -5,7 +5,6 @@ module Compilers = Ospack_config.Compilers
 module Concretizer = Ospack_concretize.Concretizer
 module Ccache = Ospack_concretize.Ccache
 module Backends = Ospack_concretize.Backends
-module Json = Ospack_json.Json
 module Installer = Ospack_store.Installer
 module Fsmodel = Ospack_buildsim.Fsmodel
 module Layout = Ospack_layout.Layout
@@ -67,7 +66,7 @@ let save_ccache t =
      concretized (the in-memory cache is still authoritative) *)
   ignore (Ccache.save t.ccache t.vfs ~path:t.ccache_path)
 
-let export_ccache t = Json.to_string ~indent:2 (Ccache.to_json t.ccache)
+let export_ccache t = Ccache.to_string t.ccache
 
 let with_site_packages t site_pkgs =
   let site = Repository.create ~name:"site" site_pkgs in

@@ -59,7 +59,9 @@ val save_ccache : t -> unit
     command that concretized. *)
 
 val export_ccache : t -> string
-(** The concretization cache serialized as JSON — the bridge for warm
+(** The concretization cache serialized as JSON — the very bytes
+    {!save_ccache} writes to [ccache_path] ({!Ospack_concretize.Ccache.to_string})
+    and the bridge for warm
     starts across processes: write it to the real filesystem and pass it
     back as [create]'s [ccache_json] (the CLI's [--ccache FILE] flag).
     An export is only trusted on import if its fingerprint still

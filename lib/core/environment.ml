@@ -164,10 +164,11 @@ let current_fingerprint (ctx : Context.t) =
 
 (* the checksum covers the canonical rendering of every payload field,
    so any bit of tampering — a flipped hash, an edited spec, a dropped
-   root — is detected before the fingerprint is even consulted *)
-let lock_payload ~fingerprint ~merkle_of pairs =
+   root — is detected before the fingerprint is even consulted; the
+   payload is the format field followed by this body, and the written
+   file slots the checksum in between *)
+let lock_body ~fingerprint ~merkle_of pairs =
   [
-    ("format", Json.Int lock_format);
     ("fingerprint", Json.String fingerprint);
     ("roots", Json.List (List.map (fun (r, _) -> Json.String r) pairs));
     ( "specs",
@@ -188,14 +189,10 @@ let lock_checksum payload =
   Sha256.hex_digest (Json.to_string ~indent:2 (Json.Obj payload))
 
 let render_lock ~fingerprint ~merkle_of pairs =
-  let payload = lock_payload ~fingerprint ~merkle_of pairs in
-  let full =
-    match payload with
-    | format :: rest ->
-        (format :: ("checksum", Json.String (lock_checksum payload)) :: rest)
-    | [] -> assert false
-  in
-  Json.to_string ~indent:2 (Json.Obj full) ^ "\n"
+  let format = ("format", Json.Int lock_format) in
+  let body = lock_body ~fingerprint ~merkle_of pairs in
+  let checksum = ("checksum", Json.String (lock_checksum (format :: body))) in
+  Json.to_string ~indent:2 (Json.Obj (format :: checksum :: body)) ^ "\n"
 
 let write_lock (ctx : Context.t) t pairs =
   let cx = Ccache.context_of ctx.Context.ccache in

@@ -109,7 +109,7 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let to_string ?(indent = 0) t =
+let to_string ?(indent = 0) ?(depth = 0) t =
   let buf = Buffer.create 256 in
   let pad depth =
     if indent > 0 then begin
@@ -149,7 +149,7 @@ let to_string ?(indent = 0) t =
         pad depth;
         Buffer.add_char buf '}'
   in
-  go 0 t;
+  go depth t;
   Buffer.contents buf
 
 (* ---------------- parsing ---------------- *)

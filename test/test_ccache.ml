@@ -381,6 +381,75 @@ let mutation_forces_miss_end_to_end () =
   Alcotest.(check string) "re-solve sees the new version" "0.7"
     (Ospack_version.Version.to_string (Concrete.root_node c2).Concrete.version)
 
+(* --- the incremental renderer --- *)
+
+(* [save] writes fragments rendered once at store/load time; [to_json]
+   recomputes every fingerprint and re-serializes every entry, so it is
+   the independent reference the written bytes must equal *)
+let saved_equals_reference cache =
+  let fs = Vfs.create () in
+  let path = "/store/.spack-db/ccache.json" in
+  let reference = Json.to_string ~indent:2 (Ccache.to_json cache) in
+  match Ccache.save cache fs ~path with
+  | Error _ -> false
+  | Ok () ->
+      Vfs.read_file fs path = Ok reference
+      && Ccache.to_string cache = reference
+
+let reload ~context cache =
+  let fs = Vfs.create () in
+  let path = "/store/.spack-db/ccache.json" in
+  ignore (Ccache.save cache fs ~path);
+  Ccache.load ~context fs ~path
+
+let empty_cache_renders () =
+  let cache = Ccache.create ~context:(mk_context (base_packages ())) () in
+  Alcotest.(check bool) "empty cache: save = reference" true
+    (saved_equals_reference cache)
+
+(* (abstract, concrete) pairs to store: keys and values are drawn
+   independently, so a sequence re-stores keys with other values too *)
+let store_pool =
+  lazy
+    (let ctx = ctx_of (base_packages ()) in
+     [ "app"; "app@1.0"; "app@2.0"; "app+debug"; "libx"; "libx@0.5";
+       "mympi"; "mympi@1.9" ]
+     |> List.map (fun s -> (parse s, concretize_ok ctx s))
+     |> Array.of_list)
+
+let save_equals_reference_property =
+  let n = 8 in
+  QCheck.Test.make ~count:200 ~name:"save bytes = reference renderer"
+    QCheck.(small_list (pair (int_bound (n - 1)) (int_bound (n - 1))))
+    (fun ops ->
+      let pool = Lazy.force store_pool in
+      let packages = base_packages () in
+      let cx = mk_context packages in
+      let cache = Ccache.create ~context:cx () in
+      List.iter
+        (fun (k, v) -> Ccache.store cache (fst pool.(k)) (snd pool.(v)))
+        ops;
+      (* the model: last value stored per key *)
+      let final = Hashtbl.create n in
+      List.iter (fun (k, v) -> Hashtbl.replace final k v) ops;
+      let sees_libx v =
+        List.exists
+          (fun (nd : Concrete.node) -> nd.Concrete.name = "libx")
+          (Concrete.nodes (snd pool.(v)))
+      in
+      let survivors =
+        Hashtbl.fold (fun _ v acc -> if sees_libx v then acc else acc + 1)
+          final 0
+      in
+      let same = reload ~context:cx cache in
+      let edited = reload ~context:(mk_context (bump_libx packages)) cache in
+      Ccache.length cache = Hashtbl.length final
+      && saved_equals_reference cache
+      && Ccache.length same = Ccache.length cache
+      && saved_equals_reference same
+      && Ccache.length edited = survivors
+      && saved_equals_reference edited)
+
 let () =
   Alcotest.run "ccache"
     [
@@ -412,5 +481,7 @@ let () =
             corrupt_cache_ignored;
           Alcotest.test_case "recipe edit forces re-solve" `Quick
             mutation_forces_miss_end_to_end;
+          Alcotest.test_case "empty cache renders" `Quick empty_cache_renders;
+          QCheck_alcotest.to_alcotest save_equals_reference_property;
         ] );
     ]

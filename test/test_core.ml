@@ -446,6 +446,17 @@ let verify_integrity () =
        (fun (_, r) -> Ospack_store.Provenance.report_clean r)
        reports)
 
+let export_matches_persisted () =
+  (* one renderer: the cross-process export is the file a miss persists *)
+  let ctx = Context.create () in
+  ignore (ok (Ospack.spec ctx "libelf"));
+  ignore (ok (Ospack.spec ctx "mpileaks"));
+  match Vfs.read_file ctx.Context.vfs ctx.Context.ccache_path with
+  | Ok persisted ->
+      Alcotest.(check string) "export = persisted file" persisted
+        (Context.export_ccache ctx)
+  | Error e -> Alcotest.failf "no persisted ccache: %s" (Vfs.error_to_string e)
+
 let () =
   Alcotest.run "core"
     [
@@ -481,5 +492,7 @@ let () =
             r_extensions;
           Alcotest.test_case "verify: manifest integrity" `Quick
             verify_integrity;
+          Alcotest.test_case "ccache export = persisted file" `Quick
+            export_matches_persisted;
         ] );
     ]
