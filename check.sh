@@ -220,7 +220,12 @@ grep -q 'kill point' "$env_tmp/torture.out"
 
 echo "== checking for stray _build files in git"
 # nothing under _build/ may be tracked, and none may appear in git status
-# (deletions are fine — that is _build being purged, not committed)
+# (deletions are fine — that is _build being purged, not committed);
+# outside a git work tree the check cannot run, which is a failure
+if ! git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    echo "error: not inside a git work tree; cannot check for tracked _build/ files" >&2
+    exit 1
+fi
 stray=$( { git ls-files _build;
            git status --porcelain -- _build | grep -v '^ \?D' | awk '{print $2}'; } \
          | sort -u )

@@ -24,7 +24,14 @@ type node = {
 }
 
 type t
-(** A validated concrete spec DAG. *)
+(** A validated concrete spec DAG. It memoizes its sub-DAG hashes in a
+    lazily computed field, so compare specs with {!equal}, never with
+    [=], [compare], [List.mem] or [List.assoc]: those raise
+    [Invalid_argument "compare: functional value"] while the memo is
+    unforced, and return [false] for equal specs when only one side is
+    forced. For the same reason a [t] is no polymorphic [Hashtbl] key.
+    The same holds for any value holding a [t], such as
+    [Database.record]. *)
 
 type validation_error =
   | Missing_root of string
@@ -54,7 +61,8 @@ val deps_of : t -> string -> node list
 val subspec : t -> string -> t
 (** The concrete sub-DAG rooted at a node — what Spack passes to a
     package's [install] method (§3.4: "a sub-DAG rooted at the current
-    node"). Raises [Invalid_argument] for unknown nodes. *)
+    node"). Raises [Invalid_argument] for unknown nodes. The subspec
+    shares its parent's hash memo. *)
 
 val to_dag : t -> Ospack_dag.Dag.t
 
@@ -64,9 +72,15 @@ val topological_order : t -> string list
 val dag_hash : t -> string -> string
 (** 8-hex-character hash of the sub-DAG rooted at a node: the paper's
     basis for unique install prefixes (§3.4.2) and sub-DAG sharing
-    (Fig. 9) — two equal sub-DAGs have equal hashes. *)
+    (Fig. 9) — two equal sub-DAGs have equal hashes. Raises
+    [Invalid_argument] for a node not in [t].
+
+    Cost: the first lookup on a spec hashes its whole DAG once (one
+    SHA-256 per node); later lookups are map lookups, and subspecs share
+    the parent's memo. *)
 
 val root_hash : t -> string
+(** [dag_hash t (root t)], at the same cost. *)
 
 val as_ast_node : node -> Ast.node
 (** The node's parameters as pinned abstract constraints (for reuse checks
@@ -93,6 +107,8 @@ val tree_string : t -> string
 (** Multi-line ASCII dependency tree (like [spack spec]). *)
 
 val equal : t -> t -> bool
+(** Structural equality of root and nodes; the only correct comparison of
+    two specs (see {!t}). *)
 
 val to_json : t -> Ospack_json.Json.t
 (** Structured serialization of the full DAG — ospack's [spec.json],

@@ -16,6 +16,9 @@ type record = {
           its prefix is never removed by uninstall *)
   r_build_seconds : float;  (** simulated build time (0 when reused) *)
 }
+(** Holds a {!Ospack_spec.Concrete.t}, so never compare records with [=]
+    or [compare]: compare their [r_hash], or their specs with
+    [Concrete.equal]. *)
 
 type t
 

@@ -802,11 +802,11 @@ let install_parallel t ?(explicit = true) ~jobs specs =
   if jobs < 1 then
     Error (Printf.sprintf "install: jobs must be >= 1 (got %d)" jobs)
   else begin
-    (* merge the spec DAGs into one table keyed by sub-DAG hash; the
-       first occurrence fixes the node's deterministic dispatch priority *)
+    (* merge the spec DAGs into one table keyed by sub-DAG hash, holding
+       each node with its index; the first occurrence fixes the node's
+       deterministic dispatch priority *)
     let index_of = Hashtbl.create 64 in
     let rev_infos = ref [] in
-    let n_nodes = ref 0 in
     List.iter
       (fun spec ->
         let root = Concrete.root spec in
@@ -815,20 +815,15 @@ let install_parallel t ?(explicit = true) ~jobs specs =
             let hash = Concrete.dag_hash spec name in
             let is_explicit = explicit && name = root in
             match Hashtbl.find_opt index_of hash with
-            | Some idx ->
-                if is_explicit then begin
-                  let nd = List.nth !rev_infos (!n_nodes - 1 - idx) in
-                  nd.pn_explicit <- true
-                end
+            | Some (_, nd) -> if is_explicit then nd.pn_explicit <- true
             | None ->
                 let deps =
                   List.map
                     (fun dep ->
-                      Hashtbl.find index_of (Concrete.dag_hash spec dep))
+                      fst (Hashtbl.find index_of (Concrete.dag_hash spec dep)))
                     (Concrete.node_exn spec name).Concrete.deps
                 in
-                Hashtbl.add index_of hash !n_nodes;
-                rev_infos :=
+                let nd =
                   {
                     pn_name = name;
                     pn_hash = hash;
@@ -836,8 +831,9 @@ let install_parallel t ?(explicit = true) ~jobs specs =
                     pn_explicit = is_explicit;
                     pn_deps = deps;
                   }
-                  :: !rev_infos;
-                incr n_nodes)
+                in
+                Hashtbl.add index_of hash (Hashtbl.length index_of, nd);
+                rev_infos := nd :: !rev_infos)
           (Concrete.topological_order spec))
       specs;
     let nodes = Array.of_list (List.rev !rev_infos) in

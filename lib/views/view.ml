@@ -64,12 +64,12 @@ let expand_rule rule spec =
   go 0;
   Buffer.contents buf
 
-(* Preference between two specs colliding on one link (§4.3.1): earlier
-   compiler_order entry wins, then newer version, newer compiler, hash. *)
-let preference config spec =
+(* Preference key of a spec colliding on one link (§4.3.1): earlier
+   compiler_order entry wins, then newer version, newer compiler, hash.
+   [order] is [Policy.compiler_order config], parsed once per view. *)
+let preference order spec =
   let n = Concrete.root_node spec in
   let cname, cver = n.Concrete.compiler in
-  let order = Policy.compiler_order config in
   let rec rank i = function
     | [] -> max_int
     | (req : Ast.compiler_req) :: rest ->
@@ -78,17 +78,19 @@ let preference config spec =
   in
   (rank 0 order, n.Concrete.version, cver, Concrete.root_hash spec)
 
-let better config a b =
-  let ra, va, ca, ha = preference config a
-  and rb, vb, cb, hb = preference config b in
-  if ra <> rb then ra < rb
+(* Negative when key [a] is preferred over key [b]. *)
+let compare_preference (ra, va, ca, ha) (rb, vb, cb, hb) =
+  if ra <> rb then Int.compare ra rb
   else
-    match Version.compare va vb with
+    match Version.compare vb va with
     | 0 -> (
-        match Version.compare ca cb with
-        | 0 -> ha < hb
-        | c -> c > 0)
-    | c -> c > 0
+        match Version.compare cb ca with 0 -> String.compare ha hb | c -> c)
+    | c -> c
+
+(* Each install with its preference key, computed once. *)
+let keyed config installed =
+  let order = Policy.compiler_order config in
+  List.map (fun (spec, prefix) -> (preference order spec, spec, prefix)) installed
 
 type merge_report = {
   mr_linked : int;
@@ -111,15 +113,14 @@ let merge vfs ~config ~view_root ~installed =
   (* most-preferred first, so winners claim contested paths *)
   let ordered =
     List.stable_sort
-      (fun (a, _) (b, _) ->
-        if better config a b then -1 else if better config b a then 1 else 0)
-      installed
+      (fun (ka, _, _) (kb, _, _) -> compare_preference ka kb)
+      (keyed config installed)
   in
   let owner = Hashtbl.create 64 in
   let linked = ref 0 in
   let conflicts = ref [] in
   List.iter
-    (fun (_, prefix) ->
+    (fun (_, _, prefix) ->
       List.iter
         (fun rel ->
           match Hashtbl.find_opt owner rel with
@@ -142,15 +143,16 @@ let sync vfs ~config ~rules ~installed =
   (* values are a nonempty list by construction — (first, rest) — so the
      winner fold below needs no unreachable empty case *)
   let by_link = Hashtbl.create 16 in
+  let installed = keyed config installed in
   List.iter
     (fun rule ->
       List.iter
-        (fun (spec, prefix) ->
+        (fun (key, spec, prefix) ->
           let link = expand_rule rule spec in
           let entry =
             match Hashtbl.find_opt by_link link with
-            | None -> ((spec, prefix), [])
-            | Some (first, rest) -> ((spec, prefix), first :: rest)
+            | None -> ((key, prefix), [])
+            | Some (first, rest) -> ((key, prefix), first :: rest)
           in
           Hashtbl.replace by_link link entry)
         installed)
@@ -159,10 +161,10 @@ let sync vfs ~config ~rules ~installed =
     (fun link (first, rest) acc ->
       let winner, losers =
         List.fold_left
-          (fun (best, shadowed) (spec, prefix) ->
-            let bspec, bprefix = best in
-            if better config spec bspec then
-              ((spec, prefix), bprefix :: shadowed)
+          (fun (best, shadowed) (key, prefix) ->
+            let bkey, bprefix = best in
+            if compare_preference key bkey < 0 then
+              ((key, prefix), bprefix :: shadowed)
             else (best, prefix :: shadowed))
           (first, []) rest
       in

@@ -10,6 +10,10 @@ module Constraint_ops = Ospack_spec.Constraint_ops
 module Concrete = Ospack_spec.Concrete
 module Version = Ospack_version.Version
 module Vlist = Ospack_version.Vlist
+module Sha256 = Ospack_hash.Sha256
+module Concretizer = Ospack_concretize.Concretizer
+module Universe = Ospack_repo.Universe
+module Repository = Ospack_package.Repository
 
 let parse = Parser.parse_exn
 
@@ -526,6 +530,170 @@ let concrete_rendering () =
   Alcotest.(check bool) "tree shows compiler" true
     (Astring.String.is_infix ~affix:"%gcc@4.9.2" tree)
 
+(* --- hash memo: every lookup agrees with a from-scratch recomputation --- *)
+
+(* The identity string of §3.4.2, rebuilt here independently of the
+   library's rendering: node parameters, provided virtuals, then the
+   dependency sub-DAG hashes; the hash is the first 8 hex digits of its
+   SHA-256. *)
+let reference_hashes c =
+  let memo = Hashtbl.create 16 in
+  let rec hash name =
+    match Hashtbl.find_opt memo name with
+    | Some h -> h
+    | None ->
+        let n = Concrete.node_exn c name in
+        let cname, cver = n.Concrete.compiler in
+        let variants =
+          Concrete.Smap.bindings n.Concrete.variants
+          |> List.map (fun (v, on) -> (if on then "+" else "~") ^ v)
+          |> String.concat ""
+        in
+        let params =
+          Printf.sprintf "%s@%s%%%s@%s%s=%s" name
+            (Version.to_string n.Concrete.version)
+            cname (Version.to_string cver) variants n.Concrete.arch
+        in
+        let provided =
+          List.map
+            (fun (v, vl) -> v ^ "=" ^ Vlist.to_string vl)
+            n.Concrete.provided
+          |> String.concat ","
+        in
+        let identity =
+          String.concat "|" (params :: provided :: List.map hash n.Concrete.deps)
+        in
+        let h = String.sub (Sha256.hex_digest identity) 0 8 in
+        Hashtbl.replace memo name h;
+        h
+  in
+  List.map (fun (n : Concrete.node) -> (n.Concrete.name, hash n.Concrete.name))
+    (Concrete.nodes c)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Subspecs are hashed before the parent, so when [c] is fresh its shared
+   memo is first forced through a subspec. *)
+let hash_invariants c =
+  let names =
+    List.map (fun (n : Concrete.node) -> n.Concrete.name) (Concrete.nodes c)
+  in
+  let subs = List.map (fun n -> (n, Concrete.subspec c n)) names in
+  let sub_roots = List.map (fun (n, s) -> (n, Concrete.root_hash s)) subs in
+  let reference = reference_hashes c in
+  let reloaded =
+    match Concrete.of_json (Concrete.to_json c) with
+    | Ok c2 -> c2
+    | Error e -> failwith e
+  in
+  List.for_all
+    (fun (n, h) ->
+      Concrete.dag_hash c n = h
+      && List.assoc n sub_roots = h
+      && Concrete.dag_hash reloaded n = h)
+    reference
+  && List.for_all
+       (fun (_, sub) ->
+         List.for_all
+           (fun m ->
+             if Concrete.node sub m = None then
+               raises_invalid (fun () -> Concrete.dag_hash sub m)
+             else Concrete.dag_hash sub m = Concrete.dag_hash c m)
+           names)
+       subs
+  && raises_invalid (fun () -> Concrete.dag_hash c "no-such-node")
+
+let universe_ctx =
+  lazy
+    (Concretizer.make_ctx ~config:Universe.default_config
+       ~compilers:Universe.compilers (Universe.repository ()))
+
+let concretize_exn spec =
+  match Concretizer.concretize_string (Lazy.force universe_ctx) spec with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "%s: %s" spec e
+
+let hash_prop_universe =
+  QCheck.Test.make ~name:"hash memo = reference over the universe" ~count:60
+    (QCheck.make
+       ~print:(fun s -> s)
+       (QCheck.Gen.oneofl
+          (Repository.package_names (Universe.repository ())
+          |> List.filter (fun n -> n <> "bgq-mpi" && n <> "cray-mpi"))))
+    (fun name ->
+      match
+        Concretizer.concretize_string (Lazy.force universe_ctx) name
+      with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok c -> hash_invariants c)
+
+(* Random acyclic DAGs: node [i] may depend only on nodes [j > i], so
+   "n0" reaches every node the generator connects to it. *)
+let gen_dag =
+  let open QCheck.Gen in
+  let* size = int_range 1 7 in
+  let node i =
+    let* version = oneofl [ "1.0"; "2.3.1"; "0.8.13"; "20130729" ] in
+    let* compiler = oneofl [ ("gcc", "4.9.2"); ("intel", "14.1") ] in
+    let* debug = bool in
+    let* mpi = bool in
+    let* provided =
+      oneofl [ []; [ ("mpi", ":2.2") ]; [ ("mpi", "3:"); ("blas", "1.0") ] ]
+    in
+    let+ deps =
+      flatten_l
+        (List.init (size - i - 1) (fun k ->
+             let dep = Printf.sprintf "n%d" (i + k + 1) in
+             map (fun b -> if b then Some dep else None) bool))
+    in
+    cnode ~compiler ~variants:[ ("debug", debug); ("mpi", mpi) ] ~provided
+      ~deps:(List.filter_map Fun.id deps) (Printf.sprintf "n%d" i) version
+  in
+  flatten_l (List.init size node)
+
+let hash_prop_generated =
+  QCheck.Test.make ~name:"hash memo = reference on generated DAGs" ~count:200
+    (QCheck.make
+       ~print:(fun nodes ->
+         String.concat " " (List.map Concrete.node_to_string nodes))
+       gen_dag)
+    (fun nodes ->
+      match Concrete.make ~root:"n0" nodes with
+      | Error _ -> false
+      | Ok c -> hash_invariants c)
+
+(* Today's hashes, pinned: the identity string must not drift, or every
+   install prefix, index shard and lockfile would change with it. *)
+let pinned_hashes () =
+  Alcotest.(check string) "libelf" "fe7b6eb4"
+    (Concrete.root_hash (concretize_exn "libelf"));
+  let dwarf = concretize_exn "libdwarf" in
+  Alcotest.(check string) "libdwarf" "d507abe5" (Concrete.root_hash dwarf);
+  Alcotest.(check string) "libelf inside libdwarf" "fe7b6eb4"
+    (Concrete.dag_hash dwarf "libelf")
+
+(* The memo is invisible to [Concrete.equal]: a spec whose hashes were
+   forced equals one built separately whose hashes were not. *)
+let equal_ignores_memo () =
+  let forced = sample () and fresh = sample () in
+  ignore (Concrete.root_hash forced);
+  Alcotest.(check bool) "forced = unforced" true (Concrete.equal forced fresh);
+  Alcotest.(check bool) "unforced = forced" true (Concrete.equal fresh forced);
+  let sub = Concrete.subspec forced "libx" in
+  let standalone =
+    match
+      Concrete.make ~root:"libx"
+        [ cnode "libx" "2.0" ~deps:[ "libz" ]; cnode "libz" "3.1" ]
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "invalid"
+  in
+  Alcotest.(check bool) "subspec of a forced spec = fresh spec" true
+    (Concrete.equal sub standalone);
+  Alcotest.(check string) "and hashes agree" (Concrete.root_hash standalone)
+    (Concrete.root_hash sub)
+
 let () =
   Alcotest.run "spec"
     [
@@ -558,5 +726,10 @@ let () =
           Alcotest.test_case "satisfies" `Quick concrete_satisfies;
           Alcotest.test_case "hashing" `Quick concrete_hashing;
           Alcotest.test_case "rendering" `Quick concrete_rendering;
+          Alcotest.test_case "pinned hashes" `Quick pinned_hashes;
+          Alcotest.test_case "equal ignores the hash memo" `Quick
+            equal_ignores_memo;
+          QCheck_alcotest.to_alcotest hash_prop_universe;
+          QCheck_alcotest.to_alcotest hash_prop_generated;
         ] );
     ]
