@@ -9,7 +9,7 @@
      Fig. 9  — sub-DAG sharing across MPI configurations
      Fig. 10 — simulated build time: wrappers x filesystem
      Fig. 11 — overhead percentages vs the paper's measurements
-     ablation — greedy vs backtracking concretization
+     ablation — greedy vs the complete clause backend (§4.5)
      micro    — bechamel micro-benchmarks of the hot paths
 
    Absolute times for Fig. 10/11 come from the calibrated build simulator
@@ -35,6 +35,8 @@ module Pkgs_ares = Ospack_repo.Pkgs_ares
 module Platforms = Ospack_repo.Platforms
 module Version = Ospack_version.Version
 module Sha256 = Ospack_hash.Sha256
+module Backends = Ospack_concretize.Backends
+module I = Ospack_concretize.Concretizer_intf
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
@@ -346,7 +348,7 @@ let fig11 times =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  section "Ablation: greedy vs backtracking concretization (§4.5)";
+  section "Ablation: greedy vs the clause backend (§4.5)";
   let family n =
     let open Ospack_package.Package in
     let providers =
@@ -367,32 +369,31 @@ let ablation () =
             [ version "1.0"; depends_on "iface"; depends_on "leafdep@2.0" ];
         ])
   in
-  Printf.printf "%-12s %-10s %-14s %s\n" "providers" "greedy" "backtracking"
-    "greedy runs used";
+  Printf.printf "%-12s %-10s %-10s %s\n" "providers" "greedy" "clauses"
+    "clause search";
   List.iter
     (fun n ->
       let ctx = Concretizer.make_ctx ~compilers:Universe.compilers (family n) in
       let ast = Parser.parse_exn "top" in
       let greedy = Result.is_ok (Concretizer.concretize ctx ast) in
-      let bt, dt =
-        time_it (fun () -> Concretizer.concretize_backtracking ctx ast)
+      let oc, dt =
+        time_it (fun () -> Backends.solve_full Backends.Clauses ctx ast)
       in
-      Printf.printf "%-12d %-10s %-14s %d runs, %.2f ms\n" n
+      Printf.printf "%-12d %-10s %-10s %d runs, %d conflicts, %.2f ms\n" n
         (if greedy then "ok" else "conflict")
-        (if Result.is_ok bt then "ok" else "fail")
-        (Concretizer.last_run_count ())
-        (1000.0 *. dt))
+        (if Result.is_ok oc.I.oc_result then "ok" else "fail")
+        oc.I.oc_stats.I.st_runs oc.I.oc_stats.I.st_conflicts (1000.0 *. dt))
     [ 2; 4; 8; 16 ];
   let ctx = universe_ctx () in
   let ast = Parser.parse_exn "ares" in
   let _, greedy_t = time_it (fun () -> Concretizer.concretize ctx ast) in
-  let _, bt_t =
-    time_it (fun () -> Concretizer.concretize_backtracking ctx ast)
+  let _, clauses_t =
+    time_it (fun () -> Backends.solve Backends.Clauses ctx ast)
   in
   Printf.printf
-    "ares: greedy %.2f ms, backtracking wrapper %.2f ms (1 run — no \
-     regression on the happy path)\n"
-    (1000.0 *. greedy_t) (1000.0 *. bt_t);
+    "ares: greedy %.2f ms, clauses %.2f ms (greedy succeeds, so the clause \
+     backend returns its round-0 greedy run)\n"
+    (1000.0 *. greedy_t) (1000.0 *. clauses_t);
   (* second ablation: the precomputed provider index (paper §3.4, "building
      a reverse index from virtual packages to providers") vs rebuilding it
      for every concretization *)
@@ -910,8 +911,6 @@ let concretize_doc () =
 let solve_doc () =
   let module Obs = Ospack_obs.Obs in
   let module Json = Ospack_json.Json in
-  let module I = Ospack_concretize.Concretizer_intf in
-  let module Backends = Ospack_concretize.Backends in
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in

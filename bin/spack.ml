@@ -139,12 +139,6 @@ let events_arg =
            identical runs; validated by $(b,spack trace-validate).")
 
 let install_cmd =
-  let backtrack =
-    Arg.(
-      value & flag
-      & info [ "backtrack" ]
-          ~doc:"Fall back to the backtracking solver on greedy conflicts.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -161,8 +155,8 @@ let install_cmd =
       value & opt (some string) None
       & info [ "index-out" ] ~docv:"FILE"
           ~doc:
-            "After the install, write the store's database index (the \
-             on-disk index.json) to $(docv) on the real filesystem — \
+            "After the install, write the store's database index (every \
+             record, as one JSON document) to $(docv) on the real filesystem — \
              lets CI compare store state across runs and -j levels.")
   in
   let trace =
@@ -190,7 +184,7 @@ let install_cmd =
              skip both the installed-spec reuse (§3.2.3) and the \
              concretization cache.")
   in
-  let run backtrack jobs index_out trace events timings fresh backend parts =
+  let run jobs index_out trace events timings fresh backend parts =
     let recording = trace <> None || events <> None || timings in
     let obs = if recording then Obs.create () else Obs.disabled in
     let ctx =
@@ -206,7 +200,7 @@ let install_cmd =
       output_char oc '\n';
       close_out oc
     in
-    match Ospack.install ~backtrack ~fresh ~jobs ctx (join_spec parts) with
+    match Ospack.install ~fresh ~jobs ctx (join_spec parts) with
     | Ok report ->
         Format.printf "==> concretized:@.%s@."
           (Concrete.tree_string report.Ospack.Commands.ir_spec);
@@ -236,7 +230,7 @@ let install_cmd =
   Cmd.v
     (Cmd.info "install" ~doc:"Concretize and install a spec.")
     Term.(
-      const run $ backtrack $ jobs $ index_out $ trace $ events_arg $ timings
+      const run $ jobs $ index_out $ trace $ events_arg $ timings
       $ fresh $ backend_arg $ spec_arg)
 
 let profile_cmd =
@@ -246,7 +240,7 @@ let profile_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Profile the schedule at $(docv) simulated workers (default \
-             1: the serial install order).")
+             1: the topological install order).")
   in
   let width =
     Arg.(
@@ -277,12 +271,9 @@ let profile_cmd =
             (Concrete.tree_string r.Ospack.Commands.pf_spec);
           (* the concretizer's side of the profile: greedy iteration
              counts, or the clause solver's search statistics *)
-          Format.printf
-            "==> concretize profile: iterations=%d decisions=%d \
-             backtracks=%d@."
+          Format.printf "==> concretize profile: iterations=%d decisions=%d@."
             (Obs.counter obs "concretize.iterations")
-            (Obs.counter obs "concretize.decisions")
-            (Obs.counter obs "concretize.backtracks");
+            (Obs.counter obs "concretize.decisions");
           if
             List.exists
               (fun c -> Obs.counter obs c > 0)
@@ -605,8 +596,8 @@ let torture_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Torture the parallel scheduler at $(docv) workers instead of \
-             the serial install path (default 1).")
+            "Torture the install scheduler at $(docv) workers (default \
+             1).")
   in
   let every =
     Arg.(

@@ -57,8 +57,8 @@ fi
 grep -q 'REGRESSION' "$prof_tmp/inject.out"
 
 echo "== parallel smoke: -j4 deterministic, store identical to -j1, check BENCH_parallel.json"
-# the parallel scheduler must be deterministic (two -j4 runs byte-identical,
-# trace included) and must leave exactly the store a serial install leaves
+# the install scheduler must be deterministic (two -j4 runs byte-identical,
+# trace included) and must leave exactly the store a -j1 install leaves
 par_tmp=_build/parallel-smoke
 mkdir -p "$par_tmp"
 ./_build/default/bin/spack.exe install -j 4 --trace "$par_tmp/trace1.json" \

@@ -283,10 +283,6 @@ let load ?(obs = Obs.disabled) ~context:cx fs ~path =
       | Ok json -> of_json ~obs ~context:cx json)
 
 let save t fs ~path =
-  let tmp = path ^ ".tmp" in
-  match Vfs.write_file fs tmp (to_string t) with
-  | Error e -> Error (Vfs.error_to_string e)
-  | Ok () -> (
-      match Vfs.rename fs ~src:tmp ~dst:path with
-      | Error e -> Error (Vfs.error_to_string e)
-      | Ok () -> Ok ())
+  Result.map_error
+    (fun (_, _, e) -> Vfs.error_to_string e)
+    (Vfs.write_atomic fs path (to_string t))

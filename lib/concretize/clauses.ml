@@ -484,31 +484,51 @@ let emit_deps b =
         pkg.Package.p_dependencies)
     b.closure
 
-(* Unconditional, version-only conflicts directives translate exactly;
-   anything else is left to the greedy oracle. *)
+(* The architecture every node takes when nothing pins one: the root
+   takes the site default and each dependency inherits its parent's
+   (Concretizer), so unless the user spec or a dependency directive in
+   the closure names an arch, it is statically certain. *)
+let certain_arch b =
+  let pins (s : Ast.t) =
+    s.Ast.root.Ast.arch <> None
+    || Smap.exists (fun _ (n : Ast.node) -> n.Ast.arch <> None) s.Ast.deps
+  in
+  let directive_pins name =
+    List.exists
+      (fun (d : Package.dep) -> pins d.Package.d_spec)
+      (pkg_of b name).Package.p_dependencies
+  in
+  if pins b.abstract || List.exists directive_pins b.closure then None
+  else Some (Policy.default_arch b.ctx.config)
+
+(* Unconditional conflicts directives over versions and a statically
+   certain arch translate exactly; anything else is left to the greedy
+   oracle. *)
 let emit_conflicts b =
+  let arch = lazy (certain_arch b) in
   List.iter
     (fun pname ->
       let pkg = pkg_of b pname in
       List.iter
         (fun (c : Package.conflict_decl) ->
-          match c.Package.cf_when with
-          | Some _ -> ()
-          | None ->
-              let n = c.Package.cf_spec in
-              if
-                Smap.is_empty n.Ast.variants
-                && n.Ast.compiler = None && n.Ast.arch = None
-                && not (Vlist.is_any n.Ast.versions)
-              then
-                List.iter
-                  (fun v ->
-                    if Vlist.mem v n.Ast.versions then
-                      emit b
-                        [ -v_var b pname v ]
-                        (Printf.sprintf "%s conflicts with %s" pname
-                           (Printer.node_to_string n)))
-                  (cand_of b pname))
+          let n = c.Package.cf_spec in
+          let why =
+            Printf.sprintf "%s conflicts with %s" pname
+              (Printer.node_to_string n)
+          in
+          if
+            c.Package.cf_when = None
+            && Smap.is_empty n.Ast.variants
+            && n.Ast.compiler = None
+            && (n.Ast.arch = None || n.Ast.arch = Lazy.force arch)
+          then
+            if Vlist.is_any n.Ast.versions then emit b [ -p_var b pname ] why
+            else
+              List.iter
+                (fun v ->
+                  if Vlist.mem v n.Ast.versions then
+                    emit b [ -v_var b pname v ] why)
+                (cand_of b pname))
         pkg.Package.p_conflicts)
     b.closure
 

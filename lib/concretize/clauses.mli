@@ -8,9 +8,13 @@
     The encoding is a sound {e relaxation} of the greedy semantics: every
     DAG the greedy fixed point could produce (under any decision
     overrides) is a model, so encoding-UNSAT implies greedy-UNSAT and the
-    extracted core is a true explanation. Constraints the clause language
-    cannot express exactly (compiler/arch-conditional deps, variants that
-    some spec might pin) are dropped rather than approximated, and models
+    extracted core is a true explanation. Unconditional [conflicts]
+    directives translate when they constrain only versions and an arch
+    that is statically certain (no arch named by the user spec or by a
+    dependency directive in the closure, so every node takes the site
+    default). Constraints the clause language cannot express exactly
+    (compiler/arch-conditional deps, variants that some spec might pin)
+    are dropped rather than approximated, and models
     are validated by replaying them through the greedy oracle
     ({!Concretizer.run_trace} with forced decisions) — see {!Backends}. *)
 

@@ -119,7 +119,7 @@ type run_state = {
   obs : Obs.t;
       (* usually [ctx.obs]; [concretize_explain] substitutes its own
          enabled sink so the decision log always has somewhere to go *)
-  choices : (string * int) list;  (* decision overrides (backtracking) *)
+  choices : (string * int) list;  (* index-based decision overrides *)
   forced : (string * string) list;
       (* value-based decision overrides: key -> rendered value. Used by
          the clause backend to replay a solver model through the greedy
@@ -863,47 +863,3 @@ let concretize_string ctx spec =
       match concretize ctx abstract with
       | Ok c -> Ok c
       | Error e -> Error (Cerror.to_string e))
-
-let runs_used = ref 1
-let last_run_count () = !runs_used
-
-let concretize_backtracking ?(max_runs = 2000) ctx abstract =
-  let first_result, first_trace = run_once ctx [] abstract in
-  runs_used := 1;
-  match first_result with
-  | Ok c -> Ok c
-  | Error first_error ->
-      (* chronological backtracking: advance the most recent decision that
-         still has untried alternatives, resetting all later ones *)
-      let next_choices trace choices =
-        let rec scan rev_trace =
-          match rev_trace with
-          | [] -> None
-          | d :: earlier ->
-              let key = d.d_key in
-              let cur =
-                Option.value (List.assoc_opt key choices) ~default:0
-              in
-              if cur + 1 < d.d_alternatives then
-                let earlier_keys = List.map (fun d -> d.d_key) earlier in
-                let kept =
-                  List.filter (fun (k, _) -> List.mem k earlier_keys) choices
-                in
-                Some ((key, cur + 1) :: kept)
-              else scan earlier
-        in
-        scan (List.rev trace)
-      in
-      let rec search trace choices runs =
-        if runs >= max_runs then Error first_error
-        else
-          match next_choices trace choices with
-          | None -> Error first_error
-          | Some choices' -> (
-              runs_used := runs + 1;
-              Obs.count ctx.obs "concretize.backtracks" 1;
-              match run_once ctx choices' abstract with
-              | Ok c, _ -> Ok c
-              | Error _, trace' -> search trace' choices' (runs + 1))
-      in
-      search first_trace [] 1

@@ -14,11 +14,10 @@
 
     Like Spack's implementation, {!concretize} is greedy: a decision once
     taken is never revisited, and a downstream inconsistency is reported
-    as a {!Cerror.t} telling the user what to force (§3.4, §4.5).
-    {!concretize_backtracking} is the "better constraint solving" the paper
-    leaves as future work: chronological backtracking over the greedy
-    run's recorded decision points (virtual-provider and version choices),
-    which resolves e.g. the paper's hwloc example (§4.5). *)
+    as a {!Cerror.t} telling the user what to force (§3.4, §4.5). The
+    "better constraint solving" the paper leaves as future work is the
+    complete clause backend ({!Backends.Clauses}), which resolves e.g. the
+    paper's hwloc example (§4.5) using this run as its oracle. *)
 
 type ctx = Concretizer_intf.ctx = {
   repo : Ospack_package.Repository.t;
@@ -38,8 +37,8 @@ val make_ctx :
 
     When [obs] is an enabled sink (default: {!Ospack_obs.Obs.disabled}),
     every concretization records one span per fixed-point iteration plus
-    a finalize span, counters for iterations, constraint merges, policy
-    decisions and backtracking re-runs, and one instant annotation (cat
+    a finalize span, counters for iterations, constraint merges and policy
+    decisions, and one instant annotation (cat
     ["explain"]) per policy decision. *)
 
 val concretize :
@@ -96,20 +95,6 @@ val concretize_string :
   ctx -> string -> (Ospack_spec.Concrete.t, string) result
 (** Parse and concretize; parse and concretization errors are rendered. *)
 
-val concretize_backtracking :
-  ?max_runs:int ->
-  ctx ->
-  Ospack_spec.Ast.t ->
-  (Ospack_spec.Concrete.t, Cerror.t) result
-(** Greedy search with chronological backtracking over provider and
-    version decisions. [max_runs] bounds the number of greedy re-runs
-    (default 2000). Returns the first solution found, or the error of the
-    first (fully greedy) run if the search space is exhausted. *)
-
-val last_run_count : unit -> int
-(** Number of greedy runs the most recent {!concretize_backtracking} used
-    (1 when greedy succeeded outright) — exposed for the ablation bench. *)
-
 (** {2 Backend plumbing}
 
     The pieces below expose the greedy run's internals to the other
@@ -135,7 +120,8 @@ val run_trace :
   (Ospack_spec.Concrete.t, Cerror.t) result * decision list
 (** One greedy run, returning both the result and the decision trace in
     the order the decisions were taken. The [(string * int) list] is the
-    index-based decision-override list (as used by backtracking);
+    index-based decision-override list (the [n]-th ranked candidate
+    for a key; [[]] is the plain greedy run);
     [forced] overrides decisions by {e value} instead — a pair
     [("provider:mpi", "openmpi")] or [("version:hwloc", "1.9")] forces
     that choice wherever it appears among the ranked candidates. Forced

@@ -6,8 +6,8 @@
     without changing what a concretizer {e is}: a function from an
     abstract spec to a concrete spec under a package universe and site
     policy. This module pins down that contract so the greedy fixed
-    point, its backtracking variant, and the clause-based complete
-    solver ({!Backends}) are interchangeable behind one signature. *)
+    point and the clause-based complete solver ({!Backends}) are
+    interchangeable behind one signature. *)
 
 (** The solving context: everything outside the abstract spec that a
     concretization depends on. Shared by every backend (and re-exported
@@ -22,7 +22,7 @@ type ctx = {
 
 (** Which concretizer implementation to use. *)
 type backend =
-  | Greedy  (** the paper's greedy fixed point (+ backtracking variant) *)
+  | Greedy  (** the paper's greedy fixed point: one run, never revisited *)
   | Clauses  (** complete clause-based solver with unsat cores *)
 
 let backend_to_string = function Greedy -> "greedy" | Clauses -> "clauses"
@@ -44,7 +44,10 @@ type stats = {
   st_conflicts : int;  (** conflicts analyzed (clause backend) *)
   st_restarts : int;  (** solver restarts (clause backend) *)
   st_iterations : int;  (** fixed-point iterations (greedy oracle runs) *)
-  st_runs : int;  (** greedy runs: 1 + backtracks, or CEGAR oracle calls *)
+  st_runs : int;
+      (** greedy runs: 1 for the greedy backend; for the clause backend,
+          its round-0 greedy run plus one oracle replay per candidate
+          model *)
 }
 
 let empty_stats =

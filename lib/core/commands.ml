@@ -151,19 +151,12 @@ let solve (ctx : Context.t) text =
         ( Backends.to_string ctx.backend,
           Backends.solve_full ctx.backend ctx.cctx ast )
 
-let concretize_ast ?(backtrack = false) ?(fresh = false) (ctx : Context.t)
-    ast =
+let concretize_ast ?(fresh = false) (ctx : Context.t) ast =
   let result =
     if fresh then Backends.solve ctx.backend ctx.cctx ast
     else concretize_cached ctx ast
   in
-  match result with
-  | Ok c -> Ok c
-  | Error e when backtrack && ctx.backend = Backends.Greedy -> (
-      match Concretizer.concretize_backtracking ctx.cctx ast with
-      | Ok c -> Ok c
-      | Error _ -> Error (render_cerror ctx e))
-  | Error e -> Error (render_cerror ctx e)
+  Result.map_error (render_cerror ctx) result
 
 let report ?parallel spec outcomes =
   {
@@ -173,7 +166,7 @@ let report ?parallel spec outcomes =
     ir_parallel = parallel;
   }
 
-let install ?backtrack ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
+let install ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
   let* ast = Parser.parse text in
   match if fresh then None else best_installed ctx ast with
   | Some record ->
@@ -186,25 +179,18 @@ let install ?backtrack ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
   | None ->
       let* concrete =
         Obs.span ctx.obs ~cat:"concretize" "concretize" (fun () ->
-            concretize_ast ?backtrack ~fresh ctx ast)
+            concretize_ast ~fresh ctx ast)
       in
-      if jobs <= 1 then
-        let* outcomes =
-          Obs.span ctx.obs ~cat:"install" "install" (fun () ->
-              Installer.install ctx.installer concrete)
-        in
-        Ok (report concrete outcomes)
-      else
-        let* preport =
-          Obs.span ctx.obs ~cat:"install" "install" (fun () ->
-              Installer.install_parallel ctx.installer ~jobs [ concrete ])
-        in
-        match preport.Installer.pr_failures with
-        | [] ->
-            Ok
-              (report ~parallel:preport concrete
-                 preport.Installer.pr_outcomes)
-        | failures -> Error (Installer.failures_to_string failures)
+      let* preport =
+        Obs.span ctx.obs ~cat:"install" "install" (fun () ->
+            Installer.install_parallel ctx.installer ~jobs [ concrete ])
+      in
+      match preport.Installer.pr_failures with
+      | [] ->
+          (* a makespan is only worth reporting for a real worker pool *)
+          let parallel = if jobs > 1 then Some preport else None in
+          Ok (report ?parallel concrete preport.Installer.pr_outcomes)
+      | failures -> Error (Installer.failures_to_string failures)
 
 type profile_report = {
   pf_spec : Concrete.t;
@@ -212,8 +198,8 @@ type profile_report = {
   pf_profile : Profile.t;
 }
 
-(* [spack profile]: concretize, install on the -j pool (serial = -j1,
-   identical to [install]'s topological order), then replay the recorded
+(* [spack profile]: concretize, install on the -j pool (-j1 is the
+   topological order), then replay the recorded
    schedule through the critical-path analyzer. The install itself is
    the profiled artifact, so the reuse shortcut of [install] is skipped:
    an already-installed DAG simply profiles as all-zero-cost reuse. *)

@@ -58,19 +58,19 @@ val solve :
     Never consults the concretization cache. *)
 
 val install :
-  ?backtrack:bool ->
   ?fresh:bool ->
   ?jobs:int ->
   Context.t ->
   string ->
   (install_report, string) result
-(** Concretize and install ([spack install]). [backtrack] enables the
-    backtracking solver when greedy concretization fails (§4.5).
-    [jobs > 1] routes through the deterministic parallel scheduler
-    ({!Ospack_store.Installer.install_parallel}, [spack install -j N]):
-    outcomes arrive in completion order, the report carries the
-    scheduler's makespan, and any node failures aggregate into one
-    rendered multi-failure error.
+(** Concretize and install ([spack install]) through the deterministic
+    scheduler ({!Ospack_store.Installer.install_parallel},
+    [spack install -j N], default [-j1]): outcomes arrive in completion
+    order (at [-j1], the topological order), any node failures aggregate
+    into one rendered multi-failure error, and [jobs < 1] is an error.
+    Only [jobs > 1] reports carry the scheduler's makespan
+    ([ir_parallel]). The §4.5 hwloc pattern needs the context's backend
+    set to {!Ospack_concretize.Backends.Clauses}.
 
     Unless [fresh] is set, an abstract request already satisfied by an
     installed configuration reuses it without re-concretizing — §3.2.3:
@@ -93,11 +93,11 @@ val profile :
   Context.t ->
   string ->
   (profile_report, string) result
-(** Concretize, install at [-j jobs] (default 1 — [install]'s exact
-    serial order), and run the critical-path analyzer
+(** Concretize, install at [-j jobs] (default 1 — the topological
+    order), and run the critical-path analyzer
     ({!Ospack_obs.Profile.analyze}) over the recorded schedule
-    ([spack profile]). Always installs through the parallel scheduler so
-    a schedule exists to attribute; never takes [install]'s
+    ([spack profile]). Like {!install}, runs the scheduler so a schedule
+    exists to attribute; never takes [install]'s
     installed-spec shortcut — re-profiling an installed DAG reports
     all-zero costs (pure reuse). Node failures render as the same
     multi-failure error as [install]. *)

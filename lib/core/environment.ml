@@ -41,13 +41,9 @@ let ( let* ) = Result.bind
    at any barrier leaves the previous file intact (the torture sweep
    below kills each one). *)
 let write_atomic vfs path content =
-  let tmp = path ^ ".tmp" in
-  match Vfs.write_file vfs tmp content with
-  | Error e -> Error (Vfs.error_to_string e)
-  | Ok () -> (
-      match Vfs.rename vfs ~src:tmp ~dst:path with
-      | Ok () -> Ok ()
-      | Error e -> Error (Vfs.error_to_string e))
+  Result.map_error
+    (fun (_, _, e) -> Vfs.error_to_string e)
+    (Vfs.write_atomic vfs path content)
 
 let persist (ctx : Context.t) t =
   let manifest =
@@ -75,6 +71,14 @@ let create (ctx : Context.t) ~name ?view () =
     Error (Printf.sprintf "environment %s already exists" name)
   else persist ctx { env_name = name; env_roots = []; env_view = view }
 
+(* Roots are held canonically — the parsed AST's printed form — so
+   [mpileaks@1.0] and [mpileaks @1.0] are one root, not two, and the
+   manifest is insensitive to the user's whitespace. [add] stores that
+   form and [load] re-derives it, so every other operation compares
+   roots as plain strings. *)
+let canonical spec =
+  Result.map Printer.to_string (Parser.parse spec)
+
 let load (ctx : Context.t) ~name =
   match Vfs.read_file ctx.Context.vfs (manifest_path name) with
   | Error _ -> Error (Printf.sprintf "no environment named %s" name)
@@ -87,6 +91,17 @@ let load (ctx : Context.t) ~name =
         | Some items -> Ok (List.filter_map Json.get_string items)
         | None -> Error "env manifest: missing roots"
       in
+      let* roots =
+        List.fold_right
+          (fun root acc ->
+            let* c =
+              Result.map_error
+                (Printf.sprintf "env manifest: root %S: %s" root)
+                (canonical root)
+            in
+            Result.map (List.cons c) acc)
+          roots (Ok [])
+      in
       let view = Option.bind (Json.member "view" j) Json.get_string in
       Ok { env_name = name; env_roots = roots; env_view = view })
 
@@ -98,37 +113,19 @@ let list_envs (ctx : Context.t) =
         (fun name -> Vfs.is_file ctx.Context.vfs (manifest_path name))
         entries
 
-(* Roots are stored canonically — the parsed AST's printed form — so
-   [mpileaks@1.0] and [mpileaks @1.0] are one root, not two, and the
-   manifest is insensitive to the user's whitespace. *)
-let canonical spec =
-  Result.map Printer.to_string (Parser.parse spec)
-
-(* a pre-canonicalization manifest may still hold raw user spellings *)
-let canonical_roots t =
-  List.map (fun r -> match canonical r with Ok c -> c | Error _ -> r)
-    t.env_roots
-
 let add (ctx : Context.t) t spec =
   let* canon = canonical spec in
-  if List.mem canon (canonical_roots t) then
+  if List.mem canon t.env_roots then
     Error (Printf.sprintf "%s is already a root of %s" canon t.env_name)
   else persist ctx { t with env_roots = t.env_roots @ [ canon ] }
 
 let remove_root (ctx : Context.t) t spec =
   let canon = match canonical spec with Ok c -> c | Error _ -> spec in
-  if not (List.mem canon (canonical_roots t)) then
+  if not (List.mem canon t.env_roots) then
     Error (Printf.sprintf "%s is not a root of %s" canon t.env_name)
   else
     persist ctx
-      {
-        t with
-        env_roots =
-          List.filter
-            (fun r ->
-              (match canonical r with Ok c -> c | Error _ -> r) <> canon)
-            t.env_roots;
-      }
+      { t with env_roots = List.filter (fun r -> r <> canon) t.env_roots }
 
 (* ------------------------------------------------------------------ *)
 (* Lockfile format 2                                                  *)
@@ -199,43 +196,6 @@ let write_lock (ctx : Context.t) t pairs =
   write_atomic ctx.Context.vfs (lock_path t.env_name)
     (render_lock ~fingerprint:(current_fingerprint ctx)
        ~merkle_of:(Ccache.entry_fingerprint cx) pairs)
-
-(* Legacy format 1 carried bare concrete specs: no roots, no fingerprint,
-   no checksum. Migration adopts the specs at the {e current} context
-   fingerprint (format 1 recorded nothing to validate against) and
-   rewrites the file in format 2, atomically; root strings come from the
-   manifest when it lines up, else from each spec's own root node. *)
-let migrate_v1 (ctx : Context.t) t j =
-  let* items =
-    match Option.bind (Json.member "specs" j) Json.to_list with
-    | Some items -> Ok items
-    | None -> Error "format 1: missing specs"
-  in
-  let* specs =
-    List.fold_left
-      (fun acc item ->
-        let* specs = acc in
-        let* c = Concrete.of_json item in
-        Ok (c :: specs))
-      (Ok []) items
-    |> Result.map List.rev
-  in
-  let roots = canonical_roots t in
-  let pairs =
-    if List.length roots = List.length specs then List.combine roots specs
-    else
-      List.map
-        (fun c ->
-          let root =
-            match canonical (Concrete.root c) with
-            | Ok r -> r
-            | Error _ -> Concrete.root c
-          in
-          (root, c))
-        specs
-  in
-  let* () = write_lock ctx t pairs in
-  Ok pairs
 
 let parse_lock_v2 j =
   let field name =
@@ -320,16 +280,6 @@ let read_lock (ctx : Context.t) t =
       | Error e -> corrupt e
       | Ok j -> (
           match Option.bind (Json.member "format" j) Json.get_int with
-          | Some 1 -> (
-              match migrate_v1 ctx t j with
-              | Error why -> corrupt why
-              | Ok pairs ->
-                  Ok
-                    {
-                      lk_fingerprint = current_fingerprint ctx;
-                      lk_roots = List.map fst pairs;
-                      lk_specs = pairs;
-                    })
           | Some f when f = lock_format -> (
               match parse_lock_v2 j with
               | Error why -> corrupt why
@@ -345,7 +295,7 @@ let read_lock (ctx : Context.t) t =
                              "context fingerprint changed (universe, \
                               toolchains, config, or backend)";
                          })
-                  else if roots <> canonical_roots t then
+                  else if roots <> t.env_roots then
                     Error
                       (Lock_stale
                          {
@@ -516,7 +466,7 @@ let status (ctx : Context.t) t =
             | Ok ast -> Database.find_satisfying db ast <> []
           in
           (root, installed))
-        (canonical_roots t)
+        t.env_roots
 
 (* ------------------------------------------------------------------ *)
 (* Crash-consistency torture for the environment files                 *)

@@ -24,8 +24,8 @@
     ({!Commands.view_closure}), so N environments share one store with
     disjoint, closure-exact views.
 
-    All durable files (manifest, lockfile) are written with the
-    write-then-rename protocol; {!torture} kills the whole lifecycle at
+    All durable files (manifest, lockfile) are written with
+    {!Ospack_vfs.Vfs.write_atomic}; {!torture} kills the whole lifecycle at
     every filesystem barrier and checks old-or-new integrity plus
     recovery convergence. *)
 
@@ -41,13 +41,17 @@ val manifest_path : string -> string
 val lock_path : string -> string
 
 val lock_format : int
-(** Current lockfile format (2). Format-1 lockfiles (bare spec lists) are
-    migrated in place on first read. *)
+(** Current lockfile format (2), the only one read: any other format is
+    [Lock_corrupt "unknown format N"] and the file is left untouched. *)
 
 val create :
   Context.t -> name:string -> ?view:string -> unit -> (t, string) result
 
 val load : Context.t -> name:string -> (t, string) result
+(** Read an environment's manifest, canonicalizing every root once (the
+    form {!add} stores). A root that does not parse is an [Error], never
+    kept as a raw string. *)
+
 val list_envs : Context.t -> string list
 
 val add : Context.t -> t -> string -> (t, string) result
@@ -84,9 +88,7 @@ type lock = {
 val read_lock : Context.t -> t -> (lock, lock_error) result
 (** Read and validate the lockfile: checksum, per-spec hash consistency,
     context fingerprint, per-spec Merkle recipe fingerprints, and that
-    the locked roots still match the manifest. Format-1 files are
-    migrated to format 2 (atomically) and adopted at the current
-    fingerprint. *)
+    the locked roots still match the manifest. Never writes. *)
 
 val write_lock :
   Context.t ->

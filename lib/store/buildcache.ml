@@ -39,23 +39,18 @@ let create vfs ~root = { vfs; root }
 let root t = t.root
 
 (* Entries live under <2-hex> shard directories keyed by hash prefix —
-   the PR 7 store-index layout — so a fleet-sized cache never funnels
-   every entry through one directory listing. Entries written by the old
-   flat layout ([<root>/<hash>.json]) stay readable forever. *)
+   the store index's layout — so a fleet-sized cache never funnels every
+   entry through one directory listing. That is the only layout read: a
+   file directly under the root is not an entry. *)
 let shard_of_hash hash =
   if String.length hash >= 2 then String.sub hash 0 2 else hash
 
 let entry_path t hash =
   Printf.sprintf "%s/%s/%s.json" t.root (shard_of_hash hash) hash
 
-let legacy_entry_path t hash = Printf.sprintf "%s/%s.json" t.root hash
-
 let find_entry t hash =
-  let sharded = entry_path t hash in
-  if Vfs.is_file t.vfs sharded then Some sharded
-  else
-    let flat = legacy_entry_path t hash in
-    if Vfs.is_file t.vfs flat then Some flat else None
+  let path = entry_path t hash in
+  if Vfs.is_file t.vfs path then Some path else None
 
 let has t ~hash = find_entry t hash <> None
 
@@ -119,35 +114,23 @@ let cached_hashes t =
   match Vfs.ls t.vfs t.root with
   | Error _ -> []
   | Ok entries ->
+      (* the root holds the manifest, so its [.tmp] is swept here too *)
       let entries = sweep_tmp t t.root entries in
-      let flat =
-        List.filter_map
-          (fun e ->
-            if
-              Filename.check_suffix e ".json"
-              && e <> "manifest.json"
-              && Vfs.is_file t.vfs (t.root ^ "/" ^ e)
-            then Some (Filename.chop_suffix e ".json")
-            else None)
-          entries
-      in
-      let sharded =
-        List.concat_map
-          (fun shard ->
-            let dir = t.root ^ "/" ^ shard in
-            match Vfs.ls t.vfs dir with
-            | Error _ -> []
-            | Ok names ->
-                List.filter_map
-                  (fun n ->
-                    if Filename.check_suffix n ".json" then
-                      Some (Filename.chop_suffix n ".json")
-                    else None)
-                  (sweep_tmp t dir names))
-          (List.filter is_shard_name entries
-          |> List.filter (fun e -> Vfs.is_dir t.vfs (t.root ^ "/" ^ e)))
-      in
-      List.sort_uniq String.compare (flat @ sharded)
+      List.concat_map
+        (fun shard ->
+          let dir = t.root ^ "/" ^ shard in
+          match Vfs.ls t.vfs dir with
+          | Error _ -> []
+          | Ok names ->
+              List.filter_map
+                (fun n ->
+                  if Filename.check_suffix n ".json" then
+                    Some (Filename.chop_suffix n ".json")
+                  else None)
+                (sweep_tmp t dir names))
+        (List.filter is_shard_name entries
+        |> List.filter (fun e -> Vfs.is_dir t.vfs (t.root ^ "/" ^ e)))
+      |> List.sort_uniq String.compare
 
 let ( let* ) = Result.bind
 
@@ -160,9 +143,10 @@ let io op path = function
    leaves either no entry or a complete one, never a truncated JSON that
    would poison later extracts *)
 let write_atomic t ~path content =
-  let tmp = path ^ ".tmp" in
-  let* () = io "write" tmp (Vfs.write_file t.vfs tmp content) in
-  io "rename" path (Vfs.rename t.vfs ~src:tmp ~dst:path)
+  match Vfs.write_atomic t.vfs path content with
+  | Ok () -> Ok ()
+  | Error (io_op, io_path, io_cause) ->
+      Error (Cache_io { io_op; io_path; io_cause })
 
 (* keep the root manifest in step with the live shard set; staleness is
    harmless (readers union with the listing) so this runs after the entry
@@ -337,12 +321,11 @@ let load_entry t ~hash =
       in
       (* completeness guard: an entry whose file list does not match its
          recorded count is truncated (partial write, hand-editing) and
-         must not extract into a plausible-looking but incomplete prefix.
-         Entries predating the count carry no guard — they extract
-         leniently, which the format-legacy tests pin down. *)
+         must not extract into a plausible-looking but incomplete prefix;
+         without a count truncation is undetectable, so it is refused *)
       let* () =
         match Option.bind (Json.member "file_count" entry) Json.get_int with
-        | None -> Ok () (* legacy entry predating the count *)
+        | None -> corrupt path "entry missing file_count"
         | Some expected when expected = List.length items -> Ok ()
         | Some expected ->
             corrupt path

@@ -12,9 +12,9 @@
 
     Entries are content-addressed under [<root>/<2-hex>/<hash>.json]
     (the store-index shard layout) with a tolerant [manifest.json]
-    listing the live shard set; entries written by the old flat layout
-    ([<root>/<hash>.json]) stay readable. All writes go through
-    write-tmp-then-rename, so a crash leaves either no entry or a
+    listing the live shard set; that is the only layout read (a file
+    directly under the root is not an entry). All writes go through
+    {!Ospack_vfs.Vfs.write_atomic}, so a crash leaves either no entry or a
     complete one; stray [.tmp] files are swept on listing. *)
 
 type t
@@ -29,8 +29,8 @@ type error =
           cause is an injected fault *)
   | Cache_corrupt of { co_path : string; co_reason : string }
       (** the entry exists but cannot be trusted: unparseable JSON,
-          missing fields, or a file list shorter than its recorded
-          count *)
+          missing fields (a [file_count] among them), or a file list
+          shorter than its recorded count *)
   | Cache_missing of string  (** no entry for the hash, on any path *)
   | Bad_prefix of { bp_prefix : string; bp_reason : string }
       (** the prefix offered for archiving is unusable *)
@@ -65,9 +65,9 @@ val save :
 val has : t -> hash:string -> bool
 
 val cached_hashes : t -> string list
-(** Sorted hashes present in the cache (sharded and legacy flat entries
-    alike). Stray [.tmp] files from interrupted saves are swept as a side
-    effect. *)
+(** Sorted hashes of the sharded entries. Stray [.tmp] files from
+    interrupted saves (entries, and the root's manifest) are swept as a
+    side effect. *)
 
 val entry_path : t -> string -> string
 (** The sharded on-disk path an entry for this hash would occupy. *)
@@ -95,8 +95,8 @@ val extract :
     stored concrete spec.
 
     Entries whose file list does not match their recorded count are
-    rejected as truncated (entries predating the count extract
-    leniently). A pre-existing destination holding any path the entry
+    rejected as truncated, and entries without a count are refused
+    ([Cache_corrupt]). A pre-existing destination holding any path the entry
     does not list — leftovers from a different entry — is cleared
     wholesale before materializing, so stale orphans can never keep
     resolving under the loader. Re-extraction over a matching prefix is

@@ -113,22 +113,6 @@ let record_of_json j =
       r_build_seconds = build_seconds;
     }
 
-let of_json j =
-  match Option.bind (Json.member "records" j) Json.to_list with
-  | None -> Error "db index: missing records"
-  | Some items ->
-      let t = create () in
-      let* () =
-        List.fold_left
-          (fun acc item ->
-            let* () = acc in
-            let* r = record_of_json item in
-            add t r;
-            Ok ())
-          (Ok ()) items
-      in
-      Ok t
-
 let remove t hash =
   match find_by_hash t hash with
   | None -> Error (Printf.sprintf "no installed spec with hash %s" hash)

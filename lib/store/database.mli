@@ -52,11 +52,8 @@ val remove : t -> string -> (record, string) result
 
 val to_json : t -> Ospack_json.Json.t
 (** Serialize the whole database (records sorted by name/hash) — the
-    on-disk index the installer maintains so a fresh process can pick up
-    an existing store. *)
-
-val of_json : Ospack_json.Json.t -> (t, string) result
-(** Inverse of {!to_json}. *)
+    canonical rendering store comparisons and [--index-out] use; the
+    installer itself persists sharded {!record_to_json} lists. *)
 
 val record_to_json : record -> Ospack_json.Json.t
 (** One record in the same shape {!to_json} uses — the unit the sharded

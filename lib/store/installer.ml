@@ -129,7 +129,6 @@ let store_error_to_string = function
       Printf.sprintf "db index: %s: %s" se_path se_reason
 
 let db_root t = t.install_root ^ "/.spack-db"
-let index_path t = db_root t ^ "/index.json"
 let index_dir t = db_root t ^ "/index"
 let manifest_path t = index_dir t ^ "/manifest.json"
 let shard_path t key = index_dir t ^ "/" ^ key ^ ".json"
@@ -155,16 +154,12 @@ let live_shards t =
     SSet.empty (Database.all t.db)
 
 let write_atomic t ~path content =
-  let tmp = path ^ ".tmp" in
-  match Vfs.write_file t.vfs tmp content with
-  | Error e -> Error (Store_io { se_action = "write"; se_path = tmp; se_cause = e })
-  | Ok () -> (
-      match Vfs.rename t.vfs ~src:tmp ~dst:path with
-      | Error e ->
-          Error (Store_io { se_action = "rename"; se_path = path; se_cause = e })
-      | Ok () ->
-          t.index_bytes <- t.index_bytes + String.length content;
-          Ok ())
+  match Vfs.write_atomic t.vfs path content with
+  | Error (se_action, se_path, se_cause) ->
+      Error (Store_io { se_action; se_path; se_cause })
+  | Ok () ->
+      t.index_bytes <- t.index_bytes + String.length content;
+      Ok ()
 
 let shard_content t key =
   let records =
@@ -219,23 +214,26 @@ let save_index t =
     Ok ()
 
 let parse_shard ~path content =
+  let corrupt se_reason = Error (Store_corrupt { se_path = path; se_reason }) in
   match Json.of_string content with
-  | Error e -> Error (Store_corrupt { se_path = path; se_reason = e })
+  | Error e -> corrupt e
   | Ok j -> (
-      match Json.member "records" j with
-      | Some (Json.List items) ->
+      (* one on-disk format: anything but [shard_format] is refused *)
+      let format = Option.bind (Json.member "format" j) Json.get_int in
+      match (format, Json.member "records" j) with
+      | None, _ -> corrupt "missing format"
+      | Some f, _ when f <> shard_format ->
+          corrupt (Printf.sprintf "unsupported format %d" f)
+      | Some _, Some (Json.List items) ->
           let rec go acc = function
             | [] -> Ok (List.rev acc)
             | item :: rest -> (
                 match Database.record_of_json item with
                 | Ok r -> go (r :: acc) rest
-                | Error e ->
-                    Error (Store_corrupt { se_path = path; se_reason = e }))
+                | Error e -> corrupt e)
           in
           go [] items
-      | _ ->
-          Error
-            (Store_corrupt { se_path = path; se_reason = "missing records" }))
+      | Some _, _ -> corrupt "missing records")
 
 let is_shard_name name =
   String.length name = 7
@@ -327,40 +325,10 @@ let load_index_typed t =
   in
   List.iter (Database.add t.db) shard_records;
   t.manifest_shards <- live_shards t;
-  (* 2. transparently migrate a legacy single-file index: merge its
-     records, rewrite them as shards, then retire the file (idempotent —
-     a crash mid-migration just re-runs it on the next load) *)
-  let* () =
-    match Vfs.read_file t.vfs (index_path t) with
-    | Error (Vfs.Not_found _) -> Ok ()
-    | Error e ->
-        Error
-          (Store_io
-             { se_action = "read"; se_path = index_path t; se_cause = e })
-    | Ok content -> (
-        match Json.of_string content with
-        | Error e ->
-            Error (Store_corrupt { se_path = index_path t; se_reason = e })
-        | Ok j -> (
-            match Database.of_json j with
-            | Error e ->
-                Error (Store_corrupt { se_path = index_path t; se_reason = e })
-            | Ok legacy ->
-                let records = Database.all legacy in
-                List.iter (add_record t) records;
-                let* () = save_index t in
-                match Vfs.remove t.vfs (index_path t) with
-                | Ok () | Error (Vfs.Not_found _) -> Ok ()
-                | Error e ->
-                    Error
-                      (Store_io
-                         { se_action = "remove"; se_path = index_path t;
-                           se_cause = e })))
-  in
-  (* 3. crash recovery: clear orphaned pending prefixes *)
+  (* 2. crash recovery: clear orphaned pending prefixes *)
   let recovered = recover_pending t in
   if recovered > 0 then Obs.count t.obs "db.recovered_orphans" recovered;
-  (* 4. heal the index scaffolding: a crash between a tmp write and its
+  (* 3. heal the index scaffolding: a crash between a tmp write and its
      rename strands the .tmp, and a crash between a shard rename and the
      manifest update leaves the manifest stale. Readers tolerate both
      (stored_shards unions the listing), but healing here makes a
@@ -409,8 +377,7 @@ let prefix_of t spec name =
 (* Typed per-node errors: the builder's own error type for build
    failures, a rendered message for everything else (cache extraction,
    missing package definitions, vendor-prefix and provenance writes).
-   The parallel scheduler aggregates these into a multi-failure report;
-   the serial path renders them to the historical strings. *)
+   The scheduler aggregates these into a multi-failure report. *)
 type node_error =
   | Build_failure of Builder.error
   | Install_failure of string
@@ -641,31 +608,6 @@ let install_node t spec name ~explicit =
           o_cached = false;
           o_cache_miss = cache_miss;
         }
-
-let install t ?(explicit = true) spec =
-  let order = Concrete.topological_order spec in
-  let root = Concrete.root spec in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-        let hash = Concrete.dag_hash spec name in
-        match install_node t spec name ~explicit:(explicit && name = root) with
-        | Error e ->
-            (* crash consistency: the nodes that completed before the
-               failure must stay visible to a fresh process, or their
-               prefixes become unindexed orphans (the node error stays
-               the primary report if this persist fails too) *)
-            (match save_index t with Ok () -> () | Error _ -> ());
-            Error (node_error_to_string e)
-        | Ok outcome -> (
-            match save_index t with
-            | Error se -> Error (store_error_to_string se)
-            | Ok () ->
-                (* the node is durably indexed: retire its intent marker *)
-                clear_pending t ~hash;
-                go (outcome :: acc) rest))
-  in
-  go [] order
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic parallel installation: a virtual-time worker-pool
@@ -1033,6 +975,12 @@ let install_parallel t ?(explicit = true) ~jobs specs =
         pr_serial_seconds = !serial;
       }
   end
+
+let install t ?explicit spec =
+  let* r = install_parallel t ?explicit ~jobs:1 [ spec ] in
+  match r.pr_failures with
+  | [] -> Ok r.pr_outcomes
+  | failures -> Error (failures_to_string failures)
 
 type summary = {
   s_built : int;

@@ -76,17 +76,12 @@ val prefix_of : t -> Ospack_spec.Concrete.t -> string -> string
 
 val install :
   t -> ?explicit:bool -> Ospack_spec.Concrete.t -> (outcome list, string) result
-(** Install a concrete spec: one outcome per DAG node in install
-    (dependencies-first) order. The root's record is marked explicit
-    (unless [~explicit:false]). On a build failure nothing after the
-    failing node is installed.
-
-    Crash consistency: the on-disk index is persisted after {e every}
-    node — including on the error path — so nodes that completed before
-    a mid-DAG failure are never left as unindexed orphan prefixes, and a
-    failed node's partial prefix is discarded. Never raises: index
-    persistence failures surface as [Error] (rendered
-    {!store_error_to_string}). *)
+(** Install a concrete spec: {!install_parallel} at [~jobs:1], so one
+    outcome per DAG node in install (dependencies-first) order. The
+    root's record is marked explicit (unless [~explicit:false]). A failed
+    node poisons only its own dependents; independent subtrees still
+    install and are indexed, and the failures render as one
+    {!failures_to_string} error. Never raises. *)
 
 type node_error =
   | Build_failure of Ospack_buildsim.Builder.error
@@ -95,7 +90,8 @@ type node_error =
       (** non-build failure: cache extraction, missing package definition *)
 
 val node_error_to_string : node_error -> string
-(** Renders exactly the historical string errors of {!install}. *)
+(** Renders one node's error (the text after [<node>: ] in
+    {!failure_to_string}). *)
 
 type failure =
   | Failed of { f_node : string; f_hash : string; f_error : node_error }
@@ -141,7 +137,7 @@ val install_parallel :
     input and [jobs] — every [-j] level produces identical database
     records, hashes, and store bytes, and (with tracing on)
     byte-identical traces run-to-run. At [jobs = 1] the dispatch order
-    is exactly {!install}'s topological order.
+    is the spec's {!Ospack_spec.Concrete.topological_order}.
 
     Failure handling is not fail-stop: a failed node poisons only its
     transitive dependents while independent subtrees keep building, and
@@ -260,17 +256,10 @@ type store_error =
       se_cause : Ospack_vfs.Vfs.error;
     }
   | Store_corrupt of { se_path : string; se_reason : string }
-      (** unparsable shard, manifest, or legacy index *)
+      (** unparsable shard or manifest, or a shard in a format other
+          than the one this installer writes (["unsupported format N"]) *)
 
 val store_error_to_string : store_error -> string
-
-val index_path : t -> string
-(** Path of the legacy single-file index
-    ([<install_root>/.spack-db/index.json]) — no longer written;
-    {!load_index} migrates it to shards transparently. *)
-
-val index_dir : t -> string
-(** Directory holding the index shards ([<install_root>/.spack-db/index]). *)
 
 val manifest_path : t -> string
 (** The shard manifest ([<index_dir>/manifest.json]). *)
@@ -290,8 +279,7 @@ val load_index : t -> (int, string) result
 (** Merge the records of the on-disk index into this installer's database
     — how a fresh process picks up an existing store on the same
     filesystem. Reads every shard named by the manifest or present in the
-    index directory, transparently migrates a legacy single-file
-    [index.json] (rewriting it as shards and retiring the file), and runs
-    pending-marker crash recovery (orphaned prefixes are deleted and
+    index directory (a shard in another format is [Store_corrupt]), and
+    runs pending-marker crash recovery (orphaned prefixes are deleted and
     counted on the [db.recovered_orphans] obs counter). Returns the
     number of records merged ([Ok 0] when no index exists yet). *)

@@ -69,23 +69,11 @@ let run ?(jobs = 1) ?(every = 1) ?config ~repo ~compilers specs =
       let vfs = Vfs.create () in
       (vfs, Installer.create ?config ~obs ~vfs ~repo ~compilers ())
     in
-    (* -j1 uses the serial [install] path (one spec at a time, exactly
-       the CLI's loop); -jN uses the virtual-time parallel scheduler. *)
     let install_all inst =
-      if jobs = 1 then
-        List.fold_left
-          (fun acc c ->
-            let* () = acc in
-            match Installer.install inst c with
-            | Ok _ -> Ok ()
-            | Error e -> Error e)
-          (Ok ()) specs
-      else
-        match Installer.install_parallel inst ~jobs specs with
-        | Error e -> Error e
-        | Ok r when r.Installer.pr_failures <> [] ->
-            Error (Installer.failures_to_string r.Installer.pr_failures)
-        | Ok _ -> Ok ()
+      let* r = Installer.install_parallel inst ~jobs specs in
+      match r.Installer.pr_failures with
+      | [] -> Ok ()
+      | failures -> Error (Installer.failures_to_string failures)
     in
     (* reference run: no faults, count the durability boundaries *)
     let ref_vfs, ref_inst = fresh_world () in

@@ -41,8 +41,8 @@ val run :
   compilers:Ospack_config.Compilers.t ->
   Ospack_spec.Concrete.t list ->
   (report, string) result
-(** Torture the install of [specs]. [jobs] (default 1) selects the serial
-    {!Installer.install} path or the [-jN] parallel scheduler; [every]
+(** Torture the install of [specs] through {!Installer.install_parallel}
+    at [jobs] workers (default 1; [jobs < 1] is an error); [every]
     (default 1) kills at every [every]-th barrier — a sampling knob for
     smoke gates; [config] is passed through to each installer (externals
     etc.). The reference run must succeed, and every armed replay must

@@ -326,6 +326,15 @@ let rename fs ~src ~dst =
       Hashtbl.replace ddir dname node;
       Ok ()
 
+let write_atomic fs path content =
+  let tmp = path ^ ".tmp" in
+  match write_file fs tmp content with
+  | Error e -> Error ("write", tmp, e)
+  | Ok () -> (
+      match rename fs ~src:tmp ~dst:path with
+      | Error e -> Error ("rename", path, e)
+      | Ok () -> Ok ())
+
 let remove fs ?(recursive = false) path =
   let* () = check_crashed fs ~op:"remove" ~path in
   let* dir, name = parent_dir fs ~create_missing:false path in

@@ -130,6 +130,15 @@ val rename : t -> src:string -> dst:string -> (unit, error) result
     A directory at [dst] must be empty and can only be replaced by a
     directory. *)
 
+val write_atomic :
+  t -> string -> string -> (unit, string * string * error) result
+(** [write_atomic fs path content]: the write-then-rename protocol every
+    durable file uses — {!write_file} to [path ^ ".tmp"], then {!rename}
+    it over [path]. Two write barriers; a kill at either leaves the old
+    file or the new one, never a torn one (at worst a stray [.tmp]).
+    On failure, returns the step that failed (["write"] or ["rename"]),
+    the path it acted on (the [.tmp] or [path]) and the cause. *)
+
 val remove : t -> ?recursive:bool -> string -> (unit, error) result
 (** Remove a file, symlink (not its target), or directory. Non-empty
     directories require [~recursive:true]. *)

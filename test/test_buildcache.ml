@@ -1,6 +1,6 @@
 (* The hardened binary cache: crash-safe entry writes (torture at every
    barrier), token-boundary relocation, extraction that clears stale
-   orphans, legacy-entry compatibility, the simulated mirror fleet
+   orphans, refusal of flat and count-less entries, the simulated mirror fleet
    (deterministic zipf traces, retry/failover, source-build fallback),
    and splicing a cached binary onto a different dependency. *)
 
@@ -203,14 +203,12 @@ let extract_clears_orphans () =
   Alcotest.(check bool) "stale orphan cleared" false
     (Vfs.is_file vfs "/dest/pkg/bin/orphan")
 
-(* --- legacy entries (no file_count) still load ----------------------- *)
+(* --- one entry format: flat and count-less entries are refused ------- *)
 
-let legacy_entries () =
+(* a well-formed entry for libelf except that it records no file_count *)
+let countless_entry () =
   let module Json = Ospack_json.Json in
-  let vfs = Vfs.create () in
-  let cache = Buildcache.create vfs ~root:"/cache" in
   let spec = concretize "libelf" in
-  let hash = Concrete.root_hash spec in
   let entry =
     Json.Obj
       [
@@ -230,32 +228,37 @@ let legacy_entries () =
             ] );
       ]
   in
-  (* pre-shard layout: a flat file directly under the cache root *)
-  ok "write"
-    (Vfs.write_file vfs ("/cache/" ^ hash ^ ".json") (Json.to_string entry));
-  Alcotest.(check bool) "legacy flat entry found" true
+  (Concrete.root_hash spec, Json.to_string entry)
+
+let flat_entries_invisible () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let hash, entry = countless_entry () in
+  (* the pre-shard layout: a file directly under the cache root *)
+  ok "write" (Vfs.write_file vfs ("/cache/" ^ hash ^ ".json") entry);
+  Alcotest.(check bool) "flat entry not found" false
     (Buildcache.has cache ~hash);
-  Alcotest.(check (list string)) "legacy entry listed" [ hash ]
-    (Buildcache.cached_hashes cache);
+  Alcotest.(check (list string)) "flat entry not listed" []
+    (Buildcache.cached_hashes cache)
+
+let countless_entries_refused () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let hash, entry = countless_entry () in
+  ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) entry);
   (match Buildcache.entry_spec cache ~hash with
-  | Ok stored ->
-      Alcotest.(check string) "legacy spec round-trips" hash
-        (Concrete.root_hash stored)
-  | Error e ->
-      Alcotest.failf "legacy entry_spec: %s" (Buildcache.error_to_string e));
-  match
-    Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/dest/pkg"
-  with
-  | Ok _ ->
-      (* without a recorded count, truncation is undetectable by design:
-         the entry extracts leniently with whatever files it lists *)
-      (match Vfs.read_file vfs "/dest/pkg/bin/tool" with
-      | Ok c ->
-          Alcotest.(check string) "legacy entry extracts and relocates"
-            "prefix=/r2/pkg\n" c
-      | Error e -> Alcotest.failf "read: %s" (Vfs.error_to_string e))
-  | Error e ->
-      Alcotest.failf "legacy extract: %s" (Buildcache.error_to_string e)
+  | Error (Buildcache.Cache_corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "an entry without file_count must not load"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  (match
+     Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/dest/pkg"
+   with
+  | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
+      Alcotest.(check string) "reason" "entry missing file_count" co_reason
+  | Ok _ -> Alcotest.fail "an entry without file_count must not extract"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  Alcotest.(check bool) "nothing materialized" false
+    (Vfs.exists vfs "/dest/pkg")
 
 (* --- the mirror fleet ------------------------------------------------ *)
 
@@ -463,8 +466,10 @@ let () =
         [
           Alcotest.test_case "stale orphans cleared" `Quick
             extract_clears_orphans;
-          Alcotest.test_case "legacy entries without file_count" `Quick
-            legacy_entries;
+          Alcotest.test_case "flat entries invisible" `Quick
+            flat_entries_invisible;
+          Alcotest.test_case "entries without file_count refused" `Quick
+            countless_entries_refused;
         ] );
       ( "mirror fleet",
         [

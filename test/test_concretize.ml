@@ -1,6 +1,6 @@
 (* The concretization algorithm (paper §3.4, Fig. 6): constraint
    intersection, virtual resolution, parameter policies, conditional
-   dependencies, declared conflicts, every error class, the backtracking
+   dependencies, declared conflicts, every error class, the clause-backend
    extension (§4.5), and whole-universe invariants. *)
 
 open Ospack_package.Package
@@ -342,8 +342,11 @@ let determinism_and_hashes () =
   Alcotest.(check bool) "roots differ" true
     (Concrete.root_hash with_mpich <> Concrete.root_hash with_openmpi)
 
-(* §4.5: greedy fails on the hwloc pattern; backtracking recovers *)
-let backtracking () =
+(* §4.5: greedy fails on the hwloc pattern; the complete clause backend
+   recovers *)
+let clause_backend_recovers () =
+  let module I = Ospack_concretize.Concretizer_intf in
+  let module Backends = Ospack_concretize.Backends in
   let extra =
     [
       make_pkg "hwloc" [ version "1.8"; version "1.9" ];
@@ -358,24 +361,27 @@ let backtracking () =
   | Ok _ -> Alcotest.fail "greedy should conflict on hwloc"
   | Error (Cerror.Conflict _) -> ()
   | Error e -> Alcotest.failf "wrong greedy error: %s" (Cerror.to_string e));
-  (match Concretizer.concretize_backtracking ctx ast with
-  | Ok c ->
-      Alcotest.(check string) "z-mpi chosen" "1.9"
-        (vstr (node c "hwloc").Concrete.version);
-      Alcotest.(check bool) "used more than one run" true
-        (Concretizer.last_run_count () > 1)
-  | Error e -> Alcotest.failf "backtracking failed: %s" (Cerror.to_string e));
+  let clauses ast = Backends.solve_full Backends.Clauses ctx ast in
+  (let oc = clauses ast in
+   match oc.I.oc_result with
+   | Ok c ->
+       Alcotest.(check string) "z-mpi chosen" "1.9"
+         (vstr (node c "hwloc").Concrete.version);
+       Alcotest.(check bool) "used more than one run" true
+         (oc.I.oc_stats.I.st_runs > 1)
+   | Error e -> Alcotest.failf "clauses failed: %s" (Cerror.to_string e));
   (* an actually unsatisfiable request still fails *)
-  (match
-     Concretizer.concretize_backtracking ctx
-       (Parser.parse_exn "pkg-p ^a-mpi")
-   with
+  (match (clauses (Parser.parse_exn "pkg-p ^a-mpi")).I.oc_result with
   | Ok _ -> Alcotest.fail "unsatisfiable"
   | Error _ -> ());
-  (* backtracking on a satisfiable spec returns the greedy answer *)
-  match Concretizer.concretize_backtracking ctx (Parser.parse_exn "mpileaks") with
-  | Ok _ -> Alcotest.(check int) "single run" 1 (Concretizer.last_run_count ())
-  | Error e -> Alcotest.failf "unexpected: %s" (Cerror.to_string e)
+  (* on a spec greedy solves, the clause backend returns the greedy answer *)
+  let mpileaks = Parser.parse_exn "mpileaks" in
+  let oc = clauses mpileaks in
+  match (oc.I.oc_result, Concretizer.concretize ctx mpileaks) with
+  | Ok c, Ok g ->
+      Alcotest.(check bool) "greedy answer" true (Concrete.equal c g);
+      Alcotest.(check int) "single run" 1 oc.I.oc_stats.I.st_runs
+  | Error e, _ | _, Error e -> Alcotest.failf "unexpected: %s" (Cerror.to_string e)
 
 (* §4.5 future work: compiler-feature requirements *)
 let compiler_features () =
@@ -629,7 +635,8 @@ let () =
         [
           Alcotest.test_case "determinism and sub-DAG sharing (Fig. 9)" `Quick
             determinism_and_hashes;
-          Alcotest.test_case "backtracking solver (§4.5)" `Quick backtracking;
+          Alcotest.test_case "clause backend solves §4.5" `Quick
+            clause_backend_recovers;
           Alcotest.test_case "compiler features (§4.5)" `Quick
             compiler_features;
           Alcotest.test_case "decision explanations" `Quick explain_decisions;

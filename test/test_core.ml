@@ -180,20 +180,31 @@ let site_repository () =
   (* the rest of the universe is still visible *)
   ignore (ok (Ospack.spec ctx "mpileaks"))
 
-let backtrack_flag () =
+let clauses_backend_install () =
   let ctx = Context.create () in
   (* an empty provider preference makes greedy pick bgq-mpi (alphabetical),
-     which conflicts on linux; --backtrack recovers *)
-  let bare =
-    Context.create ~config:(Ospack_config.Config.of_assoc [])
-      ()
-  in
+     which conflicts on linux; the clause backend recovers *)
+  let bare = Context.create ~config:(Ospack_config.Config.of_assoc []) () in
   (match Ospack.install bare "gerris" with
   | Ok _ -> () (* if greedy succeeded, fine — provider order may save it *)
   | Error _ ->
-      ignore (ok (Ospack.install ~backtrack:true bare "gerris")));
+      let clauses =
+        Context.create ~config:(Ospack_config.Config.of_assoc [])
+          ~backend:Ospack_concretize.Backends.Clauses ()
+      in
+      ignore (ok (Ospack.install clauses "gerris")));
   (* with the default site config greedy just works *)
   ignore (ok (Ospack.install ctx "gerris"))
+
+let install_rejects_zero_jobs () =
+  let ctx = Context.create () in
+  (match Ospack.install ~jobs:0 ctx "libelf" with
+  | Ok _ -> Alcotest.fail "-j 0 must not install"
+  | Error e ->
+      Alcotest.(check string) "typed error"
+        "install: jobs must be >= 1 (got 0)" e);
+  Alcotest.(check int) "nothing installed" 0
+    (Database.count (Installer.database ctx.Context.installer))
 
 let hash_queries () =
   let ctx = Context.create () in
@@ -475,7 +486,10 @@ let () =
           Alcotest.test_case "RPATH end-to-end (claim 2)" `Quick
             rpath_end_to_end;
           Alcotest.test_case "site repository (§4.3.2)" `Quick site_repository;
-          Alcotest.test_case "backtracking flag" `Quick backtrack_flag;
+          Alcotest.test_case "clauses backend install" `Quick
+            clauses_backend_install;
+          Alcotest.test_case "install -j 0 refused" `Quick
+            install_rejects_zero_jobs;
           Alcotest.test_case "hash-prefix queries" `Quick hash_queries;
           Alcotest.test_case "merged file-level view" `Quick merged_view;
           Alcotest.test_case "external vendor MPI (§4.4)" `Quick

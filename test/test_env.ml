@@ -94,7 +94,29 @@ let canonical_roots () =
   (* removal accepts any spelling of the same root *)
   let env = ok (Environment.remove_root ctx env "libelf @0.8.12") in
   Alcotest.(check (list string)) "removed via respelling" []
-    env.Environment.env_roots
+    env.Environment.env_roots;
+  (* load canonicalizes a hand-written manifest once, and refuses a root
+     that does not parse instead of keeping the raw string *)
+  let write_roots roots =
+    ok
+      (Result.map_error Vfs.error_to_string
+         (Vfs.write_file ctx.Context.vfs
+            (Environment.manifest_path "canon")
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("name", Json.String "canon");
+                    ("roots", Json.List (List.map (fun r -> Json.String r) roots));
+                    ("view", Json.Null);
+                  ]))))
+  in
+  write_roots [ "libelf @0.8.12" ];
+  Alcotest.(check (list string)) "raw spelling canonicalized on load"
+    [ "libelf@0.8.12" ]
+    (ok (Environment.load ctx ~name:"canon")).Environment.env_roots;
+  write_roots [ "libelf @0.8.12"; "libdwarf ^" ];
+  Alcotest.(check bool) "unparsable root refused" true
+    (Result.is_error (Environment.load ctx ~name:"canon"))
 
 let unified_solve_shares_subdags () =
   let ctx = Context.create () in
@@ -228,12 +250,13 @@ let lock_roundtrip () =
       Alcotest.(check bool) "concrete round-trips" true (Concrete.equal c1 c2))
     pairs lock.Environment.lk_specs
 
-let lock_migration_v1 () =
+(* one lockfile format: a format-1 file (bare spec list) is refused as
+   corrupt and left exactly as it was *)
+let lock_format_1_refused () =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"old" ()) in
   let env = ok (Environment.add ctx env "libdwarf") in
   let c = ok (Ospack.spec ctx "libdwarf") in
-  (* a legacy format-1 lockfile: bare spec list, nothing else *)
   let v1 =
     Json.to_string ~indent:2
       (Json.Obj
@@ -246,25 +269,15 @@ let lock_migration_v1 () =
   ok
     (Result.map_error Vfs.error_to_string
        (Vfs.write_file ctx.Context.vfs (Environment.lock_path "old") v1));
-  let lock = ok_lock (Environment.read_lock ctx env) in
-  Alcotest.(check bool) "migrated specs intact" true
-    (Concrete.equal c (snd (List.hd lock.Environment.lk_specs)));
-  (* the file on disk is now format 2, fingerprinted and checksummed *)
-  let content =
-    Result.get_ok (Vfs.read_file ctx.Context.vfs (Environment.lock_path "old"))
-  in
-  let j = Result.get_ok (Json.of_string content) in
-  Alcotest.(check (option int)) "migrated to format 2"
-    (Some Environment.lock_format)
-    (Option.bind (Json.member "format" j) Json.get_int);
-  Alcotest.(check bool) "migrated file carries a checksum" true
-    (Json.member "checksum" j <> None);
-  (* and replays *)
-  match Environment.install_locked ctx env with
-  | Ok _ -> ()
+  (match Environment.read_lock ctx env with
+  | Error (Environment.Lock_corrupt why) ->
+      Alcotest.(check string) "reason" "unknown format 1" why
+  | Ok _ -> Alcotest.fail "a format-1 lockfile must not load"
   | Error e ->
-      Alcotest.failf "migrated lock replay: %s"
-        (Environment.locked_error_to_string e)
+      Alcotest.failf "wrong lock error: %s" (Environment.lock_error_to_string e));
+  Alcotest.(check (result string string)) "file bytes unchanged" (Ok v1)
+    (Result.map_error Vfs.error_to_string
+       (Vfs.read_file ctx.Context.vfs (Environment.lock_path "old")))
 
 (* rebuild a tampered lock's checksum so only the targeted inconsistency
    shows — tampering without re-signing is caught by the checksum *)
@@ -582,7 +595,8 @@ let () =
       ( "lockfile",
         [
           Alcotest.test_case "format-2 round-trip" `Quick lock_roundtrip;
-          Alcotest.test_case "format-1 migration" `Quick lock_migration_v1;
+          Alcotest.test_case "format-1 lockfile refused" `Quick
+            lock_format_1_refused;
           Alcotest.test_case "tampering rejected typed" `Quick
             lock_tampering_rejected;
           Alcotest.test_case "stale fingerprint forces re-solve" `Quick

@@ -217,10 +217,34 @@ let golden_expected =
       "tid": 1
     },
     {
+      "name": "schedule",
+      "cat": "sched",
+      "ph": "B",
+      "ts": 9.0,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "jobs": "1",
+        "nodes": "3"
+      }
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "B",
+      "ts": 10.0,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "node": "liba",
+        "vstart": "0.000000"
+      }
+    },
+    {
       "name": "install liba",
       "cat": "install",
       "ph": "B",
-      "ts": 9.0,
+      "ts": 11.000000000000002,
       "pid": 1,
       "tid": 1,
       "args": {
@@ -232,7 +256,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "B",
-      "ts": 10.0,
+      "ts": 12.000000000000002,
       "pid": 1,
       "tid": 1
     },
@@ -240,7 +264,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "E",
-      "ts": 11.000000000000002,
+      "ts": 13.000000000000002,
       "pid": 1,
       "tid": 1
     },
@@ -248,7 +272,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "B",
-      "ts": 12.000000000000002,
+      "ts": 14.000000000000004,
       "pid": 1,
       "tid": 1
     },
@@ -256,7 +280,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "E",
-      "ts": 25213.000000000004,
+      "ts": 25215.0,
       "pid": 1,
       "tid": 1
     },
@@ -264,7 +288,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "B",
-      "ts": 25214.000000000004,
+      "ts": 25216.000000000004,
       "pid": 1,
       "tid": 1
     },
@@ -272,7 +296,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "E",
-      "ts": 129215.00000000003,
+      "ts": 129217.0,
       "pid": 1,
       "tid": 1
     },
@@ -280,7 +304,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "B",
-      "ts": 129216.00000000003,
+      "ts": 129218.0,
       "pid": 1,
       "tid": 1
     },
@@ -288,7 +312,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "E",
-      "ts": 534017.0000000001,
+      "ts": 534019.0,
       "pid": 1,
       "tid": 1
     },
@@ -296,7 +320,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "B",
-      "ts": 534018.0000000001,
+      "ts": 534020.0,
       "pid": 1,
       "tid": 1
     },
@@ -304,7 +328,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "E",
-      "ts": 534419.0000000001,
+      "ts": 534421.0,
       "pid": 1,
       "tid": 1
     },
@@ -312,15 +336,35 @@ let golden_expected =
       "name": "install liba",
       "cat": "install",
       "ph": "E",
-      "ts": 534420.0000000001,
+      "ts": 534422.0000000001,
       "pid": 1,
       "tid": 1
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "E",
+      "ts": 534423.0000000001,
+      "pid": 1,
+      "tid": 1
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "B",
+      "ts": 534424.0000000001,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "node": "midb",
+        "vstart": "0.534400"
+      }
     },
     {
       "name": "install midb",
       "cat": "install",
       "ph": "B",
-      "ts": 534421.0000000001,
+      "ts": 534425.0000000001,
       "pid": 1,
       "tid": 1,
       "args": {
@@ -332,7 +376,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "B",
-      "ts": 534422.0000000002,
+      "ts": 534426.0000000002,
       "pid": 1,
       "tid": 1
     },
@@ -340,7 +384,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "E",
-      "ts": 534423.0000000002,
+      "ts": 534427.0000000002,
       "pid": 1,
       "tid": 1
     },
@@ -348,7 +392,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "B",
-      "ts": 534424.0000000002,
+      "ts": 534428.0000000002,
       "pid": 1,
       "tid": 1
     },
@@ -356,7 +400,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "E",
-      "ts": 559625.0000000002,
+      "ts": 559629.0000000002,
       "pid": 1,
       "tid": 1
     },
@@ -364,7 +408,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "B",
-      "ts": 559626.0000000002,
+      "ts": 559630.0000000003,
       "pid": 1,
       "tid": 1
     },
@@ -372,7 +416,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "E",
-      "ts": 663627.0000000003,
+      "ts": 663631.0000000003,
       "pid": 1,
       "tid": 1
     },
@@ -380,7 +424,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "B",
-      "ts": 663628.0000000003,
+      "ts": 663632.0000000003,
       "pid": 1,
       "tid": 1
     },
@@ -388,7 +432,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "E",
-      "ts": 1068429.0000000002,
+      "ts": 1068433.0000000002,
       "pid": 1,
       "tid": 1
     },
@@ -396,7 +440,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "B",
-      "ts": 1068430.0000000002,
+      "ts": 1068434.0,
       "pid": 1,
       "tid": 1
     },
@@ -404,7 +448,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "E",
-      "ts": 1068831.0,
+      "ts": 1068835.0,
       "pid": 1,
       "tid": 1
     },
@@ -412,15 +456,35 @@ let golden_expected =
       "name": "install midb",
       "cat": "install",
       "ph": "E",
-      "ts": 1068832.0,
+      "ts": 1068836.0,
       "pid": 1,
       "tid": 1
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "E",
+      "ts": 1068836.9999999998,
+      "pid": 1,
+      "tid": 1
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "B",
+      "ts": 1068837.9999999998,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "node": "appc",
+        "vstart": "1.068800"
+      }
     },
     {
       "name": "install appc",
       "cat": "install",
       "ph": "B",
-      "ts": 1068833.0,
+      "ts": 1068838.9999999995,
       "pid": 1,
       "tid": 1,
       "args": {
@@ -432,7 +496,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "B",
-      "ts": 1068833.9999999998,
+      "ts": 1068839.9999999995,
       "pid": 1,
       "tid": 1
     },
@@ -440,7 +504,7 @@ let golden_expected =
       "name": "build.stage",
       "cat": "build",
       "ph": "E",
-      "ts": 1068834.9999999998,
+      "ts": 1068840.9999999995,
       "pid": 1,
       "tid": 1
     },
@@ -448,7 +512,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "B",
-      "ts": 1068835.9999999998,
+      "ts": 1068841.9999999993,
       "pid": 1,
       "tid": 1
     },
@@ -456,7 +520,7 @@ let golden_expected =
       "name": "build.configure",
       "cat": "build",
       "ph": "E",
-      "ts": 1094036.9999999998,
+      "ts": 1094042.9999999995,
       "pid": 1,
       "tid": 1
     },
@@ -464,7 +528,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "B",
-      "ts": 1094037.9999999995,
+      "ts": 1094043.9999999993,
       "pid": 1,
       "tid": 1
     },
@@ -472,7 +536,7 @@ let golden_expected =
       "name": "build.compile",
       "cat": "build",
       "ph": "E",
-      "ts": 1198038.9999999995,
+      "ts": 1198044.9999999993,
       "pid": 1,
       "tid": 1
     },
@@ -480,7 +544,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "B",
-      "ts": 1198039.9999999995,
+      "ts": 1198045.9999999993,
       "pid": 1,
       "tid": 1
     },
@@ -488,7 +552,7 @@ let golden_expected =
       "name": "build.link",
       "cat": "build",
       "ph": "E",
-      "ts": 1602840.9999999995,
+      "ts": 1602846.999999999,
       "pid": 1,
       "tid": 1
     },
@@ -496,7 +560,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "B",
-      "ts": 1602841.9999999995,
+      "ts": 1602847.9999999988,
       "pid": 1,
       "tid": 1
     },
@@ -504,7 +568,7 @@ let golden_expected =
       "name": "build.install",
       "cat": "build",
       "ph": "E",
-      "ts": 1603242.9999999993,
+      "ts": 1603248.9999999988,
       "pid": 1,
       "tid": 1
     },
@@ -512,7 +576,23 @@ let golden_expected =
       "name": "install appc",
       "cat": "install",
       "ph": "E",
-      "ts": 1603243.9999999993,
+      "ts": 1603249.9999999988,
+      "pid": 1,
+      "tid": 1
+    },
+    {
+      "name": "worker 0",
+      "cat": "sched",
+      "ph": "E",
+      "ts": 1603250.9999999986,
+      "pid": 1,
+      "tid": 1
+    },
+    {
+      "name": "schedule",
+      "cat": "sched",
+      "ph": "E",
+      "ts": 1603251.9999999986,
       "pid": 1,
       "tid": 1
     }
@@ -523,6 +603,7 @@ let golden_expected =
     "concretize.iterations": 2,
     "fs.meta_ops": 36,
     "install.built": 3,
+    "sched.dispatches": 3,
     "wrapper.invocations": 9
   },
   "ospackHistograms": {
@@ -531,6 +612,18 @@ let golden_expected =
       "min": 0.5344,
       "max": 0.5344,
       "sum": 1.6032
+    },
+    "sched.idle_seconds": {
+      "count": 3,
+      "min": 0.0,
+      "max": 0.0,
+      "sum": 0.0
+    },
+    "sched.ready_queue": {
+      "count": 3,
+      "min": 1.0,
+      "max": 1.0,
+      "sum": 3.0
     }
   }
 }|golden}

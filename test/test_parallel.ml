@@ -50,7 +50,7 @@ let install_par ?(repo = repo) ?obs ?mirror ~jobs specs =
 
 let store_equivalence_across_j () =
   let spec = concretize "mpileaks ^mpich" in
-  (* the serial installer is the reference store *)
+  (* [Installer.install] (-j1) is the reference store *)
   let serial = Installer.create ~vfs:(Vfs.create ()) ~repo ~compilers () in
   let serial_outcomes =
     match Installer.install serial spec with
@@ -80,16 +80,10 @@ let store_equivalence_across_j () =
 
 let j1_matches_serial_order () =
   let spec = concretize "mpileaks ^mpich" in
-  let serial = Installer.create ~vfs:(Vfs.create ()) ~repo ~compilers () in
-  let serial_outcomes =
-    match Installer.install serial spec with
-    | Ok o -> o
-    | Error e -> Alcotest.failf "serial install: %s" e
-  in
   let _, r = install_par ~jobs:1 [ spec ] in
   Alcotest.(check (list string))
     "-j1 completion order is the serial topological order"
-    (List.map outcome_name serial_outcomes)
+    (Concrete.topological_order spec)
     (List.map outcome_name r.Installer.pr_outcomes);
   Alcotest.(check (float 1e-9)) "-j1 makespan = serialized time"
     r.Installer.pr_serial_seconds r.Installer.pr_makespan;
@@ -299,7 +293,7 @@ let serial_failure_persists_index () =
   (match Installer.install inst (concretize "mpileaks ^mpich") with
   | Ok _ -> Alcotest.fail "corrupted archive must fail the install"
   | Error e ->
-      Alcotest.(check bool) "serial error message unchanged" true
+      Alcotest.(check bool) "error names the checksum failure" true
         (Astring.String.is_infix ~affix:"checksum mismatch" e));
   let survivors = Database.count (Installer.database inst) in
   Alcotest.(check bool) "something completed before the failure" true
@@ -308,6 +302,27 @@ let serial_failure_persists_index () =
   match Installer.load_index fresh with
   | Ok n -> Alcotest.(check int) "index matches the survivors" survivors n
   | Error e -> Alcotest.failf "load_index: %s" e
+
+(* -j1 fails exactly like -jN: the failed node poisons only its own
+   dependents, and the independent mpich branch still installs *)
+let j1_failure_spares_independent_branch () =
+  let vfs = Vfs.create () in
+  let mirror = corrupted_mirror vfs in
+  let inst = Installer.create ~mirror ~vfs ~repo ~compilers () in
+  (match Installer.install inst (concretize "mpileaks ^mpich") with
+  | Ok _ -> Alcotest.fail "corrupted archive must fail the install"
+  | Error e ->
+      Alcotest.(check bool) "error names the failed node" true
+        (Astring.String.is_infix ~affix:"  dyninst: " e));
+  let fresh = Installer.create ~vfs ~repo ~compilers () in
+  (match Installer.load_index fresh with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "load_index: %s" e);
+  Alcotest.(check (slist string String.compare))
+    "both independent nodes installed and indexed" [ "libelf"; "mpich" ]
+    (List.map
+       (fun r -> Concrete.root r.Database.r_spec)
+       (Database.all (Installer.database fresh)))
 
 let () =
   Alcotest.run "parallel"
@@ -334,5 +349,7 @@ let () =
             parallel_partial_failure;
           Alcotest.test_case "serial failure persists index" `Quick
             serial_failure_persists_index;
+          Alcotest.test_case "-j1 failure spares independent branches" `Quick
+            j1_failure_spares_independent_branch;
         ] );
     ]

@@ -5,8 +5,8 @@
    - whenever greedy succeeds, both backends return byte-identical results
      (round 0 of the clause backend IS the greedy run);
    - when greedy fails but a solution exists (the paper's §4.5 hwloc
-     pattern), the clause backend finds it without chronological
-     backtracking, and the result satisfies the query;
+     pattern), the clause backend finds it by unit propagation (no
+     solver conflicts), and the result satisfies the query;
    - when no solution exists, both fail with the same typed error and the
      clause backend renders a human-readable unsat core. *)
 
@@ -159,37 +159,6 @@ let differential_property =
               | Error _ -> false
               | Ok cc -> render gc = render cc)))
 
-(* satellite: the backtracking extension agrees with plain greedy whenever
-   greedy succeeds (backtracking only ever explores when greedy fails) *)
-let backtracking_agrees_property =
-  let ctx = lazy (universe_ctx ()) in
-  let gen =
-    QCheck.Gen.(
-      let pkg =
-        oneofl
-          [ "mpileaks"; "callpath"; "dyninst"; "libelf"; "python"; "hypre";
-            "samrai"; "ares"; "lulesh" ]
-      in
-      let form = oneofl [ ""; " %gcc"; " ^mvapich2"; " ^openmpi"; " @1:" ] in
-      let* p = pkg in
-      let* f = form in
-      return (p ^ f))
-  in
-  QCheck.Test.make ~count:120
-    ~name:"concretize_backtracking agrees with concretize on greedy successes"
-    (QCheck.make ~print:(fun s -> s) gen)
-    (fun spec ->
-      match Parser.parse spec with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok ast -> (
-          let ctx = Lazy.force ctx in
-          match Concretizer.concretize ctx ast with
-          | Error _ -> true
-          | Ok g -> (
-              match Concretizer.concretize_backtracking ctx ast with
-              | Error _ -> false
-              | Ok b -> Concrete.equal g b)))
-
 (* ------------------------------------------------------------------ *)
 (* §4.5 divergence: greedy dead-ends, the complete backend solves      *)
 
@@ -222,6 +191,21 @@ let hwloc_divergence () =
         0 outcome.I.oc_stats.I.st_conflicts;
       Alcotest.(check int) "round 0 + one oracle replay" 2
         outcome.I.oc_stats.I.st_runs
+
+(* an unconditional arch conflict is a clause exactly when every node's
+   arch is statically the site default; a user-pinned arch leaves it to
+   the greedy oracle *)
+let arch_conflicts_encoded () =
+  let ctx = universe_ctx () in
+  let reasons spec =
+    let enc = Clauses.encode ctx (parse spec) in
+    List.map (fun (_, o) -> Clauses.reason enc o) (Clauses.clause_list enc)
+  in
+  let bgq = "bgq-mpi conflicts with =linux-x86_64" in
+  Alcotest.(check bool) "default arch: bgq-mpi excluded" true
+    (List.mem bgq (reasons "gerris"));
+  Alcotest.(check bool) "pinned arch: left to the oracle" false
+    (List.mem bgq (reasons "gerris =bgq"))
 
 (* ------------------------------------------------------------------ *)
 (* unsat cores and conflict explanations (satellite 6)                 *)
@@ -360,12 +344,13 @@ let () =
           Alcotest.test_case "constraint battery agrees" `Quick
             differential_battery;
           QCheck_alcotest.to_alcotest differential_property;
-          QCheck_alcotest.to_alcotest backtracking_agrees_property;
         ] );
       ( "divergence",
         [
           Alcotest.test_case "§4.5 hwloc: greedy unsat, clauses sat" `Quick
             hwloc_divergence;
+          Alcotest.test_case "arch conflicts encoded when certain" `Quick
+            arch_conflicts_encoded;
         ] );
       ( "explanations",
         [

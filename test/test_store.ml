@@ -487,7 +487,7 @@ let buildcache_truncated_rejected () =
   in
   (match
      Vfs.write_file vfs
-       ("/cache/" ^ hash ^ ".json")
+       (Ospack_store.Buildcache.entry_path cache hash)
        (Json.to_string entry)
    with
   | Ok () -> ()
@@ -626,12 +626,12 @@ let index_persistence () =
   (match Installer.install first (concretize "mpileaks ^mpich") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "install: %s" e);
-  (* the index persists as hash-prefix shards + manifest, not the legacy
-     single file *)
+  (* the index persists as hash-prefix shards + manifest, not a single
+     file *)
   Alcotest.(check bool) "manifest written" true
     (Vfs.is_file vfs (Installer.manifest_path first));
-  Alcotest.(check bool) "no legacy index" false
-    (Vfs.is_file vfs (Installer.index_path first));
+  Alcotest.(check bool) "no single-file index" false
+    (Vfs.is_file vfs (Installer.install_root first ^ "/.spack-db/index.json"));
   let records = Database.all (Installer.database first) in
   Alcotest.(check int) "five records" 5 (List.length records);
   List.iter
@@ -660,51 +660,43 @@ let index_persistence () =
   Alcotest.(check (result int string)) "no index yet" (Ok 0)
     (Installer.load_index empty)
 
-let legacy_index_migration () =
+(* one on-disk format: a shard in any other format is refused, typed,
+   and nothing from it is merged *)
+let unsupported_shard_format () =
   let module Json = Ospack_json.Json in
-  (* build a store, rewrite its index in the legacy single-file layout,
-     and let load_index migrate it back to shards transparently *)
   let vfs, first = fresh () in
-  ignore (install first "mpileaks ^mpich");
-  let legacy =
-    Json.to_string ~indent:2 (Database.to_json (Installer.database first))
+  ignore (install first "libelf");
+  let hash = (List.hd (Database.all (Installer.database first))).Database.r_hash in
+  let path = Installer.shard_path first (Installer.shard_of_hash hash) in
+  let content =
+    match Vfs.read_file vfs path with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "read shard: %s" (Vfs.error_to_string e)
   in
-  (match Vfs.remove vfs ~recursive:true (Installer.index_dir first) with
+  let downgraded =
+    match Json.of_string content with
+    | Ok (Json.Obj fields) ->
+        Json.to_string
+          (Json.Obj
+             (List.map
+                (fun (k, v) -> if k = "format" then (k, Json.Int 1) else (k, v))
+                fields))
+    | _ -> Alcotest.fail "shard is not a JSON object"
+  in
+  (match Vfs.write_file vfs path downgraded with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "reset shards: %s" (Vfs.error_to_string e));
-  (match Vfs.write_file vfs (Installer.index_path first) legacy with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "write legacy: %s" (Vfs.error_to_string e));
-  (* a fresh process opens the legacy store *)
+  | Error e -> Alcotest.failf "write shard: %s" (Vfs.error_to_string e));
   let second = Installer.create ~vfs ~repo ~compilers () in
   (match Installer.load_index second with
-  | Ok n -> Alcotest.(check int) "all records migrated" 5 n
-  | Error e -> Alcotest.failf "load_index: %s" e);
-  Alcotest.(check bool) "legacy file retired" false
-    (Vfs.is_file vfs (Installer.index_path second));
-  Alcotest.(check bool) "manifest written" true
-    (Vfs.is_file vfs (Installer.manifest_path second));
-  List.iter
-    (fun (r : Database.record) ->
-      let shard =
-        Installer.shard_path second (Installer.shard_of_hash r.Database.r_hash)
-      in
-      Alcotest.(check bool) (shard ^ " exists") true (Vfs.is_file vfs shard))
-    (Database.all (Installer.database second));
-  (* round-trip: the migrated shards reload identically, and installs
-     through them are pure reuse *)
-  let third = Installer.create ~vfs ~repo ~compilers () in
-  (match Installer.load_index third with
-  | Ok n -> Alcotest.(check int) "sharded reload" 5 n
-  | Error e -> Alcotest.failf "reload: %s" e);
-  Alcotest.(check bool) "migrated db identical" true
-    (Json.to_string (Database.to_json (Installer.database third))
-    = Json.to_string (Database.to_json (Installer.database first)));
-  match Installer.install third (concretize "mpileaks ^mpich") with
-  | Ok outcomes ->
-      Alcotest.(check bool) "everything reused after migration" true
-        (List.for_all (fun o -> o.Installer.o_reused) outcomes)
-  | Error e -> Alcotest.failf "reinstall: %s" e
+  | Ok n -> Alcotest.failf "a format-1 shard loaded %d records" n
+  | Error e ->
+      Alcotest.(check string) "typed refusal"
+        (Installer.store_error_to_string
+           (Installer.Store_corrupt
+              { se_path = path; se_reason = "unsupported format 1" }))
+        e);
+  Alcotest.(check int) "nothing merged" 0
+    (Database.count (Installer.database second))
 
 let () =
   Alcotest.run "store"
@@ -728,8 +720,8 @@ let () =
             external_spec_mismatch;
           Alcotest.test_case "on-disk index persistence" `Quick
             index_persistence;
-          Alcotest.test_case "legacy index migration" `Quick
-            legacy_index_migration;
+          Alcotest.test_case "unsupported shard format refused" `Quick
+            unsupported_shard_format;
           Alcotest.test_case "binary cache with relocation" `Quick
             buildcache_roundtrip;
           Alcotest.test_case "buildcache save error propagation" `Quick
