@@ -1,5 +1,4 @@
 module Vfs = Ospack_vfs.Vfs
-module Md5 = Ospack_hash.Md5
 module Version = Ospack_version.Version
 module Repository = Ospack_package.Repository
 module Package = Ospack_package.Package
@@ -29,7 +28,9 @@ let write_exn t path content =
 let add t ~name ~version =
   let content = archive_content ~name ~version in
   write_exn t (archive_path t ~name ~version) content;
-  write_exn t (checksum_path t ~name ~version) (Md5.hex_digest content)
+  write_exn t
+    (checksum_path t ~name ~version)
+    (Digest.to_hex (Digest.string content))
 
 let populate t repo =
   List.fold_left
@@ -54,7 +55,7 @@ let fetch t ~name ~version =
       match Vfs.read_file t.vfs (checksum_path t ~name ~version) with
       | Error _ -> Error (Printf.sprintf "no archive checksum for %s" rel)
       | Ok expected ->
-          let actual = Md5.hex_digest content in
+          let actual = Digest.to_hex (Digest.string content) in
           if actual = expected then Ok (content, actual)
           else
             Error

@@ -38,125 +38,24 @@ let create vfs ~root = { vfs; root }
 
 let root t = t.root
 
-(* Entries live under <2-hex> shard directories keyed by hash prefix —
-   the store index's layout — so a fleet-sized cache never funnels every
-   entry through one directory listing. That is the only layout read: a
-   file directly under the root is not an entry. *)
-let shard_of_hash hash =
-  if String.length hash >= 2 then String.sub hash 0 2 else hash
-
-let entry_path t hash =
-  Printf.sprintf "%s/%s/%s.json" t.root (shard_of_hash hash) hash
+(* Entries live in a {!Sharded_dir} — the store index's layout — so a
+   fleet-sized cache never funnels every entry through one directory
+   listing. That is the only layout read: a file directly under the root
+   is not an entry. *)
+let entry_path t hash = Sharded_dir.path ~root:t.root hash
 
 let find_entry t hash =
   let path = entry_path t hash in
   if Vfs.is_file t.vfs path then Some path else None
 
 let has t ~hash = find_entry t hash <> None
-
-let manifest_path t = t.root ^ "/manifest.json"
-
-let is_shard_name s =
-  String.length s = 2
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
-
-let manifest_content shards =
-  Json.to_string
-    (Json.Obj
-       [
-         ("format", Json.Int 2);
-         ( "shards",
-           Json.List
-             (List.map
-                (fun s -> Json.String s)
-                (List.sort_uniq String.compare shards)) );
-       ])
-
-(* tolerant manifest reader: a missing, stale, or corrupt manifest never
-   hides entries — readers always union it with the directory listing *)
-let manifest_shards t =
-  match Vfs.read_file t.vfs (manifest_path t) with
-  | Error _ -> []
-  | Ok content -> (
-      match Json.of_string content with
-      | Error _ -> []
-      | Ok j -> (
-          match Option.bind (Json.member "shards" j) Json.to_list with
-          | None -> []
-          | Some items ->
-              List.filter_map (fun s -> Json.get_string s) items))
-
-let listed_shards t =
-  match Vfs.ls t.vfs t.root with
-  | Error _ -> []
-  | Ok entries ->
-      List.filter
-        (fun e -> is_shard_name e && Vfs.is_dir t.vfs (t.root ^ "/" ^ e))
-        entries
-
-(* Healing sweep: a crash between an entry's tmp write and its rename
-   strands a [.tmp] file; listing is where every reader converges, so the
-   sweep lives here. Removal is not a write barrier, so torture math over
-   [save] stays exact. *)
-let sweep_tmp t dir entries =
-  List.filter
-    (fun e ->
-      if Filename.check_suffix e ".tmp" then begin
-        ignore (Vfs.remove t.vfs ~recursive:false (dir ^ "/" ^ e));
-        false
-      end
-      else true)
-    entries
-
-let cached_hashes t =
-  match Vfs.ls t.vfs t.root with
-  | Error _ -> []
-  | Ok entries ->
-      (* the root holds the manifest, so its [.tmp] is swept here too *)
-      let entries = sweep_tmp t t.root entries in
-      List.concat_map
-        (fun shard ->
-          let dir = t.root ^ "/" ^ shard in
-          match Vfs.ls t.vfs dir with
-          | Error _ -> []
-          | Ok names ->
-              List.filter_map
-                (fun n ->
-                  if Filename.check_suffix n ".json" then
-                    Some (Filename.chop_suffix n ".json")
-                  else None)
-                (sweep_tmp t dir names))
-        (List.filter is_shard_name entries
-        |> List.filter (fun e -> Vfs.is_dir t.vfs (t.root ^ "/" ^ e)))
-      |> List.sort_uniq String.compare
+let cached_hashes t = Sharded_dir.keys t.vfs ~root:t.root
 
 let ( let* ) = Result.bind
 
 let io op path = function
   | Ok v -> Ok v
   | Error e -> Error (Cache_io { io_op = op; io_path = path; io_cause = e })
-
-(* crash-safe entry persistence: the bytes land under a [.tmp] name and
-   become visible only through the atomic rename — a kill at any barrier
-   leaves either no entry or a complete one, never a truncated JSON that
-   would poison later extracts *)
-let write_atomic t ~path content =
-  match Vfs.write_atomic t.vfs path content with
-  | Ok () -> Ok ()
-  | Error (io_op, io_path, io_cause) ->
-      Error (Cache_io { io_op; io_path; io_cause })
-
-(* keep the root manifest in step with the live shard set; staleness is
-   harmless (readers union with the listing) so this runs after the entry
-   rename — the entry's durability never waits on the manifest *)
-let update_manifest t shard =
-  let known = manifest_shards t in
-  if List.mem shard known then Ok ()
-  else
-    write_atomic t ~path:(manifest_path t)
-      (manifest_content (shard :: (known @ listed_shards t)))
 
 let archive_prefix t ~prefix =
   (* every walk entry must archive; a file we cannot read is an error,
@@ -224,12 +123,17 @@ let save t ~install_root (record : Database.record) =
               ("files", Json.List files);
             ]
         in
-        let hash = record.Database.r_hash in
-        let shard = shard_of_hash hash in
-        let shard_dir = t.root ^ "/" ^ shard in
-        let* () = io "mkdir" shard_dir (Vfs.mkdir_p t.vfs shard_dir) in
-        let* () = write_atomic t ~path:(entry_path t hash) (Json.to_string entry) in
-        update_manifest t shard
+        (* crash-safe: the bytes land under a [.tmp] name and become
+           visible only through the atomic rename — a kill at any barrier
+           leaves either no entry or a complete one, never a truncated
+           JSON that would poison later extracts *)
+        match
+          Sharded_dir.write t.vfs ~root:t.root record.Database.r_hash
+            (Json.to_string entry)
+        with
+        | Ok () -> Ok ()
+        | Error (io_op, io_path, io_cause) ->
+            Error (Cache_io { io_op; io_path; io_cause })
 
 (* Textual relocation, path-token-boundary-aware: an occurrence of
    [from_root] rewrites only when it is not embedded inside a longer

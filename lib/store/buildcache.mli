@@ -10,12 +10,12 @@
     from the old root to the new one — binary relocation, the classic
     obstacle to sharing HPC binaries.
 
-    Entries are content-addressed under [<root>/<2-hex>/<hash>.json]
-    (the store-index shard layout) with a tolerant [manifest.json]
-    listing the live shard set; that is the only layout read (a file
-    directly under the root is not an entry). All writes go through
-    {!Ospack_vfs.Vfs.write_atomic}, so a crash leaves either no entry or a
-    complete one; stray [.tmp] files are swept on listing. *)
+    Entries are content-addressed under [<root>/<2-hex>/<hash>.json], a
+    {!Sharded_dir} (the store index's layout), with no manifest: the
+    directory listing is the entry set. That is the only layout read (a
+    file directly under the root is not an entry). Every entry is written
+    via {!Ospack_vfs.Vfs.write_atomic}, so a crash leaves either no entry
+    or a complete one; stray [.tmp] files are swept on listing. *)
 
 type t
 
@@ -65,9 +65,8 @@ val save :
 val has : t -> hash:string -> bool
 
 val cached_hashes : t -> string list
-(** Sorted hashes of the sharded entries. Stray [.tmp] files from
-    interrupted saves (entries, and the root's manifest) are swept as a
-    side effect. *)
+(** Sorted hashes of the sharded entries ({!Sharded_dir.keys}). Stray
+    [.tmp] files from interrupted saves are swept as a side effect. *)
 
 val entry_path : t -> string -> string
 (** The sharded on-disk path an entry for this hash would occupy. *)

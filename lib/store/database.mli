@@ -53,11 +53,11 @@ val remove : t -> string -> (record, string) result
 val to_json : t -> Ospack_json.Json.t
 (** Serialize the whole database (records sorted by name/hash) — the
     canonical rendering store comparisons and [--index-out] use; the
-    installer itself persists sharded {!record_to_json} lists. *)
+    installer itself persists one {!record_to_json} file per record. *)
 
 val record_to_json : record -> Ospack_json.Json.t
 (** One record in the same shape {!to_json} uses — the unit the sharded
-    index persists, so a shard file is a plain [records] list. *)
+    index persists, one file per record. *)
 
 val record_of_json : Ospack_json.Json.t -> (record, string) result
 (** Inverse of {!record_to_json}. *)

@@ -37,13 +37,11 @@ type t = {
   obs : Obs.t;
   st : stats;
   mutable total_seconds : float;
-  mutable dirty_shards : SSet.t;
-      (** shards holding records changed since the last successful
-          [save_index] — the only ones a save rewrites *)
-  mutable manifest_shards : SSet.t;
-      (** the shard set as last written to the on-disk manifest *)
+  mutable dirty : SSet.t;
+      (** hashes of records changed since the last successful
+          [save_index] — the only files a save writes or removes *)
   mutable index_bytes : int;
-      (** cumulative bytes of index persistence (shards + manifest) *)
+      (** cumulative bytes of index persistence (record files) *)
 }
 
 type outcome = {
@@ -81,8 +79,7 @@ let create ?(fs = Fsmodel.tmpfs) ?(scheme = Layout.Spack_default)
         st_externals = 0;
       };
     total_seconds = 0.0;
-    dirty_shards = SSet.empty;
-    manifest_shards = SSet.empty;
+    dirty = SSet.empty;
     index_bytes = 0;
   }
 
@@ -100,18 +97,18 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* The sharded on-disk index.
 
-   The database persists as hash-prefix shards under
-   [.spack-db/index/<2-hex>.json] plus a tiny manifest listing the live
-   shard set, every file written via write-then-rename. The installer
-   tracks which shards hold changed records ([dirty_shards]), so a node
-   attempt rewrites only its own shard — write cost proportional to the
-   change, not the store. A crash between a node's first durable write
-   and its index entry is covered by a pending marker
-   ([.spack-db/pending/<hash>], written before the prefix is touched and
-   removed after the shard is durable): recovery at [load_index] deletes
-   any prefix whose marker survived without an index entry, restoring
-   the invariant that the store on disk is always a prefix of the
-   completed store with no unindexed orphans. *)
+   The database persists as one file per record at
+   [.spack-db/index/<2-hex>/<hash>.json] ({!Sharded_dir}), each written
+   via write-then-rename; the directory listing is the record set. The
+   installer tracks which records changed ([dirty]), so a node attempt
+   writes only its own file — write cost proportional to the change, not
+   the store. A crash between a node's first durable write and its index
+   entry is covered by a pending marker ([.spack-db/pending/<hash>],
+   written before the prefix is touched and removed after the record
+   file is durable): recovery at [load_index] deletes any prefix whose
+   marker survived without an index entry, restoring the invariant that
+   the store on disk is always a prefix of the completed store with no
+   unindexed orphans. *)
 
 module Json = Ospack_json.Json
 
@@ -130,16 +127,13 @@ let store_error_to_string = function
 
 let db_root t = t.install_root ^ "/.spack-db"
 let index_dir t = db_root t ^ "/index"
-let manifest_path t = index_dir t ^ "/manifest.json"
-let shard_path t key = index_dir t ^ "/" ^ key ^ ".json"
+let record_path t hash = Sharded_dir.path ~root:(index_dir t) hash
 let pending_dir t = db_root t ^ "/pending"
 let pending_path t hash = pending_dir t ^ "/" ^ hash
 
-let shard_format = 2
-let shard_of_hash hash = String.sub hash 0 2
+let record_format = 3
 
-let mark_dirty t hash =
-  t.dirty_shards <- SSet.add (shard_of_hash hash) t.dirty_shards
+let mark_dirty t hash = t.dirty <- SSet.add hash t.dirty
 
 let add_record t record =
   Database.add t.db record;
@@ -147,136 +141,58 @@ let add_record t record =
 
 let index_bytes_written t = t.index_bytes
 
-(* the shard set a fully persisted store would have right now *)
-let live_shards t =
-  List.fold_left
-    (fun s (r : Database.record) -> SSet.add (shard_of_hash r.r_hash) s)
-    SSet.empty (Database.all t.db)
-
-let write_atomic t ~path content =
-  match Vfs.write_atomic t.vfs path content with
-  | Error (se_action, se_path, se_cause) ->
-      Error (Store_io { se_action; se_path; se_cause })
-  | Ok () ->
-      t.index_bytes <- t.index_bytes + String.length content;
-      Ok ()
-
-let shard_content t key =
-  let records =
-    List.filter
-      (fun (r : Database.record) -> shard_of_hash r.r_hash = key)
-      (Database.all t.db)
-  in
+let record_content record =
   Json.to_string ~indent:2
     (Json.Obj
        [
-         ("format", Json.Int shard_format);
-         ("records", Json.List (List.map Database.record_to_json records));
-       ])
-  ^ "\n"
-
-let manifest_content shards =
-  Json.to_string ~indent:2
-    (Json.Obj
-       [
-         ("format", Json.Int shard_format);
-         ("shards",
-          Json.List (List.map (fun k -> Json.String k) (SSet.elements shards)));
+         ("format", Json.Int record_format);
+         ("record", Database.record_to_json record);
        ])
   ^ "\n"
 
 let save_index t =
-  let live = live_shards t in
-  let rec persist = function
-    | [] -> Ok ()
-    | key :: rest ->
-        let* () =
-          if SSet.mem key live then
-            write_atomic t ~path:(shard_path t key) (shard_content t key)
-          else (
-            (* the shard's last record was uninstalled: drop the file *)
-            match Vfs.remove t.vfs (shard_path t key) with
-            | Ok () | Error (Vfs.Not_found _) -> Ok ()
-            | Error e ->
-                Error
-                  (Store_io
-                     { se_action = "remove"; se_path = shard_path t key;
-                       se_cause = e }))
-        in
-        t.dirty_shards <- SSet.remove key t.dirty_shards;
-        persist rest
+  let root = index_dir t in
+  let persist hash =
+    match Database.find_by_hash t.db hash with
+    | Some r -> (
+        let content = record_content r in
+        match Sharded_dir.write t.vfs ~root hash content with
+        | Error (se_action, se_path, se_cause) ->
+            Error (Store_io { se_action; se_path; se_cause })
+        | Ok () ->
+            t.index_bytes <- t.index_bytes + String.length content;
+            Ok ())
+    | None ->
+        Result.map_error
+          (fun se_cause ->
+            Store_io
+              { se_action = "remove"; se_path = record_path t hash; se_cause })
+          (Sharded_dir.remove t.vfs ~root hash)
   in
-  let* () = persist (SSet.elements t.dirty_shards) in
-  if SSet.equal live t.manifest_shards then Ok ()
-  else
-    let* () = write_atomic t ~path:(manifest_path t) (manifest_content live) in
-    t.manifest_shards <- live;
-    Ok ()
+  SSet.fold
+    (fun hash acc ->
+      let* () = acc in
+      let* () = persist hash in
+      t.dirty <- SSet.remove hash t.dirty;
+      Ok ())
+    t.dirty (Ok ())
 
-let parse_shard ~path content =
+let parse_record ~path content =
   let corrupt se_reason = Error (Store_corrupt { se_path = path; se_reason }) in
   match Json.of_string content with
   | Error e -> corrupt e
   | Ok j -> (
-      (* one on-disk format: anything but [shard_format] is refused *)
+      (* one on-disk format: anything but [record_format] is refused *)
       let format = Option.bind (Json.member "format" j) Json.get_int in
-      match (format, Json.member "records" j) with
+      match (format, Json.member "record" j) with
       | None, _ -> corrupt "missing format"
-      | Some f, _ when f <> shard_format ->
+      | Some f, _ when f <> record_format ->
           corrupt (Printf.sprintf "unsupported format %d" f)
-      | Some _, Some (Json.List items) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest -> (
-                match Database.record_of_json item with
-                | Ok r -> go (r :: acc) rest
-                | Error e -> corrupt e)
-          in
-          go [] items
-      | Some _, _ -> corrupt "missing records")
-
-let is_shard_name name =
-  String.length name = 7
-  && Filename.check_suffix name ".json"
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       (String.sub name 0 2)
-
-(* the shard key set worth reading: the manifest's list unioned with the
-   directory listing, so a crash between a new shard's rename and the
-   manifest update loses nothing (and a listed-but-missing shard —
-   removed before the manifest caught up — is tolerated by the reader) *)
-let stored_shards t =
-  let listed =
-    match Vfs.ls t.vfs (index_dir t) with
-    | Error _ -> SSet.empty
-    | Ok names ->
-        List.fold_left
-          (fun s n ->
-            if is_shard_name n then SSet.add (String.sub n 0 2) s else s)
-          SSet.empty names
-  in
-  match Vfs.read_file t.vfs (manifest_path t) with
-  | Error _ -> Ok listed
-  | Ok content -> (
-      match Json.of_string content with
-      | Error e ->
-          Error
-            (Store_corrupt { se_path = manifest_path t; se_reason = e })
-      | Ok j -> (
-          match Json.member "shards" j with
-          | Some (Json.List items) ->
-              Ok
-                (List.fold_left
-                   (fun s item ->
-                     match Json.get_string item with
-                     | Some k -> SSet.add k s
-                     | None -> s)
-                   listed items)
-          | _ ->
-              Error
-                (Store_corrupt
-                   { se_path = manifest_path t; se_reason = "missing shards" })))
+      | Some _, Some item -> (
+          match Database.record_of_json item with
+          | Ok r -> Ok r
+          | Error e -> corrupt e)
+      | Some _, None -> corrupt "missing record")
 
 (* remove any prefix whose pending marker survived a crash without an
    index entry — the partially materialized node of a killed install *)
@@ -307,61 +223,26 @@ let recover_pending t =
 
 let load_index_typed t =
   let before = Database.count t.db in
-  (* 1. merge every stored shard *)
-  let* shards = stored_shards t in
-  let* shard_records =
-    SSet.fold
-      (fun key acc ->
+  (* 1. read every record file (listing sweeps stray [.tmp] files), and
+     merge only once all of them parsed *)
+  let* records =
+    List.fold_left
+      (fun acc hash ->
         let* acc = acc in
-        let path = shard_path t key in
+        let path = record_path t hash in
         match Vfs.read_file t.vfs path with
-        | Error (Vfs.Not_found _) -> Ok acc
         | Error e ->
             Error (Store_io { se_action = "read"; se_path = path; se_cause = e })
         | Ok content ->
-            let* records = parse_shard ~path content in
-            Ok (acc @ records))
-      shards (Ok [])
+            let* r = parse_record ~path content in
+            Ok (r :: acc))
+      (Ok [])
+      (Sharded_dir.keys t.vfs ~root:(index_dir t))
   in
-  List.iter (Database.add t.db) shard_records;
-  t.manifest_shards <- live_shards t;
+  List.iter (Database.add t.db) records;
   (* 2. crash recovery: clear orphaned pending prefixes *)
   let recovered = recover_pending t in
   if recovered > 0 then Obs.count t.obs "db.recovered_orphans" recovered;
-  (* 3. heal the index scaffolding: a crash between a tmp write and its
-     rename strands the .tmp, and a crash between a shard rename and the
-     manifest update leaves the manifest stale. Readers tolerate both
-     (stored_shards unions the listing), but healing here makes a
-     recovered store byte-identical to one that never crashed. *)
-  let* () =
-    match Vfs.ls t.vfs (index_dir t) with
-    | Error _ -> Ok ()
-    | Ok names ->
-        List.fold_left
-          (fun acc n ->
-            let* () = acc in
-            if not (Filename.check_suffix n ".tmp") then Ok ()
-            else
-              let path = index_dir t ^ "/" ^ n in
-              match Vfs.remove t.vfs path with
-              | Ok () | Error (Vfs.Not_found _) -> Ok ()
-              | Error e ->
-                  Error
-                    (Store_io
-                       { se_action = "remove"; se_path = path; se_cause = e }))
-          (Ok ()) names
-  in
-  let live = live_shards t in
-  let* () =
-    let desired = manifest_content live in
-    let stale =
-      match Vfs.read_file t.vfs (manifest_path t) with
-      | Ok on_disk -> on_disk <> desired
-      | Error _ -> not (SSet.is_empty live)
-    in
-    if stale then write_atomic t ~path:(manifest_path t) desired else Ok ()
-  in
-  t.manifest_shards <- live;
   Ok (Database.count t.db - before)
 
 let load_index t =
@@ -434,8 +315,8 @@ let external_record t sub name ~explicit =
   | _ -> Ok None
 
 (* The pending-marker intent log: written (one atomic file) before a
-   node's prefix is touched, removed only after the node's shard is
-   durable. The marker body is the prefix path, so recovery can delete a
+   node's prefix is touched, removed only after the node's record file
+   is durable. The marker body is the prefix path, so recovery can delete a
    partially materialized prefix without recomputing the layout. *)
 let write_pending t ~hash ~prefix =
   Result.map_error

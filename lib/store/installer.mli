@@ -238,12 +238,14 @@ val splice :
 
 (** {1 The sharded on-disk index}
 
-    The database persists as hash-prefix shards
-    ([<install_root>/.spack-db/index/<2-hex>.json] — first two hex
-    characters of the record hash) plus a manifest listing the live
-    shard set, each file written via write-then-rename. Only shards
-    holding changed records are rewritten on a save, so per-node index
-    cost is proportional to the change, not the store. A pending marker
+    The database persists as one file per record,
+    [<install_root>/.spack-db/index/<2-hex>/<hash>.json] (a
+    {!Sharded_dir}: the first two hex characters of the hash name the
+    shard directory), holding [{"format": 3, "record": ...}] and written
+    via write-then-rename. There is no manifest: the directory listing is
+    the record set. A save writes only the files of changed records (and
+    removes those of uninstalled ones), so per-node index cost is
+    proportional to the change, not the store. A pending marker
     ([.spack-db/pending/<hash>]) brackets every prefix materialization;
     {!load_index} removes any prefix whose marker survived without an
     index entry, so a reloaded store is always a prefix of the completed
@@ -256,30 +258,28 @@ type store_error =
       se_cause : Ospack_vfs.Vfs.error;
     }
   | Store_corrupt of { se_path : string; se_reason : string }
-      (** unparsable shard or manifest, or a shard in a format other
-          than the one this installer writes (["unsupported format N"]) *)
+      (** unparsable record file, or one in a format other than the one
+          this installer writes (["unsupported format N"]) *)
 
 val store_error_to_string : store_error -> string
 
-val manifest_path : t -> string
-(** The shard manifest ([<index_dir>/manifest.json]). *)
+val index_dir : t -> string
+(** The root of the sharded index ([<install_root>/.spack-db/index]). *)
 
-val shard_path : t -> string -> string
-(** Path of one shard file by 2-hex key. *)
-
-val shard_of_hash : string -> string
-(** The shard key of a record hash (its first two hex characters). *)
+val record_path : t -> string -> string
+(** Path of one record's file by hash. *)
 
 val index_bytes_written : t -> int
-(** Cumulative bytes this installer wrote persisting the index (shard and
-    manifest payloads) — the quantity the sharding keeps proportional to
-    the change. *)
+(** Cumulative bytes this installer wrote persisting the index (record
+    file payloads) — the quantity the sharding keeps proportional to the
+    change. *)
 
 val load_index : t -> (int, string) result
 (** Merge the records of the on-disk index into this installer's database
     — how a fresh process picks up an existing store on the same
-    filesystem. Reads every shard named by the manifest or present in the
-    index directory (a shard in another format is [Store_corrupt]), and
-    runs pending-marker crash recovery (orphaned prefixes are deleted and
-    counted on the [db.recovered_orphans] obs counter). Returns the
-    number of records merged ([Ok 0] when no index exists yet). *)
+    filesystem. Reads every record file in the shard directories (one in
+    another format is [Store_corrupt], and then nothing is merged; files
+    directly under the index root are not read), and runs pending-marker
+    crash recovery (orphaned prefixes are deleted and counted on the
+    [db.recovered_orphans] obs counter). Returns the number of records
+    merged ([Ok 0] when no index exists yet). *)

@@ -47,7 +47,6 @@ let read_package_source vfs ~prefix =
 (* install manifests                                                   *)
 
 module Json = Ospack_json.Json
-module Md5 = Ospack_hash.Md5
 
 type verify_report = {
   vr_missing : string list;
@@ -62,6 +61,8 @@ let manifest_path prefix = prefix ^ "/" ^ dir ^ "/manifest.json"
 
 (* payload = every regular file and symlink outside .spack/; symlinks are
    hashed by target so retargeting is detected *)
+let md5_hex s = Digest.to_hex (Digest.string s)
+
 let payload vfs prefix =
   Vfs.walk vfs prefix
   |> List.filter_map (fun (path, kind) ->
@@ -75,11 +76,11 @@ let payload vfs prefix =
            | Vfs.Dir -> None
            | Vfs.File -> (
                match Vfs.read_file vfs path with
-               | Ok content -> Some (rel, Md5.hex_digest content)
+               | Ok content -> Some (rel, md5_hex content)
                | Error _ -> None)
            | Vfs.Symlink -> (
                match Vfs.readlink vfs path with
-               | Ok target -> Some (rel, Md5.hex_digest ("link:" ^ target))
+               | Ok target -> Some (rel, md5_hex ("link:" ^ target))
                | Error _ -> None))
 
 let write_manifest vfs ~prefix =

@@ -12,7 +12,7 @@
       byte-for-byte up to the kill, so the post-crash state is exactly
       "the reference run, dead at its k-th durability boundary";
     + a fresh installer then opens the crashed store
-      ({!Installer.load_index}: shard merge + pending-marker recovery) and
+      ({!Installer.load_index}: record merge + pending-marker recovery) and
       three invariants are checked — the reloaded index is a subset of
       the completed run's records (prefix-of-completed-store), no file or
       symlink outside [.spack-db] survives outside a loaded record's

@@ -127,8 +127,20 @@ let uninstall_then_gc_converges () =
   (match Ospack.gc ctx with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "gc: %s" e);
+  let installer = ctx.Ospack.Context.installer in
   Alcotest.(check int) "store drained" 0
-    (Database.count (Installer.database ctx.Ospack.Context.installer))
+    (Database.count (Installer.database installer));
+  (* the drained store persisted: a fresh installer on the same
+     filesystem loads nothing, and no record file is left *)
+  let vfs = Installer.vfs installer in
+  let fresh =
+    Installer.create ~vfs ~repo:ctx.Ospack.Context.repo
+      ~compilers:ctx.Ospack.Context.compilers ()
+  in
+  Alcotest.(check (result int string)) "reload empty" (Ok 0)
+    (Installer.load_index fresh);
+  Alcotest.(check (list string)) "no record files" []
+    (Ospack_store.Sharded_dir.keys vfs ~root:(Installer.index_dir installer))
 
 let () =
   Alcotest.run "integration"

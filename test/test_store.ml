@@ -11,6 +11,7 @@ module Parser = Ospack_spec.Parser
 module Database = Ospack_store.Database
 module Installer = Ospack_store.Installer
 module Provenance = Ospack_store.Provenance
+module Sharded_dir = Ospack_store.Sharded_dir
 module Vfs = Ospack_vfs.Vfs
 
 let repo =
@@ -626,21 +627,23 @@ let index_persistence () =
   (match Installer.install first (concretize "mpileaks ^mpich") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "install: %s" e);
-  (* the index persists as hash-prefix shards + manifest, not a single
-     file *)
-  Alcotest.(check bool) "manifest written" true
-    (Vfs.is_file vfs (Installer.manifest_path first));
+  (* the index persists as one file per record, with no manifest and no
+     single-file index *)
+  Alcotest.(check bool) "no manifest" false
+    (Vfs.exists vfs (Installer.index_dir first ^ "/manifest.json"));
   Alcotest.(check bool) "no single-file index" false
     (Vfs.is_file vfs (Installer.install_root first ^ "/.spack-db/index.json"));
   let records = Database.all (Installer.database first) in
   Alcotest.(check int) "five records" 5 (List.length records);
   List.iter
     (fun (r : Database.record) ->
-      let shard =
-        Installer.shard_path first (Installer.shard_of_hash r.Database.r_hash)
-      in
-      Alcotest.(check bool) (shard ^ " exists") true (Vfs.is_file vfs shard))
+      let path = Installer.record_path first r.Database.r_hash in
+      Alcotest.(check bool) (path ^ " exists") true (Vfs.is_file vfs path))
     records;
+  Alcotest.(check (list string)) "record files are the index"
+    (List.sort String.compare
+       (List.map (fun (r : Database.record) -> r.Database.r_hash) records))
+    (Sharded_dir.keys vfs ~root:(Installer.index_dir first));
   Alcotest.(check bool) "index bytes accounted" true
     (Installer.index_bytes_written first > 0);
   let second = Installer.create ~vfs ~repo ~compilers () in
@@ -660,18 +663,18 @@ let index_persistence () =
   Alcotest.(check (result int string)) "no index yet" (Ok 0)
     (Installer.load_index empty)
 
-(* one on-disk format: a shard in any other format is refused, typed,
-   and nothing from it is merged *)
+(* one on-disk format: a record file in any other format is refused,
+   typed, and nothing is merged *)
 let unsupported_shard_format () =
   let module Json = Ospack_json.Json in
   let vfs, first = fresh () in
   ignore (install first "libelf");
   let hash = (List.hd (Database.all (Installer.database first))).Database.r_hash in
-  let path = Installer.shard_path first (Installer.shard_of_hash hash) in
+  let path = Installer.record_path first hash in
   let content =
     match Vfs.read_file vfs path with
     | Ok c -> c
-    | Error e -> Alcotest.failf "read shard: %s" (Vfs.error_to_string e)
+    | Error e -> Alcotest.failf "read record: %s" (Vfs.error_to_string e)
   in
   let downgraded =
     match Json.of_string content with
@@ -681,14 +684,14 @@ let unsupported_shard_format () =
              (List.map
                 (fun (k, v) -> if k = "format" then (k, Json.Int 1) else (k, v))
                 fields))
-    | _ -> Alcotest.fail "shard is not a JSON object"
+    | _ -> Alcotest.fail "record file is not a JSON object"
   in
   (match Vfs.write_file vfs path downgraded with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "write shard: %s" (Vfs.error_to_string e));
+  | Error e -> Alcotest.failf "write record: %s" (Vfs.error_to_string e));
   let second = Installer.create ~vfs ~repo ~compilers () in
   (match Installer.load_index second with
-  | Ok n -> Alcotest.failf "a format-1 shard loaded %d records" n
+  | Ok n -> Alcotest.failf "a format-1 record file loaded %d records" n
   | Error e ->
       Alcotest.(check string) "typed refusal"
         (Installer.store_error_to_string
@@ -698,9 +701,75 @@ let unsupported_shard_format () =
   Alcotest.(check int) "nothing merged" 0
     (Database.count (Installer.database second))
 
+(* --- the sharded directory both the index and the buildcache use --- *)
+
+let sd_root = "/sd"
+
+let sd_write vfs key content =
+  match Sharded_dir.write vfs ~root:sd_root key content with
+  | Ok () -> ()
+  | Error (op, path, e) ->
+      Alcotest.failf "%s %s: %s" op path (Vfs.error_to_string e)
+
+let sd_keys vfs = Sharded_dir.keys vfs ~root:sd_root
+
+let sharded_keys_sorted () =
+  let vfs = Vfs.create () in
+  List.iter (fun k -> sd_write vfs k k) [ "ff01"; "0a9"; "0a1"; "7c" ];
+  Alcotest.(check string) "layout" "/sd/0a/0a1.json"
+    (Sharded_dir.path ~root:sd_root "0a1");
+  Alcotest.(check (list string)) "sorted" [ "0a1"; "0a9"; "7c"; "ff01" ]
+    (sd_keys vfs)
+
+let sharded_keys_sweep_tmp () =
+  let vfs = Vfs.create () in
+  sd_write vfs "ab12" "x";
+  ignore (Vfs.write_file vfs "/sd/ab/ab34.json.tmp" "torn");
+  Alcotest.(check (list string)) "tmp never listed" [ "ab12" ] (sd_keys vfs);
+  Alcotest.(check bool) "tmp swept" false
+    (Vfs.exists vfs "/sd/ab/ab34.json.tmp")
+
+let sharded_keys_ignore_other_names () =
+  let vfs = Vfs.create () in
+  sd_write vfs "cd56" "x";
+  List.iter
+    (fun path -> ignore (Vfs.write_file vfs path "{}"))
+    [ "/sd/zz/zz99.json"; "/sd/manifest.json"; "/sd/cd.json" ];
+  Alcotest.(check (list string)) "only shard documents" [ "cd56" ]
+    (sd_keys vfs);
+  Alcotest.(check bool) "other names left alone" true
+    (List.for_all (Vfs.is_file vfs)
+       [ "/sd/zz/zz99.json"; "/sd/manifest.json"; "/sd/cd.json" ])
+
+let sharded_remove () =
+  let vfs = Vfs.create () in
+  let remove key =
+    match Sharded_dir.remove vfs ~root:sd_root key with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "remove %s: %s" key (Vfs.error_to_string e)
+  in
+  List.iter (fun k -> sd_write vfs k k) [ "e101"; "e102"; "f000" ];
+  remove "e101";
+  Alcotest.(check bool) "non-empty shard kept" true (Vfs.is_dir vfs "/sd/e1");
+  remove "f000";
+  Alcotest.(check bool) "empty shard dropped" false (Vfs.exists vfs "/sd/f0");
+  remove "f000";
+  remove "0123";
+  Alcotest.(check (list string)) "one left" [ "e102" ] (sd_keys vfs)
+
 let () =
   Alcotest.run "store"
     [
+      ( "shard dir",
+        [
+          Alcotest.test_case "keys sorted" `Quick sharded_keys_sorted;
+          Alcotest.test_case "keys sweep a shard's .tmp" `Quick
+            sharded_keys_sweep_tmp;
+          Alcotest.test_case "keys ignore other names" `Quick
+            sharded_keys_ignore_other_names;
+          Alcotest.test_case "remove drops empty shards" `Quick
+            sharded_remove;
+        ] );
       ( "database",
         [
           Alcotest.test_case "queries" `Quick database_queries;
