@@ -142,6 +142,9 @@ mkdir -p "$st_tmp"
 grep -q 'kill point' "$st_tmp/torture-j1.out"
 ./_build/default/bin/spack.exe torture -j 4 --every 13 mpileaks > "$st_tmp/torture-j4.out"
 grep -q 'kill point' "$st_tmp/torture-j4.out"
+# durability traffic is pinned: a changed write count moves every kill point
+grep -q ' 105 barriers,' "$st_tmp/torture-j1.out"
+grep -q ' 105 barriers,' "$st_tmp/torture-j4.out"
 # the bench asserts sharded index traffic beats the legacy whole-file
 # rewrite and that a single-recipe edit leaves unrelated ccache entries
 # live (per-entry Merkle invalidation)
@@ -214,6 +217,7 @@ grep -q '"records": \[\]' "$env_tmp/index-stale.json"
 # the env lifecycle survives a kill at every 7th filesystem barrier
 ./_build/default/bin/spack.exe torture --env --every 7 libdwarf gsl > "$env_tmp/torture.out"
 grep -q 'kill point' "$env_tmp/torture.out"
+grep -q ' 55 write barriers ' "$env_tmp/torture.out"
 # the bench asserts byte-identical solve-vs-replay stores/indexes/views,
 # the typed staleness refusal, and closure-exact shared-store views
 ./_build/default/bench/main.exe env --check > /dev/null

@@ -93,20 +93,29 @@ let fixed ?(decimals = 6) f =
     let scale = 10.0 ** float_of_int decimals in
     Float (Float.round (f *. scale) /. scale)
 
+(* Unescaped runs are copied whole; only the bytes that need an escape
+   are rendered one at a time. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let rec go run i =
+    if i = n then Buffer.add_substring buf s run (i - run)
+    else
+      let c = String.unsafe_get s i in
+      if c <> '"' && c <> '\\' && Char.code c >= 0x20 then go run (i + 1)
+      else begin
+        Buffer.add_substring buf s run (i - run);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let to_string ?(indent = 0) ?(depth = 0) t =
@@ -165,12 +174,16 @@ let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else No
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+let skip_ws st =
+  let n = String.length st.src in
+  while
+    st.pos < n
+    && match String.unsafe_get st.src st.pos with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
   match peek st with
@@ -189,59 +202,118 @@ let literal st word value =
   end
   else fail st (Printf.sprintf "expected %s" word)
 
+let is_hex c =
+  (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+(* exactly four hex digits; [int_of_string] alone would also take OCaml
+   literal syntax such as the digit separator in "0_41" *)
 let parse_hex4 st =
   if st.pos + 4 > String.length st.src then fail st "truncated \\u escape";
   let h = String.sub st.src st.pos 4 in
   st.pos <- st.pos + 4;
-  match int_of_string_opt ("0x" ^ h) with
-  | Some code -> code
-  | None -> fail st ("bad \\u escape " ^ h)
+  if String.for_all is_hex h then int_of_string ("0x" ^ h)
+  else fail st ("bad \\u escape " ^ h)
 
 let utf8_of_code buf code =
-  (* encode a BMP code point *)
   if code < 0x80 then Buffer.add_char buf (Char.chr code)
   else if code < 0x800 then begin
     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
-  else begin
+  else if code < 0x10000 then begin
     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
 
+(* the code point of a [\u] escape whose "\\u" is already consumed: a
+   high surrogate must be followed by an escaped low one, and the pair
+   decodes to one supplementary code point; a lone surrogate is refused *)
+let parse_unicode_escape st =
+  let code = parse_hex4 st in
+  let after = st.pos in
+  let lone () =
+    st.pos <- after;
+    fail st ("bad \\u escape " ^ String.sub st.src (after - 4) 4)
+  in
+  let is_low c = c >= 0xDC00 && c <= 0xDFFF in
+  if is_low code then lone ()
+  else if code >= 0xD800 && code <= 0xDBFF then
+    if
+      after + 1 < String.length st.src
+      && st.src.[after] = '\\'
+      && st.src.[after + 1] = 'u'
+    then begin
+      st.pos <- after + 2;
+      let low = parse_hex4 st in
+      if is_low low then 0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+      else lone ()
+    end
+    else lone ()
+  else code
+
+(* Runs without an escape are copied whole: a string with no escape at
+   all is one [String.sub]. *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
-        advance st;
-        Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-        | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
-        | Some 'b' -> advance st; Buffer.add_char buf '\b'; go ()
-        | Some 'f' -> advance st; Buffer.add_char buf '\012'; go ()
-        | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-        | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-        | Some '/' -> advance st; Buffer.add_char buf '/'; go ()
-        | Some 'u' ->
-            advance st;
-            utf8_of_code buf (parse_hex4 st);
-            go ()
-        | Some c -> fail st (Printf.sprintf "bad escape \\%c" c)
-        | None -> fail st "truncated escape")
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
+  let src = st.src in
+  let n = String.length src in
+  let rec run_end i =
+    if i >= n then i
+    else
+      match String.unsafe_get src i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
   in
-  go ()
+  let escape buf =
+    advance st;
+    if st.pos >= n then fail st "truncated escape";
+    let plain ch =
+      advance st;
+      Buffer.add_char buf ch
+    in
+    match src.[st.pos] with
+    | 'n' -> plain '\n'
+    | 't' -> plain '\t'
+    | 'r' -> plain '\r'
+    | 'b' -> plain '\b'
+    | 'f' -> plain '\012'
+    | '"' -> plain '"'
+    | '\\' -> plain '\\'
+    | '/' -> plain '/'
+    | 'u' ->
+        advance st;
+        utf8_of_code buf (parse_unicode_escape st)
+    | c -> fail st (Printf.sprintf "bad escape \\%c" c)
+  in
+  (* [stop] ends the run that began at [start]: a closing quote, a
+     backslash, or the end of input *)
+  let rec finish buf start stop =
+    Buffer.add_substring buf src start (stop - start);
+    st.pos <- stop;
+    if stop >= n then fail st "unterminated string"
+    else if src.[stop] = '"' then begin
+      advance st;
+      Buffer.contents buf
+    end
+    else begin
+      escape buf;
+      finish buf st.pos (run_end st.pos)
+    end
+  in
+  let start = st.pos in
+  let stop = run_end start in
+  if stop < n && src.[stop] = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else finish (Buffer.create (stop - start + 16)) start stop
 
 let parse_number st =
   let start = st.pos in

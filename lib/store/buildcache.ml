@@ -151,40 +151,67 @@ let is_token_char c =
   || (c >= '0' && c <= '9')
   || c = '.' || c = '_' || c = '+' || c = '-'
 
-let relocate_many ~pairs text =
+(* One scan per text. [relocate_many ~pairs] does its set-up once and
+   returns the scanner: a 256-entry table marks the bytes a source can
+   start with, so any other position costs one table read. Candidates
+   are compared in place, untouched runs are copied whole, and a text
+   with no match is returned as is. *)
+let relocate_many ~pairs =
   let pairs =
     List.filter (fun (f, r) -> f <> "" && f <> r) pairs
-    |> List.sort (fun (a, _) (b, _) ->
+    |> List.stable_sort (fun (a, _) (b, _) ->
            compare (String.length b) (String.length a))
   in
-  if pairs = [] then text
-  else begin
-    let buf = Buffer.create (String.length text) in
+  let starts = Bytes.make 256 '\000' in
+  List.iter (fun (f, _) -> Bytes.set starts (Char.code f.[0]) '\001') pairs;
+  fun text ->
     let n = String.length text in
-    let matches_at i (from_root, _) =
-      let flen = String.length from_root in
-      i + flen <= n
-      && String.sub text i flen = from_root
-      && (i = 0 || not (is_token_char text.[i - 1]))
-      && (i + flen = n || not (is_token_char text.[i + flen]))
+    let rec same_at i f j =
+      j = String.length f
+      || (String.unsafe_get text (i + j) = String.unsafe_get f j
+         && same_at i f (j + 1))
     in
-    let rec go i =
-      if i >= n then ()
+    let rec pair_at i = function
+      | [] -> None
+      | ((f, _) as pair) :: rest ->
+          let flen = String.length f in
+          if
+            i + flen <= n
+            && same_at i f 0
+            && (i + flen = n || not (is_token_char text.[i + flen]))
+          then Some (i, pair)
+          else pair_at i rest
+    in
+    (* the first match at or after [i], with its position *)
+    let rec next_match i =
+      if i >= n then None
+      else if
+        Bytes.unsafe_get starts (Char.code (String.unsafe_get text i))
+        = '\000'
+        || (i > 0 && is_token_char text.[i - 1])
+      then next_match (i + 1)
       else
-        match List.find_opt (matches_at i) pairs with
-        | Some (from_root, to_root) ->
-            Buffer.add_string buf to_root;
-            go (i + String.length from_root)
-        | None ->
-            Buffer.add_char buf text.[i];
-            go (i + 1)
+        match pair_at i pairs with
+        | None -> next_match (i + 1)
+        | found -> found
     in
-    go 0;
-    Buffer.contents buf
-  end
+    match next_match 0 with
+    | None -> text
+    | first ->
+        let buf = Buffer.create (n + 64) in
+        let rec emit run = function
+          | None -> Buffer.add_substring buf text run (n - run)
+          | Some (i, (f, r)) ->
+              Buffer.add_substring buf text run (i - run);
+              Buffer.add_string buf r;
+              let next = i + String.length f in
+              emit next (next_match next)
+        in
+        emit 0 first;
+        Buffer.contents buf
 
-let relocate ~from_root ~to_root text =
-  relocate_many ~pairs:[ (from_root, to_root) ] text
+let relocate ~from_root ~to_root =
+  relocate_many ~pairs:[ (from_root, to_root) ]
 
 let corrupt path reason = Error (Cache_corrupt { co_path = path; co_reason = reason })
 
@@ -296,46 +323,66 @@ let reconcile_prefix t ~prefix files =
     if stale then io "remove" prefix (Vfs.remove t.vfs ~recursive:true prefix)
     else Ok ()
 
+(* Materialize the entry's files and return the payload just written:
+   one manifest line per file and symlink, after relocation, in entry
+   order — the walk order of the archived prefix, hence of this one. *)
 let materialize t ~prefix ~reloc_file ~reloc_link files =
-  List.fold_left
-    (fun acc (rel, kind, content) ->
-      let* () = acc in
-      let dest = prefix ^ "/" ^ rel in
-      match kind with
-      | "dir" -> io "mkdir" dest (Vfs.mkdir_p t.vfs dest)
-      | "file" -> io "write" dest (Vfs.write_file t.vfs dest (reloc_file rel content))
-      | _ -> (
-          let target = reloc_link content in
-          let recreate () =
-            let* () = io "remove" dest (Vfs.remove t.vfs ~recursive:true dest) in
-            io "symlink" dest (Vfs.symlink t.vfs ~target ~link:dest)
-          in
-          match Vfs.symlink t.vfs ~target ~link:dest with
-          | Ok () -> Ok ()
-          | Error (Vfs.Already_exists _) -> (
-              (* re-extract: keep an identical link, but never a stale one
-                 whose target (e.g. under a different install root)
-                 changed, and never a non-link squatting on the path *)
-              match Vfs.kind_of t.vfs dest with
-              | Some Vfs.Symlink -> (
-                  match Vfs.readlink t.vfs dest with
-                  | Ok existing when existing = target -> Ok ()
-                  | Ok _ | Error _ -> recreate ())
-              | _ -> recreate ())
-          | Error e ->
-              Error (Cache_io { io_op = "symlink"; io_path = dest; io_cause = e })))
-    (Ok ()) files
+  let symlink ~target dest =
+    let recreate () =
+      let* () = io "remove" dest (Vfs.remove t.vfs ~recursive:true dest) in
+      io "symlink" dest (Vfs.symlink t.vfs ~target ~link:dest)
+    in
+    match Vfs.symlink t.vfs ~target ~link:dest with
+    | Ok () -> Ok ()
+    | Error (Vfs.Already_exists _) -> (
+        (* re-extract: keep an identical link, but never a stale one
+           whose target (e.g. under a different install root)
+           changed, and never a non-link squatting on the path *)
+        match Vfs.kind_of t.vfs dest with
+        | Some Vfs.Symlink -> (
+            match Vfs.readlink t.vfs dest with
+            | Ok existing when existing = target -> Ok ()
+            | Ok _ | Error _ -> recreate ())
+        | _ -> recreate ())
+    | Error e ->
+        Error (Cache_io { io_op = "symlink"; io_path = dest; io_cause = e })
+  in
+  let manifested rel kind content rev_payload =
+    match Provenance.manifest_entry ~rel kind (fun () -> Some content) with
+    | Some line -> line :: rev_payload
+    | None -> rev_payload
+  in
+  let* rev_payload =
+    List.fold_left
+      (fun acc (rel, kind, content) ->
+        let* rev_payload = acc in
+        let dest = prefix ^ "/" ^ rel in
+        match kind with
+        | "dir" ->
+            let* () = io "mkdir" dest (Vfs.mkdir_p t.vfs dest) in
+            Ok (manifested rel Vfs.Dir content rev_payload)
+        | "file" ->
+            let content = reloc_file rel content in
+            let* () = io "write" dest (Vfs.write_file t.vfs dest content) in
+            Ok (manifested rel Vfs.File content rev_payload)
+        | _ ->
+            let target = reloc_link content in
+            let* () = symlink ~target dest in
+            Ok (manifested rel Vfs.Symlink target rev_payload))
+      (Ok []) files
+  in
+  Ok (List.rev rev_payload)
 
 let extract t ~hash ~install_root ~prefix =
   let* pe = load_entry t ~hash in
   let* () = reconcile_prefix t ~prefix pe.pe_files in
   let reloc = relocate ~from_root:pe.pe_install_root ~to_root:install_root in
-  let* () =
+  let* payload =
     materialize t ~prefix
       ~reloc_file:(fun _rel content -> reloc content)
       ~reloc_link:reloc pe.pe_files
   in
-  Ok pe.pe_spec
+  Ok (pe.pe_spec, payload)
 
 (* ------------------------------------------------------------------ *)
 (* Splicing (spack splice): rewire a cached binary onto a different
@@ -436,5 +483,7 @@ let splice t ~hash ~install_root ~prefix ~prefix_map =
         if !changed then incr rewired;
         Binary.serialize bin'
   in
-  let* () = materialize t ~prefix ~reloc_file ~reloc_link:textual pe.pe_files in
+  let* _payload =
+    materialize t ~prefix ~reloc_file ~reloc_link:textual pe.pe_files
+  in
   Ok !rewired

@@ -81,17 +81,25 @@ val relocate : from_root:string -> to_root:string -> string -> string
 
 val relocate_many : pairs:(string * string) list -> string -> string
 (** Several replacements in one left-to-right scan (longest source
-    first, no chaining — a replacement's output is never re-matched). *)
+    first, no chaining — a replacement's output is never re-matched).
+    The scan allocates nothing per byte: partial application to [~pairs]
+    builds a first-byte table once, candidates are compared in place, and
+    a text with no match is returned as is. *)
 
 val extract :
   t ->
   hash:string ->
   install_root:string ->
   prefix:string ->
-  (Ospack_spec.Concrete.t, error) result
+  (Ospack_spec.Concrete.t * (string * string) list, error) result
 (** Materialize a cached build into [prefix], relocating every embedded
     occurrence of the cached install root to [install_root]. Returns the
-    stored concrete spec.
+    stored concrete spec and the payload just materialized: one
+    [(rel, md5)] per file and symlink outside [.spack], taken after
+    relocation by {!Provenance.manifest_entry}, in entry order. Entry
+    order is the walk order of the archived prefix, so the list equals
+    {!Provenance.payload} of the extracted prefix and the installer writes
+    the manifest from it without walking and re-reading the prefix.
 
     Entries whose file list does not match their recorded count are
     rejected as truncated, and entries without a count are refused

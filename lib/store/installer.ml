@@ -389,9 +389,10 @@ let install_node t spec name ~explicit =
             (Install_failure
                (Printf.sprintf "buildcache %s: %s" name
                   (Buildcache.error_to_string e)))
-      | Ok _stored_spec -> (
-          (* relocation rewrote file contents, so re-manifest the prefix *)
-          match Provenance.write_manifest t.vfs ~prefix with
+      | Ok (_stored_spec, payload) -> (
+          (* relocation rewrote file contents: manifest the bytes the
+             extractor just wrote, without walking the prefix again *)
+          match Provenance.write_manifest t.vfs ~prefix payload with
           | Error e ->
               discard_partial t ~hash ~prefix;
               Error
@@ -465,7 +466,8 @@ let install_node t spec name ~explicit =
              Provenance.write t.vfs ~prefix ~spec:sub
                ~package_source:pkg.Package.p_source ~log:result.Builder.br_log
            in
-           Provenance.write_manifest t.vfs ~prefix)
+           Provenance.write_manifest t.vfs ~prefix
+             (Provenance.payload t.vfs ~prefix))
       in
       let record =
         {
@@ -1028,7 +1030,10 @@ let splice t ~hash ~replacement =
       | Error e -> fail_with (Buildcache.error_to_string e)
       | Ok rewired -> (
           (* relocation rewrote file contents, so re-manifest the prefix *)
-          match Provenance.write_manifest t.vfs ~prefix:new_prefix with
+          match
+            Provenance.write_manifest t.vfs ~prefix:new_prefix
+              (Provenance.payload t.vfs ~prefix:new_prefix)
+          with
           | Error e ->
               fail_with
                 (Printf.sprintf "provenance %s: %s" root_name

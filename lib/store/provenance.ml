@@ -63,32 +63,39 @@ let manifest_path prefix = prefix ^ "/" ^ dir ^ "/manifest.json"
    hashed by target so retargeting is detected *)
 let md5_hex s = Digest.to_hex (Digest.string s)
 
-let payload vfs prefix =
+(* The one entry -> manifest line function, shared by the prefix walk and
+   the buildcache extractor so both render identical manifests. [read]
+   yields the file bytes or the link target and is called only for an
+   entry that is manifested. *)
+let manifest_entry ~rel kind read =
+  if String.length rel >= String.length dir
+     && String.sub rel 0 (String.length dir) = dir
+  then None
+  else
+    match kind with
+    | Vfs.Dir -> None
+    | Vfs.File -> Option.map (fun content -> (rel, md5_hex content)) (read ())
+    | Vfs.Symlink ->
+        Option.map (fun target -> (rel, md5_hex ("link:" ^ target))) (read ())
+
+let payload vfs ~prefix =
+  let plen = String.length prefix + 1 in
   Vfs.walk vfs prefix
   |> List.filter_map (fun (path, kind) ->
-         let plen = String.length prefix + 1 in
          let rel = String.sub path plen (String.length path - plen) in
-         if String.length rel >= String.length dir
-            && String.sub rel 0 (String.length dir) = dir
-         then None
-         else
-           match kind with
-           | Vfs.Dir -> None
-           | Vfs.File -> (
-               match Vfs.read_file vfs path with
-               | Ok content -> Some (rel, md5_hex content)
-               | Error _ -> None)
-           | Vfs.Symlink -> (
-               match Vfs.readlink vfs path with
-               | Ok target -> Some (rel, md5_hex ("link:" ^ target))
-               | Error _ -> None))
+         manifest_entry ~rel kind (fun () ->
+             Result.to_option
+               (match kind with
+               | Vfs.Symlink -> Vfs.readlink vfs path
+               | Vfs.File | Vfs.Dir -> Vfs.read_file vfs path)))
 
-let write_manifest vfs ~prefix =
-  let entries =
-    List.map (fun (rel, md5) -> (rel, Json.String md5)) (payload vfs prefix)
-  in
-  Vfs.write_file vfs (manifest_path prefix)
-    (Json.to_string ~indent:2 (Json.Obj entries) ^ "\n")
+let render_manifest payload =
+  Json.to_string ~indent:2
+    (Json.Obj (List.map (fun (rel, md5) -> (rel, Json.String md5)) payload))
+  ^ "\n"
+
+let write_manifest vfs ~prefix payload =
+  Vfs.write_file vfs (manifest_path prefix) (render_manifest payload)
 
 let verify_manifest vfs ~prefix =
   match Vfs.read_file vfs (manifest_path prefix) with
@@ -103,7 +110,7 @@ let verify_manifest vfs ~prefix =
                 Option.map (fun md5 -> (rel, md5)) (Json.get_string v))
               fields
           in
-          let current = payload vfs prefix in
+          let current = payload vfs ~prefix in
           let missing, modified =
             List.fold_left
               (fun (missing, modified) (rel, md5) ->

@@ -48,10 +48,36 @@ type verify_report = {
 
 val report_clean : verify_report -> bool
 
+val manifest_entry :
+  rel:string ->
+  Ospack_vfs.Vfs.kind ->
+  (unit -> string option) ->
+  (string * string) option
+(** The single "entry -> manifest line" function. [manifest_entry ~rel kind
+    read] is [Some (rel, md5)] for a payload file (the MD5 of its bytes)
+    or symlink (the MD5 of ["link:" ^ target]), where [read ()] yields
+    those bytes or that target; it is [None] for a directory, for anything
+    under [.spack] (whose name begins with {!dir}), and when [read] yields
+    nothing. [read] is called only for a manifested entry. The prefix walk
+    ({!payload}) and the buildcache extractor both use it, so a manifest
+    taken at extraction is byte-identical to one taken by walking. *)
+
+val payload : Ospack_vfs.Vfs.t -> prefix:string -> (string * string) list
+(** [(rel, md5)] of every payload entry of the prefix, in {!Ospack_vfs.Vfs.walk}
+    order: the prefix is walked and every file re-read. *)
+
+val render_manifest : (string * string) list -> string
+(** The bytes of [manifest.json] for a payload: an object mapping each
+    relative path to its MD5, indented 2, with a trailing newline. *)
+
 val write_manifest :
-  Ospack_vfs.Vfs.t -> prefix:string -> (unit, Ospack_vfs.Vfs.error) result
-(** Hash every payload file of the prefix into
-    [<prefix>/.spack/manifest.json]. Never raises. *)
+  Ospack_vfs.Vfs.t ->
+  prefix:string ->
+  (string * string) list ->
+  (unit, Ospack_vfs.Vfs.error) result
+(** Write [<prefix>/.spack/manifest.json] for the given payload — either
+    {!payload} of the prefix or the list the extractor returned. Never
+    raises. *)
 
 val verify_manifest :
   Ospack_vfs.Vfs.t -> prefix:string -> (verify_report, string) result

@@ -111,42 +111,48 @@ let max_hops = 40
 
 let ( let* ) = Result.bind
 
+(* The canonical path walked so far travels as its reversed component
+   list and is rendered only when it is returned or reported: a step is
+   O(1), and a lookup whose path the caller drops never builds one. The
+   components of a normalized path are never "", "." or "..", so nothing
+   is re-normalized on the way down. *)
+let path_of rev = Vpath.concat (List.rev rev)
+
 (* Walk a path down from the root, following symlinks (including one at the
-   final component when [follow_last]). Returns the canonical path and node.
-   [hops] bounds total symlink traversals across the whole resolution. *)
+   final component when [follow_last]). Returns the canonical path (as
+   reversed components) and node. [hops] bounds total symlink traversals
+   across the whole resolution. *)
 let rec lookup fs ~follow_last ~hops path =
   let components = Vpath.split (Vpath.normalize path) in
-  let rec step dir dir_path remaining hops =
+  let rec step dir rev remaining hops =
     fs.c.stat <- fs.c.stat + 1;
     match remaining with
-    | [] -> Ok (dir_path, Ndir dir, hops)
+    | [] -> Ok (rev, Ndir dir, hops)
     | name :: rest -> (
+        let here = name :: rev in
         match Hashtbl.find_opt dir name with
-        | None -> Error (Not_found (Vpath.join dir_path name))
+        | None -> Error (Not_found (path_of here))
         | Some node -> (
-            let here = Vpath.join dir_path name in
             match node with
             | Ndir d -> step d here rest hops
             | Nfile _ when rest = [] -> Ok (here, node, hops)
-            | Nfile _ -> Error (Not_a_directory here)
+            | Nfile _ -> Error (Not_a_directory (path_of here))
             | Nlink target ->
                 if rest = [] && not follow_last then Ok (here, node, hops)
-                else if hops <= 0 then Error (Symlink_loop here)
+                else if hops <= 0 then Error (Symlink_loop (path_of here))
                 else
-                  let resolved_target =
-                    Vpath.join (Vpath.dirname here) target
-                  in
+                  let resolved_target = Vpath.join (path_of rev) target in
                   let full =
                     Vpath.normalize
                       (resolved_target ^ "/" ^ String.concat "/" rest)
                   in
                   lookup fs ~follow_last ~hops:(hops - 1) full))
   in
-  step fs.root "/" components hops
+  step fs.root [] components hops
 
 let lookup_node fs ~follow_last path =
   match lookup fs ~follow_last ~hops:max_hops path with
-  | Ok (p, n, _) -> Ok (p, n)
+  | Ok (rev, n, _) -> Ok (rev, n)
   | Error e -> Error e
 
 (* Find (or create, with [create_missing]) the parent directory table of a
@@ -157,20 +163,21 @@ let parent_dir fs ~create_missing path =
   | [] -> Error (Is_a_directory "/")
   | name :: rev_parents ->
       let parents = List.rev rev_parents in
-      let rec descend dir dir_path = function
+      let rec descend dir rev = function
         | [] -> Ok (dir, name)
         | c :: rest -> (
             fs.c.stat <- fs.c.stat + 1;
-            let here = Vpath.join dir_path c in
+            let here = c :: rev in
             match Hashtbl.find_opt dir c with
             | Some (Ndir d) -> descend d here rest
             | Some (Nlink _) -> (
                 (* resolve the link, then continue from there *)
-                match lookup_node fs ~follow_last:true here with
+                let here_path = path_of here in
+                match lookup_node fs ~follow_last:true here_path with
                 | Ok (_, Ndir d) -> descend d here rest
-                | Ok _ -> Error (Not_a_directory here)
+                | Ok _ -> Error (Not_a_directory here_path)
                 | Error e -> Error e)
-            | Some (Nfile _) -> Error (Not_a_directory here)
+            | Some (Nfile _) -> Error (Not_a_directory (path_of here))
             | None ->
                 if create_missing then begin
                   fs.c.mkdir <- fs.c.mkdir + 1;
@@ -178,9 +185,9 @@ let parent_dir fs ~create_missing path =
                   Hashtbl.replace dir c (Ndir d);
                   descend d here rest
                 end
-                else Error (Not_found here))
+                else Error (Not_found (path_of here)))
       in
-      descend fs.root "/" parents
+      descend fs.root [] parents
 
 let mkdir_p fs path =
   let* () = check_crashed fs ~op:"mkdir" ~path in
@@ -209,8 +216,8 @@ let write_file fs path content =
       | Ok (_, Nfile r) ->
           r := content;
           Ok ()
-      | Ok (p, Ndir _) -> Error (Is_a_directory p)
-      | Ok (p, Nlink _) -> Error (Symlink_loop p)
+      | Ok (p, Ndir _) -> Error (Is_a_directory (path_of p))
+      | Ok (p, Nlink _) -> Error (Symlink_loop (path_of p))
       | Error (Not_found _) ->
           (* dangling link: write creates the target *)
           let* target =
@@ -230,8 +237,8 @@ let read_file fs path =
   fs.c.read <- fs.c.read + 1;
   match lookup_node fs ~follow_last:true path with
   | Ok (_, Nfile r) -> Ok !r
-  | Ok (p, Ndir _) -> Error (Is_a_directory p)
-  | Ok (p, Nlink _) -> Error (Symlink_loop p)
+  | Ok (p, Ndir _) -> Error (Is_a_directory (path_of p))
+  | Ok (p, Nlink _) -> Error (Symlink_loop (path_of p))
   | Error e -> Error e
 
 let symlink fs ~target ~link =
@@ -247,12 +254,12 @@ let symlink fs ~target ~link =
 let readlink fs path =
   match lookup_node fs ~follow_last:false path with
   | Ok (_, Nlink target) -> Ok target
-  | Ok (p, _) -> Error (Not_a_symlink p)
+  | Ok (p, _) -> Error (Not_a_symlink (path_of p))
   | Error e -> Error e
 
 let resolve fs path =
   match lookup fs ~follow_last:true ~hops:max_hops path with
-  | Ok (p, _, _) -> Ok p
+  | Ok (p, _, _) -> Ok (path_of p)
   | Error e -> Error e
 
 let kind_of fs path =
@@ -279,7 +286,7 @@ let ls fs path =
   match lookup_node fs ~follow_last:true path with
   | Ok (_, Ndir d) ->
       Ok (Hashtbl.fold (fun k _ acc -> k :: acc) d [] |> List.sort compare)
-  | Ok (p, _) -> Error (Not_a_directory p)
+  | Ok (p, _) -> Error (Not_a_directory (path_of p))
   | Error e -> Error e
 
 let walk fs path =
@@ -290,7 +297,7 @@ let walk fs path =
     in
     List.fold_left
       (fun acc (name, node) ->
-        let here = Vpath.join dir_path name in
+        let here = Vpath.extend dir_path name in
         match node with
         | Nfile _ -> (here, File) :: acc
         | Nlink _ -> (here, Symlink) :: acc
@@ -298,7 +305,7 @@ let walk fs path =
       acc entries
   in
   match lookup_node fs ~follow_last:true path with
-  | Ok (p, Ndir d) -> List.rev (go [] p d)
+  | Ok (p, Ndir d) -> List.rev (go [] (path_of p) d)
   | _ -> []
 
 let rename fs ~src ~dst =

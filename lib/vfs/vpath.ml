@@ -5,14 +5,33 @@ let is_absolute p = String.length p > 0 && p.[0] = '/'
 
 let concat components = "/" ^ String.concat "/" components
 
-let normalize p =
-  let rec resolve acc = function
-    | [] -> List.rev acc
-    | ".." :: rest -> (
-        match acc with [] -> resolve [] rest | _ :: up -> resolve up rest)
-    | c :: rest -> resolve (c :: acc) rest
+(* absolute, no empty, "." or ".." component, no trailing '/': the fixed
+   points of [normalize], recognised in one scan without allocating *)
+let is_canonical p =
+  let n = String.length p in
+  let rec component start i =
+    if i < n && p.[i] <> '/' then component start (i + 1)
+    else
+      let len = i - start in
+      len > 0
+      && not (len = 1 && p.[start] = '.')
+      && not (len = 2 && p.[start] = '.' && p.[start + 1] = '.')
+      && (i = n || component (i + 1) (i + 1))
   in
-  concat (resolve [] (split p))
+  n > 0 && p.[0] = '/' && (n = 1 || component 1 1)
+
+let normalize p =
+  if is_canonical p then p
+  else
+    let rec resolve acc = function
+      | [] -> List.rev acc
+      | ".." :: rest -> (
+          match acc with [] -> resolve [] rest | _ :: up -> resolve up rest)
+      | c :: rest -> resolve (c :: acc) rest
+    in
+    concat (resolve [] (split p))
+
+let extend dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
 
 let join dir name =
   if is_absolute name then normalize name else normalize (dir ^ "/" ^ name)

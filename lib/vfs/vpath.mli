@@ -13,7 +13,19 @@ val join : string -> string -> string
 
 val normalize : string -> string
 (** Canonical absolute form: leading slash, no duplicate slashes, [".."]
-    resolved lexically (never above the root). *)
+    resolved lexically (never above the root). A path that is already
+    canonical ({!is_canonical}) is returned as is, without allocating. *)
+
+val is_canonical : string -> bool
+(** Absolute, with no empty, ["."] or [".."] component and no trailing
+    ['/'] (["/"] itself is canonical): exactly the paths {!normalize}
+    leaves unchanged. *)
+
+val extend : string -> string -> string
+(** [extend dir name] appends one component to a canonical path by plain
+    concatenation. Equal to [join dir name] when [dir] is canonical and
+    [name] is a single component other than [""], ["."] and [".."] — the
+    linear-time step of a path walk. *)
 
 val dirname : string -> string
 (** Parent path; ["/"] is its own parent. *)

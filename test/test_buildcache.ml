@@ -170,6 +170,93 @@ let relocate_boundaries () =
   Alcotest.(check string) "no chained rewrites" "/b"
     (Buildcache.relocate_many ~pairs:[ ("/a", "/b"); ("/b", "/c") ] "/a")
 
+(* The reference relocator: the straightforward scan that tries every
+   pair at every position with a fresh substring. The one-scan kernel
+   must return exactly its bytes. *)
+let reference_relocate_many ~pairs text =
+  let is_token_char c =
+    (c >= 'a' && c <= 'z')
+    || (c >= 'A' && c <= 'Z')
+    || (c >= '0' && c <= '9')
+    || c = '.' || c = '_' || c = '+' || c = '-'
+  in
+  let pairs =
+    List.filter (fun (f, r) -> f <> "" && f <> r) pairs
+    |> List.stable_sort (fun (a, _) (b, _) ->
+           compare (String.length b) (String.length a))
+  in
+  let buf = Buffer.create (String.length text) in
+  let n = String.length text in
+  let matches_at i (from_root, _) =
+    let flen = String.length from_root in
+    i + flen <= n
+    && String.sub text i flen = from_root
+    && (i = 0 || not (is_token_char text.[i - 1]))
+    && (i + flen = n || not (is_token_char text.[i + flen]))
+  in
+  let rec go i =
+    if i < n then
+      match List.find_opt (matches_at i) pairs with
+      | Some (from_root, to_root) ->
+          Buffer.add_string buf to_root;
+          go (i + String.length from_root)
+      | None ->
+          Buffer.add_char buf text.[i];
+          go (i + 1)
+  in
+  go 0;
+  Buffer.contents buf
+
+(* Sources share components, so one is often a prefix of another, and a
+   replacement is often another pair's source (which must not chain).
+   Texts are built from whole sources, source prefixes, token
+   characters, '/', ':' and other boundaries. *)
+let arb_relocation =
+  let open QCheck.Gen in
+  let component = oneofl [ "opt"; "spack"; "sub"; "a"; "b2"; "x.y"; "o" ] in
+  let path =
+    map2
+      (fun slash parts -> (if slash then "/" else "") ^ String.concat "/" parts)
+      (frequency [ (2, return true); (1, return false) ])
+      (list_size (int_range 1 3) component)
+  in
+  let gen =
+    path >>= fun s1 ->
+    list_size (int_range 0 3) path >>= fun more ->
+    let sources = s1 :: more in
+    let replacement =
+      frequency
+        [ (2, oneofl sources); (2, path); (1, return ""); (1, return "/n") ]
+    in
+    list_size (int_range 1 4) (pair (oneofl ("" :: sources)) replacement)
+    >>= fun pairs ->
+    let piece =
+      frequency
+        [
+          (4, oneofl sources);
+          ( 2,
+            oneofl sources >>= fun s ->
+            map (fun k -> String.sub s 0 k) (int_bound (String.length s)) );
+          (3, map (String.make 1) (oneofl [ 'a'; 'Z'; '9'; '.'; '_'; '+'; '-' ]));
+          (3, oneofl [ "/"; ":"; " "; "\n"; "="; "" ]);
+        ]
+    in
+    map (fun ps -> (pairs, String.concat "" ps)) (list_size (int_bound 12) piece)
+  in
+  QCheck.make
+    ~print:(fun (pairs, text) ->
+      Printf.sprintf "pairs=[%s] text=%S"
+        (String.concat "; "
+           (List.map (fun (f, r) -> Printf.sprintf "%S->%S" f r) pairs))
+        text)
+    gen
+
+let relocate_oracle =
+  QCheck.Test.make ~name:"one-scan relocation = reference relocator"
+    ~count:2000 arb_relocation (fun (pairs, text) ->
+      Buildcache.relocate_many ~pairs text
+      = reference_relocate_many ~pairs text)
+
 (* --- extraction over a stale prefix clears orphans ------------------- *)
 
 let extract_clears_orphans () =
@@ -461,6 +548,7 @@ let () =
         [
           Alcotest.test_case "path-token boundary rules" `Quick
             relocate_boundaries;
+          QCheck_alcotest.to_alcotest relocate_oracle;
         ] );
       ( "extraction",
         [

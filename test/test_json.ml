@@ -40,7 +40,26 @@ let parse_errors () =
   bad "\"unterminated";
   bad "tru";
   bad "1 2" (* trailing input *);
-  bad "{'a': 1}" (* single quotes *)
+  bad "{'a': 1}" (* single quotes *);
+  (* a \u escape is exactly four hex digits: no OCaml literal syntax *)
+  let bad_u src =
+    match Json.of_string src with
+    | Ok _ -> Alcotest.failf "%s parsed" src
+    | Error e ->
+        Alcotest.(check bool) (src ^ ": " ^ e) true
+          (Astring.String.is_infix ~affix:"bad \\u escape" e)
+  in
+  bad_u {|"\u0_41"|};
+  bad_u {|"\u+041"|};
+  (* lone surrogates are refused; a pair decodes to one 4-byte sequence *)
+  bad_u {|"\ud83d"|};
+  bad_u {|"\ud83dx"|};
+  bad_u {|"\ud83d\u0041"|};
+  bad_u {|"\ude00"|};
+  Alcotest.(check bool) "surrogate pair" true
+    (Json.of_string {|"\ud83d\ude00"|} = Ok (Json.String "\xf0\x9f\x98\x80"));
+  Alcotest.(check bool) "BMP escape" true
+    (Json.of_string {|"\u00e9\u20AC"|} = Ok (Json.String "\xc3\xa9\xe2\x82\xac"))
 
 let accessors () =
   let v =
@@ -114,8 +133,46 @@ let float_roundtrip =
       | Ok (Json.Int i) -> float_of_int i = f
       | _ -> false)
 
-(* random JSON values; strings restricted to printable to keep the
-   generator simple *)
+(* The reference escaper: one byte at a time, as JSON specifies. The
+   run-copying [to_string] must render every string exactly so. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* strings over every byte, weighted towards the ones that need escaping
+   or start a multi-byte sequence *)
+let any_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, printable);
+        (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '/' ]);
+        (2, char);
+      ])
+
+let escape_oracle =
+  QCheck.Test.make ~name:"to_string (String s) = reference escaper" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:any_byte (int_bound 40)))
+    (fun s ->
+      Json.to_string (Json.String s) = reference_escape s
+      && Json.of_string (Json.to_string (Json.String s)) = Ok (Json.String s))
+
+(* random JSON values; strings and keys range over every byte *)
 let arb_json =
   let open QCheck.Gen in
   let leaf =
@@ -127,7 +184,7 @@ let arb_json =
         map
           (fun (m, e) -> Json.Float (ldexp m e))
           (pair (float_bound_inclusive 1.0) (int_range (-40) 40));
-        map (fun s -> Json.String s) (string_size ~gen:printable (int_bound 12));
+        map (fun s -> Json.String s) (string_size ~gen:any_byte (int_bound 12));
       ]
   in
   let value =
@@ -158,7 +215,7 @@ let arb_json =
                              kvs))
                       (list_size (int_bound 4)
                          (pair
-                            (string_size ~gen:printable (int_bound 8))
+                            (string_size ~gen:any_byte (int_bound 8))
                             (self (n / 2)))) );
                 ])
           (min n 12))
@@ -292,6 +349,7 @@ let () =
           QCheck_alcotest.to_alcotest float_roundtrip;
           QCheck_alcotest.to_alcotest roundtrip_compact;
           QCheck_alcotest.to_alcotest roundtrip_pretty;
+          QCheck_alcotest.to_alcotest escape_oracle;
         ] );
       ( "spec-json",
         [

@@ -345,6 +345,20 @@ let buildcache_roundtrip () =
        Alcotest.(check bool) "relocated prefix verifies clean" true
          (Provenance.report_clean report)
    | Error e -> Alcotest.failf "verify after pull: %s" e);
+  (* the manifest written from the extractor's payload is byte-identical
+     to one rendered from a walk of the pulled prefix *)
+  List.iter
+    (fun r ->
+      let prefix = r.Database.r_prefix in
+      match Vfs.read_file vfs (prefix ^ "/.spack/manifest.json") with
+      | Ok written ->
+          Alcotest.(check string)
+            (r.Database.r_hash ^ " extract-time manifest = walked manifest")
+            (Provenance.render_manifest (Provenance.payload vfs ~prefix))
+            written
+      | Error e ->
+          Alcotest.failf "manifest of %s: %s" prefix (Vfs.error_to_string e))
+    (Database.all (Installer.database puller));
   (* provenance travels with the archive *)
   let pulled_root =
     List.hd (Database.find_by_name (Installer.database puller) "mpileaks")

@@ -271,10 +271,285 @@ let write_read_consistent =
         (fun path content ok -> ok && Vfs.read_file fs path = Ok content)
         last true)
 
+(* --- linear-time path walks against a reference ----------------------- *)
+
+(* The reference filesystem: the same tree and the same operations, but
+   every path step re-normalizes the whole accumulated path with the
+   plain algorithm (no canonical fast path). The kernels must match it in
+   results, error payloads, counters and barriers. *)
+module Ref = struct
+  type node = F of string ref | D of (string, node) Hashtbl.t | L of string
+
+  type t = {
+    root : (string, node) Hashtbl.t;
+    c : Vfs.counters;
+    mutable barriers : int;
+  }
+
+  let create () =
+    {
+      root = Hashtbl.create 16;
+      c =
+        { Vfs.stat = 0; read = 0; write = 0; mkdir = 0; link = 0; unlink = 0;
+          readdir = 0 };
+      barriers = 0;
+    }
+
+  let normalize p =
+    let rec resolve acc = function
+      | [] -> List.rev acc
+      | ".." :: rest -> (
+          match acc with [] -> resolve [] rest | _ :: up -> resolve up rest)
+      | c :: rest -> resolve (c :: acc) rest
+    in
+    Vpath.concat (resolve [] (Vpath.split p))
+
+  let join dir name =
+    if Vpath.is_absolute name then normalize name
+    else normalize (dir ^ "/" ^ name)
+
+  let ( let* ) = Result.bind
+
+  let rec lookup fs ~follow_last ~hops path =
+    let rec step dir dir_path remaining hops =
+      fs.c.stat <- fs.c.stat + 1;
+      match remaining with
+      | [] -> Ok (dir_path, D dir, hops)
+      | name :: rest -> (
+          match Hashtbl.find_opt dir name with
+          | None -> Error (Vfs.Not_found (join dir_path name))
+          | Some node -> (
+              let here = join dir_path name in
+              match node with
+              | D d -> step d here rest hops
+              | F _ when rest = [] -> Ok (here, node, hops)
+              | F _ -> Error (Vfs.Not_a_directory here)
+              | L target ->
+                  if rest = [] && not follow_last then Ok (here, node, hops)
+                  else if hops <= 0 then Error (Vfs.Symlink_loop here)
+                  else
+                    let full =
+                      normalize
+                        (join (Vpath.dirname here) target
+                        ^ "/" ^ String.concat "/" rest)
+                    in
+                    lookup fs ~follow_last ~hops:(hops - 1) full))
+    in
+    step fs.root "/" (Vpath.split (normalize path)) hops
+
+  let lookup_node fs ~follow_last path =
+    Result.map (fun (p, n, _) -> (p, n)) (lookup fs ~follow_last ~hops:40 path)
+
+  (* every modelled op creates missing parents *)
+  let parent_dir fs path =
+    match List.rev (Vpath.split (normalize path)) with
+    | [] -> Error (Vfs.Is_a_directory "/")
+    | name :: rev_parents ->
+        let rec descend dir dir_path = function
+          | [] -> Ok (dir, name)
+          | c :: rest -> (
+              fs.c.stat <- fs.c.stat + 1;
+              let here = join dir_path c in
+              match Hashtbl.find_opt dir c with
+              | Some (D d) -> descend d here rest
+              | Some (L _) -> (
+                  match lookup_node fs ~follow_last:true here with
+                  | Ok (_, D d) -> descend d here rest
+                  | Ok _ -> Error (Vfs.Not_a_directory here)
+                  | Error e -> Error e)
+              | Some (F _) -> Error (Vfs.Not_a_directory here)
+              | None ->
+                  fs.c.mkdir <- fs.c.mkdir + 1;
+                  let d = Hashtbl.create 8 in
+                  Hashtbl.replace dir c (D d);
+                  descend d here rest)
+        in
+        descend fs.root "/" (List.rev rev_parents)
+
+  let mkdir_p fs path =
+    if normalize path = "/" then Ok ()
+    else
+      let* dir, name = parent_dir fs path in
+      match Hashtbl.find_opt dir name with
+      | Some (D _) -> Ok ()
+      | Some _ -> Error (Vfs.Not_a_directory (normalize path))
+      | None ->
+          fs.c.mkdir <- fs.c.mkdir + 1;
+          Hashtbl.replace dir name (D (Hashtbl.create 8));
+          Ok ()
+
+  let write_file fs path content =
+    fs.barriers <- fs.barriers + 1;
+    let* dir, name = parent_dir fs path in
+    fs.c.write <- fs.c.write + 1;
+    match Hashtbl.find_opt dir name with
+    | Some (D _) -> Error (Vfs.Is_a_directory (normalize path))
+    | Some (F r) ->
+        r := content;
+        Ok ()
+    | Some (L t) -> (
+        match lookup_node fs ~follow_last:true path with
+        | Ok (_, F r) ->
+            r := content;
+            Ok ()
+        | Ok (p, D _) -> Error (Vfs.Is_a_directory p)
+        | Ok (p, L _) -> Error (Vfs.Symlink_loop p)
+        | Error (Vfs.Not_found _) ->
+            let target = join (Vpath.dirname (normalize path)) t in
+            let* tdir, tname = parent_dir fs target in
+            Hashtbl.replace tdir tname (F (ref content));
+            Ok ()
+        | Error e -> Error e)
+    | None ->
+        Hashtbl.replace dir name (F (ref content));
+        Ok ()
+
+  let read_file fs path =
+    fs.c.read <- fs.c.read + 1;
+    match lookup_node fs ~follow_last:true path with
+    | Ok (_, F r) -> Ok !r
+    | Ok (p, D _) -> Error (Vfs.Is_a_directory p)
+    | Ok (p, L _) -> Error (Vfs.Symlink_loop p)
+    | Error e -> Error e
+
+  let symlink fs ~target ~link =
+    let* dir, name = parent_dir fs link in
+    fs.c.link <- fs.c.link + 1;
+    match Hashtbl.find_opt dir name with
+    | Some _ -> Error (Vfs.Already_exists (normalize link))
+    | None ->
+        Hashtbl.replace dir name (L target);
+        Ok ()
+
+  let resolve fs path =
+    Result.map (fun (p, _, _) -> p) (lookup fs ~follow_last:true ~hops:40 path)
+
+  let walk fs path =
+    let rec go acc dir_path d =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) d []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> List.fold_left
+           (fun acc (name, node) ->
+             let here = join dir_path name in
+             match node with
+             | F _ -> (here, Vfs.File) :: acc
+             | L _ -> (here, Vfs.Symlink) :: acc
+             | D d' -> go ((here, Vfs.Dir) :: acc) here d')
+           acc
+    in
+    match lookup_node fs ~follow_last:true path with
+    | Ok (p, D d) -> List.rev (go [] p d)
+    | _ -> []
+end
+
+(* paths over a small alphabet, with ".", "..", empty components ("//")
+   and an optional trailing '/'; "l" and "m" are usually symlinks *)
+let gen_path ~absolute =
+  QCheck.Gen.(
+    map2
+      (fun parts trailing ->
+        (if absolute then "/" else "")
+        ^ String.concat "/" parts
+        ^ if trailing then "/" else "")
+      (list_size (int_range 1 4)
+         (frequency
+            [
+              (4, oneofl [ "a"; "b" ]);
+              (3, oneofl [ "l"; "m" ]);
+              (1, oneofl [ "."; ".."; "" ]);
+            ]))
+      (frequency [ (4, return false); (1, return true) ]))
+
+let arb_vpath =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(bool >>= fun absolute -> gen_path ~absolute)
+
+let normalize_props =
+  QCheck.Test.make ~name:"normalize: idempotent, canonical input unchanged"
+    ~count:1000 arb_vpath (fun p ->
+      let n = Vpath.normalize p in
+      n = Ref.normalize p
+      && Vpath.is_canonical n
+      && Vpath.normalize n == n
+      && Vpath.is_canonical p = (n = p)
+      && List.for_all
+           (fun c -> Vpath.extend n c = Vpath.join n c)
+           (Vpath.split n))
+
+type op =
+  | Mkdir of string
+  | Write of string * string
+  | Symlink of string * string  (** target, link *)
+  | Read of string
+  | Resolve of string
+  | Walk of string
+
+let show_op = function
+  | Mkdir p -> Printf.sprintf "mkdir %S" p
+  | Write (p, c) -> Printf.sprintf "write %S %S" p c
+  | Symlink (t, l) -> Printf.sprintf "symlink %S -> %S" l t
+  | Read p -> Printf.sprintf "read %S" p
+  | Resolve p -> Printf.sprintf "resolve %S" p
+  | Walk p -> Printf.sprintf "walk %S" p
+
+let arb_script =
+  let open QCheck.Gen in
+  let path = gen_path ~absolute:true in
+  let op =
+    frequency
+      [
+        (2, map (fun p -> Mkdir p) path);
+        (3, map2 (fun p c -> Write (p, c)) path (oneofl [ "x"; "y" ]));
+        ( 2,
+          map2
+            (fun t l -> Symlink (t, l))
+            (bool >>= fun absolute -> gen_path ~absolute)
+            path );
+        (3, map (fun p -> Read p) path);
+        (1, map (fun p -> Resolve p) path);
+        (1, map (fun p -> Walk p) path);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 30) op)
+
+type outcome =
+  | Unit of (unit, Vfs.error) result
+  | Text of (string, Vfs.error) result
+  | Walked of (string * Vfs.kind) list
+
+let walk_matches_reference =
+  QCheck.Test.make ~name:"path walks = reference (results, errors, counters)"
+    ~count:500 arb_script (fun ops ->
+      let fs = Vfs.create () and r = Ref.create () in
+      List.for_all
+        (fun op ->
+          let got, want =
+            match op with
+            | Mkdir p -> (Unit (Vfs.mkdir_p fs p), Unit (Ref.mkdir_p r p))
+            | Write (p, c) ->
+                (Unit (Vfs.write_file fs p c), Unit (Ref.write_file r p c))
+            | Symlink (target, link) ->
+                ( Unit (Vfs.symlink fs ~target ~link),
+                  Unit (Ref.symlink r ~target ~link) )
+            | Read p -> (Text (Vfs.read_file fs p), Text (Ref.read_file r p))
+            | Resolve p -> (Text (Vfs.resolve fs p), Text (Ref.resolve r p))
+            | Walk p -> (Walked (Vfs.walk fs p), Walked (Ref.walk r p))
+          in
+          got = want
+          && Vfs.counters fs = r.Ref.c
+          && Vfs.write_barriers fs = r.Ref.barriers)
+        ops)
+
 let () =
   Alcotest.run "vfs"
     [
-      ("vpath", [ Alcotest.test_case "path algebra" `Quick vpath_cases ]);
+      ( "vpath",
+        [
+          Alcotest.test_case "path algebra" `Quick vpath_cases;
+          QCheck_alcotest.to_alcotest normalize_props;
+        ] );
       ( "vfs",
         [
           Alcotest.test_case "file round-trip" `Quick file_roundtrip;
@@ -290,5 +565,6 @@ let () =
           Alcotest.test_case "fault: transient failures" `Quick fault_fail_op;
           Alcotest.test_case "fault: crash mode" `Quick fault_crash_mode;
           QCheck_alcotest.to_alcotest write_read_consistent;
+          QCheck_alcotest.to_alcotest walk_matches_reference;
         ] );
     ]
