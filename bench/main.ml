@@ -1148,7 +1148,9 @@ let store_doc () =
       fig10_packages
   in
   let cx0 = Ccache.context ~repo ~compilers ~config () in
-  let cache = Ccache.create ~context:cx0 () in
+  let cvfs = Vfs.create () in
+  let dir = (cvfs, "/bench/ccache") in
+  let cache = Ccache.create ~dir ~context:cx0 () in
   List.iter
     (fun s ->
       match Concretizer.concretize_cached ~cache cctx (parse s) with
@@ -1156,8 +1158,7 @@ let store_doc () =
       | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e))
     workloads;
   let stored = Ccache.length cache in
-  let cvfs = Vfs.create () in
-  (match Ccache.save cache cvfs ~path:"/bench/ccache.json" with
+  (match Ccache.save cache with
   | Ok () -> ()
   | Error e -> failwith ("ccache save: " ^ e));
   (* edit one leaf recipe that provides no virtual: add a version *)
@@ -1171,9 +1172,12 @@ let store_doc () =
            else p)
          (Repository.all_packages repo))
   in
+  (* reopen under the edited universe and look every workload up: each
+     entry file is read back and revalidated on its own *)
   let cobs = Obs.create () in
   let cx1 = Ccache.context ~repo:edited_repo ~compilers ~config () in
-  let reloaded = Ccache.load ~obs:cobs ~context:cx1 cvfs ~path:"/bench/ccache.json" in
+  let reloaded = Ccache.create ~obs:cobs ~dir ~context:cx1 () in
+  List.iter (fun s -> ignore (Ccache.lookup reloaded (parse s))) workloads;
   let survivors = Ccache.length reloaded in
   let evicted = Obs.counter cobs "ccache.invalidations" in
   if survivors <= 0 then
@@ -1444,22 +1448,20 @@ let env_doc () =
         | Error e -> failwith (spec ^ ": " ^ e))
       env specs
   in
-  (* every file and symlink under a root; the ccache is excluded because
-     only the solving context writes one *)
+  (* every file and symlink under a root; the ccache lives outside the
+     store, so a solving context's store holds nothing a replay lacks *)
   let snapshot ctx root =
     Vfs.walk ctx.Context.vfs root
     |> List.filter_map (fun (path, kind) ->
-           if path = "/ospack/opt/.spack-db/ccache.json" then None
-           else
-             match kind with
-             | Vfs.File ->
-                 Some
-                   (path ^ " F "
-                   ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
-             | Vfs.Symlink ->
-                 Some
-                   (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
-             | Vfs.Dir -> Some (path ^ " D"))
+           match kind with
+           | Vfs.File ->
+               Some
+                 (path ^ " F "
+                 ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
+           | Vfs.Symlink ->
+               Some
+                 (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
+           | Vfs.Dir -> Some (path ^ " D"))
     |> String.concat "\n"
   in
   let db_json ctx =

@@ -1,8 +1,6 @@
-module Ast = Ospack_spec.Ast
 module Printer = Ospack_spec.Printer
 module Concrete = Ospack_spec.Concrete
 module Repository = Ospack_package.Repository
-module Package = Ospack_package.Package
 module Provider_index = Ospack_package.Provider_index
 module Compilers = Ospack_config.Compilers
 module Config = Ospack_config.Config
@@ -11,6 +9,7 @@ module Sha256 = Ospack_hash.Sha256
 module Hex = Ospack_hash.Hex
 module Json = Ospack_json.Json
 module Vfs = Ospack_vfs.Vfs
+module Sharded_dir = Ospack_vfs.Sharded_dir
 module Obs = Ospack_obs.Obs
 module StrSet = Set.Make (String)
 
@@ -20,28 +19,30 @@ let algorithm_version = "greedy-fixpoint-1"
 
 (* The validation context: a base fingerprint over the inputs shared by
    every entry (algorithm+backend tag, repository name, toolchains,
-   configuration — everything except package recipes), plus memoized
-   per-package identity hashes and the provider index for the per-entry
-   Merkle fingerprints. *)
+   configuration — everything except package recipes), plus the
+   repository (whose identity hashes it memoizes) and its provider index
+   for the per-entry Merkle fingerprints. *)
 type context = {
   cx_base : string;
   cx_repo : Repository.t;
-  cx_identity : (string, string) Hashtbl.t;
   cx_providers : Provider_index.t Lazy.t;
 }
 
 type entry = {
   e_concrete : Concrete.t;
-  e_rendered : string;
-      (* the entry's final bytes in the persisted document, Merkle
-         fingerprint included: the context never changes, so rendering
-         once at store/load time is exact *)
+  e_merkle : string;
+      (* fingerprinted once, at store or read-back: the context never
+         changes, so the recorded value stays exact *)
 }
 
 type t = {
   cc_context : context;
+  cc_dir : (Vfs.t * string) option;
+      (* the backing sharded directory: one file per entry *)
   cc_entries : (string, entry) Hashtbl.t;
       (* authoritative: canonical abstract spec -> its concretization *)
+  cc_pending : (string, unit) Hashtbl.t;
+      (* keys stored since the last save: all a save writes *)
   cc_seeds : (string, Concrete.node) Hashtbl.t;
       (* advisory: package name -> a concrete node it pinned to in some
          stored result. Seeds accelerate the fixed point (sub-DAG memo)
@@ -77,26 +78,12 @@ let context ?(backend = "greedy") ~repo ~compilers ~config () =
   {
     cx_base = Hex.encode (Sha256.finalize ctx);
     cx_repo = repo;
-    cx_identity = Hashtbl.create 64;
     cx_providers = lazy (Provider_index.build repo);
   }
 
 let base_fingerprint cx = cx.cx_base
 
-let identity_hash cx name =
-  match Hashtbl.find_opt cx.cx_identity name with
-  | Some h -> h
-  | None ->
-      let h =
-        match Repository.find cx.cx_repo name with
-        | Some pkg ->
-            let c = Sha256.init () in
-            Sha256.feed c (Package.identity_string pkg);
-            Hex.encode (Sha256.finalize c)
-        | None -> "absent"
-      in
-      Hashtbl.add cx.cx_identity name h;
-      h
+let identity_hash cx name = Repository.identity_hash cx.cx_repo name
 
 (* The per-entry Merkle fingerprint: a hash over the identity hashes of
    exactly the packages in the entry's dependency closure, plus — for
@@ -133,10 +120,12 @@ let entry_fingerprint cx concrete =
     !virtuals;
   Hex.encode (Sha256.finalize ctx)
 
-let create ?(obs = Obs.disabled) ~context:cx () =
+let create ?(obs = Obs.disabled) ?dir ~context:cx () =
   {
     cc_context = cx;
+    cc_dir = dir;
     cc_entries = Hashtbl.create 64;
+    cc_pending = Hashtbl.create 8;
     cc_seeds = Hashtbl.create 64;
     cc_obs = obs;
   }
@@ -145,9 +134,89 @@ let context_of t = t.cc_context
 
 let key_of ast = Printer.to_string ast
 
+let format_version = 2
+
+(* An entry's file name: the base is part of it, so entries made under
+   another toolchain, config or backend are never even read *)
+let file_key cx key = Sha256.hex_digest (cx.cx_base ^ "\n" ^ key)
+
+let entry_path t ast =
+  Option.map
+    (fun (_, root) ->
+      Sharded_dir.path ~root (file_key t.cc_context (key_of ast)))
+    t.cc_dir
+
+let entry_fields key ~merkle concrete =
+  [
+    ("spec", Json.String key);
+    ("merkle", Json.String merkle);
+    ("concrete", Concrete.to_json concrete);
+  ]
+
+let header cx =
+  [ ("format", Json.Int format_version); ("base", Json.String cx.cx_base) ]
+
+(* A stored entry is valid iff its recorded Merkle fingerprint still
+   equals the one its concrete DAG hashes to under the current context. *)
+let entry_of_json cx json =
+  let open Json in
+  match
+    ( Option.bind (member "spec" json) get_string,
+      Option.bind (member "merkle" json) get_string,
+      member "concrete" json )
+  with
+  | Some key, Some merkle, Some cj -> (
+      match Concrete.of_json cj with
+      | Ok c when entry_fingerprint cx c = merkle ->
+          Some (key, { e_concrete = c; e_merkle = merkle })
+      | Ok _ | Error _ -> None)
+  | _ -> None
+
+let current_header cx json =
+  let open Json in
+  Option.bind (member "format" json) get_int = Some format_version
+  && Option.bind (member "base" json) get_string = Some cx.cx_base
+
+let add t key e =
+  Hashtbl.replace t.cc_entries key e;
+  List.iter
+    (fun (n : Concrete.node) -> Hashtbl.replace t.cc_seeds n.Concrete.name n)
+    (Concrete.nodes e.e_concrete)
+
+(* Read one entry's file back: anything but a current, untampered entry
+   for exactly this key is removed and counted, so it costs one
+   invalidation once rather than a parse on every later miss. *)
+let read_back t (vfs, root) key =
+  let cx = t.cc_context in
+  let fk = file_key cx key in
+  match Vfs.read_file vfs (Sharded_dir.path ~root fk) with
+  | Error _ -> None
+  | Ok text -> (
+      let valid =
+        match Json.of_string text with
+        | Ok json when current_header cx json -> (
+            match entry_of_json cx json with
+            | Some (k, e) when k = key -> Some e
+            | _ -> None)
+        | Ok _ | Error _ -> None
+      in
+      match valid with
+      | Some e ->
+          add t key e;
+          Some e
+      | None ->
+          Obs.count t.cc_obs "ccache.invalidations" 1;
+          ignore (Sharded_dir.remove vfs ~root fk);
+          None)
+
 let lookup t ast =
   let key = key_of ast in
-  match Hashtbl.find_opt t.cc_entries key with
+  let found =
+    match Hashtbl.find_opt t.cc_entries key with
+    | Some e -> Some e
+    | None -> Option.bind t.cc_dir (fun dir -> read_back t dir key)
+  in
+  match found with
   | Some e ->
       Obs.count t.cc_obs "ccache.hits" 1;
       Some e.e_concrete
@@ -155,37 +224,13 @@ let lookup t ast =
       Obs.count t.cc_obs "ccache.misses" 1;
       None
 
-let format_version = 2
-
-let entry_json key ~merkle concrete =
-  Json.Obj
-    [
-      ("spec", Json.String key);
-      ("merkle", Json.String merkle);
-      ("concrete", Concrete.to_json concrete);
-    ]
-
-let document cx entries =
-  Json.Obj
-    [
-      ("format", Json.Int format_version);
-      ("base", Json.String cx.cx_base);
-      ("entries", Json.List entries);
-    ]
-
-(* an entry sits at depth 2 of the document: its object is an item of
-   the "entries" list, itself a field of the top-level object *)
-let add t key ~merkle concrete =
-  let e_rendered =
-    Json.to_string ~indent:2 ~depth:2 (entry_json key ~merkle concrete)
-  in
-  Hashtbl.replace t.cc_entries key { e_concrete = concrete; e_rendered };
-  List.iter
-    (fun (n : Concrete.node) -> Hashtbl.replace t.cc_seeds n.Concrete.name n)
-    (Concrete.nodes concrete)
+let store_entry t key e =
+  add t key e;
+  if Option.is_some t.cc_dir then Hashtbl.replace t.cc_pending key ()
 
 let store t ast concrete =
-  add t (key_of ast) ~merkle:(entry_fingerprint t.cc_context concrete) concrete
+  let merkle = entry_fingerprint t.cc_context concrete in
+  store_entry t (key_of ast) { e_concrete = concrete; e_merkle = merkle }
 
 let seeds t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cc_seeds []
@@ -193,96 +238,62 @@ let seeds t =
 
 let length t = Hashtbl.length t.cc_entries
 
-let sorted_entries t =
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.cc_entries []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let sorted_keys tbl =
+  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
 
 (* the reference rendering: every fingerprint recomputed from scratch *)
 let to_json t =
-  sorted_entries t
-  |> List.map (fun (k, e) ->
-         entry_json k
-           ~merkle:(entry_fingerprint t.cc_context e.e_concrete)
-           e.e_concrete)
-  |> document t.cc_context
-
-(* Byte-identical to [Json.to_string ~indent:2 (to_json t)], assembled
-   from the fragments rendered at store/load time: the fixed header,
-   the sorted fragments, the fixed footer. *)
-let to_string t =
-  match sorted_entries t with
-  | [] -> Json.to_string ~indent:2 (document t.cc_context [])
-  | entries ->
-      (* one exactly-sized buffer: the file is copied once *)
-      let b =
-        Buffer.create
-          (List.fold_left
-             (fun n (_, e) -> n + String.length e.e_rendered + 6)
-             256 entries)
-      in
-      Printf.bprintf b
-        "{\n  \"format\": %d,\n  \"base\": %s,\n  \"entries\": ["
-        format_version
-        (Json.to_string (Json.String t.cc_context.cx_base));
-      List.iteri
-        (fun i (_, e) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b "\n    ";
-          Buffer.add_string b e.e_rendered)
-        entries;
-      Buffer.add_string b "\n  ]\n}";
-      Buffer.contents b
-
-(* Validation is per entry: a stored entry survives iff its recorded
-   Merkle fingerprint still equals the one its concrete DAG hashes to
-   under the current context. [ccache.invalidations] counts evicted
-   entries — one per entry under a wholesale base/format mismatch too,
-   so the counter always means "entries lost". Seeds are harvested only
-   from surviving entries. *)
-let of_json ?(obs = Obs.disabled) ~context:cx json =
-  let open Json in
+  let cx = t.cc_context in
   let entries =
-    match Option.bind (member "entries" json) to_list with
-    | Some l -> l
-    | None -> []
+    List.map
+      (fun k ->
+        let c = (Hashtbl.find t.cc_entries k).e_concrete in
+        Json.Obj (entry_fields k ~merkle:(entry_fingerprint cx c) c))
+      (sorted_keys t.cc_entries)
   in
-  let t = create ~obs ~context:cx () in
-  (match
-     ( Option.bind (member "format" json) get_int,
-       Option.bind (member "base" json) get_string )
-   with
-  | Some fmt, Some base when fmt = format_version && base = cx.cx_base ->
-      List.iter
-        (fun e ->
-          let evict () = Obs.count obs "ccache.invalidations" 1 in
-          match
-            ( Option.bind (member "spec" e) get_string,
-              Option.bind (member "merkle" e) get_string,
-              member "concrete" e )
-          with
-          | Some key, Some merkle, Some cj -> (
-              match Concrete.of_json cj with
-              | Ok c when entry_fingerprint cx c = merkle ->
-                  add t key ~merkle c
-              | Ok _ | Error _ -> evict ())
-          | _ -> evict ())
-        entries
-  | _ ->
-      (* wrong format or base context: every stored entry is lost *)
-      Obs.count obs "ccache.invalidations" (max 1 (List.length entries)));
-  t
+  Json.Obj (header cx @ [ ("entries", Json.List entries) ])
 
-let load ?(obs = Obs.disabled) ~context:cx fs ~path =
-  match Vfs.read_file fs path with
-  | Error _ -> create ~obs ~context:cx ()
-  | Ok contents -> (
-      match Json.of_string contents with
-      | Error _ ->
-          Obs.count obs "ccache.invalidations" 1;
-          create ~obs ~context:cx ()
-      | Ok json -> of_json ~obs ~context:cx json)
+(* [ccache.invalidations] counts evicted entries — one per entry under a
+   wholesale format or base mismatch too, so the counter always means
+   "entries lost". *)
+let import t text =
+  let cx = t.cc_context in
+  let count = Obs.count t.cc_obs "ccache.invalidations" in
+  match Json.of_string text with
+  | Error _ -> count 1
+  | Ok json ->
+      let entries =
+        Option.value ~default:[]
+          (Option.bind (Json.member "entries" json) Json.to_list)
+      in
+      if current_header cx json then
+        List.iter
+          (fun e ->
+            match entry_of_json cx e with
+            | Some (key, entry) -> store_entry t key entry
+            | None -> count 1)
+          entries
+      else count (max 1 (List.length entries))
 
-let save t fs ~path =
-  Result.map_error
-    (fun (_, _, e) -> Vfs.error_to_string e)
-    (Vfs.write_atomic fs path (to_string t))
+let save t =
+  match t.cc_dir with
+  | None -> Ok ()
+  | Some (vfs, root) ->
+      let cx = t.cc_context in
+      let rec write = function
+        | [] -> Ok ()
+        | key :: rest -> (
+            let e = Hashtbl.find t.cc_entries key in
+            let doc =
+              Json.Obj
+                (header cx @ entry_fields key ~merkle:e.e_merkle e.e_concrete)
+            in
+            match
+              Sharded_dir.write vfs ~root (file_key cx key) (Json.to_string doc)
+            with
+            | Ok () ->
+                Hashtbl.remove t.cc_pending key;
+                write rest
+            | Error (_, _, err) -> Error (Vfs.error_to_string err))
+      in
+      write (sorted_keys t.cc_pending)

@@ -9,9 +9,10 @@
 
     {b Base fingerprint} — a SHA-256 over the inputs shared by every
     entry: the algorithm-version+backend tag, repository name, toolchain
-    registry, and configuration key/value store. A base mismatch (new
-    algorithm, different backend, config or compiler change) discards the
-    whole stored cache.
+    registry, and configuration key/value store. The base is part of every
+    entry's file name, so after a base change (new algorithm, different
+    backend, config or compiler change) no stored entry is ever read: the
+    cache starts cold.
 
     {b Per-entry Merkle fingerprint} — a SHA-256 over the identity hashes
     ({!Ospack_package.Package.identity_string}) of exactly the packages
@@ -20,8 +21,9 @@
     provider can flip provider selection even when the stored DAG never
     contained it). Editing one recipe therefore invalidates only the
     entries whose closure can see the edit; unrelated entries survive.
-    [ccache.invalidations] counts {e evicted entries} — per entry, under
-    wholesale and targeted invalidation alike.
+    [ccache.invalidations] counts {e evicted entries}: each stale or
+    corrupt entry file a lookup meets, and each entry an {!import}
+    drops.
 
     The cornerstone invariant is that caching is observationally
     invisible: a cache hit returns a value byte-identical to what a cold
@@ -30,23 +32,26 @@
     fingerprint, or the entry fingerprint — a stale entry is never
     trusted.
 
-    Persistence is crash-safe: {!save} writes a sibling temp file and
-    {!Ospack_vfs.Vfs.rename}s it over the destination, so readers observe
-    either the old or the new cache, never a torn one.
-
-    Persistence is also incremental in cost, though not in format: each
-    entry is fingerprinted and rendered exactly once, when it is stored
-    or survives a load, and a persist is one concatenation of those
-    fragments, one write and one rename. A miss no longer re-hashes or
-    re-serializes the entries already cached. *)
+    Persistence is one file per entry, in a {!Ospack_vfs.Sharded_dir}
+    outside the install tree: the cache is a function of the repository,
+    toolchains, configuration and backend, never of the store. An
+    entry's file is named by the SHA-256 of the base fingerprint and its
+    key, and holds [{format, base, spec, merkle, concrete}]. Opening a
+    cache reads nothing; a {!lookup} that misses memory reads only that
+    key's file and validates it; a {!save} writes only the entries
+    stored since the previous one, each write-then-rename, so a kill
+    leaves an entry's old file or its new one, never a torn one. A miss
+    therefore persists one entry, whatever the size of the cache. *)
 
 type t
 
 type context
-(** The validation context: base fingerprint plus memoized per-package
-    identity hashes and the provider index of the repository. Build one
-    per (repo, compilers, config, backend) and share it across cache
-    operations. *)
+(** The validation context: base fingerprint plus the repository and its
+    provider index. Build one per (repo, compilers, config, backend) and
+    share it across cache operations; per-package identity hashes are
+    memoized in the repository itself
+    ({!Ospack_package.Repository.identity_hash}), so fresh contexts over
+    one repository never re-hash a recipe. *)
 
 val algorithm_version : string
 (** Bumped whenever the concretizer's semantics change; part of the base
@@ -75,8 +80,16 @@ val entry_fingerprint : context -> Ospack_spec.Concrete.t -> string
     fingerprint, identity hash of each closure package, and provider
     identities of each virtual interface used. *)
 
-val create : ?obs:Ospack_obs.Obs.t -> context:context -> unit -> t
-(** An empty in-memory cache bound to a validation context. *)
+val create :
+  ?obs:Ospack_obs.Obs.t ->
+  ?dir:Ospack_vfs.Vfs.t * string ->
+  context:context ->
+  unit ->
+  t
+(** An empty cache bound to a validation context. With [dir = (vfs,
+    root)] it is backed by one file per entry under [root]: creating it
+    reads nothing, {!lookup} reads back entries lazily and {!save}
+    persists. Without [dir] the cache lives in memory only. *)
 
 val context_of : t -> context
 
@@ -86,13 +99,23 @@ val key_of : Ospack_spec.Ast.t -> string
     normalized). Specs that parse to the same AST share a key. *)
 
 val lookup : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option
-(** Counts [ccache.hits] / [ccache.misses] on the cache's obs sink. *)
+(** Memory first; on a memory miss in a backed cache, read only this
+    key's file and keep it iff its format, base, key and recorded Merkle
+    fingerprint are current. A stale, corrupt or mismatched file is
+    removed and counts one [ccache.invalidations]; a missing one is a
+    plain miss. A validated entry joins the in-memory set (and its nodes
+    the seeds). Counts [ccache.hits] / [ccache.misses] on the cache's
+    obs sink. *)
+
+val entry_path : t -> Ospack_spec.Ast.t -> string option
+(** Where a backed cache keeps the entry for this spec; [None] for a
+    memory-only cache. *)
 
 val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
 (** Record an authoritative (abstract, concrete) pair, and harvest every
     node of the concrete DAG into the advisory seed table. This is where
-    the entry is fingerprinted and rendered to its persisted bytes, once:
-    later {!save}s reuse them. Re-storing a key replaces its entry. *)
+    the entry is fingerprinted, once; in a backed cache it is also
+    queued for the next {!save}. Re-storing a key replaces its entry. *)
 
 val seeds : t -> (string * Ospack_spec.Concrete.node) list
 (** The sub-DAG memo, sorted by package name: for each package that
@@ -103,46 +126,30 @@ val seeds : t -> (string * Ospack_spec.Concrete.node) list
     match its standalone concretization. *)
 
 val length : t -> int
-(** Authoritative entries only (seeds excluded). *)
+(** Authoritative entries in memory — stored, imported or read back by
+    {!lookup} (seeds excluded). *)
 
 val to_json : t -> Ospack_json.Json.t
-(** Serialized form: format version, base fingerprint, and one
-    [{spec; merkle; concrete}] object per entry, sorted by spec. Every
-    Merkle fingerprint is recomputed, so this is the reference the
-    incremental renderer is checked against. *)
+(** The portable document of the in-memory entries: format version,
+    base fingerprint, and one [{spec; merkle; concrete}] object per
+    entry, sorted by spec. Every Merkle fingerprint is recomputed, so
+    this is also the reference each entry file is checked against. *)
 
-val to_string : t -> string
-(** The persisted document: exactly
-    [Ospack_json.Json.to_string ~indent:2 (to_json t)], assembled from the
-    per-entry fragments rendered at {!store}/load time between a fixed
-    header and footer, with no hashing and no JSON tree. *)
+val import : t -> string -> unit
+(** Merge a serialized {!to_json} document into [t], {e validating} it
+    against [t]'s context. A format or base mismatch (or unparsable
+    text) discards every stored entry; otherwise each entry is
+    revalidated individually and kept iff its recorded Merkle
+    fingerprint still matches its DAG. Every evicted entry counts one
+    [ccache.invalidations]; malformed entries are dropped (and counted)
+    without poisoning their neighbours. The survivors are stored as if
+    by {!store}, seeds included, so the next {!save} writes them to a
+    backed cache's directory. Never an error, never a stale entry. *)
 
-val of_json :
-  ?obs:Ospack_obs.Obs.t ->
-  context:context ->
-  Ospack_json.Json.t ->
-  t
-(** Rebuild a cache from its serialized form, {e validating} it against
-    the current context. A format or base mismatch discards every stored
-    entry; otherwise each entry is revalidated individually and kept iff
-    its recorded Merkle fingerprint still matches its DAG under
-    [context]. Every evicted entry counts one [ccache.invalidations];
-    malformed entries are dropped (and counted) without poisoning their
-    neighbours. Seeds are harvested only from surviving entries. Never an
-    error, never a stale entry. *)
-
-val load :
-  ?obs:Ospack_obs.Obs.t ->
-  context:context ->
-  Ospack_vfs.Vfs.t ->
-  path:string ->
-  t
-(** Read the persisted cache at [path]; a missing file is a plain empty
-    cache, an unparsable one counts one invalidation. *)
-
-val save : t -> Ospack_vfs.Vfs.t -> path:string -> (unit, string) result
-(** Persist {!to_string}: write [path ^ ".tmp"], then rename over
-    [path]. One concatenation of the already-rendered entries, one write
-    and one rename — no fingerprint is recomputed and no entry is
-    re-serialized, so a persist costs a memory copy of the file rather
-    than O(entries) hashing and rendering. *)
+val save : t -> (unit, string) result
+(** Persist the entries stored since the previous save, one
+    {!Ospack_vfs.Sharded_dir.write} each (write-then-rename), in key
+    order: the compact [Json.to_string] of [{format, base, spec, merkle,
+    concrete}]. Nothing already persisted is re-read, re-hashed or
+    re-written. On a failed write the unwritten entries stay queued.
+    A memory-only cache has nothing to save. *)

@@ -11,6 +11,7 @@ module Layout = Ospack_layout.Layout
 module Universe = Ospack_repo.Universe
 module Buildcache = Ospack_store.Buildcache
 module Obs = Ospack_obs.Obs
+module Json = Ospack_json.Json
 
 type t = {
   vfs : Vfs.t;
@@ -27,7 +28,9 @@ type t = {
   module_root : string;
 }
 
-let ccache_file root = root ^ "/.spack-db/ccache.json"
+(* the cache depends on the repository, toolchains, config and backend,
+   never on the store, so it lives outside every install tree *)
+let ccache_root = "/ospack/cache/concretize"
 
 let create ?config ?repo ?compilers ?fs ?scheme
     ?(install_root = "/ospack/opt") ?cache_root ?ccache_json ?vfs
@@ -46,27 +49,28 @@ let create ?config ?repo ?compilers ?fs ?scheme
     Installer.create ?fs ?scheme ~install_root ~config ?cache ~obs ~vfs ~repo
       ~compilers ()
   in
-  let ccache_path = ccache_file install_root in
-  (* an imported serialized cache (from a previous process) lands in the
-     vfs first, so loading it shares the persisted-file validation path:
-     fingerprint mismatches and corruption are discarded, never trusted *)
-  (match ccache_json with
-  | None -> ()
-  | Some json -> ignore (Vfs.write_file vfs ccache_path json));
   let cx =
     Ccache.context ~backend:(Backends.to_string backend) ~repo ~compilers
       ~config ()
   in
-  let ccache = Ccache.load ~obs ~context:cx vfs ~path:ccache_path in
+  let ccache = Ccache.create ~obs ~dir:(vfs, ccache_root) ~context:cx () in
+  (* an imported cache (from a previous process) is validated eagerly and
+     its survivors are persisted like fresh entries, so every context on
+     this filesystem can read them back *)
+  (match ccache_json with
+  | None -> ()
+  | Some json ->
+      Ccache.import ccache json;
+      ignore (Ccache.save ccache));
   { vfs; config; repo; compilers; cctx; backend; installer; cache; ccache;
-    ccache_path; obs; module_root = "/ospack/modules" }
+    ccache_path = ccache_root; obs; module_root = "/ospack/modules" }
 
 let save_ccache t =
   (* best-effort: a failed persist never fails the command that
      concretized (the in-memory cache is still authoritative) *)
-  ignore (Ccache.save t.ccache t.vfs ~path:t.ccache_path)
+  ignore (Ccache.save t.ccache)
 
-let export_ccache t = Ccache.to_string t.ccache
+let export_ccache t = Json.to_string ~indent:2 (Ccache.to_json t.ccache)
 
 let with_site_packages t site_pkgs =
   let site = Repository.create ~name:"site" site_pkgs in
@@ -80,13 +84,14 @@ let with_site_packages t site_pkgs =
       ~config:t.config ?cache:t.cache ~obs:t.obs ~vfs:t.vfs ~repo
       ~compilers:t.compilers ()
   in
-  (* the package universe changed, so the validation context changes:
-     reloading under the new context revalidates every persisted entry
-     per its Merkle fingerprint — entries whose closure the site layer
-     shadows are evicted (counted), untouched ones survive *)
+  (* the package universe changed, so the validation context changes: a
+     lookup under it revalidates a persisted entry per its Merkle
+     fingerprint before serving it *)
   let cx =
     Ccache.context ~backend:(Backends.to_string t.backend) ~repo
       ~compilers:t.compilers ~config:t.config ()
   in
-  let ccache = Ccache.load ~obs:t.obs ~context:cx t.vfs ~path:t.ccache_path in
+  let ccache =
+    Ccache.create ~obs:t.obs ~dir:(t.vfs, t.ccache_path) ~context:cx ()
+  in
   { t with repo; cctx; installer; ccache }

@@ -15,13 +15,15 @@ type t = {
   cache : Ospack_store.Buildcache.t option;
       (** binary build cache, when enabled via [cache_root] *)
   ccache : Ospack_concretize.Ccache.t;
-      (** the fingerprinted concretization cache; always present (an empty
-          one costs nothing), fingerprinted over this context's repository,
-          compiler registry, and configuration *)
+      (** the fingerprinted concretization cache, fingerprinted over this
+          context's repository, compiler registry, configuration and
+          backend; backed by one file per entry under [ccache_path] and
+          read back lazily, one entry per lookup miss *)
   ccache_path : string;
-      (** where the concretization cache persists in the vfs
-          ([<install_root>/.spack-db/ccache.json], next to the database
-          index) *)
+      (** the concretization cache's root directory in the vfs
+          (["/ospack/cache/concretize"], a {!Ospack_vfs.Sharded_dir}):
+          outside every install tree, because the cache is a function of
+          the inputs above and never of the store *)
   obs : Ospack_obs.Obs.t;
       (** the observability sink every layer records into; disabled (and
           therefore free) unless [create] was given an enabled one *)
@@ -51,21 +53,24 @@ val create :
     filesystem instead of a fresh one — how crash-recovery code (and the
     torture harnesses) re-open a store a previous context left behind;
     pair it with {!Ospack_store.Installer.load_index} to adopt the
-    on-disk index. *)
+    on-disk index. Creating a context reads nothing of the concretization
+    cache: its entries under [ccache_path] are read back one per lookup
+    miss. [ccache_json] imports a {!export_ccache} document, validated
+    entry by entry, and persists its survivors there. *)
 
 val save_ccache : t -> unit
-(** Persist the concretization cache to [ccache_path] (crash-safe
-    write-then-rename). Best-effort: a failed persist never fails the
-    command that concretized. *)
+(** Persist the entries stored since the previous save, one file each
+    under [ccache_path] (crash-safe write-then-rename); a miss therefore
+    writes one entry, however large the cache. Best-effort: a failed
+    persist never fails the command that concretized. *)
 
 val export_ccache : t -> string
-(** The concretization cache serialized as JSON — the very bytes
-    {!save_ccache} writes to [ccache_path] ({!Ospack_concretize.Ccache.to_string})
-    and the bridge for warm
-    starts across processes: write it to the real filesystem and pass it
-    back as [create]'s [ccache_json] (the CLI's [--ccache FILE] flag).
-    An export is only trusted on import if its fingerprint still
-    matches. *)
+(** The in-memory concretization cache as one format-2 JSON document
+    ([Json.to_string ~indent:2] of {!Ospack_concretize.Ccache.to_json}):
+    the bridge for warm starts across processes. Write it to the real
+    filesystem and pass it back as [create]'s [ccache_json] (the CLI's
+    [--ccache FILE] flag); the import validates every entry eagerly and
+    persists the survivors under [ccache_path]. *)
 
 val with_site_packages : t -> Ospack_package.Package.t list -> t
 (** A context whose repository layers the given site packages in front of

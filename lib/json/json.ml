@@ -118,7 +118,7 @@ let escape_string buf s =
   go 0 0;
   Buffer.add_char buf '"'
 
-let to_string ?(indent = 0) ?(depth = 0) t =
+let to_string ?(indent = 0) t =
   let buf = Buffer.create 256 in
   let pad depth =
     if indent > 0 then begin
@@ -158,7 +158,7 @@ let to_string ?(indent = 0) ?(depth = 0) t =
         pad depth;
         Buffer.add_char buf '}'
   in
-  go depth t;
+  go 0 t;
   Buffer.contents buf
 
 (* ---------------- parsing ---------------- *)

@@ -17,12 +17,8 @@ type t =
   | List of t list
   | Obj of (string * t) list  (** insertion-ordered *)
 
-val to_string : ?indent:int -> ?depth:int -> t -> string
-(** Render; [indent] > 0 pretty-prints (default 0: compact). [depth]
-    (default 0) is the nesting level [t] sits at inside an enclosing
-    pretty-printed document: its line breaks are padded to that level,
-    so the result can be spliced into the enclosing rendering
-    byte-for-byte. Floats are
+val to_string : ?indent:int -> t -> string
+(** Render; [indent] > 0 pretty-prints (default 0: compact). Floats are
     rendered as fixed-point decimals — the shortest representation that
     round-trips, never exponent notation, never locale-dependent, always
     containing a ['.'] so reparsing yields a [Float] — which keeps trace

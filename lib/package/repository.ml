@@ -1,6 +1,12 @@
 module Smap = Map.Make (String)
 
-type t = { repo_name : string; packages : Package.t Smap.t }
+type t = {
+  repo_name : string;
+  packages : Package.t Smap.t;
+  identity : (string, string) Hashtbl.t;
+      (* package name -> hex SHA-256 of its identity string; packages are
+         immutable, so the memo is exact for the repository's lifetime *)
+}
 
 let create ?(name = "builtin") packages =
   let add m (p : Package.t) =
@@ -11,7 +17,11 @@ let create ?(name = "builtin") packages =
       let p = Package.with_source p (name ^ ":" ^ p.p_name) in
       Smap.add p.Package.p_name p m
   in
-  { repo_name = name; packages = List.fold_left add Smap.empty packages }
+  {
+    repo_name = name;
+    packages = List.fold_left add Smap.empty packages;
+    identity = Hashtbl.create 64;
+  }
 
 let layered repos =
   let name = String.concat "+" (List.map (fun r -> r.repo_name) repos) in
@@ -21,7 +31,7 @@ let layered repos =
         Smap.union (fun _ high _low -> Some high) acc r.packages)
       Smap.empty repos
   in
-  { repo_name = name; packages }
+  { repo_name = name; packages; identity = Hashtbl.create 64 }
 
 let name t = t.repo_name
 let find t pkg = Smap.find_opt pkg t.packages
@@ -30,6 +40,20 @@ let mem t pkg = Smap.mem pkg t.packages
 let package_names t = Smap.bindings t.packages |> List.map fst
 let all_packages t = Smap.bindings t.packages |> List.map snd
 let count t = Smap.cardinal t.packages
+
+(* only names the repository holds are memoized, so the table stays
+   bounded by the package count however many absent names are asked
+   about (every environment solve asks about its own meta package) *)
+let identity_hash t pkg =
+  match Hashtbl.find_opt t.identity pkg with
+  | Some h -> h
+  | None -> (
+      match find t pkg with
+      | None -> "absent"
+      | Some p ->
+          let h = Ospack_hash.Sha256.hex_digest (Package.identity_string p) in
+          Hashtbl.add t.identity pkg h;
+          h)
 
 (* two-row Levenshtein *)
 let edit_distance a b =

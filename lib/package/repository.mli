@@ -33,6 +33,13 @@ val all_packages : t -> Package.t list
 
 val count : t -> int
 
+val identity_hash : t -> string -> string
+(** Hex SHA-256 of {!Package.identity_string} for the visible package of
+    that name, or ["absent"] when there is none. Memoized in the
+    repository value: every cache context, lockfile check and environment
+    over one repository (one per process for the built-in universe)
+    shares the hashes, so no closure is re-hashed per context. *)
+
 val closest : t -> string -> string option
 (** The package name nearest to a (presumably misspelled) query by edit
     distance, when one is reasonably close (distance ≤ 2, or ≤ a third of

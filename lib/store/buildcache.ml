@@ -1,4 +1,5 @@
 module Vfs = Ospack_vfs.Vfs
+module Sharded_dir = Ospack_vfs.Sharded_dir
 module Concrete = Ospack_spec.Concrete
 module Json = Ospack_json.Json
 module Binary = Ospack_buildsim.Binary

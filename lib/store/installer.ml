@@ -1,4 +1,5 @@
 module Vfs = Ospack_vfs.Vfs
+module Sharded_dir = Ospack_vfs.Sharded_dir
 module Concrete = Ospack_spec.Concrete
 module Repository = Ospack_package.Repository
 module Package = Ospack_package.Package

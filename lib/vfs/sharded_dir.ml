@@ -1,4 +1,3 @@
-module Vfs = Ospack_vfs.Vfs
 
 let shard key = if String.length key >= 2 then String.sub key 0 2 else key
 let path ~root key = Printf.sprintf "%s/%s/%s.json" root (shard key) key

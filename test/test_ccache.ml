@@ -1,10 +1,11 @@
 (* The Merkle-fingerprinted concretization cache: base-fingerprint
    sensitivity to the shared declarative inputs, per-entry fingerprint
    sensitivity to exactly the dependency closure (plus virtual provider
-   sets), lookup/store/seed semantics, and validated persistence — a
-   recipe edit evicts only the entries that can see it, wholesale
-   mismatches and corruption discard everything, and a stale entry is
-   never trusted. *)
+   sets), lookup/store/seed semantics, and validated one-file-per-entry
+   persistence — a recipe edit evicts only the entries that can see it,
+   another base never reads an entry, a corrupt file costs only itself,
+   a save writes only what is new and survives a kill at every barrier,
+   and a stale entry is never trusted. *)
 
 open Ospack_package.Package
 module Repository = Ospack_package.Repository
@@ -224,155 +225,254 @@ let reuse_layer () =
 
 (* --- persistence and invalidation --- *)
 
+(* every backed cache below persists under this root: one file per entry *)
+let root = "/cache/concretize"
+
+let backed ?obs fs context = Ccache.create ?obs ~dir:(fs, root) ~context ()
+
+let save_ok cache =
+  match Ccache.save cache with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save failed: %s" e
+
+let entry_file cache spec =
+  match Ccache.entry_path cache (parse spec) with
+  | Some p -> p
+  | None -> Alcotest.fail "a backed cache has entry paths"
+
+let files_under fs =
+  List.filter_map
+    (fun (p, k) -> if k = Vfs.File then Some p else None)
+    (Vfs.walk fs root)
+
 let save_load_roundtrip () =
   let packages = base_packages () in
   let cx = mk_context packages in
-  let cache = Ccache.create ~context:cx () in
+  let fs = Vfs.create () in
+  let cache = backed fs cx in
   let ctx = ctx_of packages in
   let c = concretize_ok ~cache ctx "app@1.0" in
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  Alcotest.(check bool) "no temp file left behind" false
-    (Vfs.exists fs (path ^ ".tmp"));
+  save_ok cache;
+  Alcotest.(check (list string)) "one entry file, no temp file left behind"
+    [ entry_file cache "app@1.0" ] (files_under fs);
   let obs = Obs.create () in
-  let reloaded = Ccache.load ~obs ~context:cx fs ~path in
-  Alcotest.(check int) "entries survive" 1 (Ccache.length reloaded);
+  let reloaded = backed ~obs fs cx in
+  Alcotest.(check int) "opening reads nothing" 0 (Ccache.length reloaded);
   (match Ccache.lookup reloaded (parse "app@1.0") with
   | Some c' ->
       Alcotest.(check bool) "reloaded entry identical" true (Concrete.equal c c')
   | None -> Alcotest.fail "reloaded cache should hit");
-  Alcotest.(check bool) "seeds rebuilt from entries" true
+  Alcotest.(check int) "read back on lookup" 1 (Ccache.length reloaded);
+  Alcotest.(check bool) "seeds rebuilt from read-back entries" true
     (List.mem_assoc "libx" (Ccache.seeds reloaded));
-  Alcotest.(check int) "clean load is not an invalidation" 0
+  Alcotest.(check int) "clean read-back is not an invalidation" 0
     (Obs.counter obs "ccache.invalidations")
 
 let unrelated_edit_survival () =
   (* THE point of per-entry fingerprints: editing one recipe evicts only
      the entries whose closure can see it — unrelated entries stay live
-     across the reload, and invalidations count evicted entries only *)
+     across the reopen, and invalidations count evicted entries only *)
   let packages = base_packages () in
-  let cache = Ccache.create ~context:(mk_context packages) () in
+  let fs = Vfs.create () in
+  let cache = backed fs (mk_context packages) in
   let ctx = ctx_of packages in
   ignore (concretize_ok ~cache ctx "app@1.0");
   ignore (concretize_ok ~cache ctx "mympi@2.1");
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  save_ok cache;
   (* libx is in app's closure but not mympi's *)
   let obs = Obs.create () in
-  let cx' = mk_context (bump_libx packages) in
-  let reloaded = Ccache.load ~obs ~context:cx' fs ~path in
-  Alcotest.(check int) "exactly the app entry evicted" 1
-    (Obs.counter obs "ccache.invalidations");
-  Alcotest.(check int) "the unrelated entry survives" 1
-    (Ccache.length reloaded);
+  let reloaded = backed ~obs fs (mk_context (bump_libx packages)) in
   Alcotest.(check bool) "survivor is servable" true
     (Ccache.lookup reloaded (parse "mympi@2.1") <> None);
   Alcotest.(check bool) "evicted entry is not served" true
     (Ccache.lookup reloaded (parse "app@1.0") = None);
+  Alcotest.(check int) "exactly the app entry evicted" 1
+    (Obs.counter obs "ccache.invalidations");
+  Alcotest.(check int) "the unrelated entry survives" 1
+    (Ccache.length reloaded);
+  Alcotest.(check (list string)) "the stale file is removed"
+    [ entry_file reloaded "mympi@2.1" ] (files_under fs);
   (* seeds are harvested from survivors only: no stale libx pin *)
   Alcotest.(check bool) "no seed from the evicted closure" false
     (List.mem_assoc "libx" (Ccache.seeds reloaded))
 
 let wholesale_base_mismatch () =
   let packages = base_packages () in
-  let cache = Ccache.create ~context:(mk_context packages) () in
+  let cx = mk_context packages in
+  let fs = Vfs.create () in
+  let cache = backed fs cx in
   let ctx = ctx_of packages in
   ignore (concretize_ok ~cache ctx "app@1.0");
   ignore (concretize_ok ~cache ctx "libx");
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  (* a config change shifts the base fingerprint: every entry is lost,
-     and the counter says so per entry *)
+  save_ok cache;
+  (* a config change shifts the base fingerprint, and with it every file
+     name: no entry stored under the old base is served, or even read *)
   let prefer = Config.of_assoc [ ("prefer_compiler", "intel") ] in
   let obs = Obs.create () in
-  let reloaded =
-    Ccache.load ~obs ~context:(mk_context ~config:prefer packages) fs ~path
-  in
-  Alcotest.(check int) "everything discarded" 0 (Ccache.length reloaded);
-  Alcotest.(check int) "one invalidation per lost entry" 2
+  let other = backed ~obs fs (mk_context ~config:prefer packages) in
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ ": no entry under another base served")
+        true
+        (Ccache.lookup other (parse spec) = None);
+      Alcotest.(check bool) (spec ^ ": another file name") true
+        (entry_file other spec <> entry_file cache spec))
+    [ "app@1.0"; "libx" ];
+  Alcotest.(check int) "nothing read back" 0 (Ccache.length other);
+  Alcotest.(check int) "nothing read, so nothing invalidated" 0
     (Obs.counter obs "ccache.invalidations");
-  Alcotest.(check bool) "no stale entry served" true
-    (Ccache.lookup reloaded (parse "app@1.0") = None)
+  (* the old base's entries are intact for the contexts that own them *)
+  Alcotest.(check bool) "old base still served under its own context" true
+    (Ccache.lookup (backed fs cx) (parse "app@1.0") <> None)
 
+(* a corrupt entry file of every kind: dropped, removed and counted once,
+   while the neighbouring entry keeps being served *)
 let corrupt_cache_ignored () =
-  let cx = mk_context (base_packages ()) in
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  let load_counting content =
+  let packages = base_packages () in
+  let cx = mk_context packages in
+  let b = Ccache.base_fingerprint cx in
+  let ctx = ctx_of packages in
+  let libx = concretize_ok ctx "libx" in
+  let libx_json = Json.to_string (Concrete.to_json libx) in
+  let merkle = Ccache.entry_fingerprint cx libx in
+  let doc ?(format = 2) ?(base = b) ?(spec = "libx") ?(merkle = merkle)
+      concrete =
+    Printf.sprintf
+      "{\"format\": %d, \"base\": %S, \"spec\": %S, \"merkle\": %S, \
+       \"concrete\": %s}"
+      format base spec merkle concrete
+  in
+  let lookup_counting content =
+    let fs = Vfs.create () in
+    let seeded = backed fs cx in
+    ignore (concretize_ok ~cache:seeded ctx "app@1.0");
+    ignore (concretize_ok ~cache:seeded ctx "libx");
+    save_ok seeded;
+    let path = entry_file seeded "libx" in
     (match Vfs.write_file fs path content with
     | Ok () -> ()
     | Error e -> Alcotest.failf "write: %s" (Vfs.error_to_string e));
     let obs = Obs.create () in
-    let c = Ccache.load ~obs ~context:cx fs ~path in
+    let c = backed ~obs fs cx in
+    let served = Ccache.lookup c (parse "libx") <> None in
+    let neighbour = Ccache.lookup c (parse "app@1.0") <> None in
+    let second = Ccache.lookup c (parse "libx") <> None in
+    ( served || second || Vfs.exists fs path || not neighbour,
+      Obs.counter obs "ccache.invalidations" )
+  in
+  let case name content =
+    Alcotest.(check (pair bool int)) name (false, 1) (lookup_counting content)
+  in
+  Alcotest.(check (pair bool int)) "an intact file is served" (true, 0)
+    (lookup_counting (doc libx_json));
+  case "unparsable JSON" "{ not json";
+  case "truncated entry"
+    (let d = doc libx_json in
+     String.sub d 0 (String.length d / 2));
+  case "wrong shape" "[1, 2, 3]";
+  case "future format version" (doc ~format:99 libx_json);
+  case "another base" (doc ~base:(String.make 64 '0') libx_json);
+  case "another spec under this key" (doc ~spec:"app" libx_json);
+  case "entry that is not a concrete spec" (doc "42");
+  case "tampered merkle field" (doc ~merkle:"0deadbeef" libx_json);
+  (* a missing file is a plain miss, not corruption *)
+  let obs = Obs.create () in
+  let c = backed ~obs (Vfs.create ()) cx in
+  Alcotest.(check bool) "missing file misses" true
+    (Ccache.lookup c (parse "libx") = None);
+  Alcotest.(check int) "missing file is not an invalidation" 0
+    (Obs.counter obs "ccache.invalidations")
+
+(* the --ccache document is validated eagerly on import: a wholesale
+   mismatch loses every entry, a bad entry only itself *)
+let import_validates () =
+  let packages = base_packages () in
+  let cx = mk_context packages in
+  let b = Ccache.base_fingerprint cx in
+  let import_counting text =
+    let obs = Obs.create () in
+    let c = Ccache.create ~obs ~context:cx () in
+    Ccache.import c text;
     (Ccache.length c, Obs.counter obs "ccache.invalidations")
   in
-  let b = Ccache.base_fingerprint cx in
+  let exported =
+    let cache = Ccache.create ~context:cx () in
+    ignore (concretize_ok ~cache (ctx_of packages) "libx");
+    ignore (concretize_ok ~cache (ctx_of packages) "mympi");
+    Ccache.to_json cache
+  in
+  Alcotest.(check (pair int int)) "clean import" (2, 0)
+    (import_counting (Json.to_string exported));
   Alcotest.(check (pair int int)) "unparsable JSON" (0, 1)
-    (load_counting "{ not json");
+    (import_counting "{ not json");
   Alcotest.(check (pair int int)) "wrong shape" (0, 1)
-    (load_counting "[1, 2, 3]");
+    (import_counting "[1, 2, 3]");
   Alcotest.(check (pair int int)) "future format version" (0, 1)
-    (load_counting
+    (import_counting
        (Printf.sprintf "{\"format\": 99, \"base\": %S, \"entries\": []}" b));
   Alcotest.(check (pair int int)) "pre-Merkle format 1 cache" (0, 1)
-    (load_counting
+    (import_counting
        (Printf.sprintf
           "{\"format\": 1, \"fingerprint\": %S, \"entries\": []}" b));
-  Alcotest.(check (pair int int)) "entry that is not a concrete spec" (0, 1)
-    (load_counting
-       (Printf.sprintf
-          "{\"format\": 2, \"base\": %S, \"entries\": [{\"spec\": \"app\", \
-           \"merkle\": \"deadbeef\", \"concrete\": 42}]}"
-          b));
-  Alcotest.(check (pair int int)) "tampered merkle field" (0, 1)
-    (load_counting
-       (let cache = Ccache.create ~context:cx () in
-        ignore (concretize_ok ~cache (ctx_of (base_packages ())) "libx");
-        (* corrupt the recorded fingerprint without touching the DAG *)
-        let rec tamper = function
+  Alcotest.(check (pair int int)) "base mismatch loses every entry" (0, 2)
+    (import_counting
+       (Json.to_string
+          (match exported with
           | Json.Obj fields ->
               Json.Obj
                 (List.map
                    (fun (k, v) ->
-                     if k = "merkle" then (k, Json.String "0deadbeef")
-                     else (k, tamper v))
+                     if k = "base" then (k, Json.String (String.make 64 '0'))
+                     else (k, v))
                    fields)
-          | Json.List l -> Json.List (List.map tamper l)
-          | j -> j
-        in
-        Json.to_string (tamper (Ccache.to_json cache))));
-  (* a missing file is an empty cache, not corruption *)
-  let obs = Obs.create () in
-  let c = Ccache.load ~obs ~context:cx fs ~path:"/store/absent.json" in
-  Alcotest.(check int) "missing file is empty" 0 (Ccache.length c);
-  Alcotest.(check int) "missing file is not an invalidation" 0
-    (Obs.counter obs "ccache.invalidations")
+          | j -> j)));
+  (* a tampered entry is dropped without poisoning its neighbour *)
+  let tampered =
+    match exported with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "entries", Json.List (first :: rest) ->
+                   let bad =
+                     match first with
+                     | Json.Obj f ->
+                         Json.Obj
+                           (List.map
+                              (fun (k, v) ->
+                                if k = "merkle" then (k, Json.String "0deadbeef")
+                                else (k, v))
+                              f)
+                     | j -> j
+                   in
+                   (k, Json.List (bad :: rest))
+               | _ -> (k, v))
+             fields)
+    | j -> j
+  in
+  Alcotest.(check (pair int int)) "tampered merkle field" (1, 1)
+    (import_counting (Json.to_string tampered));
+  Alcotest.(check (pair int int)) "entry that is not a concrete spec" (0, 1)
+    (import_counting
+       (Printf.sprintf
+          "{\"format\": 2, \"base\": %S, \"entries\": [{\"spec\": \"app\", \
+           \"merkle\": \"deadbeef\", \"concrete\": 42}]}"
+          b))
 
 let mutation_forces_miss_end_to_end () =
   (* the full cycle a user sees: concretize, persist, edit a recipe,
      concretize again — the second run must re-solve, not replay *)
   let packages = base_packages () in
   let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  let cache = Ccache.create ~context:(mk_context packages) () in
+  let cache = backed fs (mk_context packages) in
   let c1 = concretize_ok ~cache (ctx_of packages) "libx" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  save_ok cache;
   Alcotest.(check string) "cold pick is newest" "0.6"
     (Ospack_version.Version.to_string (Concrete.root_node c1).Concrete.version);
   let bumped = bump_libx packages in
   let obs = Obs.create () in
-  let cache2 = Ccache.load ~obs ~context:(mk_context bumped) fs ~path in
+  let cache2 = backed ~obs fs (mk_context bumped) in
   let c2 = concretize_ok ~cache:cache2 (ctx_of bumped) "libx" in
   Alcotest.(check int) "stale entry invalidated" 1
     (Obs.counter obs "ccache.invalidations");
@@ -381,31 +481,141 @@ let mutation_forces_miss_end_to_end () =
   Alcotest.(check string) "re-solve sees the new version" "0.7"
     (Ospack_version.Version.to_string (Concrete.root_node c2).Concrete.version)
 
-(* --- the incremental renderer --- *)
+(* --- the persisted bytes --- *)
 
-(* [save] writes fragments rendered once at store/load time; [to_json]
-   recomputes every fingerprint and re-serializes every entry, so it is
-   the independent reference the written bytes must equal *)
-let saved_equals_reference cache =
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  let reference = Json.to_string ~indent:2 (Ccache.to_json cache) in
-  match Ccache.save cache fs ~path with
-  | Error _ -> false
-  | Ok () ->
-      Vfs.read_file fs path = Ok reference
-      && Ccache.to_string cache = reference
+(* [to_json] recomputes every fingerprint and re-serializes every entry,
+   so it is the independent reference: each entry file must equal its
+   entry rendered under the document's format and base *)
+let reference_files cache =
+  match Ccache.to_json cache with
+  | Json.Obj fields ->
+      let header =
+        List.filter (fun (k, _) -> k = "format" || k = "base") fields
+      in
+      let entries =
+        match List.assoc_opt "entries" fields with
+        | Some (Json.List l) -> l
+        | _ -> []
+      in
+      List.map
+        (fun e ->
+          match e with
+          | Json.Obj f ->
+              let spec =
+                match List.assoc_opt "spec" f with
+                | Some (Json.String s) -> s
+                | _ -> Alcotest.fail "entry without a spec"
+              in
+              (spec, Json.to_string (Json.Obj (header @ f)))
+          | _ -> Alcotest.fail "entry is not an object")
+        entries
+  | _ -> Alcotest.fail "document is not an object"
 
-let reload ~context cache =
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  ignore (Ccache.save cache fs ~path);
-  Ccache.load ~context fs ~path
+let files_equal_reference fs cache =
+  List.for_all
+    (fun (spec, reference) ->
+      Vfs.read_file fs (entry_file cache spec) = Ok reference)
+    (reference_files cache)
 
 let empty_cache_renders () =
-  let cache = Ccache.create ~context:(mk_context (base_packages ())) () in
-  Alcotest.(check bool) "empty cache: save = reference" true
-    (saved_equals_reference cache)
+  let cx = mk_context (base_packages ()) in
+  let fs = Vfs.create () in
+  let cache = backed fs cx in
+  save_ok cache;
+  Alcotest.(check (list string)) "an empty save writes nothing" []
+    (files_under fs);
+  Alcotest.(check string) "empty document"
+    (Printf.sprintf "{\n  \"format\": 2,\n  \"base\": %S,\n  \"entries\": []\n}"
+       (Ccache.base_fingerprint cx))
+    (Json.to_string ~indent:2 (Ccache.to_json cache))
+
+let save_writes_only_new_entries () =
+  (* O(Δ) persistence: a save writes the entries stored since the last
+     one — one write-then-rename (two barriers) each — and nothing else *)
+  let packages = base_packages () in
+  let fs = Vfs.create () in
+  let cache = backed fs (mk_context packages) in
+  let ctx = ctx_of packages in
+  let barriers_of_save () =
+    Vfs.set_fault_plan fs [];
+    save_ok cache;
+    let n = Vfs.write_barriers fs in
+    Vfs.clear_fault_plan fs;
+    n
+  in
+  ignore (concretize_ok ~cache ctx "app@1.0");
+  ignore (concretize_ok ~cache ctx "libx");
+  Alcotest.(check int) "two new entries" 4 (barriers_of_save ());
+  Alcotest.(check int) "nothing new" 0 (barriers_of_save ());
+  ignore (concretize_ok ~cache ctx "app@1.0");
+  Alcotest.(check int) "a hit stores nothing" 0 (barriers_of_save ());
+  ignore (concretize_ok ~cache ctx "mympi");
+  Alcotest.(check int) "one new entry" 2 (barriers_of_save ());
+  Alcotest.(check bool) "files = reference" true (files_equal_reference fs cache)
+
+let save_crash_torture () =
+  (* kill a save at every write barrier: a later reader sees each entry's
+     old file or its new one — never a torn one, never the stray .tmp *)
+  let packages = base_packages () in
+  let cx = mk_context packages in
+  let ctx = ctx_of packages in
+  let old_libx = concretize_ok ctx "libx@0.5" in
+  let new_libx = concretize_ok ctx "libx" in
+  let app = concretize_ok ctx "app@1.0" in
+  let world () =
+    let fs = Vfs.create () in
+    let before = backed fs cx in
+    Ccache.store before (parse "libx") old_libx;
+    save_ok before;
+    let after = backed fs cx in
+    (* sorted key order: app@1.0 is written before libx *)
+    Ccache.store after (parse "app@1.0") app;
+    Ccache.store after (parse "libx") new_libx;
+    (fs, after)
+  in
+  let fs, after = world () in
+  Vfs.set_fault_plan fs [];
+  save_ok after;
+  let barriers = Vfs.write_barriers fs in
+  Vfs.clear_fault_plan fs;
+  Alcotest.(check int) "two entries, two barriers each" 4 barriers;
+  for k = 1 to barriers do
+    let fs, after = world () in
+    Vfs.set_fault_plan fs ~mode:Vfs.Crash [ k ];
+    Alcotest.(check bool) (Printf.sprintf "kill %d fails the save" k) true
+      (Result.is_error (Ccache.save after));
+    Vfs.clear_fault_plan fs;
+    let obs = Obs.create () in
+    let reader = backed ~obs fs cx in
+    let served spec = Ccache.lookup reader (parse spec) in
+    let is expected = function
+      | Some c -> Concrete.equal c expected
+      | None -> false
+    in
+    (* entry j (0-based, key order) is new iff both its barriers (2j+1,
+       2j+2) completed before the kill *)
+    let landed j = k > (2 * j) + 2 in
+    (* a kill at an entry's rename barrier strands its complete .tmp *)
+    let stranded j = k = (2 * j) + 2 in
+    Alcotest.(check bool) (Printf.sprintf "kill %d: .tmp stranded" k)
+      (stranded 0 || stranded 1)
+      (List.exists
+         (fun (j, spec) ->
+           stranded j && Vfs.exists fs (entry_file reader spec ^ ".tmp"))
+         [ (0, "app@1.0"); (1, "libx") ]);
+    Alcotest.(check bool) (Printf.sprintf "kill %d: app old or new" k) true
+      (if landed 0 then is app (served "app@1.0")
+       else served "app@1.0" = None);
+    Alcotest.(check bool) (Printf.sprintf "kill %d: libx old or new" k) true
+      (is (if landed 1 then new_libx else old_libx) (served "libx"));
+    Alcotest.(check int) (Printf.sprintf "kill %d: nothing torn" k) 0
+      (Obs.counter obs "ccache.invalidations");
+    (* the failed save kept its unwritten entries queued: a retry
+       completes it *)
+    save_ok after;
+    Alcotest.(check bool) (Printf.sprintf "kill %d: retry lands" k) true
+      (files_equal_reference fs after)
+  done
 
 (* (abstract, concrete) pairs to store: keys and values are drawn
    independently, so a sequence re-stores keys with other values too *)
@@ -425,10 +635,12 @@ let save_equals_reference_property =
       let pool = Lazy.force store_pool in
       let packages = base_packages () in
       let cx = mk_context packages in
-      let cache = Ccache.create ~context:cx () in
+      let fs = Vfs.create () in
+      let cache = backed fs cx in
       List.iter
         (fun (k, v) -> Ccache.store cache (fst pool.(k)) (snd pool.(v)))
         ops;
+      ignore (Ccache.save cache);
       (* the model: last value stored per key *)
       let final = Hashtbl.create n in
       List.iter (fun (k, v) -> Hashtbl.replace final k v) ops;
@@ -437,18 +649,124 @@ let save_equals_reference_property =
           (fun (nd : Concrete.node) -> nd.Concrete.name = "libx")
           (Concrete.nodes (snd pool.(v)))
       in
+      let read_back context =
+        let c = backed fs context in
+        Hashtbl.fold
+          (fun k v acc ->
+            match Ccache.lookup c (fst pool.(k)) with
+            | Some got when Concrete.equal got (snd pool.(v)) -> acc + 1
+            | Some _ | None -> acc)
+          final 0
+      in
       let survivors =
         Hashtbl.fold (fun _ v acc -> if sees_libx v then acc else acc + 1)
           final 0
       in
-      let same = reload ~context:cx cache in
-      let edited = reload ~context:(mk_context (bump_libx packages)) cache in
       Ccache.length cache = Hashtbl.length final
-      && saved_equals_reference cache
-      && Ccache.length same = Ccache.length cache
-      && saved_equals_reference same
-      && Ccache.length edited = survivors
-      && saved_equals_reference edited)
+      && List.length (files_under fs) = Hashtbl.length final
+      && files_equal_reference fs cache
+      && read_back cx = Hashtbl.length final
+      && read_back (mk_context (bump_libx packages)) = survivors)
+
+(* --- the reference model: two contexts over one filesystem --- *)
+
+(* Random store/save/lookup/recipe-edit/corrupt-file sequences, checked
+   against a model of what each context holds in memory and what each
+   entry file holds on the shared filesystem. Both contexts share one
+   base; each flips independently between the original and the
+   libx-bumped universe. *)
+type disk = Absent | Corrupt | Saved of int (* the universe it was made in *)
+
+let model_specs = [| "app"; "app@1.0"; "libx"; "mympi"; "mympi@2.1" |]
+
+let universes = lazy [| base_packages (); bump_libx (base_packages ()) |]
+
+(* cold answers per universe, and whether the closure can see libx *)
+let cold =
+  lazy
+    (Array.map
+       (fun packages ->
+         Array.map
+           (fun spec -> concretize_ok (ctx_of packages) spec)
+           model_specs)
+       (Lazy.force universes))
+
+let model_property =
+  QCheck.Test.make ~count:150
+    ~name:"two contexts, one filesystem = reference model"
+    QCheck.(
+      small_list
+        (triple (int_bound 3) (int_bound 1)
+           (int_bound (Array.length model_specs - 1))))
+    (fun ops ->
+      let universes = Lazy.force universes and cold = Lazy.force cold in
+      let sees_libx u k =
+        List.exists
+          (fun (nd : Concrete.node) -> nd.Concrete.name = "libx")
+          (Concrete.nodes cold.(u).(k))
+      in
+      let fs = Vfs.create () in
+      let obs = Obs.create () in
+      let open_cache u = backed ~obs fs (mk_context universes.(u)) in
+      let universe = [| 0; 0 |] in
+      let caches = [| open_cache 0; open_cache 0 |] in
+      let ctxs = Array.map ctx_of [| universes.(0); universes.(0) |] in
+      let disk = Array.make (Array.length model_specs) Absent in
+      let mem = Array.init 2 (fun _ -> Hashtbl.create 8) in
+      let pending = Array.init 2 (fun _ -> Hashtbl.create 8) in
+      let hits = ref 0 and misses = ref 0 and invalidations = ref 0 in
+      let step (tag, i, k) =
+        match tag with
+        | 0 ->
+            (* concretize through the cache *)
+            let u = universe.(i) in
+            let hit =
+              Hashtbl.mem mem.(i) k
+              ||
+              match disk.(k) with
+              | Saved v when v = u || not (sees_libx v k) -> true
+              | Saved _ | Corrupt ->
+                  incr invalidations;
+                  disk.(k) <- Absent;
+                  false
+              | Absent -> false
+            in
+            if hit then incr hits
+            else begin
+              incr misses;
+              Hashtbl.replace pending.(i) k ()
+            end;
+            Hashtbl.replace mem.(i) k ();
+            let got =
+              concretize_ok ~cache:caches.(i) ctxs.(i) model_specs.(k)
+            in
+            Concrete.equal got cold.(u).(k)
+        | 1 ->
+            Hashtbl.iter (fun k () -> disk.(k) <- Saved universe.(i)) pending.(i);
+            Hashtbl.reset pending.(i);
+            Result.is_ok (Ccache.save caches.(i))
+        | 2 ->
+            (* a recipe edit: the context reopens under the other universe,
+               its unsaved entries lost *)
+            let u = 1 - universe.(i) in
+            universe.(i) <- u;
+            caches.(i) <- open_cache u;
+            ctxs.(i) <- ctx_of universes.(u);
+            Hashtbl.reset mem.(i);
+            Hashtbl.reset pending.(i);
+            true
+        | _ ->
+            disk.(k) <- Corrupt;
+            let path = entry_file caches.(i) model_specs.(k) in
+            Result.is_ok (Vfs.write_file fs path "{\"format\": 2, \"spec\"")
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Obs.counter obs "ccache.hits" = !hits
+          && Obs.counter obs "ccache.misses" = !misses
+          && Obs.counter obs "ccache.invalidations" = !invalidations)
+        ops)
 
 let () =
   Alcotest.run "ccache"
@@ -479,9 +797,19 @@ let () =
             wholesale_base_mismatch;
           Alcotest.test_case "corrupt cache ignored" `Quick
             corrupt_cache_ignored;
+          Alcotest.test_case "import validates every entry" `Quick
+            import_validates;
           Alcotest.test_case "recipe edit forces re-solve" `Quick
             mutation_forces_miss_end_to_end;
           Alcotest.test_case "empty cache renders" `Quick empty_cache_renders;
+          Alcotest.test_case "save writes only new entries" `Quick
+            save_writes_only_new_entries;
           QCheck_alcotest.to_alcotest save_equals_reference_property;
+          QCheck_alcotest.to_alcotest model_property;
+        ] );
+      ( "crash safety",
+        [
+          Alcotest.test_case "save killed at every write barrier" `Quick
+            save_crash_torture;
         ] );
     ]

@@ -457,16 +457,68 @@ let verify_integrity () =
        (fun (_, r) -> Ospack_store.Provenance.report_clean r)
        reports)
 
-let export_matches_persisted () =
-  (* one renderer: the cross-process export is the file a miss persists *)
+(* a context that has concretized two specs, each a persisted miss *)
+let concretized_context () =
   let ctx = Context.create () in
   ignore (ok (Ospack.spec ctx "libelf"));
   ignore (ok (Ospack.spec ctx "mpileaks"));
-  match Vfs.read_file ctx.Context.vfs ctx.Context.ccache_path with
-  | Ok persisted ->
-      Alcotest.(check string) "export = persisted file" persisted
-        (Context.export_ccache ctx)
-  | Error e -> Alcotest.failf "no persisted ccache: %s" (Vfs.error_to_string e)
+  ctx
+
+let export_import_export () =
+  (* the cross-process bridge is lossless: importing an export into a
+     fresh context (a fresh filesystem too) and exporting again gives the
+     same bytes, and the import persisted every entry *)
+  let ctx = concretized_context () in
+  let exported = Context.export_ccache ctx in
+  let ctx2 = Context.create ~ccache_json:exported () in
+  Alcotest.(check string) "export -> import -> export" exported
+    (Context.export_ccache ctx2);
+  let reopened = Context.create ~vfs:ctx2.Context.vfs () in
+  Alcotest.(check bool) "imported entries persisted" true
+    (List.for_all
+       (fun spec ->
+         Ospack_concretize.Ccache.lookup reopened.Context.ccache
+           (Ospack_spec.Parser.parse_exn spec)
+         <> None)
+       [ "libelf"; "mpileaks" ])
+
+let entry_files_match_reference () =
+  (* each persisted entry file is the reference render of its entry in
+     the export: the export's format and base, then spec, merkle and
+     concrete, rendered compact *)
+  let module Json = Ospack_json.Json in
+  let ctx = concretized_context () in
+  match Json.of_string (Context.export_ccache ctx) with
+  | Ok (Json.Obj fields) ->
+      let header =
+        List.filter (fun (k, _) -> k = "format" || k = "base") fields
+      in
+      let entries =
+        match List.assoc_opt "entries" fields with
+        | Some (Json.List l) -> l
+        | _ -> []
+      in
+      Alcotest.(check int) "two entries" 2 (List.length entries);
+      List.iter
+        (function
+          | Json.Obj f as entry ->
+              let spec =
+                Option.get (Option.bind (Json.member "spec" entry) Json.get_string)
+              in
+              let path =
+                Option.get
+                  (Ospack_concretize.Ccache.entry_path ctx.Context.ccache
+                     (Ospack_spec.Parser.parse_exn spec))
+              in
+              Alcotest.(check bool) (spec ^ ": under the cache root") true
+                (String.starts_with ~prefix:(ctx.Context.ccache_path ^ "/") path);
+              Alcotest.(check (result string reject))
+                (spec ^ ": file = reference render")
+                (Ok (Json.to_string (Json.Obj (header @ f))))
+                (Result.map_error (fun _ -> ()) (Vfs.read_file ctx.Context.vfs path))
+          | _ -> Alcotest.fail "entry is not an object")
+        entries
+  | _ -> Alcotest.fail "export is not a JSON object"
 
 let () =
   Alcotest.run "core"
@@ -506,7 +558,9 @@ let () =
             r_extensions;
           Alcotest.test_case "verify: manifest integrity" `Quick
             verify_integrity;
-          Alcotest.test_case "ccache export = persisted file" `Quick
-            export_matches_persisted;
+          Alcotest.test_case "ccache export -> import -> export" `Quick
+            export_import_export;
+          Alcotest.test_case "ccache entry files = reference render" `Quick
+            entry_files_match_reference;
         ] );
     ]

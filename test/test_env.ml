@@ -26,19 +26,17 @@ let ok_lock = function
         (Environment.lock_error_to_string e)
 
 (* every file and symlink under a root, with content/target — the
-   byte-identity probe; the ccache is excluded because only a solving
-   context writes one *)
+   byte-identity probe; the ccache lives outside the store, so a solving
+   context's store holds nothing a replay lacks *)
 let snapshot ctx root =
   Vfs.walk ctx.Context.vfs root
   |> List.filter_map (fun (path, kind) ->
-         if path = "/ospack/opt/.spack-db/ccache.json" then None
-         else
-           match kind with
-           | Vfs.File ->
-               Some (path ^ " F " ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
-           | Vfs.Symlink ->
-               Some (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
-           | Vfs.Dir -> Some (path ^ " D"))
+         match kind with
+         | Vfs.File ->
+             Some (path ^ " F " ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
+         | Vfs.Symlink ->
+             Some (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
+         | Vfs.Dir -> Some (path ^ " D"))
 
 let db_json ctx =
   Json.to_string ~indent:2

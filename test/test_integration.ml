@@ -140,7 +140,7 @@ let uninstall_then_gc_converges () =
   Alcotest.(check (result int string)) "reload empty" (Ok 0)
     (Installer.load_index fresh);
   Alcotest.(check (list string)) "no record files" []
-    (Ospack_store.Sharded_dir.keys vfs ~root:(Installer.index_dir installer))
+    (Ospack_vfs.Sharded_dir.keys vfs ~root:(Installer.index_dir installer))
 
 let () =
   Alcotest.run "integration"

@@ -254,6 +254,29 @@ let provider_index_rejects_ambiguity () =
        false
      with Invalid_argument _ -> true)
 
+(* identity hashes are memoized per repository value: stable across
+   calls, equal to the hash of the visible package's identity string, and
+   shadowed like the package itself *)
+let identity_hashes () =
+  let hash_of p = Ospack_hash.Sha256.hex_digest (identity_string p) in
+  let libx v = make_pkg "libx" [ version v ] in
+  let base = Repository.create [ libx "1.0"; make_pkg "app" [ version "2.0" ] ] in
+  let site = Repository.create ~name:"site" [ libx "1.1" ] in
+  let layered = Repository.layered [ site; base ] in
+  let visible repo name = hash_of (Repository.find_exn repo name) in
+  Alcotest.(check string) "hash of the identity string"
+    (visible base "libx") (Repository.identity_hash base "libx");
+  Alcotest.(check string) "memoized value is stable"
+    (Repository.identity_hash base "libx") (Repository.identity_hash base "libx");
+  Alcotest.(check string) "layered: the site package's hash"
+    (visible layered "libx") (Repository.identity_hash layered "libx");
+  Alcotest.(check bool) "shadowing changes the hash" true
+    (Repository.identity_hash layered "libx" <> Repository.identity_hash base "libx");
+  Alcotest.(check string) "unshadowed packages agree"
+    (Repository.identity_hash base "app") (Repository.identity_hash layered "app");
+  Alcotest.(check string) "absent name" "absent"
+    (Repository.identity_hash base "nosuch")
+
 let () =
   Alcotest.run "package"
     [
@@ -274,6 +297,7 @@ let () =
         [
           Alcotest.test_case "layering and shadowing" `Quick repo_layering;
           Alcotest.test_case "closest-name suggestions" `Quick closest_name;
+          Alcotest.test_case "identity hashes" `Quick identity_hashes;
         ] );
       ( "providers",
         [

@@ -11,7 +11,7 @@ module Parser = Ospack_spec.Parser
 module Database = Ospack_store.Database
 module Installer = Ospack_store.Installer
 module Provenance = Ospack_store.Provenance
-module Sharded_dir = Ospack_store.Sharded_dir
+module Sharded_dir = Ospack_vfs.Sharded_dir
 module Vfs = Ospack_vfs.Vfs
 
 let repo =
@@ -715,7 +715,8 @@ let unsupported_shard_format () =
   Alcotest.(check int) "nothing merged" 0
     (Database.count (Installer.database second))
 
-(* --- the sharded directory both the index and the buildcache use --- *)
+(* --- the sharded directory the index, the buildcache and the
+   concretization cache use --- *)
 
 let sd_root = "/sd"
 
