@@ -7,6 +7,7 @@ module Policy = Ospack_config.Policy
 module Version = Ospack_version.Version
 module Vlist = Ospack_version.Vlist
 module Smap = Ast.Smap
+module I = Concretizer_intf
 
 type var_kind =
   | Present of string
@@ -17,14 +18,16 @@ type t = {
   nvars : int;
   kinds : var_kind array;  (* 1-based; index 0 unused *)
   cl : (int list * int) list;  (* (lits, origin), emission order *)
-  reasons : string array;  (* origin id -> rendering *)
+  reasons : string Lazy.t array Lazy.t;
+      (* origin id -> rendering; the array is built, and each reason
+         rendered, only when a reason is asked for *)
   ord : int list;
 }
 
 let nvars t = t.nvars
 let clause_list t = t.cl
 let order t = t.ord
-let reason t o = t.reasons.(o)
+let reason t o = Lazy.force (Lazy.force t.reasons).(o)
 
 let var_to_string t v =
   match t.kinds.(v) with
@@ -33,45 +36,67 @@ let var_to_string t v =
   | Provider_is (virt, pr) -> Printf.sprintf "Prov(%s=%s)" virt pr
 
 (* ------------------------------------------------------------------ *)
+(* Per-context facts (see Concretizer_intf.fact)                       *)
+
+let no_prefs = { I.site_versions = None; variants = [] }
+
+let package_prefs (ctx : I.ctx) name =
+  match Hashtbl.find_opt (Lazy.force ctx.facts) name with
+  | Some (I.Package_prefs prefs) -> prefs
+  | Some (I.Providers _) | None -> no_prefs
+
+let site_providers (ctx : I.ctx) virt =
+  let facts = Lazy.force ctx.facts in
+  match Hashtbl.find_opt facts virt with
+  | Some (I.Providers prs) -> prs
+  | Some (I.Package_prefs _) | None ->
+      let prs =
+        Provider_index.providers ctx.index virt
+        |> List.map (fun e -> e.Provider_index.e_provider)
+        |> List.sort_uniq String.compare
+        |> List.map (fun pr ->
+               (Policy.rank_provider ctx.config ~virtual_:virt pr, pr))
+        |> List.sort compare |> List.map snd |> Array.of_list
+      in
+      Hashtbl.replace facts virt (I.Providers prs);
+      prs
+
+(* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
 
+(* A package of the closure. Its variables are fixed by [make_vars]. *)
+type slot = {
+  pkg : Package.t;
+  prefs : I.prefs;
+  mutable cands : (Version.t * int) list;
+      (* candidate versions, best first, each with its V variable *)
+  mutable pvar : int;  (* its P variable *)
+}
+
 type builder = {
-  ctx : Concretizer_intf.ctx;
+  ctx : I.ctx;
   abstract : Ast.t;
-  vars : (string, int) Hashtbl.t;
   mutable rkinds : var_kind list;  (* reversed *)
   mutable nv : int;
   mutable rclauses : (int list * int) list;  (* reversed *)
-  mutable rreasons : string list;  (* reversed *)
+  mutable rreasons : string Lazy.t list;  (* reversed *)
   mutable nreasons : int;
-  cand : (string, Version.t list) Hashtbl.t;
   extra_points : (string, Version.t list) Hashtbl.t;
   maybe : (string * string, unit) Hashtbl.t;
       (* (pkg, variant) pairs some spec might pin: their value is not
          statically certain, so predicates over them are relaxed *)
   mutable closure : string list;  (* reversed during build *)
-  closure_set : (string, unit) Hashtbl.t;
+  slots : (string, slot) Hashtbl.t;  (* the closure's packages *)
   mutable virts : string list;  (* reversed during build *)
   virt_set : (string, unit) Hashtbl.t;
+  provs : (string, (string * int) list) Hashtbl.t;
+      (* virtual -> ranked providers, each with its Prov variable *)
 }
 
-let var b key kind =
-  match Hashtbl.find_opt b.vars key with
-  | Some v -> v
-  | None ->
-      b.nv <- b.nv + 1;
-      Hashtbl.add b.vars key b.nv;
-      b.rkinds <- kind :: b.rkinds;
-      b.nv
-
-let p_var b name = var b ("P:" ^ name) (Present name)
-
-let v_var b name ver =
-  var b
-    ("V:" ^ name ^ "@" ^ Version.to_string ver)
-    (Version_is (name, ver))
-
-let prov_var b virt pr = var b ("Prov:" ^ virt ^ ":" ^ pr) (Provider_is (virt, pr))
+let new_var b kind =
+  b.nv <- b.nv + 1;
+  b.rkinds <- kind :: b.rkinds;
+  b.nv
 
 let emit b lits why =
   let o = b.nreasons in
@@ -79,13 +104,16 @@ let emit b lits why =
   b.rreasons <- why :: b.rreasons;
   b.rclauses <- (lits, o) :: b.rclauses
 
-let pkg_of b name =
-  match Repository.find b.ctx.repo name with
-  | Some p -> p
+let in_closure b name = Hashtbl.mem b.slots name
+
+let slot b name =
+  match Hashtbl.find_opt b.slots name with
+  | Some s -> s
   | None -> invalid_arg ("Clauses: package not in closure: " ^ name)
 
-let cand_of b name =
-  Option.value (Hashtbl.find_opt b.cand name) ~default:[]
+let pkg_of b name = (slot b name).pkg
+let p_var b name = (slot b name).pvar
+let cands b name = (slot b name).cands
 
 (* ------------------------------------------------------------------ *)
 (* Closure walk: reachable packages, encountered virtuals, externally
@@ -104,12 +132,13 @@ let note_point b name vl =
 let compute_closure b =
   let q = Queue.create () in
   let add_pkg name =
-    if not (Hashtbl.mem b.closure_set name) then
+    if not (in_closure b name) then
       match Repository.find b.ctx.repo name with
-      | Some _ ->
-          Hashtbl.add b.closure_set name ();
+      | Some pkg ->
+          let prefs = package_prefs b.ctx name in
+          Hashtbl.add b.slots name { pkg; prefs; cands = []; pvar = 0 };
           b.closure <- name :: b.closure;
-          Queue.add name q
+          Queue.add pkg q
       | None -> ()
   in
   let add_virt name =
@@ -149,8 +178,7 @@ let compute_closure b =
       note_node c)
     b.abstract.Ast.deps;
   while not (Queue.is_empty q) do
-    let name = Queue.pop q in
-    let pkg = pkg_of b name in
+    let pkg = Queue.pop q in
     List.iter
       (fun (d : Package.dep) ->
         let target = d.Package.d_spec.Ast.root in
@@ -169,43 +197,64 @@ let compute_closure b =
 (* ------------------------------------------------------------------ *)
 (* Candidate versions and variables, in decision order                 *)
 
-let ranked_providers b virt =
-  let entries = Provider_index.providers b.ctx.index virt in
-  let prs =
-    List.map (fun e -> e.Provider_index.e_provider) entries
-    |> List.sort_uniq String.compare
-    |> List.filter (Hashtbl.mem b.closure_set)
-  in
-  let rank name =
-    let forced = if Smap.mem name b.abstract.Ast.deps then 0 else 1 in
-    (forced, Policy.rank_provider b.ctx.config ~virtual_:virt name, name)
-  in
-  List.sort (fun a b -> compare (rank a) (rank b)) prs
+(* A virtual's providers in the closure, ranked: those the user spec
+   names first, then site order. Their Prov variables are created on
+   the first call, in rank order. *)
+let providers b virt =
+  match Hashtbl.find_opt b.provs virt with
+  | Some prs -> prs
+  | None ->
+      let forced, rest =
+        Array.fold_right
+          (fun pr acc -> if in_closure b pr then pr :: acc else acc)
+          (site_providers b.ctx virt) []
+        |> List.partition (fun pr -> Smap.mem pr b.abstract.Ast.deps)
+      in
+      let prs =
+        List.map
+          (fun pr -> (pr, new_var b (Provider_is (virt, pr))))
+          (forced @ rest)
+      in
+      Hashtbl.add b.provs virt prs;
+      prs
+
+let prov_var b virt pr =
+  match List.assoc_opt pr (providers b virt) with
+  | Some v -> v
+  | None -> invalid_arg ("Clauses: " ^ pr ^ " does not provide " ^ virt)
 
 let make_vars b =
-  List.iter
-    (fun name ->
-      let pkg = pkg_of b name in
-      let base = Concretizer.ranked_versions b.ctx.config pkg Vlist.any in
-      let extra =
-        Option.value (Hashtbl.find_opt b.extra_points name) ~default:[]
-        |> List.filter (fun v -> not (List.exists (Version.equal v) base))
-      in
-      Hashtbl.replace b.cand name (base @ extra))
-    b.closure;
   (* creation in decision order: providers, versions, presence *)
   let ord = ref [] in
   List.iter
     (fun virt ->
-      List.iter
-        (fun pr -> ord := prov_var b virt pr :: !ord)
-        (ranked_providers b virt))
+      List.iter (fun (_, pv) -> ord := pv :: !ord) (providers b virt))
     b.virts;
   List.iter
     (fun name ->
-      List.iter (fun v -> ord := v_var b name v :: !ord) (cand_of b name))
+      let s = slot b name in
+      let base =
+        Concretizer.rank_versions ~site_pref:s.prefs.I.site_versions s.pkg
+          Vlist.any
+      in
+      let extra =
+        Option.value (Hashtbl.find_opt b.extra_points name) ~default:[]
+        |> List.filter (fun v -> not (List.exists (Version.equal v) base))
+      in
+      s.cands <-
+        List.map
+          (fun v ->
+            let vv = new_var b (Version_is (name, v)) in
+            ord := vv :: !ord;
+            (v, vv))
+          (base @ extra))
     b.closure;
-  List.iter (fun name -> ord := -p_var b name :: !ord) b.closure;
+  List.iter
+    (fun name ->
+      let s = slot b name in
+      s.pvar <- new_var b (Present name);
+      ord := -s.pvar :: !ord)
+    b.closure;
   List.rev !ord
 
 (* ------------------------------------------------------------------ *)
@@ -230,10 +279,7 @@ let variant_value b ~transfer pname vn =
       | None ->
           if Hashtbl.mem b.maybe (pname, vn) then Unknown
           else
-            let policy =
-              List.assoc_opt vn
-                (Policy.variant_preference b.ctx.config ~package:pname)
-            in
+            let policy = List.assoc_opt vn (slot b pname).prefs.I.variants in
             let default () =
               List.assoc_opt vn (Package.variant_defaults (pkg_of b pname))
             in
@@ -268,64 +314,61 @@ let dep_activation b ~transfer pname (d : Package.dep) =
         else Some (Some pr.Ast.versions)
 
 (* ------------------------------------------------------------------ *)
-(* Clause emission                                                     *)
+(* Clause emission. Every reason is a lazy rendering: it is formatted
+   only if a core or a caller asks for it.                             *)
+
+(* [gates @ [ -V(name, v) ]] for each candidate [v] of [name] outside [vl] *)
+let exclude_outside b ~gates name vl why =
+  List.iter
+    (fun (v, vv) -> if not (Vlist.mem v vl) then emit b (gates @ [ -vv ]) why)
+    (cands b name)
 
 let rec emit_dep b ~depth ~gates ~transfer pname (d : Package.dep) =
   match dep_activation b ~transfer pname d with
   | None -> ()
-  | Some vcond ->
-      let gate_sets =
-        match vcond with
-        | None -> [ gates ]
-        | Some vl ->
-            cand_of b pname
-            |> List.filter (fun v -> Vlist.mem v vl)
-            |> List.map (fun v -> gates @ [ -v_var b pname v ])
-      in
-      List.iter (fun gates -> emit_dep_target b ~depth ~gates pname d) gate_sets
+  | Some None -> emit_dep_target b ~depth ~gates pname d
+  | Some (Some vl) ->
+      List.iter
+        (fun (v, vv) ->
+          if Vlist.mem v vl then
+            emit_dep_target b ~depth ~gates:(gates @ [ -vv ]) pname d)
+        (cands b pname)
 
 and emit_dep_target b ~depth ~gates pname (d : Package.dep) =
   let target = d.Package.d_spec.Ast.root in
   let tname = target.Ast.name in
   let why =
-    Printf.sprintf "%s depends on %s" pname (Printer.node_to_string target)
+    lazy
+      (Printf.sprintf "%s depends on %s" pname (Printer.node_to_string target))
   in
   (if Provider_index.is_virtual b.ctx.index tname then
      emit_vreq b ~depth ~gates ~why target
-   else if Hashtbl.mem b.closure_set tname then begin
+   else if in_closure b tname then begin
      emit b (gates @ [ p_var b tname ]) why;
      if not (Vlist.is_any target.Ast.versions) then
-       List.iter
-         (fun v ->
-           if not (Vlist.mem v target.Ast.versions) then
-             emit b (gates @ [ -v_var b tname v ]) why)
-         (cand_of b tname)
+       exclude_outside b ~gates tname target.Ast.versions why
    end
    else
      (* active dep on a package the repository does not know *)
-     emit b gates (Printf.sprintf "%s depends on unknown package %s" pname tname));
+     emit b gates
+       (lazy
+         (Printf.sprintf "%s depends on unknown package %s" pname tname)));
   Smap.iter
     (fun dn c ->
-      if Hashtbl.mem b.closure_set dn && not (Vlist.is_any c.Ast.versions)
-      then
-        List.iter
-          (fun v ->
-            if not (Vlist.mem v c.Ast.versions) then
-              emit b
-                (gates @ [ -v_var b dn v ])
-                (Printf.sprintf "constraint from %s (depends_on %s)" pname
-                   (Printer.node_to_string c)))
-          (cand_of b dn))
+      if in_closure b dn && not (Vlist.is_any c.Ast.versions) then
+        exclude_outside b ~gates dn c.Ast.versions
+          (lazy
+            (Printf.sprintf "constraint from %s (depends_on %s)" pname
+               (Printer.node_to_string c))))
     d.Package.d_spec.Ast.deps
 
 and emit_vreq b ~depth ~gates ~why (req : Ast.node) =
   let virt = req.Ast.name in
   let entries = Provider_index.providers b.ctx.index virt in
-  let prs = ranked_providers b virt in
-  emit b (gates @ List.map (fun pr -> prov_var b virt pr) prs) why;
+  let prs = providers b virt in
+  emit b (gates @ List.map snd prs) why;
   List.iter
-    (fun pr ->
-      let pv = prov_var b virt pr in
+    (fun (pr, pv) ->
       let pkg = pkg_of b pr in
       (* required interface variants must exist on (and agree with) the
          provider — the §4.5 lever: a provider lacking the variant is
@@ -335,19 +378,21 @@ and emit_vreq b ~depth ~gates ~why (req : Ast.node) =
           if Package.find_variant pkg vn = None then
             emit b
               (gates @ [ -pv ])
-              (Printf.sprintf "%s does not declare variant %s" pr vn)
+              (lazy (Printf.sprintf "%s does not declare variant %s" pr vn))
           else
             match user_variant b pr vn with
             | Some uv when uv <> want ->
                 emit b
                   (gates @ [ -pv ])
-                  (Printf.sprintf
-                     "%s is pinned %c%s by the user spec, but %s requires %c%s"
-                     pr
-                     (if uv then '+' else '~')
-                     vn virt
-                     (if want then '+' else '~')
-                     vn)
+                  (lazy
+                    (Printf.sprintf
+                       "%s is pinned %c%s by the user spec, but %s requires \
+                        %c%s"
+                       pr
+                       (if uv then '+' else '~')
+                       vn virt
+                       (if want then '+' else '~')
+                       vn))
             | _ -> ())
         req.Ast.variants;
       (* per-version interface compatibility: a provider version must
@@ -357,7 +402,7 @@ and emit_vreq b ~depth ~gates ~why (req : Ast.node) =
         List.filter (fun e -> e.Provider_index.e_provider = pr) entries
       in
       List.iter
-        (fun v ->
+        (fun (v, vv) ->
           let admissible =
             List.exists
               (fun e ->
@@ -375,11 +420,12 @@ and emit_vreq b ~depth ~gates ~why (req : Ast.node) =
           in
           if not admissible then
             emit b
-              (gates @ [ -pv; -v_var b pr v ])
-              (Printf.sprintf "%s@%s cannot provide %s" pr
-                 (Version.to_string v)
-                 (Printer.node_to_string req)))
-        (cand_of b pr);
+              (gates @ [ -pv; -vv ])
+              (lazy
+                (Printf.sprintf "%s@%s cannot provide %s" pr
+                   (Version.to_string v)
+                   (Printer.node_to_string req))))
+        (cands b pr);
       (* requirement variants transfer to the chosen provider and can
          activate its conditional deps (bounded recursion) *)
       if depth < 3 && not (Smap.is_empty req.Ast.variants) then
@@ -411,26 +457,24 @@ let emit_justification b name =
         if Hashtbl.mem b.virt_set virt then Some (prov_var b virt name)
         else None)
       pkg.Package.p_provides
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
   in
   let depender_lits =
     List.filter_map
       (fun q ->
         if q = name then None
-        else
-          let qp = pkg_of b q in
-          if
-            List.exists
-              (fun (d : Package.dep) ->
-                d.Package.d_spec.Ast.root.Ast.name = name)
-              qp.Package.p_dependencies
-          then Some (p_var b q)
-          else None)
+        else if
+          List.exists
+            (fun (d : Package.dep) -> d.Package.d_spec.Ast.root.Ast.name = name)
+            (pkg_of b q).Package.p_dependencies
+        then Some (p_var b q)
+        else None)
       b.closure
   in
   emit b (prov_lits @ depender_lits)
-    (Printf.sprintf
-       "^%s must be pulled in as a dependency or chosen as a provider" name)
+    (lazy
+      (Printf.sprintf
+         "^%s must be pulled in as a dependency or chosen as a provider" name))
 
 let emit_user b =
   let root = b.abstract.Ast.root in
@@ -438,25 +482,24 @@ let emit_user b =
   let is_virt = Provider_index.is_virtual b.ctx.index in
   let user_real (n : Ast.node) =
     let name = n.Ast.name in
-    if Hashtbl.mem b.closure_set name then begin
+    if in_closure b name then begin
       let why =
-        Printf.sprintf "the user spec requests %s" (Printer.node_to_string n)
+        lazy
+          (Printf.sprintf "the user spec requests %s"
+             (Printer.node_to_string n))
       in
       emit b [ p_var b name ] why;
       if not (Vlist.is_any n.Ast.versions) then
-        List.iter
-          (fun v ->
-            if not (Vlist.mem v n.Ast.versions) then
-              emit b [ -v_var b name v ] why)
-          (cand_of b name)
+        exclude_outside b ~gates:[] name n.Ast.versions why
     end
-    else emit b [] (Printf.sprintf "unknown package: %s" name)
+    else emit b [] (lazy (Printf.sprintf "unknown package: %s" name))
   in
   (if is_virt rname then
      emit_vreq b ~depth:0 ~gates:[]
        ~why:
-         (Printf.sprintf "the user spec requests %s"
-            (Printer.node_to_string root))
+         (lazy
+           (Printf.sprintf "the user spec requests %s"
+              (Printer.node_to_string root)))
        root
    else user_real root);
   Smap.iter
@@ -464,24 +507,24 @@ let emit_user b =
       if is_virt name then
         emit_vreq b ~depth:0 ~gates:[]
           ~why:
-            (Printf.sprintf "the user spec requests ^%s"
-               (Printer.node_to_string c))
+            (lazy
+              (Printf.sprintf "the user spec requests ^%s"
+                 (Printer.node_to_string c)))
           c
       else begin
         user_real c;
-        if name <> rname && Hashtbl.mem b.closure_set name then
-          emit_justification b name
+        if name <> rname && in_closure b name then emit_justification b name
       end)
     b.abstract.Ast.deps
 
 let emit_deps b =
   List.iter
     (fun pname ->
-      let pkg = pkg_of b pname in
-      let gates = [ -p_var b pname ] in
+      let s = slot b pname in
+      let gates = [ -s.pvar ] in
       List.iter
         (emit_dep b ~depth:0 ~gates ~transfer:Smap.empty pname)
-        pkg.Package.p_dependencies)
+        s.pkg.Package.p_dependencies)
     b.closure
 
 (* The architecture every node takes when nothing pins one: the root
@@ -508,104 +551,101 @@ let emit_conflicts b =
   let arch = lazy (certain_arch b) in
   List.iter
     (fun pname ->
-      let pkg = pkg_of b pname in
+      let s = slot b pname in
       List.iter
         (fun (c : Package.conflict_decl) ->
           let n = c.Package.cf_spec in
-          let why =
-            Printf.sprintf "%s conflicts with %s" pname
-              (Printer.node_to_string n)
-          in
           if
             c.Package.cf_when = None
             && Smap.is_empty n.Ast.variants
             && n.Ast.compiler = None
             && (n.Ast.arch = None || n.Ast.arch = Lazy.force arch)
           then
-            if Vlist.is_any n.Ast.versions then emit b [ -p_var b pname ] why
+            let why =
+              lazy
+                (Printf.sprintf "%s conflicts with %s" pname
+                   (Printer.node_to_string n))
+            in
+            if Vlist.is_any n.Ast.versions then emit b [ -s.pvar ] why
             else
               List.iter
-                (fun v ->
-                  if Vlist.mem v n.Ast.versions then
-                    emit b [ -v_var b pname v ] why)
-                (cand_of b pname))
-        pkg.Package.p_conflicts)
+                (fun (v, vv) ->
+                  if Vlist.mem v n.Ast.versions then emit b [ -vv ] why)
+                s.cands)
+        s.pkg.Package.p_conflicts)
     b.closure
+
+(* at-most-one over [lits]: a clause per pair, all sharing [why] *)
+let rec emit_pairs b lits why =
+  match lits with
+  | [] -> ()
+  | x :: rest ->
+      List.iter (fun y -> emit b [ -x; -y ] why) rest;
+      emit_pairs b rest why
 
 let emit_structural b =
   List.iter
     (fun pname ->
-      let pv = p_var b pname in
-      let cands = cand_of b pname in
-      (match cands with
+      let s = slot b pname in
+      let pv = s.pvar in
+      let vvs = List.map snd s.cands in
+      (match vvs with
       | [] ->
-          emit b [ -pv ] (Printf.sprintf "%s has no known versions" pname)
+          emit b [ -pv ]
+            (lazy (Printf.sprintf "%s has no known versions" pname))
       | _ ->
-          emit b
-            (-pv :: List.map (fun v -> v_var b pname v) cands)
-            (Printf.sprintf "%s must take one of its known versions" pname));
-      let rec pairs = function
-        | [] -> ()
-        | v :: rest ->
-            List.iter
-              (fun w ->
-                emit b
-                  [ -v_var b pname v; -v_var b pname w ]
-                  (Printf.sprintf "%s takes at most one version" pname))
-              rest;
-            pairs rest
+          emit b (-pv :: vvs)
+            (lazy
+              (Printf.sprintf "%s must take one of its known versions" pname)));
+      emit_pairs b vvs
+        (lazy (Printf.sprintf "%s takes at most one version" pname));
+      let implies =
+        lazy
+          (Printf.sprintf "a version choice for %s implies %s is in the DAG"
+             pname pname)
       in
-      pairs cands;
-      List.iter
-        (fun v ->
-          emit b
-            [ -v_var b pname v; pv ]
-            (Printf.sprintf "a version choice for %s implies %s is in the DAG"
-               pname pname))
-        cands)
+      List.iter (fun vv -> emit b [ -vv; pv ] implies) vvs)
     b.closure;
   List.iter
     (fun virt ->
-      let prs = ranked_providers b virt in
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-            List.iter
-              (fun c ->
-                emit b
-                  [ -prov_var b virt a; -prov_var b virt c ]
-                  (Printf.sprintf "%s has at most one provider" virt))
-              rest;
-            pairs rest
-      in
-      pairs prs;
+      let prs = providers b virt in
+      emit_pairs b (List.map snd prs)
+        (lazy (Printf.sprintf "%s has at most one provider" virt));
       List.iter
-        (fun pr ->
+        (fun (pr, pv) ->
           emit b
-            [ -prov_var b virt pr; p_var b pr ]
-            (Printf.sprintf "choosing %s as the %s provider puts %s in the DAG"
-               pr virt pr))
+            [ -pv; p_var b pr ]
+            (lazy
+              (Printf.sprintf
+                 "choosing %s as the %s provider puts %s in the DAG" pr virt pr)))
         prs)
     b.virts
+
+(* [List.rev_map] into an array without [Array.of_list]: the array is
+   created from [dummy] (an old value), so a large array of young
+   elements never forces a minor collection *)
+let array_of_rev n dummy rev =
+  let a = Array.make n dummy in
+  List.iteri (fun i x -> a.(n - 1 - i) <- x) rev;
+  a
 
 let encode ctx abstract =
   let b =
     {
       ctx;
       abstract;
-      vars = Hashtbl.create 64;
       rkinds = [];
       nv = 0;
       rclauses = [];
       rreasons = [];
       nreasons = 0;
-      cand = Hashtbl.create 32;
       extra_points = Hashtbl.create 16;
-      maybe = Hashtbl.create 32;
+      maybe = Hashtbl.create 16;
       closure = [];
-      closure_set = Hashtbl.create 32;
+      slots = Hashtbl.create 32;
       virts = [];
       virt_set = Hashtbl.create 8;
+      provs = Hashtbl.create 8;
     }
   in
   compute_closure b;
@@ -614,15 +654,13 @@ let encode ctx abstract =
   emit_deps b;
   emit_conflicts b;
   emit_structural b;
-  let kinds = Array.make (b.nv + 1) (Present "") in
-  List.iteri
-    (fun i k -> kinds.(b.nv - i) <- k)
-    b.rkinds;
+  let kinds = array_of_rev (b.nv + 1) (Present "") b.rkinds in
+  let n = b.nreasons and rreasons = b.rreasons in
   {
     nvars = b.nv;
     kinds;
     cl = List.rev b.rclauses;
-    reasons = Array.of_list (List.rev b.rreasons);
+    reasons = lazy (array_of_rev n (Lazy.from_val "") rreasons);
     ord;
   }
 
@@ -652,16 +690,16 @@ let blocking_lits t model =
   List.rev !ls
 
 let render_core t origins =
-  let sorted = List.sort_uniq compare origins in
+  let reasons = Lazy.force t.reasons in
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun o ->
-      if o < 0 || o >= Array.length t.reasons then None
+      if o < 0 || o >= Array.length reasons then None
       else
-        let r = t.reasons.(o) in
+        let r = Lazy.force reasons.(o) in
         if Hashtbl.mem seen r then None
         else begin
           Hashtbl.add seen r ();
           Some r
         end)
-    sorted
+    (List.sort_uniq Int.compare origins)

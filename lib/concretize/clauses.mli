@@ -16,7 +16,22 @@
     (compiler/arch-conditional deps, variants that some spec might pin)
     are dropped rather than approximated, and models
     are validated by replaying them through the greedy oracle
-    ({!Concretizer.run_trace} with forced decisions) — see {!Backends}. *)
+    ({!Concretizer.run_trace} with forced decisions) — see {!Backends}.
+
+    Encoding costs time proportional to the clauses it emits:
+    - variables are numbered as they are created, in decision order, and
+      looked up through the closure's per-package candidate lists rather
+      than by rendered name;
+    - the facts that depend only on the repository and config are kept in
+      the context's {!Concretizer_intf.fact} table: each virtual's
+      providers in site order, and the version and variant preferences of
+      the packages the config names (built once, from the config's keys;
+      every other package has none). That is exact because a context's
+      repository and config never change. Everything the query
+      contributes (its extrapolated version points, its pinned variants,
+      the providers it names) stays per encoding;
+    - each clause's reason is a lazy rendering, formatted only when
+      {!reason} or {!render_core} asks for it. *)
 
 type t
 
@@ -37,7 +52,8 @@ val order : t -> int list
     variables with negative phase (= fewest builds). *)
 
 val reason : t -> int -> string
-(** Human-readable rendering of the constraint behind an origin id. *)
+(** Human-readable rendering of the constraint behind an origin id,
+    rendered on the first call and shared by later ones. *)
 
 val var_to_string : t -> int -> string
 (** Render a variable: [P(pkg)], [V(pkg@v)], or [Prov(virt=pkg)]. *)

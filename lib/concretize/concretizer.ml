@@ -21,10 +21,28 @@ type ctx = Concretizer_intf.ctx = {
   config : Config.t;
   compilers : Compilers.t;
   obs : Obs.t;
+  facts : (string, Concretizer_intf.fact) Hashtbl.t Lazy.t;
 }
 
+(* the clause encoder's per-context facts, seeded with the preferences
+   of every package the config names *)
+let config_facts config =
+  let facts = Hashtbl.create 16 in
+  List.iter
+    (fun package ->
+      Hashtbl.replace facts package
+        (Concretizer_intf.Package_prefs
+           {
+             site_versions = Policy.preferred_versions config ~package;
+             variants = Policy.variant_preference config ~package;
+           }))
+    (Policy.configured_packages config);
+  facts
+
 let make_ctx ?(config = Config.empty) ?(obs = Obs.disabled) ~compilers repo =
-  { repo; index = Provider_index.build repo; config; compilers; obs }
+  let index = Provider_index.build repo in
+  let facts = lazy (config_facts config) in
+  { repo; index; config; compilers; obs; facts }
 
 let fail e = raise (Cerror.Error e)
 
@@ -240,34 +258,33 @@ let when_holds ~prev ~prev_pins name cons (pred : Ast.t) =
 
 (* Rank versions best-first: site-preferred, then package-preferred, then
    newest; append the extrapolated exact version when nothing is known. *)
-let ranked_versions cfg pkg (constraint_ : Vlist.t) =
+let rank_versions ~site_pref pkg (constraint_ : Vlist.t) =
   let candidates = Package.known_versions pkg in
   let satisfying = List.filter (fun v -> Vlist.mem v constraint_) candidates in
   let site_pref =
-    match Policy.preferred_versions cfg ~package:pkg.Package.p_name with
+    match site_pref with
     | None -> []
     | Some pref -> List.filter (fun v -> Vlist.mem v pref) satisfying
   in
   let pkg_pref =
     List.filter (fun v -> Vlist.mem v constraint_) (Package.preferred_versions pkg)
   in
-  let rest = satisfying in
-  let seen = Hashtbl.create 8 in
-  let dedup vs =
-    List.filter
-      (fun v ->
-        let k = Version.to_string v in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      vs
+  (* first occurrences, in order (versions are equal exactly when they
+     render alike) *)
+  let ranked =
+    List.fold_left
+      (fun acc v -> if List.exists (Version.equal v) acc then acc else v :: acc)
+      []
+      (site_pref @ pkg_pref @ satisfying)
+    |> List.rev
   in
-  let ranked = dedup (site_pref @ pkg_pref @ rest) in
   if ranked = [] then
     match Vlist.concrete constraint_ with Some v -> [ v ] | None -> []
   else ranked
+
+let ranked_versions cfg pkg constraint_ =
+  let site_pref = Policy.preferred_versions cfg ~package:pkg.Package.p_name in
+  rank_versions ~site_pref pkg constraint_
 
 (* [seed] pre-populates the previous-iteration pins the first iteration
    evaluates its when-clauses against. A cold run starts from no pins; a

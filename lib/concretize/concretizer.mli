@@ -25,6 +25,7 @@ type ctx = Concretizer_intf.ctx = {
   config : Ospack_config.Config.t;
   compilers : Ospack_config.Compilers.t;
   obs : Ospack_obs.Obs.t;
+  facts : (string, Concretizer_intf.fact) Hashtbl.t Lazy.t;
 }
 
 val make_ctx :
@@ -33,7 +34,8 @@ val make_ctx :
   compilers:Ospack_config.Compilers.t ->
   Ospack_package.Repository.t ->
   ctx
-(** Build a context (and the provider index) over a repository.
+(** Build a context (and the provider index) over a repository. Its
+    clause-encoding facts are built on first use.
 
     When [obs] is an enabled sink (default: {!Ospack_obs.Obs.disabled}),
     every concretization records one span per fixed-point iteration plus
@@ -127,6 +129,13 @@ val run_trace :
     that choice wherever it appears among the ranked candidates. Forced
     values not among the candidates are ignored (the greedy default
     applies). *)
+
+val rank_versions :
+  site_pref:Ospack_version.Vlist.t option ->
+  Ospack_package.Package.t ->
+  Ospack_version.Vlist.t ->
+  Ospack_version.Version.t list
+(** {!ranked_versions} given the package's site preference. *)
 
 val ranked_versions :
   Ospack_config.Config.t ->

@@ -9,15 +9,37 @@
     point and the clause-based complete solver ({!Backends}) are
     interchangeable behind one signature. *)
 
+(** A package's [packages.<name>.*] settings in the config. *)
+type prefs = {
+  site_versions : Ospack_version.Vlist.t option;
+      (** [packages.<name>.version], parsed *)
+  variants : (string * bool) list;  (** [packages.<name>.variants], parsed *)
+}
+
+(** What the clause encoder keeps per context, by name (a name is a
+    package or a virtual, never both). A context's repository and config
+    never change, so a fact stays exact for every later query. *)
+type fact =
+  | Package_prefs of prefs
+      (** for each package the config names; every other package has
+          none *)
+  | Providers of string array
+      (** a virtual's providers in site order, added on first use *)
+
 (** The solving context: everything outside the abstract spec that a
     concretization depends on. Shared by every backend (and re-exported
-    as {!Concretizer.ctx} for compatibility). *)
+    as {!Concretizer.ctx} for compatibility). Build it with
+    {!Concretizer.make_ctx}: [facts] is only valid for the repository and
+    config it was created with. *)
 type ctx = {
   repo : Ospack_package.Repository.t;
   index : Ospack_package.Provider_index.t;
   config : Ospack_config.Config.t;
   compilers : Ospack_config.Compilers.t;
   obs : Ospack_obs.Obs.t;
+  facts : (string, fact) Hashtbl.t Lazy.t;
+      (** built by the first clause encoding, so greedy-only contexts
+          never build it *)
 }
 
 (** Which concretizer implementation to use. *)

@@ -14,7 +14,8 @@ type stats = {
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-  let create dummy = { data = Array.make 4 dummy; len = 0; dummy }
+  let create ?(capacity = 4) dummy =
+    { data = Array.make (max 4 capacity) dummy; len = 0; dummy }
 
   let push v x =
     if v.len = Array.length v.data then begin
@@ -38,24 +39,50 @@ exception Found_unsat of IntSet.t
 
 let dummy_clause = { lits = [||]; origins = IntSet.empty }
 
+(* the watch list of every literal nothing watches yet: one shared empty
+   vector, replaced by a fresh one on the literal's first push *)
+let no_watches : int Vec.t = Vec.create 0
+
+(* sorted and without duplicates; an already strictly ascending list
+   (most encoder clauses) is kept as it is *)
+let normalize lits =
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  if ascending lits then lits else List.sort_uniq Int.compare lits
+
+let rec mem_int x = function [] -> false | y :: rest -> x = y || mem_int x rest
+
+(* does [all] hold the negation of some literal of the second list *)
+let rec tautology all = function
+  | [] -> false
+  | l :: rest -> mem_int (-l) all || tautology all rest
+
 let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
   (* assignment state *)
   let assign = Array.make (nvars + 1) 0 in
   (* 0 unassigned, 1 true, -1 false *)
   let level = Array.make (nvars + 1) 0 in
   let reason = Array.make (nvars + 1) (-1) in
-  let var_origins = Array.make (nvars + 1) IntSet.empty in
-  (* transitive origin closure, maintained for level-0 assignments only *)
+  let var_origins = Array.make (nvars + 1) None in
+  (* transitive origin closure of a level-0 assignment, computed on
+     demand (see [level0_origins]) *)
   let trail = Array.make (nvars + 1) 0 in
   let trail_sz = ref 0 in
   let trail_lim : int Vec.t = Vec.create 0 in
   let qhead = ref 0 in
-  let clauses : clause Vec.t = Vec.create dummy_clause in
-  (* watches.(lit_index l) = indices of clauses currently watching l *)
-  let watches : int Vec.t array =
-    Array.init (2 * (nvars + 1)) (fun _ -> Vec.create 0)
+  let clauses : clause Vec.t =
+    Vec.create ~capacity:(List.length input) dummy_clause
   in
+  (* watches.(lit_index l) = indices of clauses currently watching l *)
+  let watches : int Vec.t array = Array.make (2 * (nvars + 1)) no_watches in
   let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1 in
+  let watch l ci =
+    let i = lit_index l in
+    if watches.(i) == no_watches then watches.(i) <- Vec.create 0;
+    Vec.push watches.(i) ci
+  in
   let lit_value l =
     let a = assign.(abs l) in
     if a = 0 then 0 else if (l > 0) = (a > 0) then 1 else -1
@@ -71,16 +98,26 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
     assign.(v) <- (if l > 0 then 1 else -1);
     level.(v) <- decision_level ();
     reason.(v) <- ci;
-    if decision_level () = 0 && ci >= 0 then begin
-      let c = Vec.get clauses ci in
-      let o = ref c.origins in
-      Array.iter
-        (fun q -> if abs q <> v then o := IntSet.union !o var_origins.(abs q))
-        c.lits;
-      var_origins.(v) <- !o
-    end;
     trail.(!trail_sz) <- l;
     incr trail_sz
+  in
+
+  (* The origins of every clause in [v]'s level-0 implication graph:
+     its reason's and, transitively, those of the other literals' level-0
+     assignments. Level 0 is never undone, so each set is computed once. *)
+  let rec level0_origins v =
+    match var_origins.(v) with
+    | Some o -> o
+    | None ->
+        let c = Vec.get clauses reason.(v) in
+        let o =
+          Array.fold_left
+            (fun o q ->
+              if abs q <> v then IntSet.union o (level0_origins (abs q)) else o)
+            c.origins c.lits
+        in
+        var_origins.(v) <- Some o;
+        o
   in
 
   let cancel_until lvl =
@@ -138,7 +175,7 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
               (* found a new watch; clause leaves this list *)
               lits.(1) <- lits.(!k);
               lits.(!k) <- false_lit;
-              Vec.push watches.(lit_index lits.(1)) ci
+              watch lits.(1) ci
             end
             else if lit_value lits.(0) = -1 then begin
               Vec.set wl !j ci;
@@ -161,8 +198,8 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
 
   (* 1-UIP conflict analysis. Returns (learned lits, uip first;
      backjump level; union of origins of every clause resolved). *)
+  let seen = Array.make (nvars + 1) false in
   let analyze confl =
-    let seen = Array.make (nvars + 1) false in
     let learnt = ref [] in
     let origins = ref IntSet.empty in
     let counter = ref 0 in
@@ -181,7 +218,7 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
             if level.(v) = 0 then
               (* dropped from the learned clause, but its level-0
                  justification is part of the refutation *)
-              origins := IntSet.union !origins var_origins.(v)
+              origins := IntSet.union !origins (level0_origins v)
             else if not seen.(v) then begin
               seen.(v) <- true;
               if level.(v) = decision_level () then incr counter
@@ -201,6 +238,8 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
       decr counter;
       if !counter = 0 then continue_ := false else ci := reason.(abs !p)
     done;
+    (* only the learnt clause's lower-level literals are still marked *)
+    List.iter (fun q -> seen.(abs q) <- false) !learnt;
     (- !p :: !learnt, !btlevel, !origins)
   in
 
@@ -208,7 +247,7 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
   let final_origins confl =
     let c = Vec.get clauses confl in
     let o = ref c.origins in
-    Array.iter (fun q -> o := IntSet.union !o var_origins.(abs q)) c.lits;
+    Array.iter (fun q -> o := IntSet.union !o (level0_origins (abs q))) c.lits;
     !o
   in
 
@@ -216,8 +255,8 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
     let ci = Vec.len clauses in
     Vec.push clauses { lits; origins };
     if Array.length lits >= 2 then begin
-      Vec.push watches.(lit_index lits.(0)) ci;
-      Vec.push watches.(lit_index lits.(1)) ci
+      watch lits.(0) ci;
+      watch lits.(1) ci
     end;
     ci
   in
@@ -228,7 +267,7 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
     | 0 -> enqueue l ci
     | _ ->
         let c = Vec.get clauses ci in
-        raise (Found_unsat (IntSet.union c.origins var_origins.(abs l)))
+        raise (Found_unsat (IntSet.union c.origins (level0_origins (abs l))))
   in
 
   let record learnt btlevel origins =
@@ -275,9 +314,8 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
       (* load the problem *)
       List.iter
         (fun (lits, origin) ->
-          let lits = List.sort_uniq compare lits in
-          let tautology = List.exists (fun l -> List.mem (-l) lits) lits in
-          if not tautology then
+          let lits = normalize lits in
+          if not (tautology lits lits) then
             match lits with
             | [] -> raise (Found_unsat (IntSet.singleton origin))
             | [ l ] ->

@@ -71,6 +71,19 @@ let provider_order cfg ~virtual_ =
 let rank_provider cfg ~virtual_ name =
   rank_in_list (provider_order cfg ~virtual_) name
 
+let configured_packages cfg =
+  let prefix = "packages." in
+  let np = String.length prefix in
+  Config.keys cfg
+  |> List.filter_map (fun key ->
+         match String.rindex_opt key '.' with
+         | Some i when i > np && String.starts_with ~prefix key -> (
+             match String.sub key (i + 1) (String.length key - i - 1) with
+             | "version" | "variants" -> Some (String.sub key np (i - np))
+             | _ -> None)
+         | _ -> None)
+  |> List.sort_uniq String.compare
+
 let preferred_versions cfg ~package =
   match Config.get cfg (Printf.sprintf "packages.%s.version" package) with
   | None -> None

@@ -41,6 +41,11 @@ val rank_provider : Config.t -> virtual_:string -> string -> int
 (** Position in [providers.<virtual>] (0-based); [max_int] when unlisted,
     so unlisted providers sort after listed ones. *)
 
+val configured_packages : Config.t -> string list
+(** The packages with a [packages.<name>.version] or
+    [packages.<name>.variants] key, sorted. Every other package has no
+    version or variant preference. *)
+
 val preferred_versions :
   Config.t -> package:string -> Ospack_version.Vlist.t option
 (** The [packages.<name>.version] preference as a version list. *)

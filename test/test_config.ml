@@ -175,6 +175,25 @@ let policy_variants () =
   Alcotest.(check (list (pair string bool))) "absent" []
     (Policy.variant_preference Config.empty ~package:"p")
 
+let policy_configured_packages () =
+  let cfg =
+    Config.of_assoc
+      [
+        ("packages.zlib.version", "1.2.8");
+        ("packages.py.six.variants", "+test");
+        ("packages.zlib.variants", "~shared");
+        ("packages.hdf5.url", "elsewhere");
+        ("packages.version", "1.0");
+        ("providers.mpi", "openmpi");
+        ("arch", "linux-x86_64");
+      ]
+  in
+  Alcotest.(check (list string)) "packages with a version or variant key"
+    [ "py.six"; "zlib" ]
+    (Policy.configured_packages cfg);
+  Alcotest.(check (list string)) "none" []
+    (Policy.configured_packages Config.empty)
+
 let () =
   Alcotest.run "config"
     [
@@ -192,6 +211,8 @@ let () =
           Alcotest.test_case "provider order" `Quick policy_providers;
           Alcotest.test_case "version choice" `Quick policy_versions;
           Alcotest.test_case "variant preferences" `Quick policy_variants;
+          Alcotest.test_case "configured packages" `Quick
+            policy_configured_packages;
           Alcotest.test_case "external declarations (§4.4)" `Quick
             policy_externals;
         ] );

@@ -7,9 +7,10 @@
    or a reason string shows up here, query by query.
 
    The corpus:
-   - every universe package under each of the [forms] below, once with
-     the site config and once with an empty config, kept where the
-     greedy backend fails (the queries the clause backend exists for);
+   - every universe package under each of the [forms] below, with the
+     site config, an empty config, and the site config plus package
+     preferences, kept where the greedy backend fails (the queries the
+     clause backend exists for);
    - the e2e solve-conflict pool: the §4.5 hwloc family, the provider
      families k = 2..32 (satisfiable and not), and [gerris ^mpich@1.4].
 
@@ -26,6 +27,7 @@ module I = Ospack_concretize.Concretizer_intf
 module Cerror = Ospack_concretize.Cerror
 module Concrete = Ospack_spec.Concrete
 module Parser = Ospack_spec.Parser
+module Config = Ospack_config.Config
 module Universe = Ospack_repo.Universe
 
 (* the spec forms, as suffixes to a package name *)
@@ -46,6 +48,23 @@ let site_ctx () =
 
 let empty_ctx () =
   Concretizer.make_ctx ~compilers:Universe.compilers (Universe.repository ())
+
+(* the site config plus per-package version and variant preferences *)
+let prefs_ctx () =
+  let prefs =
+    Config.of_assoc
+      [
+        ("packages.openmpi.version", "1.6.5");
+        ("packages.hwloc.version", "1.8");
+        ("packages.mvapich2.variants", "+hwloc");
+        ("packages.boost.variants", "+mpi");
+        ("packages.hdf5.variants", "~mpi");
+        ("packages.mpileaks.version", "1.0");
+      ]
+  in
+  Concretizer.make_ctx
+    ~config:(Config.layer [ prefs; Universe.default_config ])
+    ~compilers:Universe.compilers (Universe.repository ())
 
 (* the e2e solve-conflict provider family: [k] providers of one
    interface; each pins leafdep@1.0 except, when [sat], the last *)
@@ -72,14 +91,14 @@ let provider_family ~sat k =
          ]))
 
 (* [ctx] is shared by every query over the same universe and config, so
-   it stays warm; [fresh] builds an equivalent cold one *)
+   its fact table stays warm; [fresh] builds an equivalent cold one *)
 type query = { key : string; ctx : I.ctx; fresh : unit -> I.ctx; spec : string }
 
 let greedy_fails ctx spec =
   Result.is_error
     (Backends.solve Backends.Greedy ctx (Parser.parse_exn spec))
 
-let corpus_queries ~site ~empty =
+let corpus_queries ~site ~empty ~prefs =
   List.concat_map
     (fun (cname, ctx, fresh) ->
       List.concat_map
@@ -92,7 +111,11 @@ let corpus_queries ~site ~empty =
               else None)
             forms)
         (Repository.package_names ctx.I.repo))
-    [ ("site", site, site_ctx); ("empty", empty, empty_ctx) ]
+    [
+      ("site", site, site_ctx);
+      ("empty", empty, empty_ctx);
+      ("prefs", prefs, prefs_ctx);
+    ]
 
 let e2e_queries ~site =
   let uses_mpi p =
@@ -180,8 +203,8 @@ let digest q =
 
 let all_queries =
   lazy
-    (let site = site_ctx () and empty = empty_ctx () in
-     corpus_queries ~site ~empty @ e2e_queries ~site)
+    (let site = site_ctx () and empty = empty_ctx () and prefs = prefs_ctx () in
+     corpus_queries ~site ~empty ~prefs @ e2e_queries ~site)
 
 let fixture_path = "encoding_fixture.txt"
 
@@ -208,7 +231,7 @@ let fixture_matches () =
   in
   Alcotest.(check (list string)) "queries whose digest moved" [] mismatches
 
-(* A context's tables are filled by earlier queries; a query on a
+(* A context's fact table is filled by earlier queries; a query on a
    long-lived context must encode exactly as on a fresh one. The corpus
    contexts are long-lived: the fixture test has already encoded every
    query on them. *)
