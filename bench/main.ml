@@ -270,6 +270,46 @@ let fig10_packages =
     ("lapack", 16.6, 6.0);
   ]
 
+(* --- scaffolding shared by the document modes ------------------------ *)
+
+let parse s =
+  match Parser.parse s with
+  | Ok a -> a
+  | Error e -> failwith (s ^ ": " ^ e)
+
+(* the byte-identity probe of a concrete spec: JSON plus rendered tree *)
+let render c =
+  Ospack_json.Json.to_string (Concrete.to_json c)
+  ^ "\n" ^ Concrete.tree_string c
+
+(* one concretizer context over the default universe, built on first use *)
+let universe_cctx =
+  lazy
+    (Concretizer.make_ctx ~config:Universe.default_config
+       ~obs:(Ospack_obs.Obs.create ()) ~compilers:Universe.compilers
+       (Universe.repository ()))
+
+let concrete s =
+  match Concretizer.concretize (Lazy.force universe_cctx) (parse s) with
+  | Ok c -> c
+  | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e)
+
+(* the 21-query suite of the concretize, solve and store modes: each
+   Fig. 10 package bare, with %gcc, and pinned to its newest version *)
+let query_suite () =
+  let newest name =
+    match Repository.find (Universe.repository ()) name with
+    | Some p -> (
+        match Ospack_package.Package.known_versions p with
+        | v :: _ -> Version.to_string v
+        | [] -> failwith (name ^ ": no versions"))
+    | None -> failwith ("unknown package " ^ name)
+  in
+  List.concat_map
+    (fun (name, _, _) ->
+      [ name; name ^ " %gcc"; Printf.sprintf "%s@%s" name (newest name) ])
+    fig10_packages
+
 type build_times = { nfs_w : float; tmp_w : float; tmp_nw : float }
 
 let simulate_builds () =
@@ -770,28 +810,7 @@ let concretize_doc () =
   let config = Universe.default_config in
   let compilers = Universe.compilers in
   let cx = Ccache.context ~repo ~compilers ~config () in
-  let newest name =
-    match Repository.find repo name with
-    | Some p -> (
-        match Ospack_package.Package.known_versions p with
-        | v :: _ -> Version.to_string v
-        | [] -> failwith (name ^ ": no versions"))
-    | None -> failwith ("unknown package " ^ name)
-  in
-  let workloads =
-    List.concat_map
-      (fun (name, _, _) ->
-        [ name; name ^ " %gcc"; Printf.sprintf "%s@%s" name (newest name) ])
-      fig10_packages
-  in
-  let parse s =
-    match Parser.parse s with
-    | Ok a -> a
-    | Error e -> failwith (s ^ ": " ^ e)
-  in
-  let render c =
-    Json.to_string (Concrete.to_json c) ^ "\n" ^ Concrete.tree_string c
-  in
+  let workloads = query_suite () in
   let solve ~obs ~cache ast =
     let cctx = Concretizer.make_ctx ~config ~obs ~compilers repo in
     let before = Obs.counter obs "concretize.iterations" in
@@ -914,28 +933,7 @@ let solve_doc () =
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
-  let newest name =
-    match Repository.find repo name with
-    | Some p -> (
-        match Ospack_package.Package.known_versions p with
-        | v :: _ -> Version.to_string v
-        | [] -> failwith (name ^ ": no versions"))
-    | None -> failwith ("unknown package " ^ name)
-  in
-  let workloads =
-    List.concat_map
-      (fun (name, _, _) ->
-        [ name; name ^ " %gcc"; Printf.sprintf "%s@%s" name (newest name) ])
-      fig10_packages
-  in
-  let parse s =
-    match Parser.parse s with
-    | Ok a -> a
-    | Error e -> failwith (s ^ ": " ^ e)
-  in
-  let render c =
-    Json.to_string (Concrete.to_json c) ^ "\n" ^ Concrete.tree_string c
-  in
+  let workloads = query_suite () in
   let run backend ast =
     let cctx =
       Concretizer.make_ctx ~config ~obs:(Obs.create ()) ~compilers repo
@@ -1050,19 +1048,6 @@ let store_doc () =
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
-  let cctx =
-    Concretizer.make_ctx ~config ~obs:(Obs.create ()) ~compilers repo
-  in
-  let parse s =
-    match Parser.parse s with
-    | Ok a -> a
-    | Error e -> failwith (s ^ ": " ^ e)
-  in
-  let concrete s =
-    match Concretizer.concretize cctx (parse s) with
-    | Ok c -> c
-    | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e)
-  in
   (* --- index bytes per install: sharded vs legacy whole-file rewrite --- *)
   let vfs = Vfs.create () in
   let inst = Installer.create ~config ~vfs ~repo ~compilers () in
@@ -1133,27 +1118,17 @@ let store_doc () =
   if !hits < query_count then
     failwith "warm queries must hit every installed root";
   (* --- ccache survival across a single-recipe edit --- *)
-  let newest name =
-    match Repository.find repo name with
-    | Some p -> (
-        match Ospack_package.Package.known_versions p with
-        | v :: _ -> Version.to_string v
-        | [] -> failwith (name ^ ": no versions"))
-    | None -> failwith ("unknown package " ^ name)
-  in
-  let workloads =
-    List.concat_map
-      (fun (name, _, _) ->
-        [ name; name ^ " %gcc"; Printf.sprintf "%s@%s" name (newest name) ])
-      fig10_packages
-  in
+  let workloads = query_suite () in
   let cx0 = Ccache.context ~repo ~compilers ~config () in
   let cvfs = Vfs.create () in
   let dir = (cvfs, "/bench/ccache") in
   let cache = Ccache.create ~dir ~context:cx0 () in
   List.iter
     (fun s ->
-      match Concretizer.concretize_cached ~cache cctx (parse s) with
+      match
+        Concretizer.concretize_cached ~cache (Lazy.force universe_cctx)
+          (parse s)
+      with
       | Ok _ -> ()
       | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e))
     workloads;
@@ -1258,19 +1233,6 @@ let buildcache_doc () =
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
-  let cctx =
-    Concretizer.make_ctx ~config ~obs:(Obs.create ()) ~compilers repo
-  in
-  let parse s =
-    match Parser.parse s with
-    | Ok a -> a
-    | Error e -> failwith (s ^ ": " ^ e)
-  in
-  let concrete s =
-    match Concretizer.concretize cctx (parse s) with
-    | Ok c -> c
-    | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e)
-  in
   (* --- build the roster once and stock three mirrors from it --- *)
   let vfs = Vfs.create () in
   let inst = Installer.create ~config ~vfs ~repo ~compilers () in
@@ -1448,22 +1410,9 @@ let env_doc () =
         | Error e -> failwith (spec ^ ": " ^ e))
       env specs
   in
-  (* every file and symlink under a root; the ccache lives outside the
-     store, so a solving context's store holds nothing a replay lacks *)
-  let snapshot ctx root =
-    Vfs.walk ctx.Context.vfs root
-    |> List.filter_map (fun (path, kind) ->
-           match kind with
-           | Vfs.File ->
-               Some
-                 (path ^ " F "
-                 ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
-           | Vfs.Symlink ->
-               Some
-                 (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
-           | Vfs.Dir -> Some (path ^ " D"))
-    |> String.concat "\n"
-  in
+  (* the ccache lives outside the store, so a solving context's store
+     holds nothing a replay lacks *)
+  let snapshot ctx root = Vfs.snapshot ctx.Context.vfs root in
   let db_json ctx =
     Json.to_string ~indent:2
       (Database.to_json (Installer.database ctx.Context.installer))

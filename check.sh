@@ -220,6 +220,13 @@ grep -q '"records": \[\]' "$env_tmp/index-stale.json"
 ./_build/default/bin/spack.exe torture --env --every 7 libdwarf gsl > "$env_tmp/torture.out"
 grep -q 'kill point' "$env_tmp/torture.out"
 grep -q ' 55 write barriers ' "$env_tmp/torture.out"
+# a root that does not parse fails the env sweep instead of being skipped
+if ./_build/default/bin/spack.exe torture --env libelf 'zzz@@' \
+       > "$env_tmp/torture-bad.out" 2>&1; then
+    echo "error: env torture exited 0 with a root that does not parse" >&2
+    exit 1
+fi
+grep -q 'zzz@@' "$env_tmp/torture-bad.out"
 # the bench asserts byte-identical solve-vs-replay stores/indexes/views,
 # the typed staleness refusal, and closure-exact shared-store views
 ./_build/default/bench/main.exe env --check > /dev/null

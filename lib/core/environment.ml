@@ -485,114 +485,75 @@ let torture_report_to_string r =
      intact at %d, lockfile intact at %d, recovery converged at every one"
     r.et_barriers r.et_jobs r.et_kills r.et_manifest_intact r.et_lock_intact
 
-(* Run the whole env lifecycle (create, add each root, install) against a
-   fresh context; used once as the reference run and once per kill. *)
-let torture_sequence ?config ?backend ~vfs ~jobs ~name ~view ~roots () =
+(* The whole env lifecycle (create, add each root, install) against a
+   fresh context: the operation the sweep kills, and also the recovery —
+   re-run over a crashed filesystem, it resumes from whatever manifest
+   survived, skipping only the roots that manifest already holds. *)
+let torture_sequence ?config ?backend ~jobs ~name ~view ~roots vfs =
   let ctx = Context.create ?config ?backend ~vfs () in
   let* _ = Installer.load_index ctx.Context.installer in
   let* env =
-    match create ctx ~name ?view () with
-    | Ok env -> Ok env
-    | Error _ -> load ctx ~name
+    if Vfs.exists vfs (manifest_path name) then load ctx ~name
+    else create ctx ~name ?view ()
   in
   let* env =
     List.fold_left
       (fun acc root ->
         let* env = acc in
-        match add ctx env root with
-        | Ok env -> Ok env
-        | Error _ -> Ok env (* duplicate after partial replay *))
+        match canonical root with
+        | Ok c when List.mem c env.env_roots -> Ok env
+        | _ -> add ctx env root)
       (Ok env) roots
   in
   let* _report = install ~jobs ctx env in
   Ok ctx
 
-let json_ok s = Result.is_ok (Json.of_string s)
-
-let torture ?(jobs = 1) ?(every = 1) ?config ?backend ~name ?view ~roots ()
-    =
-  let run vfs = torture_sequence ?config ?backend ~vfs ~jobs ~name ~view ~roots () in
-  (* reference run, counting barriers *)
-  let ref_vfs = Vfs.create () in
-  Vfs.set_fault_plan ref_vfs [];
-  let* ref_ctx = run ref_vfs in
-  let barriers = Vfs.write_barriers ref_vfs in
-  Vfs.clear_fault_plan ref_vfs;
-  let ref_lock =
-    match Vfs.read_file ref_vfs (lock_path name) with
-    | Ok c -> c
-    | Error _ -> ""
+let torture ?(jobs = 1) ?every ?config ?backend ~name ?view ~roots () =
+  let run = torture_sequence ?config ?backend ~jobs ~name ~view ~roots in
+  let world () =
+    let vfs = Vfs.create () in
+    (vfs, vfs)
   in
-  let ref_db =
-    Json.to_string
-      (Database.to_json (Installer.database ref_ctx.Context.installer))
+  let db_of ctx =
+    Json.to_string (Database.to_json (Installer.database ctx.Context.installer))
   in
-  let kills = ref 0 and manifest_intact = ref 0 and lock_intact = ref 0 in
-  let rec sweep k =
-    if k > barriers then Ok ()
-    else begin
-      let vfs = Vfs.create () in
-      Vfs.set_fault_plan vfs ~mode:Vfs.Crash [ k ];
-      let killed = run vfs in
-      Vfs.clear_fault_plan vfs;
-      let* () =
-        match killed with
-        | Ok _ -> Error (Printf.sprintf "install survived kill point %d" k)
-        | Error _ -> Ok ()
-      in
+  let check (ref_vfs, _, ref_ctx) =
+    let ref_lock =
+      Result.value (Vfs.read_file ref_vfs (lock_path name)) ~default:""
+    in
+    let ref_db = db_of ref_ctx in
+    fun ~kill:_ vfs _ ->
       (* old-or-new: whatever of the manifest/lockfile exists at the kill
          point must be a complete previous version, never a torn write *)
-      let* () =
-        match Vfs.read_file vfs (manifest_path name) with
-        | Error _ -> Ok ()
-        | Ok content ->
-            if json_ok content then begin
-              incr manifest_intact;
-              Ok ()
-            end
-            else Error (Printf.sprintf "torn manifest at kill point %d" k)
+      let intact what path =
+        match Vfs.read_file vfs path with
+        | Error _ -> Ok 0
+        | Ok content when Result.is_ok (Json.of_string content) -> Ok 1
+        | Ok _ -> Error ("torn " ^ what)
       in
-      let* () =
-        match Vfs.read_file vfs (lock_path name) with
-        | Error _ -> Ok ()
-        | Ok content ->
-            if json_ok content then begin
-              incr lock_intact;
-              Ok ()
-            end
-            else Error (Printf.sprintf "torn lockfile at kill point %d" k)
-      in
+      let* manifest = intact "manifest" (manifest_path name) in
+      let* lock = intact "lockfile" (lock_path name) in
       (* recovery: a fresh context over the crashed filesystem must
          converge to exactly the reference store and lockfile *)
-      let* ctx2 =
-        Result.map_error
-          (fun e -> Printf.sprintf "recovery at kill point %d: %s" k e)
-          (run vfs)
-      in
-      let db2 =
-        Json.to_string
-          (Database.to_json (Installer.database ctx2.Context.installer))
-      in
+      let* ctx = Result.map_error (( ^ ) "recovery: ") (run vfs) in
       let* () =
-        if db2 = ref_db then Ok ()
-        else Error (Printf.sprintf "recovered index diverged at kill %d" k)
+        if db_of ctx = ref_db then Ok () else Error "recovered index diverged"
       in
-      let* () =
-        match Vfs.read_file vfs (lock_path name) with
-        | Ok c when c = ref_lock -> Ok ()
-        | Ok _ -> Error (Printf.sprintf "recovered lockfile diverged at kill %d" k)
-        | Error _ -> Error (Printf.sprintf "no lockfile after recovery at kill %d" k)
-      in
-      incr kills;
-      sweep (k + every)
-    end
+      match Vfs.read_file vfs (lock_path name) with
+      | Ok c when c = ref_lock -> Ok (manifest, lock)
+      | Ok _ -> Error "recovered lockfile diverged"
+      | Error _ -> Error "no lockfile after recovery"
   in
-  let* () = sweep 1 in
+  let* sweep =
+    Result.map_error (( ^ ) "torture: ")
+      (Vfs.crash_sweep ?every ~world ~op:run ~check ())
+  in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 sweep.sw_kills in
   Ok
     {
       et_jobs = jobs;
-      et_barriers = barriers;
-      et_kills = !kills;
-      et_manifest_intact = !manifest_intact;
-      et_lock_intact = !lock_intact;
+      et_barriers = sweep.sw_barriers;
+      et_kills = List.length sweep.sw_kills;
+      et_manifest_intact = sum fst;
+      et_lock_intact = sum snd;
     }

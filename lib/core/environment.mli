@@ -26,8 +26,8 @@
 
     All durable files (manifest, lockfile) are written with
     {!Ospack_vfs.Vfs.write_atomic}; {!torture} kills the whole lifecycle at
-    every filesystem barrier and checks old-or-new integrity plus
-    recovery convergence. *)
+    every filesystem barrier through {!Ospack_vfs.Vfs.crash_sweep} and
+    checks old-or-new integrity plus recovery convergence. *)
 
 type t = {
   env_name : string;
@@ -162,10 +162,14 @@ val torture :
   roots:string list ->
   unit ->
   (torture_report, string) result
-(** Run the env lifecycle (create, add each root, install) to completion
-    counting write barriers, then replay it on a fresh filesystem killed
-    at every [every]-th barrier ({!Ospack_vfs.Vfs.Crash} mode). At each
-    kill point the manifest and lockfile must be absent or a complete
-    previous version (never torn), and a fresh context over the crashed
-    filesystem must re-run the lifecycle to a store index and lockfile
-    byte-identical to the reference run. *)
+(** The environment's {!Ospack_vfs.Vfs.crash_sweep}: the operation is
+    the env lifecycle (create, add each root, install) on a fresh
+    context, killed at every [every]-th barrier (default 1; [every < 1]
+    is the error ["torture: every must be >= 1"], as for
+    {!Ospack_store.Torture.run}). At each kill point the manifest and
+    lockfile must be absent or a complete previous version (never
+    torn), and the same lifecycle re-run over the crashed filesystem
+    must reach a store index and lockfile byte-identical to the
+    reference run. The re-run resumes from the surviving manifest and
+    skips only roots it already holds; any other error — a root that
+    does not parse, say — fails the sweep. *)

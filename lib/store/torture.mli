@@ -1,23 +1,17 @@
 (** Crash-consistency torture for the store.
 
-    The harness proves the sharded index's durability story by killing an
-    install at {e every} write barrier and checking that recovery restores
-    the invariants:
+    The store's {!Ospack_vfs.Vfs.crash_sweep}: the operation installs the
+    given concrete specs on a fresh in-memory filesystem, killed at every
+    selected write barrier; the check opens the crashed store with a
+    fresh installer ({!Installer.load_index}: record merge + pending-marker
+    recovery) and holds three invariants:
 
-    + a reference run installs the given concrete specs to completion on a
-      fresh in-memory filesystem, counting its write barriers ({!Ospack_vfs.Vfs.write_barriers});
-    + for each selected barrier [k], the install is replayed on a fresh
-      filesystem with a {!Ospack_vfs.Vfs.Crash}-mode fault plan armed at
-      [k] — determinism guarantees the replay matches the reference run
-      byte-for-byte up to the kill, so the post-crash state is exactly
-      "the reference run, dead at its k-th durability boundary";
-    + a fresh installer then opens the crashed store
-      ({!Installer.load_index}: record merge + pending-marker recovery) and
-      three invariants are checked — the reloaded index is a subset of
-      the completed run's records (prefix-of-completed-store), no file or
-      symlink outside [.spack-db] survives outside a loaded record's
-      prefix (no unindexed orphans), and re-running the install converges
-      to an index and store tree byte-identical to the reference.
+    + the reloaded index is a subset of the completed run's records
+      (prefix-of-completed-store);
+    + no file or symlink outside [.spack-db] survives outside a loaded
+      record's prefix (no unindexed orphans);
+    + re-running the install converges to an index and store tree
+      ({!Ospack_vfs.Vfs.snapshot}) byte-identical to the reference.
 
     Any violation aborts with an [Error] naming the kill point. *)
 
@@ -43,7 +37,8 @@ val run :
   (report, string) result
 (** Torture the install of [specs] through {!Installer.install_parallel}
     at [jobs] workers (default 1; [jobs < 1] is an error); [every]
-    (default 1) kills at every [every]-th barrier — a sampling knob for
-    smoke gates; [config] is passed through to each installer (externals
-    etc.). The reference run must succeed, and every armed replay must
-    fail — a crash plan that an install survives is itself an error. *)
+    (default 1; [every < 1] is the error ["torture: every must be >= 1"])
+    kills at every [every]-th barrier — a sampling knob for smoke gates;
+    [config] is passed through to each installer (externals etc.). The
+    reference run must succeed, and every armed replay must fail — a
+    crash plan that an install survives is itself an error. *)

@@ -289,24 +289,34 @@ let ls fs path =
   | Ok (p, _) -> Error (Not_a_directory (path_of p))
   | Error e -> Error e
 
-let walk fs path =
+(* Every node strictly under a directory, depth-first in name order,
+   rendered by [f] from its path; empty when the path is not a directory. *)
+let collect fs path f =
   let rec go acc dir_path d =
-    let entries =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) d []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    List.fold_left
-      (fun acc (name, node) ->
-        let here = Vpath.extend dir_path name in
-        match node with
-        | Nfile _ -> (here, File) :: acc
-        | Nlink _ -> (here, Symlink) :: acc
-        | Ndir d' -> go ((here, Dir) :: acc) here d')
-      acc entries
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) d []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.fold_left
+         (fun acc (name, node) ->
+           let here = Vpath.extend dir_path name in
+           let acc = f here node :: acc in
+           match node with Ndir d' -> go acc here d' | _ -> acc)
+         acc
   in
   match lookup_node fs ~follow_last:true path with
   | Ok (p, Ndir d) -> List.rev (go [] (path_of p) d)
   | _ -> []
+
+let walk fs path =
+  collect fs path (fun here -> function
+    | Nfile _ -> (here, File)
+    | Nlink _ -> (here, Symlink)
+    | Ndir _ -> (here, Dir))
+
+let snapshot fs path =
+  collect fs path (fun here -> function
+    | Nfile r -> here ^ " F " ^ !r
+    | Nlink target -> here ^ " L " ^ target
+    | Ndir _ -> here ^ " D")
 
 let rename fs ~src ~dst =
   let* () = barrier fs ~op:"rename" ~path:dst in
@@ -353,3 +363,40 @@ let remove fs ?(recursive = false) path =
   | Some _ ->
       Hashtbl.remove dir name;
       Ok ()
+
+type 'a sweep = { sw_barriers : int; sw_kills : 'a list }
+
+(* The crash-sweep protocol: a count-only reference run, then for each
+   selected barrier k a fresh world killed at k. Determinism makes the
+   armed replay match the reference byte for byte up to the kill, so the
+   crashed state is exactly "the reference run, dead at barrier k". *)
+let crash_sweep ?(every = 1) ~world ~op ~check () =
+  if every < 1 then Error "every must be >= 1"
+  else
+    let ref_fs, ref_world = world () in
+    set_fault_plan ref_fs [];
+    let reference = op ref_world in
+    clear_fault_plan ref_fs;
+    match reference with
+    | Error e -> Error ("reference run failed: " ^ e)
+    | Ok r ->
+        let barriers = ref_fs.barriers in
+        let check_at = check (ref_fs, ref_world, r) in
+        let rec sweep k acc =
+          if k > barriers then
+            Ok { sw_barriers = barriers; sw_kills = List.rev acc }
+          else
+            let fs, w = world () in
+            set_fault_plan fs ~mode:Crash [ k ];
+            let killed = op w in
+            clear_fault_plan fs;
+            let checked =
+              match killed with
+              | Ok _ -> Error "the operation survived an armed crash plan"
+              | Error _ -> check_at ~kill:k fs w
+            in
+            match checked with
+            | Error e -> Error (Printf.sprintf "kill point %d: %s" k e)
+            | Ok c -> sweep (k + every) (c :: acc)
+        in
+        sweep 1 []

@@ -54,7 +54,9 @@ val reset_counters : t -> unit
     order. A fault plan kills selected barriers deterministically so
     persistence code can be torture-tested at every boundary. This is a
     test-only hook — production code never arms a plan, and an unarmed
-    filesystem behaves identically (the barrier counter still ticks). *)
+    filesystem behaves identically (the barrier counter still ticks).
+    Crash sweeps go through {!crash_sweep}, which arms and disarms the
+    plans itself. *)
 
 type fault_mode =
   | Fail_op  (** Only the planned barriers fail (a transient I/O error);
@@ -121,6 +123,12 @@ val walk : t -> string -> (string * kind) list
     with their kinds; symlinks are reported, not followed. Empty list when
     the path is not a directory. *)
 
+val snapshot : t -> string -> string list
+(** Every node strictly under a directory, in {!walk} order, rendered
+    canonically one per element: ["path D"], ["path F content"] or
+    ["path L target"]. Two trees hold the same bytes iff their snapshots
+    are equal. Empty when the path is not a directory. *)
+
 val rename : t -> src:string -> dst:string -> (unit, error) result
 (** Atomically move the node at [src] (file, symlink, or directory — the
     symlink itself, not its target) to [dst], creating [dst]'s parent
@@ -142,3 +150,37 @@ val write_atomic :
 val remove : t -> ?recursive:bool -> string -> (unit, error) result
 (** Remove a file, symlink (not its target), or directory. Non-empty
     directories require [~recursive:true]. *)
+
+(** {1 Crash sweeps} *)
+
+type 'a sweep = {
+  sw_barriers : int;  (** write barriers the reference run crossed *)
+  sw_kills : 'a list;
+      (** the check's result at each kill point, in order; its length is
+          the number of kill points *)
+}
+
+val crash_sweep :
+  ?every:int ->
+  world:(unit -> t * 'w) ->
+  op:('w -> ('r, string) result) ->
+  check:(t * 'w * 'r -> kill:int -> t -> 'w -> ('a, string) result) ->
+  unit ->
+  ('a sweep, string) result
+(** Kill [op] at every [every]-th write barrier (default 1) and check what
+    the crash left behind — the one harness behind every torture sweep.
+
+    + [world ()] builds a fresh filesystem and whatever [op] acts on;
+      barriers are counted from the moment it returns.
+    + A count-only reference run on one world must succeed; it crosses
+      [B] barriers.
+    + [check] is applied once to the reference (its filesystem, world and
+      result), so reference snapshots are taken once.
+    + For each kill point [k = 1, 1 + every, ... <= B]: a fresh world, a
+      {!Crash} plan armed at [k], and [op] must fail. The plan is
+      disarmed and the reference-applied check runs on the crashed world:
+      it asserts the per-kill invariants, recovers, and returns a per-kill
+      result.
+
+    Every error names its kill point (["kill point k: ..."]). [every < 1]
+    is rejected before anything runs. *)

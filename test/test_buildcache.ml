@@ -72,61 +72,60 @@ let save_crash_torture () =
     mk_prefix vfs "/r1/pkg";
     (vfs, Buildcache.create vfs ~root:"/cache")
   in
-  (* reference run: count the durability boundaries a save crosses *)
-  let ref_vfs, ref_cache = world () in
-  let b0 = Vfs.write_barriers ref_vfs in
-  save_exn ref_cache ~install_root:"/r1" (record spec "/r1/pkg");
-  let barriers = Vfs.write_barriers ref_vfs - b0 in
-  Alcotest.(check bool) "save crosses several barriers" true (barriers >= 2);
-  for k = 1 to barriers do
-    let vfs, cache = world () in
-    Vfs.set_fault_plan vfs ~mode:Vfs.Crash [ k ];
-    (match Buildcache.save cache ~install_root:"/r1" (record spec "/r1/pkg") with
-    | Ok () -> Alcotest.failf "kill point %d: save survived a crash" k
-    | Error _ -> ());
-    Vfs.clear_fault_plan vfs;
+  let save cache =
+    Result.map_error Buildcache.error_to_string
+      (Buildcache.save cache ~install_root:"/r1" (record spec "/r1/pkg"))
+  in
+  let ( let* ) = Result.bind in
+  let check _reference ~kill:_ vfs cache =
     (* the entry is absent or fully valid — never truncated *)
-    if Buildcache.has cache ~hash then (
-      match
-        Buildcache.extract cache ~hash ~install_root:"/r1" ~prefix:"/chk/pkg"
-      with
-      | Ok _ ->
-          Alcotest.(check bool)
-            (Printf.sprintf "kill point %d: surviving entry extracts" k)
-            true
-            (Vfs.is_file vfs "/chk/pkg/bin/tool")
-      | Error e ->
-          Alcotest.failf "kill point %d: surviving entry corrupt: %s" k
-            (Buildcache.error_to_string e));
+    let* () =
+      if not (Buildcache.has cache ~hash) then Ok ()
+      else
+        match
+          Buildcache.extract cache ~hash ~install_root:"/r1" ~prefix:"/chk/pkg"
+        with
+        | Ok _ when Vfs.is_file vfs "/chk/pkg/bin/tool" -> Ok ()
+        | Ok _ -> Error "surviving entry extracted without its files"
+        | Error e ->
+            Error ("surviving entry corrupt: " ^ Buildcache.error_to_string e)
+    in
     (* listing sweeps interrupted [.tmp] litter and never reports it *)
-    let listed = Buildcache.cached_hashes cache in
-    List.iter
-      (fun h ->
-        if Astring.String.is_suffix ~affix:".tmp" h then
-          Alcotest.failf "kill point %d: tmp litter listed: %s" k h)
-      listed;
-    List.iter
-      (fun (p, kind) ->
-        if kind <> Vfs.Dir && Astring.String.is_suffix ~affix:".tmp" p then
-          Alcotest.failf "kill point %d: tmp litter survived the sweep: %s" k p)
-      (Vfs.walk vfs "/cache");
+    let tmp = Astring.String.is_suffix ~affix:".tmp" in
+    let* () =
+      match List.find_opt tmp (Buildcache.cached_hashes cache) with
+      | Some h -> Error ("tmp litter listed: " ^ h)
+      | None -> Ok ()
+    in
+    let* () =
+      match
+        List.find_opt
+          (fun (p, kind) -> kind <> Vfs.Dir && tmp p)
+          (Vfs.walk vfs "/cache")
+      with
+      | Some (p, _) -> Error ("tmp litter survived the sweep: " ^ p)
+      | None -> Ok ()
+    in
     (* a rerun of the same save repairs the cache completely *)
-    save_exn cache ~install_root:"/r1" (record spec "/r1/pkg");
+    let* () = Result.map_error (( ^ ) "re-save: ") (save cache) in
     match
       Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/out/pkg"
     with
-    | Ok _ ->
-        (match Vfs.read_file vfs "/out/pkg/bin/tool" with
-        | Ok c ->
-            Alcotest.(check string)
-              (Printf.sprintf "kill point %d: repaired entry relocates" k)
-              "prefix=/r2/pkg\n" c
-        | Error e ->
-            Alcotest.failf "kill point %d: read: %s" k (Vfs.error_to_string e))
     | Error e ->
-        Alcotest.failf "kill point %d: re-save did not repair: %s" k
-          (Buildcache.error_to_string e)
-  done
+        Error ("re-save did not repair: " ^ Buildcache.error_to_string e)
+    | Ok _ -> (
+        match Vfs.read_file vfs "/out/pkg/bin/tool" with
+        | Ok "prefix=/r2/pkg\n" -> Ok ()
+        | Ok c -> Error ("repaired entry relocates wrongly: " ^ c)
+        | Error e -> Error ("read: " ^ Vfs.error_to_string e))
+  in
+  match Vfs.crash_sweep ~world ~op:save ~check () with
+  | Error e -> Alcotest.fail e
+  | Ok sweep ->
+      Alcotest.(check bool) "save crosses several barriers" true
+        (sweep.Vfs.sw_barriers >= 2);
+      Alcotest.(check int) "killed at every barrier" sweep.Vfs.sw_barriers
+        (List.length sweep.Vfs.sw_kills)
 
 (* transient faults are typed, so the fleet can retry them; everything
    else is terminal *)

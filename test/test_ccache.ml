@@ -573,18 +573,7 @@ let save_crash_torture () =
     Ccache.store after (parse "libx") new_libx;
     (fs, after)
   in
-  let fs, after = world () in
-  Vfs.set_fault_plan fs [];
-  save_ok after;
-  let barriers = Vfs.write_barriers fs in
-  Vfs.clear_fault_plan fs;
-  Alcotest.(check int) "two entries, two barriers each" 4 barriers;
-  for k = 1 to barriers do
-    let fs, after = world () in
-    Vfs.set_fault_plan fs ~mode:Vfs.Crash [ k ];
-    Alcotest.(check bool) (Printf.sprintf "kill %d fails the save" k) true
-      (Result.is_error (Ccache.save after));
-    Vfs.clear_fault_plan fs;
+  let check _reference ~kill:k fs after =
     let obs = Obs.create () in
     let reader = backed ~obs fs cx in
     let served spec = Ccache.lookup reader (parse spec) in
@@ -614,8 +603,16 @@ let save_crash_torture () =
        completes it *)
     save_ok after;
     Alcotest.(check bool) (Printf.sprintf "kill %d: retry lands" k) true
-      (files_equal_reference fs after)
-  done
+      (files_equal_reference fs after);
+    Ok ()
+  in
+  match Vfs.crash_sweep ~world ~op:Ccache.save ~check () with
+  | Error e -> Alcotest.fail e
+  | Ok sweep ->
+      Alcotest.(check int) "two entries, two barriers each" 4
+        sweep.Vfs.sw_barriers;
+      Alcotest.(check int) "killed at every barrier" 4
+        (List.length sweep.Vfs.sw_kills)
 
 (* (abstract, concrete) pairs to store: keys and values are drawn
    independently, so a sequence re-stores keys with other values too *)

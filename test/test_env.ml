@@ -25,18 +25,9 @@ let ok_lock = function
       Alcotest.failf "unexpected lock error: %s"
         (Environment.lock_error_to_string e)
 
-(* every file and symlink under a root, with content/target — the
-   byte-identity probe; the ccache lives outside the store, so a solving
-   context's store holds nothing a replay lacks *)
-let snapshot ctx root =
-  Vfs.walk ctx.Context.vfs root
-  |> List.filter_map (fun (path, kind) ->
-         match kind with
-         | Vfs.File ->
-             Some (path ^ " F " ^ Result.get_ok (Vfs.read_file ctx.Context.vfs path))
-         | Vfs.Symlink ->
-             Some (path ^ " L " ^ Result.get_ok (Vfs.readlink ctx.Context.vfs path))
-         | Vfs.Dir -> Some (path ^ " D"))
+(* the byte-identity probe; the ccache lives outside the store, so a
+   solving context's store holds nothing a replay lacks *)
+let snapshot ctx root = Vfs.snapshot ctx.Context.vfs root
 
 let db_json ctx =
   Json.to_string ~indent:2
@@ -574,6 +565,28 @@ let torture_sweep () =
       Alcotest.(check bool) "saw intact manifests mid-lifecycle" true
         (r.Environment.et_manifest_intact > 0)
 
+let torture_rejects_bad_every () =
+  (* the env path validates [every] like the store path, instead of
+     looping forever at 0 or misreporting a negative value *)
+  List.iter
+    (fun every ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "every %d rejected" every)
+        (Error "torture: every must be >= 1")
+        (Environment.torture ~every ~name:"t" ~roots:[ "libelf" ] ()))
+    [ 0; -3 ]
+
+let torture_keeps_bad_roots () =
+  (* a root that does not parse is an error, not a silently skipped
+     duplicate: the sweep must not pass after torturing only libelf *)
+  match
+    Environment.torture ~every:1000 ~name:"t" ~roots:[ "libelf"; "zzz@@" ] ()
+  with
+  | Ok _ -> Alcotest.fail "a root that does not parse was dropped"
+  | Error e ->
+      Alcotest.(check bool) "the bad root is named" true
+        (Astring.String.is_infix ~affix:"zzz@@" e)
+
 let () =
   Alcotest.run "env"
     [
@@ -612,5 +625,9 @@ let () =
           Alcotest.test_case "manifest and lock write-then-rename" `Quick
             atomic_manifest_and_lock;
           Alcotest.test_case "torture sweep converges" `Quick torture_sweep;
+          Alcotest.test_case "torture rejects every < 1" `Quick
+            torture_rejects_bad_every;
+          Alcotest.test_case "torture keeps bad roots" `Quick
+            torture_keeps_bad_roots;
         ] );
     ]

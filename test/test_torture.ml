@@ -82,8 +82,13 @@ let sampling_and_validation () =
   in
   expect_error "jobs 0 rejected"
     (Torture.run ~jobs:0 ~repo ~compilers [ concretize "libelf" ]);
-  expect_error "every 0 rejected"
-    (Torture.run ~every:0 ~repo ~compilers [ concretize "libelf" ]);
+  List.iter
+    (fun every ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "every %d rejected" every)
+        (Error "torture: every must be >= 1")
+        (Torture.run ~every ~repo ~compilers [ concretize "libelf" ]))
+    [ 0; -3 ];
   expect_error "empty spec list rejected"
     (Torture.run ~repo ~compilers [])
 

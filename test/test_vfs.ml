@@ -252,6 +252,72 @@ let fault_crash_mode () =
   Alcotest.(check (result unit err)) "alive again after clear" (Ok ())
     (Vfs.write_file fs "/w/c" "3")
 
+let crash_sweep_protocol () =
+  (* the harness behind every torture sweep, on write_atomic: the
+     reference run counts two barriers, each kill point leaves the old
+     file or the new one, and the check's results come back in order *)
+  let world () =
+    let fs = Vfs.create () in
+    ignore (Vfs.write_file fs "/f" "old");
+    (fs, fs)
+  in
+  let op fs =
+    Result.map_error (fun (_, _, e) -> Vfs.error_to_string e)
+      (Vfs.write_atomic fs "/f" "new")
+  in
+  let check _reference ~kill fs _ =
+    (* a kill at either barrier precedes the rename *)
+    match Vfs.read_file fs "/f" with
+    | Ok "old" -> Ok (kill, Vfs.exists fs "/f.tmp")
+    | Ok c -> Error ("unexpected content: " ^ c)
+    | Error e -> Error (Vfs.error_to_string e)
+  in
+  (match Vfs.crash_sweep ~world ~op ~check () with
+  | Error e -> Alcotest.fail e
+  | Ok sweep ->
+      Alcotest.(check int) "reference barriers" 2 sweep.Vfs.sw_barriers;
+      Alcotest.(check (list (pair int bool)))
+        "kill 1 before the tmp, kill 2 strands it" [ (1, false); (2, true) ]
+        sweep.Vfs.sw_kills);
+  (match
+     Vfs.crash_sweep ~every:2 ~world ~op ~check:(fun _ ~kill _ _ -> Ok kill) ()
+   with
+  | Error e -> Alcotest.fail e
+  | Ok sweep ->
+      Alcotest.(check (list int)) "every 2 samples barrier 1" [ 1 ]
+        sweep.Vfs.sw_kills);
+  let expect_error msg expected got =
+    Alcotest.(check (result reject string)) msg (Error expected)
+      (Result.map (fun _ -> ()) got)
+  in
+  List.iter
+    (fun every ->
+      expect_error (Printf.sprintf "every %d rejected" every)
+        "every must be >= 1"
+        (Vfs.crash_sweep ~every ~world ~op ~check ()))
+    [ 0; -1 ];
+  expect_error "a failing reference run is reported"
+    "reference run failed: nope"
+    (Vfs.crash_sweep ~world ~op:(fun _ -> Error "nope") ~check ());
+  expect_error "an operation that swallows the kill is caught"
+    "kill point 1: the operation survived an armed crash plan"
+    (Vfs.crash_sweep ~world ~op:(fun fs -> ignore (op fs); Ok ()) ~check ());
+  expect_error "check errors name their kill point" "kill point 2: boom"
+    (Vfs.crash_sweep ~world ~op
+       ~check:(fun _ ~kill _ _ -> if kill = 2 then Error "boom" else Ok ())
+       ())
+
+let snapshot_renders_tree () =
+  let fs = Vfs.create () in
+  ignore (Vfs.write_file fs "/r/b/file" "bytes");
+  ignore (Vfs.symlink fs ~target:"b/file" ~link:"/r/a");
+  ignore (Vfs.mkdir_p fs "/r/c");
+  Alcotest.(check (list string)) "one canonical line per node"
+    [ "/r/a L b/file"; "/r/b D"; "/r/b/file F bytes"; "/r/c D" ]
+    (Vfs.snapshot fs "/r");
+  Alcotest.(check (list string)) "not a directory" []
+    (Vfs.snapshot fs "/r/b/file")
+
 let write_read_consistent =
   QCheck.Test.make ~name:"last write wins for every path" ~count:100 arb_files
     (fun files ->
@@ -564,6 +630,9 @@ let () =
             fault_barrier_counting;
           Alcotest.test_case "fault: transient failures" `Quick fault_fail_op;
           Alcotest.test_case "fault: crash mode" `Quick fault_crash_mode;
+          Alcotest.test_case "crash sweep protocol" `Quick crash_sweep_protocol;
+          Alcotest.test_case "snapshot renders a tree" `Quick
+            snapshot_renders_tree;
           QCheck_alcotest.to_alcotest write_read_consistent;
           QCheck_alcotest.to_alcotest walk_matches_reference;
         ] );
