@@ -41,13 +41,19 @@ type t = {
       (* the backing sharded directory: one file per entry *)
   cc_entries : (string, entry) Hashtbl.t;
       (* authoritative: canonical abstract spec -> its concretization *)
-  cc_pending : (string, unit) Hashtbl.t;
-      (* keys stored since the last save: all a save writes *)
-  cc_seeds : (string, Concrete.node) Hashtbl.t;
+  cc_pending : (string, string) Hashtbl.t;
+      (* keys stored since the last save, with their file keys: all a
+         save writes *)
+  mutable cc_last_read : (string * string) option;
+      (* the key and file key of the last entry file a lookup read (or
+         found missing): the store after a miss names its file from it *)
+  mutable cc_seeds : Concrete.node Concrete.Smap.t;
       (* advisory: package name -> a concrete node it pinned to in some
-         stored result. Seeds accelerate the fixed point (sub-DAG memo)
-         but are never returned as answers — a node's parameters inside
-         one DAG need not match its standalone concretization. *)
+         stored result, the last store winning. Seeds accelerate the
+         fixed point (sub-DAG memo) but are never returned as answers —
+         a node's parameters inside one DAG need not match its
+         standalone concretization. *)
+  mutable cc_seed_count : int;  (* bindings in [cc_seeds] *)
   cc_obs : Obs.t;
 }
 
@@ -126,7 +132,9 @@ let create ?(obs = Obs.disabled) ?dir ~context:cx () =
     cc_dir = dir;
     cc_entries = Hashtbl.create 64;
     cc_pending = Hashtbl.create 8;
-    cc_seeds = Hashtbl.create 64;
+    cc_last_read = None;
+    cc_seeds = Concrete.Smap.empty;
+    cc_seed_count = 0;
     cc_obs = obs;
   }
 
@@ -180,7 +188,10 @@ let current_header cx json =
 let add t key e =
   Hashtbl.replace t.cc_entries key e;
   List.iter
-    (fun (n : Concrete.node) -> Hashtbl.replace t.cc_seeds n.Concrete.name n)
+    (fun (n : Concrete.node) ->
+      if not (Concrete.Smap.mem n.Concrete.name t.cc_seeds) then
+        t.cc_seed_count <- t.cc_seed_count + 1;
+      t.cc_seeds <- Concrete.Smap.add n.Concrete.name n t.cc_seeds)
     (Concrete.nodes e.e_concrete)
 
 (* Read one entry's file back: anything but a current, untampered entry
@@ -189,6 +200,7 @@ let add t key e =
 let read_back t (vfs, root) key =
   let cx = t.cc_context in
   let fk = file_key cx key in
+  t.cc_last_read <- Some (key, fk);
   match Vfs.read_file vfs (Sharded_dir.path ~root fk) with
   | Error _ -> None
   | Ok text -> (
@@ -226,15 +238,21 @@ let lookup t ast =
 
 let store_entry t key e =
   add t key e;
-  if Option.is_some t.cc_dir then Hashtbl.replace t.cc_pending key ()
+  if Option.is_some t.cc_dir then
+    let fk =
+      match t.cc_last_read with
+      | Some (k, fk) when k = key -> fk
+      | Some _ | None -> file_key t.cc_context key
+    in
+    Hashtbl.replace t.cc_pending key fk
 
 let store t ast concrete =
   let merkle = entry_fingerprint t.cc_context concrete in
   store_entry t (key_of ast) { e_concrete = concrete; e_merkle = merkle }
 
-let seeds t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cc_seeds []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let seed_map t = t.cc_seeds
+let seed_count t = t.cc_seed_count
+let seeds t = Concrete.Smap.bindings t.cc_seeds
 
 let length t = Hashtbl.length t.cc_entries
 
@@ -289,7 +307,9 @@ let save t =
                 (header cx @ entry_fields key ~merkle:e.e_merkle e.e_concrete)
             in
             match
-              Sharded_dir.write vfs ~root (file_key cx key) (Json.to_string doc)
+              Sharded_dir.write vfs ~root
+                (Hashtbl.find t.cc_pending key)
+                (Json.to_string doc)
             with
             | Ok () ->
                 Hashtbl.remove t.cc_pending key;

@@ -104,7 +104,7 @@ val lookup : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option
     fingerprint are current. A stale, corrupt or mismatched file is
     removed and counts one [ccache.invalidations]; a missing one is a
     plain miss. A validated entry joins the in-memory set (and its nodes
-    the seeds). Counts [ccache.hits] / [ccache.misses] on the cache's
+    {!seed_map}). Counts [ccache.hits] / [ccache.misses] on the cache's
     obs sink. *)
 
 val entry_path : t -> Ospack_spec.Ast.t -> string option
@@ -113,17 +113,28 @@ val entry_path : t -> Ospack_spec.Ast.t -> string option
 
 val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
 (** Record an authoritative (abstract, concrete) pair, and harvest every
-    node of the concrete DAG into the advisory seed table. This is where
-    the entry is fingerprinted, once; in a backed cache it is also
-    queued for the next {!save}. Re-storing a key replaces its entry. *)
+    node of the concrete DAG into {!seed_map}. This is where the entry is
+    fingerprinted, once; in a backed cache it is also queued for the next
+    {!save}, under the file name the miss's {!lookup} already hashed
+    when it was the last lookup of this key. Re-storing a key replaces
+    its entry. *)
 
-val seeds : t -> (string * Ospack_spec.Concrete.node) list
-(** The sub-DAG memo, sorted by package name: for each package that
-    appeared in any stored concretization, the concrete node it pinned
-    to. Seeds prime the fixed point's first iteration
-    ({!Concretizer.concretize_cached}); they are {e never} served as
+val seed_map : t -> Ospack_spec.Concrete.node Ospack_spec.Concrete.Smap.t
+(** The sub-DAG memo, owned by the cache: for each package that appeared
+    in any stored, imported or read-back concretization, the concrete
+    node it pinned to there (the last store wins). Each store adds its
+    DAG's nodes, one O(log S) insertion each, so reading the map costs
+    nothing and a miss's seeding ({!Concretizer.seed_for}) looks up only
+    the query's own names, never the whole map. Seeds
+    prime the fixed point's first iteration; they are {e never} served as
     whole-query answers — a node's parameters inside one DAG need not
     match its standalone concretization. *)
+
+val seed_count : t -> int
+(** The number of bindings in {!seed_map}, kept as it grows. *)
+
+val seeds : t -> (string * Ospack_spec.Concrete.node) list
+(** {!seed_map}'s bindings, sorted by package name ([String.compare]). *)
 
 val length : t -> int
 (** Authoritative entries in memory — stored, imported or read back by

@@ -62,19 +62,15 @@ type info = {
   mutable provided : (string * Vlist.t) list;  (* requirement-derived *)
 }
 
-(* Pinned parameters: the output of one iteration, input (for when-clause
-   evaluation and inheritance) to the next. *)
-type pins = {
-  pv : Version.t;
-  pc : string * Version.t;
-  pvar : bool Smap.t;
-  parch : string;
-}
-
+(* Pinned parameters are the output of one iteration and the input (for
+   when-clause evaluation and inheritance) to the next. A pin is a
+   [Concrete.node] whose version, compiler, variants and arch are the
+   pinned values; its [deps] and [provided] are not read until [finalize]
+   fills them in. A concretization-cache seed is thus a pin as it is. *)
 type snapshot = {
   snodes : Sset.t;
   sedges : Sset.t Smap.t;
-  spins : pins Smap.t;
+  spins : Concrete.node Smap.t;
   sprovided : (string * Vlist.t) list Smap.t;
 }
 
@@ -86,12 +82,12 @@ let empty_snapshot =
     sprovided = Smap.empty;
   }
 
-let pins_equal a b =
-  Version.equal a.pv b.pv
-  && fst a.pc = fst b.pc
-  && Version.equal (snd a.pc) (snd b.pc)
-  && Smap.equal Bool.equal a.pvar b.pvar
-  && a.parch = b.parch
+let pin_equal (a : Concrete.node) (b : Concrete.node) =
+  Version.equal a.version b.version
+  && fst a.compiler = fst b.compiler
+  && Version.equal (snd a.compiler) (snd b.compiler)
+  && Smap.equal Bool.equal a.variants b.variants
+  && a.arch = b.arch
 
 let provided_equal a b =
   List.length a = List.length b
@@ -100,7 +96,7 @@ let provided_equal a b =
 let snapshot_equal a b =
   Sset.equal a.snodes b.snodes
   && Smap.equal Sset.equal a.sedges b.sedges
-  && Smap.equal pins_equal a.spins b.spins
+  && Smap.equal pin_equal a.spins b.spins
   && Smap.equal provided_equal a.sprovided b.sprovided
 
 (* The "candidate" view of a node for when-clause evaluation: pinned
@@ -109,19 +105,7 @@ let snapshot_equal a b =
 let candidate_of ~prev_pins name cons =
   match Smap.find_opt name prev_pins with
   | None -> cons
-  | Some p ->
-      {
-        Ast.name;
-        versions = Vlist.of_version p.pv;
-        compiler =
-          Some
-            {
-              Ast.c_name = fst p.pc;
-              c_versions = Vlist.of_version (snd p.pc);
-            };
-        variants = Smap.fold Ast.Smap.add p.pvar Ast.Smap.empty;
-        arch = Some p.parch;
-      }
+  | Some pin -> Concrete.as_ast_node pin
 
 (* ------------------------------------------------------------------ *)
 (* One greedy run                                                      *)
@@ -533,7 +517,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
           | Some a -> a
           | None -> (
               match parent_pins with
-              | Some p -> p.parch
+              | Some p -> p.Concrete.arch
               | None -> Policy.default_arch ctx.config)
         in
         (* compiler-feature requirements active under the current pins
@@ -583,7 +567,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
               let inherited =
                 match parent_pins with
                 | Some p -> (
-                    let cname, cver = p.pc in
+                    let cname, cver = p.Concrete.compiler in
                     match
                       Compilers.find ctx.compilers ~name:cname ~version:cver
                     with
@@ -667,7 +651,15 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
         in
         new_pins :=
           Smap.add name
-            { pv = version; pc = compiler; pvar = variants; parch = arch }
+            {
+              Concrete.name;
+              version;
+              compiler;
+              variants;
+              arch;
+              deps = [];
+              provided = [];
+            }
             !new_pins)
       creation_order;
     (* directive-derived provided sets, evaluated against the new pins *)
@@ -746,16 +738,10 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
     let concrete_nodes =
       Sset.fold
         (fun name acc ->
-          let pins = Smap.find name snapshot.spins in
           let info = Hashtbl.find nodes name in
           {
-            Concrete.name;
-            version = pins.pv;
-            compiler = pins.pc;
-            variants =
-              Smap.fold Concrete.Smap.add pins.pvar Concrete.Smap.empty;
-            arch = pins.parch;
-            deps = Sset.elements info.deps;
+            (Smap.find name snapshot.spins) with
+            Concrete.deps = Sset.elements info.deps;
             provided = Smap.find name snapshot.sprovided;
           }
           :: acc)
@@ -796,32 +782,25 @@ let run_trace ?obs ?(forced = []) (ctx : ctx) choices abstract =
 
 let concretize ctx abstract = fst (run_once ctx [] abstract)
 
-let pins_of_concrete_node (n : Concrete.node) =
-  {
-    pv = n.Concrete.version;
-    pc = n.Concrete.compiler;
-    pvar = Concrete.Smap.fold Smap.add n.Concrete.variants Smap.empty;
-    parch = n.Concrete.arch;
-  }
-
-(* Pins seed for a query: every package the cache ever concretized, except
-   where the stored node contradicts the query's own constraints (root or
-   ^dep) — a contradicted seed would make iteration 1 evaluate when-clauses
-   against parameters the fixed point can never keep. *)
+(* Pins seed for a query, with its size: every package the cache ever
+   concretized, except where the stored node contradicts the query's own
+   constraints (the root constraint for the root's name, the ^dep
+   constraint otherwise) — a contradicted seed would make iteration 1
+   evaluate when-clauses against parameters the fixed point can never
+   keep. The cache keeps the seed map, so only the query's own names are
+   looked up: O((1 + |^deps|) log S) for S seeds. *)
 let seed_for cache (abstract : Ast.t) =
-  List.fold_left
-    (fun acc (name, node) ->
-      let consistent =
-        if name = abstract.Ast.root.Ast.name then
-          Concrete.node_satisfies node abstract.Ast.root
-        else
-          match Smap.find_opt name abstract.Ast.deps with
-          | Some c -> Concrete.node_satisfies node c
-          | None -> true
-      in
-      if consistent then Smap.add name (pins_of_concrete_node node) acc
-      else acc)
-    Smap.empty (Ccache.seeds cache)
+  let root = abstract.Ast.root in
+  let check name c ((seeds, count) as acc) =
+    match Smap.find_opt name seeds with
+    | Some node when not (Concrete.node_satisfies node c) ->
+        (Smap.remove name seeds, count - 1)
+    | Some _ | None -> acc
+  in
+  Smap.fold
+    (fun name c acc -> if name = root.Ast.name then acc else check name c acc)
+    abstract.Ast.deps
+    (check root.Ast.name root (Ccache.seed_map cache, Ccache.seed_count cache))
 
 let concretize_cached ?cache ?installed (ctx : ctx) abstract =
   let obs = ctx.obs in
@@ -851,8 +830,8 @@ let concretize_cached ?cache ?installed (ctx : ctx) abstract =
           | None ->
               let seed =
                 Obs.span obs ~cat:"ccache" "ccache.seed" (fun () ->
-                    let s = seed_for cache abstract in
-                    Obs.count obs "ccache.seeded_pins" (Smap.cardinal s);
+                    let s, count = seed_for cache abstract in
+                    Obs.count obs "ccache.seeded_pins" count;
                     s)
               in
               let result = fst (run_once ~seed ctx [] abstract) in

@@ -65,11 +65,15 @@ val concretize_cached :
       fingerprint returns the stored concretization
       ([ccache.hits]/[ccache.misses]).
     + {b sub-DAG seeding} — on a miss, pins harvested from earlier
-      concretizations ({!Ccache.seeds}) prime the fixed point's first
-      iteration ([ccache.seeded_pins]), so shared subtrees (the
-      [mvapich2] under [mpileaks ^mvapich2]) start from their previous
-      solution rather than from scratch. Seeds contradicting the query's
-      own constraints are dropped.
+      concretizations prime the fixed point's first iteration
+      ([ccache.seeded_pins]), so shared subtrees (the [mvapich2] under
+      [mpileaks ^mvapich2]) start from their previous solution rather
+      than from scratch. The cache owns the seed map
+      ({!Ccache.seed_map}) and a pin is a {!Ospack_spec.Concrete.node},
+      so the map is used as it is: {!seed_for} drops only the seeds
+      contradicting the query's own constraints, looking up the root's
+      name and each [^dep] name. A miss's seed work is
+      O((1 + |^deps|) log S) for S seeds, not a pass over the cache.
 
     Caching is observationally invisible: a hit is byte-identical to the
     cold result (concretization is deterministic and every input is
@@ -80,6 +84,16 @@ val concretize_cached :
     over the whole workload suite. Successful results (from layers 2–3)
     are stored back; reuse results are not (they reflect the store, not
     the current packages). *)
+
+val seed_for :
+  Ccache.t ->
+  Ospack_spec.Ast.t ->
+  Ospack_spec.Concrete.node Ospack_spec.Concrete.Smap.t * int
+(** The seed a miss on this query starts from, and its size (what
+    [ccache.seeded_pins] counts): {!Ccache.seed_map} without each seed
+    the query contradicts — the seed for the root's name unless it
+    satisfies the root constraint, the seed for a [^dep] name unless it
+    satisfies that [^dep] constraint. *)
 
 val concretize_explain :
   ctx ->

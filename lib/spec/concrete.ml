@@ -1,4 +1,4 @@
-module Smap = Map.Make (String)
+module Smap = Ast.Smap
 module Version = Ospack_version.Version
 module Vlist = Ospack_version.Vlist
 module Dag = Ospack_dag.Dag
@@ -155,7 +155,7 @@ let as_ast_node n =
     versions = Vlist.of_version n.version;
     compiler =
       Some { Ast.c_name = cname; c_versions = Vlist.of_version cver };
-    variants = Smap.fold Ast.Smap.add n.variants Ast.Smap.empty;
+    variants = n.variants;
     arch = Some n.arch;
   }
 

@@ -10,7 +10,9 @@
     (e.g. mvapich2 providing [mpi@:2.2]) so that queries like
     [spack find ^mpi@2:] can match installed specs. *)
 
-module Smap : Map.S with type key = string
+module Smap = Ast.Smap
+(** The same map as {!Ast.Smap}, so a node's variants serve as pinned
+    abstract constraints without a copy. *)
 
 type node = {
   name : string;

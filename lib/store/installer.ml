@@ -679,7 +679,6 @@ let install_parallel t ?(explicit = true) ~jobs specs =
     (* W(aiting) R(eady) B(uilding) D(one) F(ailed) P(oisoned) *)
     let state = Array.make (max n 1) 'W' in
     let poison_cause = Array.make (max n 1) [] in
-    let node_outcome = Array.make (max n 1) None in
     let ready = ref ISet.empty in
     Array.iteri
       (fun i p ->
@@ -690,7 +689,7 @@ let install_parallel t ?(explicit = true) ~jobs specs =
       pending;
     let worker_free = Array.make jobs 0.0 in
     let persist_error = ref None in
-    let running = ref [] (* (finish, idx, worker), ascending *) in
+    let running = ref [] (* (finish, idx, worker, outcome), ascending *) in
     let now = ref 0.0 in
     let rev_outcomes = ref [] in
     let rev_slots = ref [] in
@@ -738,7 +737,7 @@ let install_parallel t ?(explicit = true) ~jobs specs =
       ready := ISet.remove idx !ready;
       let nd = nodes.(idx) in
       let busy =
-        List.fold_left (fun s (_, _, w) -> ISet.add w s) ISet.empty !running
+        List.fold_left (fun s (_, _, w, _) -> ISet.add w s) ISet.empty !running
       in
       let w = pick_worker busy in
       let start = !now in
@@ -772,7 +771,6 @@ let install_parallel t ?(explicit = true) ~jobs specs =
           serial := !serial +. dur;
           let finish = start +. dur in
           state.(idx) <- 'B';
-          node_outcome.(idx) <- Some o;
           worker_free.(w) <- finish;
           rev_slots :=
             {
@@ -783,10 +781,10 @@ let install_parallel t ?(explicit = true) ~jobs specs =
               sl_finish = finish;
             }
             :: !rev_slots;
-          let entry = (finish, idx, w) in
+          let entry = (finish, idx, w, o) in
           running :=
             List.merge
-              (fun (f1, i1, _) (f2, i2, _) -> compare (f1, i1) (f2, i2))
+              (fun (f1, i1, _, _) (f2, i2, _, _) -> compare (f1, i1) (f2, i2))
               [ entry ] !running
       | Error e ->
           state.(idx) <- 'F';
@@ -798,28 +796,24 @@ let install_parallel t ?(explicit = true) ~jobs specs =
             :: !rev_failed;
           poison idx
     in
-    let complete () =
-      match !running with
-      | [] -> assert false
-      | (finish, idx, w) :: rest ->
-          running := rest;
-          now := finish;
-          worker_free.(w) <- finish;
-          makespan := max !makespan finish;
-          state.(idx) <- 'D';
-          (match node_outcome.(idx) with
-          | Some o -> rev_outcomes := o :: !rev_outcomes
-          | None -> assert false);
-          List.iter
-            (fun d ->
-              if state.(d) = 'W' then begin
-                pending.(d) <- pending.(d) - 1;
-                if pending.(d) = 0 then begin
-                  state.(d) <- 'R';
-                  ready := ISet.add d !ready
-                end
-              end)
-            dependents.(idx)
+    (* the earliest-finishing running node completes; the caller has
+       taken it off [running] *)
+    let complete (finish, idx, w, o) =
+      now := finish;
+      worker_free.(w) <- finish;
+      makespan := max !makespan finish;
+      state.(idx) <- 'D';
+      rev_outcomes := o :: !rev_outcomes;
+      List.iter
+        (fun d ->
+          if state.(d) = 'W' then begin
+            pending.(d) <- pending.(d) - 1;
+            if pending.(d) = 0 then begin
+              state.(d) <- 'R';
+              ready := ISet.add d !ready
+            end
+          end)
+        dependents.(idx)
     in
     let rec loop () =
       if !persist_error <> None then ()
@@ -828,10 +822,13 @@ let install_parallel t ?(explicit = true) ~jobs specs =
         dispatch ();
         loop ()
       end
-      else if !running <> [] then begin
-        complete ();
-        loop ()
-      end
+      else
+        match !running with
+        | [] -> ()
+        | first :: rest ->
+            running := rest;
+            complete first;
+            loop ()
     in
     loop ();
     match !persist_error with

@@ -765,6 +765,165 @@ let model_property =
           && Obs.counter obs "ccache.invalidations" = !invalidations)
         ops)
 
+(* --- the seed map: generated query sequences on one context --- *)
+
+module Universe = Ospack_repo.Universe
+module Ast = Ospack_spec.Ast
+module Vlist = Ospack_version.Vlist
+
+(* one dependency family, so seeds overlap: plain, %compiler and
+   @version roots; ^dep constraints that contradict the pins earlier
+   queries left (libelf@0.8.13, mvapich2@2.0, gcc@4.9.2, ...); and a
+   root that is also a ^dep ([libelf ^libelf@0.8.12]) *)
+let seed_roots =
+  [| "mpileaks"; "mpileaks@1.0"; "mpileaks%intel"; "callpath";
+     "callpath@0.9"; "dyninst%gcc@4.7.3"; "dyninst@8.1.1"; "libdwarf";
+     "libdwarf%intel"; "libelf"; "libelf@0.8.10"; "hdf5"; "hdf5@1.8.12";
+     "gerris"; "mvapich2@1.9"; "boost" |]
+
+let seed_deps =
+  [| ""; " ^libelf@0.8.12"; " ^libelf@0.8.10"; " ^mvapich2@1.9";
+     " ^openmpi"; " ^mpich@3.0.3"; " ^libdwarf%intel"; " ^boost@1.54.0";
+     " ^dyninst@8.1.2"; " ^zlib@1.2.7"; " ^libelf ^libdwarf@20130207" |]
+
+(* [None] saves and reopens the cache on the same filesystem *)
+let seed_ops =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (1, return None);
+          ( 6,
+            map Option.some
+              (pair
+                 (int_bound (Array.length seed_roots - 1))
+                 (int_bound (Array.length seed_deps - 1))) );
+        ])
+  in
+  let print = function
+    | None -> "save+reopen"
+    | Some (i, j) -> seed_roots.(i) ^ seed_deps.(j)
+  in
+  make ~print:(Print.list print) Gen.(list_size (1 -- 25) op)
+
+(* the reference seed filter: one pass over every seed, checking the
+   root constraint for the root's name and the ^dep constraint for any
+   other name *)
+let reference_seed cache (ast : Ast.t) =
+  List.filter
+    (fun (name, node) ->
+      if name = ast.Ast.root.Ast.name then
+        Concrete.node_satisfies node ast.Ast.root
+      else
+        match Ast.Smap.find_opt name ast.Ast.deps with
+        | Some c -> Concrete.node_satisfies node c
+        | None -> true)
+    (Ccache.seeds cache)
+
+let node_repr (n : Concrete.node) =
+  Printf.sprintf "%s deps=%s provided=%s" (Concrete.node_to_string n)
+    (String.concat "," n.Concrete.deps)
+    (String.concat ","
+       (List.map
+          (fun (v, vl) -> v ^ "@" ^ Vlist.to_string vl)
+          n.Concrete.provided))
+
+let seed_map_property =
+  QCheck.Test.make ~count:100
+    ~name:"seed map = fold of stored entries, seed_for = reference filter"
+    seed_ops
+    (fun ops ->
+      let repo = Universe.repository () in
+      let config = Universe.default_config
+      and compilers = Universe.compilers in
+      let obs = Obs.create () in
+      let ctx = Concretizer.make_ctx ~config ~obs ~compilers repo in
+      let fs = Vfs.create () in
+      let cache = ref (backed fs (Ccache.context ~repo ~compilers ~config ())) in
+      (* the model: keys in the open cache's memory, keys saved on disk,
+         keys stored since the last save, and every DAG the open cache
+         took in (stored or read back), oldest first *)
+      let mem = Hashtbl.create 16
+      and disk = Hashtbl.create 16
+      and pending = Hashtbl.create 16 in
+      let taken = ref [] in
+      let fresh_answers = Hashtbl.create 16 in
+      let fresh key ast =
+        match Hashtbl.find_opt fresh_answers key with
+        | Some r -> r
+        | None ->
+            let r = Concretizer.concretize ctx ast in
+            Hashtbl.replace fresh_answers key r;
+            r
+      in
+      let same_answer a b =
+        match (a, b) with
+        | Ok x, Ok y -> Concrete.equal x y
+        | Error x, Error y ->
+            Ospack_concretize.Cerror.(to_string x = to_string y)
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      let seeds_match () =
+        let folded =
+          List.fold_left
+            (fun m c ->
+              List.fold_left
+                (fun m (n : Concrete.node) ->
+                  Concrete.Smap.add n.Concrete.name n m)
+                m (Concrete.nodes c))
+            Concrete.Smap.empty (List.rev !taken)
+        in
+        let repr m = List.map (fun (k, n) -> (k, node_repr n)) m in
+        let seeds = Ccache.seeds !cache in
+        repr seeds = repr (Concrete.Smap.bindings folded)
+        && seeds = Concrete.Smap.bindings (Ccache.seed_map !cache)
+        && Ccache.seed_count !cache = Concrete.Smap.cardinal folded
+      in
+      let step = function
+        | None ->
+            Result.is_ok (Ccache.save !cache)
+            && begin
+                 Hashtbl.iter (fun k () -> Hashtbl.replace disk k ()) pending;
+                 Hashtbl.reset pending;
+                 Hashtbl.reset mem;
+                 taken := [];
+                 (* a fresh context reads the sharded directory back *)
+                 cache := backed fs (Ccache.context ~repo ~compilers ~config ());
+                 true
+               end
+        | Some (i, j) ->
+            let ast = parse (seed_roots.(i) ^ seed_deps.(j)) in
+            let key = Ccache.key_of ast in
+            let expected = fresh key ast in
+            let seed, count = Concretizer.seed_for !cache ast in
+            let reference = reference_seed !cache ast in
+            let seed_ok =
+              count = List.length reference
+              && List.equal
+                   (fun (a, n) (b, m) -> a = b && n == m)
+                   (Concrete.Smap.bindings seed)
+                   reference
+            in
+            let in_mem = Hashtbl.mem mem key in
+            let on_disk = (not in_mem) && Hashtbl.mem disk key in
+            let pins_before = Obs.counter obs "ccache.seeded_pins" in
+            let got = Concretizer.concretize_cached ~cache:!cache ctx ast in
+            let pins =
+              Obs.counter obs "ccache.seeded_pins" - pins_before
+            in
+            (match got with
+            | Ok c when not in_mem ->
+                taken := c :: !taken;
+                Hashtbl.replace mem key ();
+                if not on_disk then Hashtbl.replace pending key ()
+            | Ok _ | Error _ -> ());
+            seed_ok
+            && same_answer got expected
+            && pins = if in_mem || on_disk then 0 else count
+      in
+      List.for_all (fun op -> step op && seeds_match ()) ops)
+
 let () =
   Alcotest.run "ccache"
     [
@@ -803,6 +962,7 @@ let () =
             save_writes_only_new_entries;
           QCheck_alcotest.to_alcotest save_equals_reference_property;
           QCheck_alcotest.to_alcotest model_property;
+          QCheck_alcotest.to_alcotest seed_map_property;
         ] );
       ( "crash safety",
         [
