@@ -204,6 +204,9 @@ index-export $env_tmp/index-stale.json
 EOF
 ./_build/default/bin/spack.exe script "$env_tmp/solve.spack" > "$env_tmp/solve.out"
 grep -q 'lockfile written' "$env_tmp/solve.out"
+# the exported lock is format 3: one compact line, checksummed as written
+grep -q '"format":3' "$env_tmp/lock.json"
+test "$(wc -l < "$env_tmp/lock.json")" -eq 1
 ./_build/default/bin/spack.exe script "$env_tmp/replay.spack" > "$env_tmp/replay.out"
 grep -q 'lockfile replayed' "$env_tmp/replay.out"
 # the solve store and the replay store agree record for record
@@ -215,6 +218,8 @@ if ./_build/default/bin/spack.exe script --config "$env_tmp/drifted.conf" \
     exit 1
 fi
 grep -q 'stale' "$env_tmp/stale.out"
+# the refusal names the fingerprint part that drifted
+grep -q 'config fingerprint changed' "$env_tmp/stale.out"
 grep -q '"records": \[\]' "$env_tmp/index-stale.json"
 # the env lifecycle survives a kill at every 7th filesystem barrier
 ./_build/default/bin/spack.exe torture --env --every 7 libdwarf gsl > "$env_tmp/torture.out"

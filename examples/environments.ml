@@ -64,8 +64,10 @@ let () =
 
   section "The lockfile records the exact concrete DAGs, fingerprinted";
   let lock = Result.get_ok (Environment.read_lock ctx env) in
-  Printf.printf "context fingerprint %s..\n"
-    (String.sub lock.Environment.lk_fingerprint 0 12);
+  List.iter
+    (fun (part, fp) ->
+      Printf.printf "%s fingerprint %s..\n" part (String.sub fp 0 12))
+    lock.Environment.lk_fingerprint;
   List.iter
     (fun (_, c) ->
       Printf.printf "  %s (%d nodes, hash %s)\n"

@@ -1,4 +1,5 @@
 module Vfs = Ospack_vfs.Vfs
+module Vpath = Ospack_vfs.Vpath
 module Compilers = Ospack_config.Compilers
 module Concrete = Ospack_spec.Concrete
 module Ast = Ospack_spec.Ast
@@ -8,7 +9,12 @@ module Build_model = Ospack_package.Build_model
 module Build_step = Ospack_package.Build_step
 module Obs = Ospack_obs.Obs
 
-type result = { br_log : string list; br_time : float; br_invocations : int }
+type result = {
+  br_log : string list;
+  br_time : float;
+  br_invocations : int;
+  br_payload : (string * string) list;
+}
 
 (* Typed failures so callers (the installer's accounting, observability
    counters) can classify without string-matching the message. *)
@@ -123,6 +129,21 @@ let build ?(obs = Obs.disabled) ~vfs ~fs ~compilers ~use_wrappers ~mirror
       (fun reason -> Step_failed { node; reason })
       (write_file vfs path content)
   in
+  (* every file written under the prefix, by prefix-relative path, the
+     last write winning: the build's payload, handed to the installer so
+     it manifests these bytes without reading the prefix back *)
+  let written = Hashtbl.create 8 in
+  let root = Vpath.normalize prefix ^ "/" in
+  let write_prefix path content =
+    let* () = write_file vfs path content in
+    let path = Vpath.normalize path in
+    if String.starts_with ~prefix:root path then
+      Hashtbl.replace written
+        (String.sub path (String.length root)
+           (String.length path - String.length root))
+        content;
+    Ok ()
+  in
   let node_info = Concrete.node_exn spec node in
   (* every spec dependency must already have an installed prefix *)
   let* deps =
@@ -230,16 +251,16 @@ let build ?(obs = Obs.disabled) ~vfs ~fs ~compilers ~use_wrappers ~mirror
         install_phase clock model;
         Obs.count obs "build.rpath_rewrites" rpath_rewrites;
         let* () =
-          write_file vfs
+          write_prefix
             (installed_library ~prefix ~package:node)
             (Binary.serialize lib_binary)
         in
         let* () =
-          write_file vfs
+          write_prefix
             (installed_executable ~prefix ~package:node)
             (Binary.serialize exe_binary)
         in
-        write_file vfs
+        write_prefix
           (prefix ^ "/include/" ^ node ^ ".h")
           (Printf.sprintf "/* %s %s */\n" node (Version.to_string version)))
   in
@@ -295,10 +316,10 @@ let build ?(obs = Obs.disabled) ~vfs ~fs ~compilers ~use_wrappers ~mirror
     | Build_step.Install_file { rel; content } ->
         logf "==> install %s" rel;
         charge_meta clock install_meta_ops_per_file;
-        write_file vfs (prefix ^ "/" ^ rel) content
+        write_prefix (prefix ^ "/" ^ rel) content
     | Build_step.Set_env (name, value) ->
         logf "==> export %s=%s" name value;
-        write_file vfs (prefix ^ "/.ospack/env/" ^ name) value
+        write_prefix (prefix ^ "/.ospack/env/" ^ name) value
     | Build_step.Note text ->
         logf "# %s" text;
         Ok ()
@@ -333,9 +354,18 @@ let build ?(obs = Obs.disabled) ~vfs ~fs ~compilers ~use_wrappers ~mirror
   in
   logf "==> %s@%s installed to %s (%.1f simulated s, %d compiler invocations)"
     node (Version.to_string version) prefix clock.seconds clock.invocations;
+  (* [Vfs.walk] order: depth-first, names sorted within a directory *)
+  let payload =
+    Hashtbl.fold
+      (fun rel content acc -> (String.split_on_char '/' rel, (rel, content)) :: acc)
+      written []
+    |> List.sort (fun (a, _) (b, _) -> List.compare String.compare a b)
+    |> List.map snd
+  in
   Ok
     {
       br_log = List.rev !log;
       br_time = clock.seconds;
       br_invocations = clock.invocations;
+      br_payload = payload;
     }

@@ -31,6 +31,14 @@ type result = {
   br_time : float;  (** virtual-clock seconds the build took *)
   br_invocations : int;
       (** compiler invocations: configure probes + compiles + links *)
+  br_payload : (string * string) list;
+      (** [(rel, content)] of every file the build wrote under the
+          prefix (the last write to a path winning), [rel] relative to
+          the prefix, in {!Ospack_vfs.Vfs.walk} order (depth-first,
+          names sorted within each directory). On a fresh prefix these
+          are exactly the prefix's files, so the installer writes the
+          install manifest from them instead of walking the prefix and
+          reading every file back. *)
 }
 
 type error =

@@ -24,6 +24,9 @@ let algorithm_version = "greedy-fixpoint-1"
    for the per-entry Merkle fingerprints. *)
 type context = {
   cx_base : string;
+  cx_parts : (string * string) list Lazy.t;
+      (* the base's inputs hashed per part, in base order: a lockfile
+         records them so a drift names its part *)
   cx_repo : Repository.t;
   cx_providers : Provider_index.t Lazy.t;
 }
@@ -54,40 +57,63 @@ type t = {
          a node's parameters inside one DAG need not match its
          standalone concretization. *)
   mutable cc_seed_count : int;  (* bindings in [cc_seeds] *)
+  cc_failures : (string, Cerror.t) Hashtbl.t;
+      (* keys whose solve failed under this context: memory only, never
+         persisted or counted in [length] *)
   cc_obs : Obs.t;
 }
 
 let context ?(backend = "greedy") ~repo ~compilers ~config () =
-  let ctx = Sha256.init () in
-  (* the backend is part of the algorithm tag: greedy and clause-solver
-     entries must never cross-contaminate *)
-  Sha256.feed ctx ("algorithm " ^ algorithm_version ^ "+" ^ backend ^ "\n");
-  Sha256.feed ctx ("repo " ^ Repository.name repo ^ "\n");
-  List.iter
-    (fun tc ->
-      Sha256.feed ctx
-        (Printf.sprintf "compiler %s@%s cc=%s cxx=%s f77=%s fc=%s archs=%s features=%s\n"
-           tc.Compilers.tc_name
-           (Version.to_string tc.Compilers.tc_version)
-           tc.Compilers.tc_cc tc.Compilers.tc_cxx tc.Compilers.tc_f77
-           tc.Compilers.tc_fc
-           (String.concat "," tc.Compilers.tc_archs)
-           (String.concat "," tc.Compilers.tc_features)))
-    (Compilers.all compilers);
+  (* the base is one SHA-256 over the parts' lines in this order; each
+     part is kept so [fingerprint_parts] can hash it alone. The backend
+     is part of the algorithm tag: greedy and clause-solver entries must
+     never cross-contaminate *)
+  let backend = "algorithm " ^ algorithm_version ^ "+" ^ backend ^ "\n" in
+  let universe = "repo " ^ Repository.name repo ^ "\n" in
+  let toolchains =
+    String.concat ""
+      (List.map
+         (fun tc ->
+           Printf.sprintf
+             "compiler %s@%s cc=%s cxx=%s f77=%s fc=%s archs=%s features=%s\n"
+             tc.Compilers.tc_name
+             (Version.to_string tc.Compilers.tc_version)
+             tc.Compilers.tc_cc tc.Compilers.tc_cxx tc.Compilers.tc_f77
+             tc.Compilers.tc_fc
+             (String.concat "," tc.Compilers.tc_archs)
+             (String.concat "," tc.Compilers.tc_features))
+         (Compilers.all compilers))
+  in
   (* Policy functions are pure over the config, so the config's key/value
      rendering covers every policy input. *)
-  List.iter
-    (fun key ->
-      let v = Option.value (Config.get config key) ~default:"" in
-      Sha256.feed ctx (Printf.sprintf "config %s=%s\n" key v))
-    (Config.keys config);
+  let config =
+    String.concat ""
+      (List.map
+         (fun key ->
+           let v = Option.value (Config.get config key) ~default:"" in
+           Printf.sprintf "config %s=%s\n" key v)
+         (Config.keys config))
+  in
+  let parts =
+    [
+      ("backend", backend);
+      ("universe", universe);
+      ("toolchains", toolchains);
+      ("config", config);
+    ]
+  in
+  let ctx = Sha256.init () in
+  List.iter (fun (_, lines) -> Sha256.feed ctx lines) parts;
   {
     cx_base = Hex.encode (Sha256.finalize ctx);
+    cx_parts =
+      lazy (List.map (fun (part, lines) -> (part, Sha256.hex_digest lines)) parts);
     cx_repo = repo;
     cx_providers = lazy (Provider_index.build repo);
   }
 
 let base_fingerprint cx = cx.cx_base
+let fingerprint_parts cx = Lazy.force cx.cx_parts
 
 let identity_hash cx name = Repository.identity_hash cx.cx_repo name
 
@@ -135,6 +161,7 @@ let create ?(obs = Obs.disabled) ?dir ~context:cx () =
     cc_last_read = None;
     cc_seeds = Concrete.Smap.empty;
     cc_seed_count = 0;
+    cc_failures = Hashtbl.create 8;
     cc_obs = obs;
   }
 
@@ -249,6 +276,19 @@ let store_entry t key e =
 let store t ast concrete =
   let merkle = entry_fingerprint t.cc_context concrete in
   store_entry t (key_of ast) { e_concrete = concrete; e_merkle = merkle }
+
+(* the failure memo is empty on every stream of solvable queries, which
+   then never print a key for it *)
+let failure t ast =
+  if Hashtbl.length t.cc_failures = 0 then None
+  else
+    match Hashtbl.find_opt t.cc_failures (key_of ast) with
+    | Some e ->
+        Obs.count t.cc_obs "ccache.failure_hits" 1;
+        Some e
+    | None -> None
+
+let store_failure t ast e = Hashtbl.replace t.cc_failures (key_of ast) e
 
 let seed_map t = t.cc_seeds
 let seed_count t = t.cc_seed_count

@@ -74,6 +74,15 @@ val base_fingerprint : context -> string
 (** The base fingerprint (64 hex chars) — everything shared by all
     entries; package recipes are covered per entry instead. *)
 
+val fingerprint_parts : context -> (string * string) list
+(** The base fingerprint's inputs hashed one part at a time:
+    [("backend", _); ("universe", _); ("toolchains", _); ("config", _)],
+    each a SHA-256 (64 hex chars) over exactly the lines the base feeds
+    for that part (algorithm+backend tag, repository name, toolchain
+    registry, configuration). Two contexts have the same base exactly
+    when every part agrees, so a lockfile that records the parts can
+    name the one that drifted. Computed on first use. *)
+
 val entry_fingerprint : context -> Ospack_spec.Concrete.t -> string
 (** The Merkle fingerprint (64 hex chars) a concrete DAG must hash to
     for an entry holding it to be valid under [context]: base
@@ -118,6 +127,17 @@ val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
     {!save}, under the file name the miss's {!lookup} already hashed
     when it was the last lookup of this key. Re-storing a key replaces
     its entry. *)
+
+val failure : t -> Ospack_spec.Ast.t -> Cerror.t option
+(** The error a solve of this spec already failed with under this
+    cache, recorded by {!store_failure}; counts [ccache.failure_hits]
+    when found. Consulted after {!lookup} misses, so a failing query in
+    a long-lived context solves once. The memo lives in memory only: it
+    is never persisted, exported or counted by {!length}, and a fresh
+    cache starts without it. *)
+
+val store_failure : t -> Ospack_spec.Ast.t -> Cerror.t -> unit
+(** Record that solving this spec failed with the given error. *)
 
 val seed_map : t -> Ospack_spec.Concrete.node Ospack_spec.Concrete.Smap.t
 (** The sub-DAG memo, owned by the cache: for each package that appeared

@@ -827,18 +827,21 @@ let concretize_cached ?cache ?installed (ctx : ctx) abstract =
           in
           match hit with
           | Some c -> Ok c
-          | None ->
-              let seed =
-                Obs.span obs ~cat:"ccache" "ccache.seed" (fun () ->
-                    let s, count = seed_for cache abstract in
-                    Obs.count obs "ccache.seeded_pins" count;
-                    s)
-              in
-              let result = fst (run_once ~seed ctx [] abstract) in
-              (match result with
-              | Ok c -> Ccache.store cache abstract c
-              | Error _ -> ());
-              result))
+          | None -> (
+              match Ccache.failure cache abstract with
+              | Some e -> Error e
+              | None ->
+                  let seed =
+                    Obs.span obs ~cat:"ccache" "ccache.seed" (fun () ->
+                        let s, count = seed_for cache abstract in
+                        Obs.count obs "ccache.seeded_pins" count;
+                        s)
+                  in
+                  let result = fst (run_once ~seed ctx [] abstract) in
+                  (match result with
+                  | Ok c -> Ccache.store cache abstract c
+                  | Error e -> Ccache.store_failure cache abstract e);
+                  result)))
 
 let concretize_explain (ctx : ctx) abstract =
   (* the explain lines are read back from the obs event stream (rather

@@ -54,7 +54,7 @@ val concretize_cached :
   ctx ->
   Ospack_spec.Ast.t ->
   (Ospack_spec.Concrete.t, Cerror.t) result
-(** {!concretize} through the concretization cache, in three layers:
+(** {!concretize} through the concretization cache, in four layers:
 
     + {b store-aware reuse} — when [installed] is given, an installed
       concrete spec satisfying the abstract query is returned as-is
@@ -64,6 +64,9 @@ val concretize_cached :
     + {b whole-query memo} — a cache hit under the current context
       fingerprint returns the stored concretization
       ([ccache.hits]/[ccache.misses]).
+    + {b failure memo} — a query whose solve already failed under this
+      cache returns that error without solving again
+      ([ccache.failure_hits]; {!Ccache.failure}, in memory only).
     + {b sub-DAG seeding} — on a miss, pins harvested from earlier
       concretizations prime the fixed point's first iteration
       ([ccache.seeded_pins]), so shared subtrees (the [mvapich2] under
@@ -81,9 +84,9 @@ val concretize_cached :
     converges to the cold answer because only pins are seeded — never
     nodes, edges, or provided sets — so iteration 1 sees exactly the
     cold-start DAG. The bench's [concretize] mode asserts this identity
-    over the whole workload suite. Successful results (from layers 2–3)
-    are stored back; reuse results are not (they reflect the store, not
-    the current packages). *)
+    over the whole workload suite. A solve's result is stored back:
+    a success as an entry, a failure in the failure memo. Reuse results
+    are not (they reflect the store, not the current packages). *)
 
 val seed_for :
   Ccache.t ->

@@ -83,9 +83,9 @@ let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
         Concretizer.concretize_cached ~cache:ctx.ccache ?installed ctx.cctx
           ast
     | Backends.Clauses -> (
-        (* same three layers as the greedy path: store-aware reuse, then
-           the whole-query memo (fingerprinted per backend), then a full
-           solve stored back on success *)
+        (* same layers as the greedy path: store-aware reuse, the
+           whole-query memo (fingerprinted per backend), the memo of
+           failed queries, then a full solve stored back either way *)
         match
           match installed with None -> None | Some find -> find ast
         with
@@ -93,12 +93,15 @@ let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
         | None -> (
             match Ccache.lookup ctx.ccache ast with
             | Some c -> Ok c
-            | None ->
-                let r = Backends.solve Backends.Clauses ctx.cctx ast in
-                (match r with
-                | Ok c -> Ccache.store ctx.ccache ast c
-                | Error _ -> ());
-                r))
+            | None -> (
+                match Ccache.failure ctx.ccache ast with
+                | Some e -> Error e
+                | None ->
+                    let r = Backends.solve Backends.Clauses ctx.cctx ast in
+                    (match r with
+                    | Ok c -> Ccache.store ctx.ccache ast c
+                    | Error e -> Ccache.store_failure ctx.ccache ast e);
+                    r)))
   in
   (match result with
   | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
@@ -388,6 +391,9 @@ let generate_modules (ctx : Context.t) flavor =
   in
   collect [] results
 
+let view_result r =
+  Result.map_error (fun e -> "view: " ^ Vfs.error_to_string e) r
+
 let view (ctx : Context.t) ~rules =
   let db = Installer.database ctx.installer in
   let installed =
@@ -395,7 +401,7 @@ let view (ctx : Context.t) ~rules =
       (fun r -> (r.Database.r_spec, r.Database.r_prefix))
       (Database.all db)
   in
-  Ok (View.sync ctx.vfs ~config:ctx.config ~rules ~installed)
+  view_result (View.sync ctx.vfs ~config:ctx.config ~rules ~installed)
 
 let view_merge (ctx : Context.t) ~view_root =
   let db = Installer.database ctx.installer in
@@ -404,7 +410,7 @@ let view_merge (ctx : Context.t) ~view_root =
       (fun r -> (r.Database.r_spec, r.Database.r_prefix))
       (Database.all db)
   in
-  Ok (View.merge ctx.vfs ~config:ctx.config ~view_root ~installed)
+  view_result (View.merge ctx.vfs ~config:ctx.config ~view_root ~installed)
 
 (* A view of exactly the closure of the given concrete specs — what an
    environment links. The shared store may hold arbitrarily many other
@@ -442,7 +448,7 @@ let view_closure (ctx : Context.t) ~view_root concretes =
            String.compare a.Database.r_hash b.Database.r_hash)
          records)
   in
-  Ok (View.merge ctx.vfs ~config:ctx.config ~view_root ~installed)
+  view_result (View.merge ctx.vfs ~config:ctx.config ~view_root ~installed)
 
 (* extension queries resolve to a unique installed record *)
 let unique_installed ctx text =

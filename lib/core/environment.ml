@@ -22,7 +22,7 @@ let envs_root = "/ospack/envs"
 let manifest_path name = Printf.sprintf "%s/%s/env.json" envs_root name
 let lock_path name = Printf.sprintf "%s/%s/lock.json" envs_root name
 
-let lock_format = 2
+let lock_format = 3
 
 let valid_name name =
   name <> ""
@@ -128,7 +128,7 @@ let remove_root (ctx : Context.t) t spec =
       { t with env_roots = List.filter (fun r -> r <> canon) t.env_roots }
 
 (* ------------------------------------------------------------------ *)
-(* Lockfile format 2                                                  *)
+(* Lockfile format 3                                                  *)
 
 type lock_error =
   | Lock_missing
@@ -142,6 +142,9 @@ type lock_error =
 let lock_error_to_string = function
   | Lock_missing -> "no lockfile (run env install first)"
   | Lock_corrupt why -> Printf.sprintf "lockfile corrupt: %s" why
+  | Lock_stale { lock_fp = ""; current_fp = ""; reason } ->
+      Printf.sprintf "lockfile stale: %s — re-run env install to re-solve"
+        reason
   | Lock_stale { lock_fp; current_fp; reason } ->
       Printf.sprintf
         "lockfile stale: %s (locked at fingerprint %s.., context is now \
@@ -151,193 +154,250 @@ let lock_error_to_string = function
         (String.sub current_fp 0 (min 12 (String.length current_fp)))
 
 type lock = {
-  lk_fingerprint : string;
+  lk_fingerprint : (string * string) list;
   lk_roots : string list;
   lk_specs : (string * Concrete.t) list;
 }
 
-let current_fingerprint (ctx : Context.t) =
-  Ccache.base_fingerprint (Ccache.context_of ctx.Context.ccache)
+let current_parts (ctx : Context.t) =
+  Ccache.fingerprint_parts (Ccache.context_of ctx.Context.ccache)
 
-(* the checksum covers the canonical rendering of every payload field,
-   so any bit of tampering — a flipped hash, an edited spec, a dropped
-   root — is detected before the fingerprint is even consulted; the
-   payload is the format field followed by this body, and the written
-   file slots the checksum in between *)
-let lock_body ~fingerprint ~merkle_of pairs =
-  [
-    ("fingerprint", Json.String fingerprint);
-    ("roots", Json.List (List.map (fun (r, _) -> Json.String r) pairs));
-    ( "specs",
-      Json.List
-        (List.map
-           (fun (root, c) ->
-             Json.Obj
-               [
-                 ("root", Json.String root);
-                 ("hash", Json.String (Concrete.root_hash c));
-                 ("merkle", Json.String (merkle_of c));
-                 ("concrete", Concrete.to_json c);
-               ])
-           pairs) );
-  ]
-
-let lock_checksum payload =
-  Sha256.hex_digest (Json.to_string ~indent:2 (Json.Obj payload))
-
-let render_lock ~fingerprint ~merkle_of pairs =
-  let format = ("format", Json.Int lock_format) in
-  let body = lock_body ~fingerprint ~merkle_of pairs in
-  let checksum = ("checksum", Json.String (lock_checksum (format :: body))) in
-  Json.to_string ~indent:2 (Json.Obj (format :: checksum :: body)) ^ "\n"
+(* The file is one compact JSON object, [{"format":3,"checksum":C,
+   "payload":P}] and a newline, where C is the SHA-256 of P's bytes
+   exactly as written. P starts and ends at fixed offsets, so a read
+   checks the bytes before it parses anything, and nothing is rendered
+   twice. P holds the context fingerprint per part, the roots as
+   [{spec, hash, merkle}], and a [nodes] map from DAG hash to each node
+   of every locked DAG, stored once, its dependencies given as hashes. *)
+let lock_head = Printf.sprintf "{\"format\":%d,\"checksum\":\"" lock_format
+let lock_mid = "\",\"payload\":"
+let lock_tail = "}\n"
+let checksum_len = 64
 
 let write_lock (ctx : Context.t) t pairs =
-  let cx = Ccache.context_of ctx.Context.ccache in
+  let merkle_of =
+    Ccache.entry_fingerprint (Ccache.context_of ctx.Context.ccache)
+  in
+  let nodes = Hashtbl.create 64 in
+  List.iter
+    (fun (_, c) ->
+      List.iter
+        (fun (n : Concrete.node) ->
+          let hash = Concrete.dag_hash c n.Concrete.name in
+          if not (Hashtbl.mem nodes hash) then
+            Hashtbl.add nodes hash
+              (Concrete.node_to_json
+                 { n with Concrete.deps = List.map (Concrete.dag_hash c) n.deps }))
+        (Concrete.nodes c))
+    pairs;
+  let payload =
+    Json.to_string
+      (Json.Obj
+         [
+           ( "fingerprint",
+             Json.Obj
+               (List.map
+                  (fun (part, fp) -> (part, Json.String fp))
+                  (current_parts ctx)) );
+           ( "roots",
+             Json.List
+               (List.map
+                  (fun (root, c) ->
+                    Json.Obj
+                      [
+                        ("spec", Json.String root);
+                        ("hash", Json.String (Concrete.root_hash c));
+                        ("merkle", Json.String (merkle_of c));
+                      ])
+                  pairs) );
+           ( "nodes",
+             Json.Obj
+               (Hashtbl.fold (fun hash j acc -> (hash, j) :: acc) nodes []
+               |> List.sort (fun (a, _) (b, _) -> String.compare a b)) );
+         ])
+  in
   write_atomic ctx.Context.vfs (lock_path t.env_name)
-    (render_lock ~fingerprint:(current_fingerprint ctx)
-       ~merkle_of:(Ccache.entry_fingerprint cx) pairs)
+    (String.concat ""
+       [ lock_head; Sha256.hex_digest payload; lock_mid; payload; lock_tail ])
 
-let parse_lock_v2 j =
-  let field name =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing %s" name)
-  in
-  let* checksum =
-    let* c = field "checksum" in
-    match Json.get_string c with
-    | Some s -> Ok s
-    | None -> Error "checksum is not a string"
-  in
-  (* recompute over the parsed payload minus the checksum itself *)
-  let* payload =
-    match j with
-    | Json.Obj fields ->
-        Ok (List.filter (fun (k, _) -> k <> "checksum") fields)
-    | _ -> Error "lockfile is not an object"
-  in
-  if lock_checksum payload <> checksum then
-    Error "checksum mismatch (file was edited by hand?)"
+(* The payload of a file framed as [write_lock] writes it, once its
+   bytes match the checksum; any other file is parsed only to say which
+   format it claims. *)
+let lock_payload content =
+  let n = String.length content in
+  let start = String.length lock_head + checksum_len + String.length lock_mid in
+  let stop = n - String.length lock_tail in
+  if
+    stop >= start
+    && String.starts_with ~prefix:lock_head content
+    && String.sub content (start - String.length lock_mid)
+         (String.length lock_mid)
+       = lock_mid
+    && String.ends_with ~suffix:lock_tail content
+  then
+    let payload = String.sub content start (stop - start) in
+    if
+      Sha256.hex_digest payload
+      = String.sub content (String.length lock_head) checksum_len
+    then Ok payload
+    else Error "checksum mismatch (file was edited by hand?)"
   else
-    let* fingerprint =
-      let* f = field "fingerprint" in
-      match Json.get_string f with
-      | Some s -> Ok s
-      | None -> Error "fingerprint is not a string"
-    in
-    let* roots =
-      let* r = field "roots" in
-      match Json.to_list r with
-      | Some items -> Ok (List.filter_map Json.get_string items)
-      | None -> Error "roots is not a list"
-    in
-    let* items =
-      let* s = field "specs" in
-      match Json.to_list s with
-      | Some items -> Ok items
-      | None -> Error "specs is not a list"
-    in
-    let* specs =
-      List.fold_left
-        (fun acc item ->
-          let* specs = acc in
-          let* root =
-            match Option.bind (Json.member "root" item) Json.get_string with
-            | Some r -> Ok r
-            | None -> Error "spec entry: missing root"
-          in
-          let* recorded_hash =
-            match Option.bind (Json.member "hash" item) Json.get_string with
-            | Some h -> Ok h
-            | None -> Error "spec entry: missing hash"
-          in
-          let* merkle =
-            match Option.bind (Json.member "merkle" item) Json.get_string with
-            | Some m -> Ok m
-            | None -> Error "spec entry: missing merkle"
-          in
-          let* c =
-            match Json.member "concrete" item with
-            | Some cj -> Concrete.of_json cj
-            | None -> Error "spec entry: missing concrete"
-          in
-          if Concrete.root_hash c <> recorded_hash then
-            Error
-              (Printf.sprintf "%s: recorded hash %s does not match its DAG"
-                 root recorded_hash)
-          else Ok ((root, merkle, c) :: specs))
-        (Ok []) items
-      |> Result.map List.rev
-    in
-    Ok (fingerprint, roots, specs)
+    match Json.of_string content with
+    | Error e -> Error e
+    | Ok j -> (
+        match Option.bind (Json.member "format" j) Json.get_int with
+        | Some f when f = lock_format ->
+            Error "payload is not framed as written (file was reformatted?)"
+        | Some f -> Error (Printf.sprintf "unknown format %d" f)
+        | None -> Error "missing format")
+
+let get what key access j =
+  match Option.bind (Json.member key j) access with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or ill-typed %s" what key)
+
+let all f items =
+  List.fold_right
+    (fun item acc ->
+      let* xs = acc in
+      let* x = f item in
+      Ok (x :: xs))
+    items (Ok [])
+
+(* One root's DAG out of the [nodes] map: its closure from the root
+   hash, dependency hashes renamed back to node names, every node's
+   recorded hash checked against the DAG it is part of. *)
+let dag_of nodes ~spec ~hash =
+  let names = Hashtbl.create 16 in
+  let rec visit acc hash =
+    if Hashtbl.mem names hash then Ok acc
+    else
+      match Hashtbl.find_opt nodes hash with
+      | None -> Error (Printf.sprintf "%s: no node %s in the lock" spec hash)
+      | Some (n : Concrete.node) ->
+          Hashtbl.add names hash n.Concrete.name;
+          List.fold_left
+            (fun acc dep ->
+              let* acc = acc in
+              visit acc dep)
+            (Ok ((hash, n) :: acc))
+            n.Concrete.deps
+  in
+  let* closure = visit [] hash in
+  let* c =
+    Result.map_error
+      (Format.asprintf "%s: %a" spec Concrete.pp_validation_error)
+      (Concrete.make
+         ~root:(Hashtbl.find names hash)
+         (List.map
+            (fun (_, (n : Concrete.node)) ->
+              { n with Concrete.deps = List.map (Hashtbl.find names) n.deps })
+            closure))
+  in
+  match
+    List.find_opt
+      (fun (h, (n : Concrete.node)) -> Concrete.dag_hash c n.Concrete.name <> h)
+      closure
+  with
+  | None -> Ok c
+  | Some (h, n) ->
+      Error
+        (Printf.sprintf "%s: recorded hash %s of %s does not match its DAG"
+           spec h n.Concrete.name)
+
+let parse_lock payload =
+  let* j = Json.of_string payload in
+  let* parts =
+    match Json.member "fingerprint" j with
+    | Some (Json.Obj fields) ->
+        all
+          (fun (part, v) ->
+            match Json.get_string v with
+            | Some fp -> Ok (part, fp)
+            | None -> Error ("fingerprint: ill-typed " ^ part))
+          fields
+    | _ -> Error "missing fingerprint"
+  in
+  let* nodes =
+    match Json.member "nodes" j with
+    | Some (Json.Obj fields) ->
+        let* nodes =
+          all
+            (fun (hash, nj) ->
+              Result.map (fun n -> (hash, n)) (Concrete.node_of_json nj))
+            fields
+        in
+        Ok (Hashtbl.of_seq (List.to_seq nodes))
+    | _ -> Error "missing nodes"
+  in
+  let* roots =
+    match Option.bind (Json.member "roots" j) Json.to_list with
+    | Some items ->
+        all
+          (fun item ->
+            let* spec = get "root" "spec" Json.get_string item in
+            let* hash = get spec "hash" Json.get_string item in
+            let* merkle = get spec "merkle" Json.get_string item in
+            let* c = dag_of nodes ~spec ~hash in
+            Ok (spec, merkle, c))
+          items
+    | None -> Error "missing roots"
+  in
+  Ok (parts, roots)
 
 let read_lock (ctx : Context.t) t =
   match Vfs.read_file ctx.Context.vfs (lock_path t.env_name) with
   | Error _ -> Error Lock_missing
   | Ok content -> (
-      let corrupt why = Error (Lock_corrupt why) in
-      match Json.of_string content with
-      | Error e -> corrupt e
-      | Ok j -> (
-          match Option.bind (Json.member "format" j) Json.get_int with
-          | Some f when f = lock_format -> (
-              match parse_lock_v2 j with
-              | Error why -> corrupt why
-              | Ok (fingerprint, roots, specs) ->
-                  let current = current_fingerprint ctx in
-                  if fingerprint <> current then
-                    Error
-                      (Lock_stale
-                         {
-                           lock_fp = fingerprint;
-                           current_fp = current;
-                           reason =
-                             "context fingerprint changed (universe, \
-                              toolchains, config, or backend)";
-                         })
-                  else if roots <> t.env_roots then
-                    Error
-                      (Lock_stale
-                         {
-                           lock_fp = fingerprint;
-                           current_fp = current;
-                           reason = "environment roots changed since lock";
-                         })
-                  else
-                    (* the base fingerprint covers everything but the
-                       recipes; the per-spec Merkle fingerprint catches an
-                       edited package inside any locked closure *)
-                    let cx = Ccache.context_of ctx.Context.ccache in
-                    let drifted =
-                      List.filter_map
-                        (fun (root, merkle, c) ->
-                          if Ccache.entry_fingerprint cx c = merkle then
-                            None
-                          else Some root)
-                        specs
-                    in
-                    match drifted with
-                    | [] ->
-                        Ok
-                          {
-                            lk_fingerprint = fingerprint;
-                            lk_roots = roots;
-                            lk_specs =
-                              List.map (fun (r, _, c) -> (r, c)) specs;
-                          }
-                    | roots ->
-                        Error
-                          (Lock_stale
-                             {
-                               lock_fp = fingerprint;
-                               current_fp = current;
-                               reason =
-                                 Printf.sprintf
-                                   "package recipes drifted under %s"
-                                   (String.concat ", " roots);
-                             }))
-          | Some f -> corrupt (Printf.sprintf "unknown format %d" f)
-          | None -> corrupt "missing format"))
+      match Result.bind (lock_payload content) parse_lock with
+      | Error why -> Error (Lock_corrupt why)
+      | Ok (parts, specs) -> (
+          let current = current_parts ctx in
+          let drifted =
+            List.filter
+              (fun (part, fp) -> List.assoc_opt part parts <> Some fp)
+              current
+          in
+          let stale ~lock_fp ~current_fp reason =
+            Error (Lock_stale { lock_fp; current_fp; reason })
+          in
+          match drifted with
+          | (part, current_fp) :: _ ->
+              stale
+                ~lock_fp:(Option.value (List.assoc_opt part parts) ~default:"")
+                ~current_fp
+                (Printf.sprintf "%s fingerprint changed"
+                   (String.concat ", " (List.map fst drifted)))
+          | [] -> (
+              let roots = List.map (fun (r, _, _) -> r) specs in
+              if roots <> t.env_roots then
+                stale ~lock_fp:"" ~current_fp:""
+                  "environment roots changed since lock"
+              else
+                (* the parts cover everything but the recipes; the
+                   per-root Merkle fingerprint catches an edited package
+                   inside any locked closure *)
+                let cx = Ccache.context_of ctx.Context.ccache in
+                let drifted =
+                  List.filter_map
+                    (fun (root, merkle, c) ->
+                      let now = Ccache.entry_fingerprint cx c in
+                      if now = merkle then None else Some (root, merkle, now))
+                    specs
+                in
+                match drifted with
+                | [] ->
+                    Ok
+                      {
+                        lk_fingerprint = parts;
+                        lk_roots = roots;
+                        lk_specs = List.map (fun (r, _, c) -> (r, c)) specs;
+                      }
+                | (_, lock_fp, current_fp) :: _ ->
+                    stale ~lock_fp ~current_fp
+                      (Printf.sprintf "package recipes drifted under %s"
+                         (String.concat ", "
+                            (List.map (fun (r, _, _) -> r) drifted))))))
 
 let locked_specs (ctx : Context.t) t =
   match read_lock ctx t with

@@ -41,8 +41,18 @@ val manifest_path : string -> string
 val lock_path : string -> string
 
 val lock_format : int
-(** Current lockfile format (2), the only one read: any other format is
-    [Lock_corrupt "unknown format N"] and the file is left untouched. *)
+(** Current lockfile format (3), the only one read: any other format is
+    [Lock_corrupt "unknown format N"] and the file is left untouched.
+
+    A format-3 lockfile is one compact JSON object,
+    [{"format":3,"checksum":C,"payload":P}] and a newline, where [C] is
+    the SHA-256 of [P]'s bytes exactly as written. [P] holds
+    - [fingerprint]: the context fingerprint per part
+      ({!Ospack_concretize.Ccache.fingerprint_parts}: backend, universe,
+      toolchains, config);
+    - [roots]: one [{spec, hash, merkle}] per root, in manifest order;
+    - [nodes]: every node of every locked DAG once, keyed by its DAG
+      hash, with its dependencies given as hashes. *)
 
 val create :
   Context.t -> name:string -> ?view:string -> unit -> (t, string) result
@@ -74,27 +84,37 @@ type lock_error =
       reason : string;
     }
       (** the context drifted since the lock was written — re-solve with
-          {!install}; never silently replayed *)
+          {!install}; never silently replayed. [reason] names what
+          drifted; the fingerprints are those of the drifted part or
+          root (both empty when the manifest's roots changed). *)
 
 val lock_error_to_string : lock_error -> string
 
 type lock = {
-  lk_fingerprint : string;
+  lk_fingerprint : (string * string) list;
+      (** the context fingerprint per part, as recorded *)
   lk_roots : string list;
   lk_specs : (string * Ospack_spec.Concrete.t) list;
       (** (canonical root, its concrete sub-DAG), in manifest order *)
 }
 
 val read_lock : Context.t -> t -> (lock, lock_error) result
-(** Read and validate the lockfile: checksum, per-spec hash consistency,
-    context fingerprint, per-spec Merkle recipe fingerprints, and that
-    the locked roots still match the manifest. Never writes. *)
+(** Read and validate the lockfile: the checksum over the payload bytes
+    (before anything is parsed), that every node of each root's DAG
+    hashes to its recorded key, the context fingerprint part by part
+    (a drift is [Lock_stale] with reason ["<part> fingerprint
+    changed"]), that the locked roots still match the manifest, and the
+    per-root Merkle recipe fingerprints (["package recipes drifted under
+    <root>"]). Never writes. *)
 
 val write_lock :
   Context.t ->
   t ->
   (string * Ospack_spec.Concrete.t) list ->
   (unit, string) result
+(** Write the lockfile for these (canonical root, concrete DAG) pairs:
+    rendered once, compactly, and written with
+    {!Ospack_vfs.Vfs.write_atomic}. *)
 
 val locked_specs :
   Context.t -> t -> (Ospack_spec.Concrete.t list, string) result

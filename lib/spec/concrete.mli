@@ -120,4 +120,12 @@ val to_json : t -> Ospack_json.Json.t
 val of_json : Ospack_json.Json.t -> (t, string) result
 (** Parse and re-validate a serialized spec. *)
 
+val node_to_json : node -> Ospack_json.Json.t
+(** One node of {!to_json}'s [nodes] list: its parameters, provided
+    virtuals and [deps] as given. *)
+
+val node_of_json : Ospack_json.Json.t -> (node, string) result
+(** Invert {!node_to_json}; nothing about [deps] is checked (that is
+    {!make}'s job). *)
+
 val pp : Format.formatter -> t -> unit

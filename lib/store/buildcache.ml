@@ -484,7 +484,7 @@ let splice t ~hash ~install_root ~prefix ~prefix_map =
         if !changed then incr rewired;
         Binary.serialize bin'
   in
-  let* _payload =
+  let* payload =
     materialize t ~prefix ~reloc_file ~reloc_link:textual pe.pe_files
   in
-  Ok !rewired
+  Ok (!rewired, payload)

@@ -137,11 +137,12 @@ val splice :
   install_root:string ->
   prefix:string ->
   prefix_map:(string * string) list ->
-  (int, error) result
+  (int * (string * string) list, error) result
 (** Materialize the cached entry [hash] into [prefix] with its
     dependency prefixes rewired through [prefix_map]
     [(old installed prefix, new installed prefix)], on top of the usual
     root relocation. Files that parse as simulated ELF objects get a
     structured rewrite — each RPATH entry swaps on exact path-component
     boundaries — and everything else goes through the boundary-aware
-    textual pass. Returns the number of binaries whose RPATHs changed. *)
+    textual pass. Returns the number of binaries whose RPATHs changed,
+    and the payload written, as {!extract} returns it. *)

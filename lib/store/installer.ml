@@ -143,7 +143,7 @@ let add_record t record =
 let index_bytes_written t = t.index_bytes
 
 let record_content record =
-  Json.to_string ~indent:2
+  Json.to_string
     (Json.Obj
        [
          ("format", Json.Int record_format);
@@ -467,8 +467,14 @@ let install_node t spec name ~explicit =
              Provenance.write t.vfs ~prefix ~spec:sub
                ~package_source:pkg.Package.p_source ~log:result.Builder.br_log
            in
+           (* the builder hands over what it wrote: manifest those
+              bytes without walking the prefix and reading them back *)
            Provenance.write_manifest t.vfs ~prefix
-             (Provenance.payload t.vfs ~prefix))
+             (List.filter_map
+                (fun (rel, content) ->
+                  Provenance.manifest_entry ~rel Vfs.File (fun () ->
+                      Some content))
+                result.Builder.br_payload))
       in
       let record =
         {
@@ -1026,12 +1032,10 @@ let splice t ~hash ~replacement =
           ~prefix:new_prefix ~prefix_map
       with
       | Error e -> fail_with (Buildcache.error_to_string e)
-      | Ok rewired -> (
-          (* relocation rewrote file contents, so re-manifest the prefix *)
-          match
-            Provenance.write_manifest t.vfs ~prefix:new_prefix
-              (Provenance.payload t.vfs ~prefix:new_prefix)
-          with
+      | Ok (rewired, payload) -> (
+          (* relocation rewrote file contents: manifest the bytes the
+             splice just wrote, without walking the prefix again *)
+          match Provenance.write_manifest t.vfs ~prefix:new_prefix payload with
           | Error e ->
               fail_with
                 (Printf.sprintf "provenance %s: %s" root_name

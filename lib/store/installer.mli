@@ -241,8 +241,8 @@ val splice :
     The database persists as one file per record,
     [<install_root>/.spack-db/index/<2-hex>/<hash>.json] (a
     {!Sharded_dir}: the first two hex characters of the hash name the
-    shard directory), holding [{"format": 3, "record": ...}] and written
-    via write-then-rename. There is no manifest: the directory listing is
+    shard directory), holding the compact JSON
+    [{"format":3,"record":...}] and written via write-then-rename. There is no manifest: the directory listing is
     the record set. A save writes only the files of changed records (and
     removes those of uninstalled ones), so per-node index cost is
     proportional to the change, not the store. A pending marker

@@ -12,7 +12,7 @@ let write vfs ~prefix ~spec ~package_source ~log =
   in
   let* () =
     Vfs.write_file vfs (base ^ "/spec.json")
-      (Ospack_json.Json.to_string ~indent:2 (Concrete.to_json spec) ^ "\n")
+      (Ospack_json.Json.to_string (Concrete.to_json spec) ^ "\n")
   in
   let* () =
     Vfs.write_file vfs (base ^ "/build.log") (String.concat "\n" log ^ "\n")
@@ -90,7 +90,7 @@ let payload vfs ~prefix =
                | Vfs.File | Vfs.Dir -> Vfs.read_file vfs path)))
 
 let render_manifest payload =
-  Json.to_string ~indent:2
+  Json.to_string
     (Json.Obj (List.map (fun (rel, md5) -> (rel, Json.String md5)) payload))
   ^ "\n"
 

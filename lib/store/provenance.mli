@@ -17,7 +17,7 @@ val write :
   log:string list ->
   (unit, Ospack_vfs.Vfs.error) result
 (** Write [<prefix>/.spack/spec] (one-line form), [<prefix>/.spack/spec.json]
-    (the full structured DAG), [<prefix>/.spack/build.log] and
+    (the full structured DAG, compact JSON), [<prefix>/.spack/build.log] and
     [<prefix>/.spack/package.source]. Stops at (and returns) the first
     failing write — never raises. *)
 
@@ -59,25 +59,32 @@ val manifest_entry :
     those bytes or that target; it is [None] for a directory, for anything
     under [.spack] (whose name begins with {!dir}), and when [read] yields
     nothing. [read] is called only for a manifested entry. The prefix walk
-    ({!payload}) and the buildcache extractor both use it, so a manifest
-    taken at extraction is byte-identical to one taken by walking. *)
+    ({!payload}), the installer's build path and the buildcache extractor
+    all use it, so a manifest taken from written bytes is byte-identical
+    to one taken by walking. *)
 
 val payload : Ospack_vfs.Vfs.t -> prefix:string -> (string * string) list
 (** [(rel, md5)] of every payload entry of the prefix, in {!Ospack_vfs.Vfs.walk}
-    order: the prefix is walked and every file re-read. *)
+    order: the prefix is walked and every file re-read. {!verify_manifest}
+    uses it; no install path does — a build, a buildcache pull and a
+    splice each hand the installer the bytes they wrote
+    ([Ospack_buildsim.Builder.br_payload],
+    {!Buildcache.extract}, {!Buildcache.splice}), which it passes
+    through {!manifest_entry}, so their manifests equal this walk's. *)
 
 val render_manifest : (string * string) list -> string
 (** The bytes of [manifest.json] for a payload: an object mapping each
-    relative path to its MD5, indented 2, with a trailing newline. *)
+    relative path to its MD5, compact (no indentation), with a trailing
+    newline. *)
 
 val write_manifest :
   Ospack_vfs.Vfs.t ->
   prefix:string ->
   (string * string) list ->
   (unit, Ospack_vfs.Vfs.error) result
-(** Write [<prefix>/.spack/manifest.json] for the given payload — either
-    {!payload} of the prefix or the list the extractor returned. Never
-    raises. *)
+(** Write [<prefix>/.spack/manifest.json] for the given payload — the
+    [(rel, md5)] lines of what the builder, the extractor or the splice
+    wrote. Never raises. *)
 
 val verify_manifest :
   Ospack_vfs.Vfs.t -> prefix:string -> (verify_report, string) result

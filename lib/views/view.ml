@@ -8,6 +8,8 @@ module Vlist = Ospack_version.Vlist
 
 type rule = string
 
+let ( let* ) = Result.bind
+
 type link_report = {
   lr_link : string;
   lr_target : string;
@@ -119,25 +121,32 @@ let merge vfs ~config ~view_root ~installed =
   let owner = Hashtbl.create 64 in
   let linked = ref 0 in
   let conflicts = ref [] in
-  List.iter
-    (fun (_, _, prefix) ->
-      List.iter
-        (fun rel ->
-          match Hashtbl.find_opt owner rel with
-          | Some winner -> conflicts := (rel, winner, prefix) :: !conflicts
-          | None -> (
-              let link = view_root ^ "/" ^ rel in
-              (match Vfs.kind_of vfs link with
-              | Some Vfs.Symlink -> ignore (Vfs.remove vfs link)
-              | _ -> ());
-              match Vfs.symlink vfs ~target:(prefix ^ "/" ^ rel) ~link with
-              | Ok () ->
-                  Hashtbl.replace owner rel prefix;
-                  incr linked
-              | Error e -> invalid_arg ("View.merge: " ^ Vfs.error_to_string e)))
-        (payload_files vfs prefix))
-    ordered;
-  { mr_linked = !linked; mr_conflicts = List.rev !conflicts }
+  let link_one prefix rel =
+    match Hashtbl.find_opt owner rel with
+    | Some winner ->
+        conflicts := (rel, winner, prefix) :: !conflicts;
+        Ok ()
+    | None ->
+        let link = view_root ^ "/" ^ rel in
+        (match Vfs.kind_of vfs link with
+        | Some Vfs.Symlink -> ignore (Vfs.remove vfs link)
+        | _ -> ());
+        let* () = Vfs.symlink vfs ~target:(prefix ^ "/" ^ rel) ~link in
+        Hashtbl.replace owner rel prefix;
+        incr linked;
+        Ok ()
+  in
+  let* () =
+    List.fold_left
+      (fun acc (_, _, prefix) ->
+        List.fold_left
+          (fun acc rel ->
+            let* () = acc in
+            link_one prefix rel)
+          acc (payload_files vfs prefix))
+      (Ok ()) ordered
+  in
+  Ok { mr_linked = !linked; mr_conflicts = List.rev !conflicts }
 
 let sync vfs ~config ~rules ~installed =
   (* values are a nonempty list by construction — (first, rest) — so the
@@ -159,6 +168,7 @@ let sync vfs ~config ~rules ~installed =
     rules;
   Hashtbl.fold
     (fun link (first, rest) acc ->
+      let* reports = acc in
       let winner, losers =
         List.fold_left
           (fun (best, shadowed) (key, prefix) ->
@@ -173,10 +183,9 @@ let sync vfs ~config ~rules ~installed =
       | Some Vfs.Symlink -> ignore (Vfs.remove vfs link)
       | Some _ -> ignore (Vfs.remove vfs ~recursive:true link)
       | None -> ());
-      (match Vfs.symlink vfs ~target ~link with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("View.sync: " ^ Vfs.error_to_string e));
-      { lr_link = link; lr_target = target; lr_shadowed = List.sort compare losers }
-      :: acc)
-    by_link []
-  |> List.sort (fun a b -> String.compare a.lr_link b.lr_link)
+      let* () = Vfs.symlink vfs ~target ~link in
+      Ok
+        ({ lr_link = link; lr_target = target; lr_shadowed = List.sort compare losers }
+        :: reports))
+    by_link (Ok [])
+  |> Result.map (List.sort (fun a b -> String.compare a.lr_link b.lr_link))

@@ -32,11 +32,12 @@ val sync :
   config:Ospack_config.Config.t ->
   rules:rule list ->
   installed:(Ospack_spec.Concrete.t * string) list ->
-  link_report list
+  (link_report list, Ospack_vfs.Vfs.error) result
 (** Materialize the view: for every rule and installed (spec, prefix),
     compute links, resolve conflicts by preference, and (re)create the
     symlinks. Existing links are updated; reports are sorted by link
-    path. *)
+    path. A link the filesystem refuses stops the sync with that
+    {!Ospack_vfs.Vfs.error}; links made before it stay. Never raises. *)
 
 type merge_report = {
   mr_linked : int;  (** files linked into the view *)
@@ -50,9 +51,13 @@ val merge :
   config:Ospack_config.Config.t ->
   view_root:string ->
   installed:(Ospack_spec.Concrete.t * string) list ->
-  merge_report
+  (merge_report, Ospack_vfs.Vfs.error) result
 (** A single merged tree: every payload file of every install is symlinked
     under [view_root] at its prefix-relative path (a [bin]/[lib]/[include]
     union, like a traditional [/usr/local]). When two installs collide on
     one path, the preferred spec (same order as {!sync}) keeps the link
-    and the collision is reported. Provenance directories are skipped. *)
+    and the collision is reported. Provenance directories are skipped.
+    A path the view cannot link — say, a regular file already at
+    [view_root/lib/libelf.so] — stops the merge with that
+    {!Ospack_vfs.Vfs.error} ([Already_exists]); links made before it
+    stay. Never raises. *)

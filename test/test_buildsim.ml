@@ -436,6 +436,64 @@ let step_details () =
   Alcotest.(check int) "invocations = probes + sources + links" (10 + 4 + 2)
     r.Builder.br_invocations
 
+(* the build's payload is exactly the prefix's files, with their bytes,
+   in walk order: "lib-extra" sorts before "lib" as a string but after
+   it as a directory name, an overwritten file keeps its last bytes, and
+   the staging files under the stage root are not part of it *)
+let payload_is_the_prefix () =
+  let vfs = Vfs.create () in
+  let file rel content =
+    Ospack_package.Build_step.Install_file { rel; content }
+  in
+  let pkg =
+    make_pkg "paypkg"
+      [
+        version "1.0";
+        install
+          (fun ctx ->
+            [
+              Ospack_package.Build_step.Set_env ("PAYPKG_HOME", ctx.rc_prefix);
+              configure [ "--prefix=" ^ ctx.rc_prefix ];
+              make [];
+              make [ "install" ];
+              file "lib-extra/x.txt" "x";
+              file "lib/python/a.py" "a";
+              file "a.txt" "first";
+              file "a/b.txt" "b";
+              file "./share//data.txt" "data";
+              file "a.txt" "second";
+            ]);
+      ]
+  in
+  match
+    Builder.build ~vfs ~fs:Fsmodel.tmpfs ~compilers ~use_wrappers:true ~mirror:None
+      ~stage_root:"/stage" ~spec:(concrete_one "paypkg") ~node:"paypkg" ~pkg
+      ~prefix:"/opt/paypkg"
+      ~dep_prefix:(fun _ -> None)
+      ()
+  with
+  | Error e -> Alcotest.failf "build: %s" (Builder.error_to_string e)
+  | Ok r ->
+      let walked =
+        List.filter_map
+          (fun (path, kind) ->
+            match kind with
+            | Vfs.File ->
+                let rel =
+                  String.sub path (String.length "/opt/paypkg/")
+                    (String.length path - String.length "/opt/paypkg/")
+                in
+                Some (rel, Result.get_ok (Vfs.read_file vfs path))
+            | Vfs.Dir | Vfs.Symlink -> None)
+          (Vfs.walk vfs "/opt/paypkg")
+      in
+      Alcotest.(check (list (pair string string))) "payload = walk" walked
+        r.Builder.br_payload;
+      Alcotest.(check (option string)) "last write wins" (Some "second")
+        (List.assoc_opt "a.txt" r.Builder.br_payload);
+      Alcotest.(check bool) "set-env file included" true
+        (List.mem_assoc ".ospack/env/PAYPKG_HOME" r.Builder.br_payload)
+
 let wrapper_fortran_drivers () =
   let xl = Compilers.toolchain "xl" "12.1" in
   Alcotest.(check string) "f77" "xlf" (Wrapper.driver_name xl Wrapper.F77);
@@ -602,6 +660,7 @@ let () =
           Alcotest.test_case "build vs link dependency kinds" `Quick
             build_dep_kinds;
           Alcotest.test_case "step details and accounting" `Quick step_details;
+          Alcotest.test_case "payload is the prefix" `Quick payload_is_the_prefix;
           Alcotest.test_case "fortran wrapper drivers" `Quick
             wrapper_fortran_drivers;
           Alcotest.test_case "missing dependency fails" `Quick missing_dep_fails;

@@ -106,6 +106,36 @@ let base_backend_tag () =
   Alcotest.(check bool) "clauses backend changes base" true
     (clauses <> greedy_default)
 
+(* each part of the base moves alone, so a lockfile that records the
+   parts can name the input that drifted *)
+let parts_name_the_drift () =
+  let parts ?config ?comps ?backend () =
+    Ccache.fingerprint_parts (mk_context ?config ?comps ?backend (base_packages ()))
+  in
+  let drifted a b =
+    List.filter_map
+      (fun (part, fp) -> if List.assoc part b = fp then None else Some part)
+      a
+  in
+  let p = parts () in
+  Alcotest.(check (list string)) "part names, in base order"
+    [ "backend"; "universe"; "toolchains"; "config" ]
+    (List.map fst p);
+  Alcotest.(check (list string)) "same inputs, same parts" [] (drifted p (parts ()));
+  Alcotest.(check (list string)) "config drift" [ "config" ]
+    (drifted p (parts ~config:(Config.of_assoc [ ("prefer_compiler", "intel") ]) ()));
+  Alcotest.(check (list string)) "toolchain drift" [ "toolchains" ]
+    (drifted p
+       (parts ~comps:(Compilers.create [ Compilers.toolchain "gcc" "5.3.0" ]) ()));
+  Alcotest.(check (list string)) "backend drift" [ "backend" ]
+    (drifted p (parts ~backend:"clauses" ()));
+  let renamed =
+    Ccache.fingerprint_parts
+      (Ccache.context ~repo:(Repository.create ~name:"site" (base_packages ()))
+         ~compilers ~config:Config.empty ())
+  in
+  Alcotest.(check (list string)) "universe drift" [ "universe" ] (drifted p renamed)
+
 (* --- per-entry Merkle fingerprint sensitivity --- *)
 
 let entry_closure_sensitivity () =
@@ -222,6 +252,56 @@ let reuse_layer () =
   let solved = concretize_ok ~cache ~installed ctx "app@2.0" in
   Alcotest.(check bool) "fallthrough solves fresh" true
     (not (Concrete.equal solved installed_spec))
+
+(* A failing query asked twice in one context solves once: the second
+   answer comes from the failure memo, on either backend, and reads the
+   same as a fresh solve; a fresh context solves again. *)
+let failed_query_solves_once () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let module Backends = Ospack_concretize.Backends in
+  let query = "gerris ^mpich@1.4" in
+  List.iter
+    (fun backend ->
+      let name = Backends.to_string backend in
+      (* [install] concretizes through the cache and renders the error
+         without re-solving *)
+      let ask ?fresh ctx =
+        match Commands.install ?fresh ctx query with
+        | Ok _ -> Alcotest.failf "%s: %s installed" name query
+        | Error e -> e
+      in
+      let solve_counters = [ "concretize.iterations"; "solver.decisions" ] in
+      let counts obs = List.map (fun k -> Obs.counter obs k) solve_counters in
+      let obs = Obs.create () in
+      let ctx = Context.create ~obs ~backend () in
+      let first = ask ctx in
+      let after_first = counts obs in
+      Alcotest.(check bool) (name ^ ": the first ask solves") true
+        (Obs.counter obs "concretize.iterations" > 0);
+      let second = ask ctx in
+      Alcotest.(check string) (name ^ ": same error") first second;
+      Alcotest.(check (list int)) (name ^ ": the second ask does not solve")
+        after_first (counts obs);
+      Alcotest.(check int) (name ^ ": one failure hit") 1
+        (Obs.counter obs "ccache.failure_hits");
+      Alcotest.(check int) (name ^ ": failures are not entries") 0
+        (Ccache.length ctx.Context.ccache);
+      Alcotest.(check string) (name ^ ": same text as --fresh")
+        (ask ~fresh:true ctx) second;
+      (* [spec] renders the conflict from its own uncached solve *)
+      let spec ?fresh () =
+        Result.map Concrete.to_string (Commands.spec ?fresh ctx query)
+      in
+      Alcotest.(check (result string string)) (name ^ ": spec = spec --fresh")
+        (spec ~fresh:true ()) (spec ());
+      let obs' = Obs.create () in
+      let ctx' = Context.create ~obs:obs' ~backend () in
+      Alcotest.(check string) (name ^ ": a fresh context agrees") first (ask ctx');
+      Alcotest.(check bool) (name ^ ": a fresh context solves again") true
+        (Obs.counter obs' "concretize.iterations" > 0
+        && Obs.counter obs' "ccache.failure_hits" = 0))
+    [ Backends.Greedy; Backends.Clauses ]
 
 (* --- persistence and invalidation --- *)
 
@@ -840,7 +920,9 @@ let seed_map_property =
       let obs = Obs.create () in
       let ctx = Concretizer.make_ctx ~config ~obs ~compilers repo in
       let fs = Vfs.create () in
-      let cache = ref (backed fs (Ccache.context ~repo ~compilers ~config ())) in
+      let cache =
+        ref (backed ~obs fs (Ccache.context ~repo ~compilers ~config ()))
+      in
       (* the model: keys in the open cache's memory, keys saved on disk,
          keys stored since the last save, and every DAG the open cache
          took in (stored or read back), oldest first *)
@@ -848,6 +930,8 @@ let seed_map_property =
       and disk = Hashtbl.create 16
       and pending = Hashtbl.create 16 in
       let taken = ref [] in
+      (* keys whose solve failed in the open cache: the failure memo *)
+      let failed = Hashtbl.create 16 in
       let fresh_answers = Hashtbl.create 16 in
       let fresh key ast =
         match Hashtbl.find_opt fresh_answers key with
@@ -887,9 +971,11 @@ let seed_map_property =
                  Hashtbl.iter (fun k () -> Hashtbl.replace disk k ()) pending;
                  Hashtbl.reset pending;
                  Hashtbl.reset mem;
+                 Hashtbl.reset failed;
                  taken := [];
                  (* a fresh context reads the sharded directory back *)
-                 cache := backed fs (Ccache.context ~repo ~compilers ~config ());
+                 cache :=
+                   backed ~obs fs (Ccache.context ~repo ~compilers ~config ());
                  true
                end
         | Some (i, j) ->
@@ -907,20 +993,32 @@ let seed_map_property =
             in
             let in_mem = Hashtbl.mem mem key in
             let on_disk = (not in_mem) && Hashtbl.mem disk key in
-            let pins_before = Obs.counter obs "ccache.seeded_pins" in
-            let got = Concretizer.concretize_cached ~cache:!cache ctx ast in
-            let pins =
-              Obs.counter obs "ccache.seeded_pins" - pins_before
+            let memo_failed = Hashtbl.mem failed key in
+            let delta name f =
+              let before = Obs.counter obs name in
+              let r = f () in
+              (r, Obs.counter obs name - before)
+            in
+            let ((got, pins), failure_hits), iterations =
+              delta "concretize.iterations" (fun () ->
+                  delta "ccache.failure_hits" (fun () ->
+                      delta "ccache.seeded_pins" (fun () ->
+                          Concretizer.concretize_cached ~cache:!cache ctx ast)))
             in
             (match got with
             | Ok c when not in_mem ->
                 taken := c :: !taken;
                 Hashtbl.replace mem key ();
                 if not on_disk then Hashtbl.replace pending key ()
-            | Ok _ | Error _ -> ());
+            | Ok _ -> ()
+            | Error _ -> Hashtbl.replace failed key ());
+            (* a failure asked again in the same cache answers from the
+               memo: no seeding, no iteration *)
             seed_ok
             && same_answer got expected
-            && pins = if in_mem || on_disk then 0 else count
+            && pins = (if in_mem || on_disk || memo_failed then 0 else count)
+            && failure_hits = (if memo_failed then 1 else 0)
+            && ((not memo_failed) || iterations = 0)
       in
       List.for_all (fun op -> step op && seeds_match ()) ops)
 
@@ -933,6 +1031,7 @@ let () =
           Alcotest.test_case "compiler mutation" `Quick base_compiler_mutation;
           Alcotest.test_case "config mutation" `Quick base_config_mutation;
           Alcotest.test_case "backend tag" `Quick base_backend_tag;
+          Alcotest.test_case "parts name the drift" `Quick parts_name_the_drift;
           Alcotest.test_case "entry closure sensitivity" `Quick
             entry_closure_sensitivity;
           Alcotest.test_case "entry provider sensitivity" `Quick
@@ -943,6 +1042,8 @@ let () =
           Alcotest.test_case "lookup/store/seeds" `Quick lookup_store_semantics;
           Alcotest.test_case "cached = cold" `Quick cached_equals_cold;
           Alcotest.test_case "store-aware reuse" `Quick reuse_layer;
+          Alcotest.test_case "failed query solves once" `Quick
+            failed_query_solves_once;
         ] );
       ( "persistence",
         [

@@ -224,23 +224,70 @@ let locked_replay_survives_drift () =
 (* ------------------------------------------------------------------ *)
 (* Lockfile lifecycle                                                 *)
 
+let lock_text ctx name =
+  Result.get_ok (Vfs.read_file ctx.Context.vfs (Environment.lock_path name))
+
+let write_text ctx name text =
+  ok
+    (Result.map_error Vfs.error_to_string
+       (Vfs.write_file ctx.Context.vfs (Environment.lock_path name) text))
+
+(* the payload object of a format-3 lock, and the framing that signs it:
+   the checksum is the SHA-256 of the payload bytes exactly as written *)
+let payload_of text =
+  match Json.member "payload" (Result.get_ok (Json.of_string text)) with
+  | Some p -> p
+  | None -> Alcotest.fail "lock has no payload"
+
+let frame ?checksum payload =
+  let p = Json.to_string payload in
+  let checksum = Option.value checksum ~default:(Sha256.hex_digest p) in
+  Printf.sprintf "{\"format\":3,\"checksum\":\"%s\",\"payload\":%s}\n" checksum p
+
 let lock_roundtrip () =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"rt" ()) in
+  let env = ok (Environment.add ctx env "dyninst") in
   let env = ok (Environment.add ctx env "libdwarf") in
   let pairs = ok (Environment.concretize_roots ctx env) in
   ok (Environment.write_lock ctx env pairs);
+  let text = lock_text ctx "rt" in
+  (* one compact line, framed as written *)
+  Alcotest.(check bool) "compact, format 3" true
+    (Astring.String.is_prefix ~affix:"{\"format\":3,\"checksum\":\"" text
+    && String.index text '\n' = String.length text - 1);
+  Alcotest.(check string) "framing re-signs to the same bytes" text
+    (frame (payload_of text));
+  (* libdwarf is dyninst's dependency: each node is stored once *)
+  let unique =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (_, c) ->
+           List.map
+             (fun (n : Concrete.node) -> Concrete.dag_hash c n.Concrete.name)
+             (Concrete.nodes c))
+         pairs)
+  in
+  (match Json.member "nodes" (payload_of text) with
+  | Some (Json.Obj nodes) ->
+      Alcotest.(check (list string)) "one node per DAG hash" unique
+        (List.map fst nodes)
+  | _ -> Alcotest.fail "lock has no nodes map");
   let lock = ok_lock (Environment.read_lock ctx env) in
-  Alcotest.(check (list string)) "roots round-trip" [ "libdwarf" ]
+  Alcotest.(check (list string)) "roots round-trip" [ "dyninst"; "libdwarf" ]
     lock.Environment.lk_roots;
+  Alcotest.(check (list string)) "fingerprint parts"
+    [ "backend"; "universe"; "toolchains"; "config" ]
+    (List.map fst lock.Environment.lk_fingerprint);
   List.iter2
     (fun (r1, c1) (r2, c2) ->
       Alcotest.(check string) "root" r1 r2;
       Alcotest.(check bool) "concrete round-trips" true (Concrete.equal c1 c2))
     pairs lock.Environment.lk_specs
 
-(* one lockfile format: a format-1 file (bare spec list) is refused as
-   corrupt and left exactly as it was *)
+(* one lockfile format: a format-1 file (bare spec list) and a format-2
+   file (indented, each root's whole DAG under it) are refused as
+   corrupt and left exactly as they were *)
 let lock_format_1_refused () =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"old" ()) in
@@ -255,44 +302,46 @@ let lock_format_1_refused () =
          ])
     ^ "\n"
   in
-  ok
-    (Result.map_error Vfs.error_to_string
-       (Vfs.write_file ctx.Context.vfs (Environment.lock_path "old") v1));
-  (match Environment.read_lock ctx env with
-  | Error (Environment.Lock_corrupt why) ->
-      Alcotest.(check string) "reason" "unknown format 1" why
-  | Ok _ -> Alcotest.fail "a format-1 lockfile must not load"
-  | Error e ->
-      Alcotest.failf "wrong lock error: %s" (Environment.lock_error_to_string e));
-  Alcotest.(check (result string string)) "file bytes unchanged" (Ok v1)
-    (Result.map_error Vfs.error_to_string
-       (Vfs.read_file ctx.Context.vfs (Environment.lock_path "old")))
-
-(* rebuild a tampered lock's checksum so only the targeted inconsistency
-   shows — tampering without re-signing is caught by the checksum *)
-let resign fields =
-  let payload = List.filter (fun (k, _) -> k <> "checksum") fields in
-  let checksum =
-    Sha256.hex_digest (Json.to_string ~indent:2 (Json.Obj payload))
+  let v2 =
+    let body =
+      [
+        ("fingerprint", Json.String (String.make 64 '0'));
+        ("roots", Json.List [ Json.String "libdwarf" ]);
+        ( "specs",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("root", Json.String "libdwarf");
+                  ("hash", Json.String (Concrete.root_hash c));
+                  ("merkle", Json.String (String.make 64 '0'));
+                  ("concrete", Concrete.to_json c);
+                ];
+            ] );
+      ]
+    in
+    let format = ("format", Json.Int 2) in
+    let checksum =
+      Sha256.hex_digest (Json.to_string ~indent:2 (Json.Obj (format :: body)))
+    in
+    Json.to_string ~indent:2
+      (Json.Obj (format :: ("checksum", Json.String checksum) :: body))
+    ^ "\n"
   in
-  match payload with
-  | format :: rest ->
-      Json.Obj (format :: ("checksum", Json.String checksum) :: rest)
-  | [] -> assert false
-
-let with_lock_json ctx name f =
-  let path = Environment.lock_path name in
-  let content = Result.get_ok (Vfs.read_file ctx.Context.vfs path) in
-  let fields =
-    match Result.get_ok (Json.of_string content) with
-    | Json.Obj fields -> fields
-    | _ -> Alcotest.fail "lock is not an object"
-  in
-  let j = f fields in
-  ok
-    (Result.map_error Vfs.error_to_string
-       (Vfs.write_file ctx.Context.vfs path
-          (Json.to_string ~indent:2 j ^ "\n")))
+  List.iter
+    (fun (text, format) ->
+      write_text ctx "old" text;
+      (match Environment.read_lock ctx env with
+      | Error (Environment.Lock_corrupt why) ->
+          Alcotest.(check string) "reason"
+            (Printf.sprintf "unknown format %d" format)
+            why
+      | Ok _ -> Alcotest.failf "a format-%d lockfile must not load" format
+      | Error e ->
+          Alcotest.failf "wrong lock error: %s"
+            (Environment.lock_error_to_string e));
+      Alcotest.(check string) "file bytes unchanged" text (lock_text ctx "old"))
+    [ (v1, 1); (v2, 2) ]
 
 let expect_corrupt what = function
   | Error (Environment.Lock_corrupt _) -> ()
@@ -301,84 +350,70 @@ let expect_corrupt what = function
         (Environment.lock_error_to_string e)
   | Ok _ -> Alcotest.failf "%s: tampered lock accepted" what
 
+(* rewrite one field of the payload object *)
+let edit_field key f = function
+  | Json.Obj fields ->
+      Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | j -> j
+
 let lock_tampering_rejected () =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"sig" ()) in
   let env = ok (Environment.add ctx env "libdwarf") in
   let _ = ok (Environment.install ctx env) in
-  let path = Environment.lock_path "sig" in
-  let pristine = Result.get_ok (Vfs.read_file ctx.Context.vfs path) in
-  (* 1. any unsigned edit fails the checksum *)
-  with_lock_json ctx "sig" (fun fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "roots" then (k, Json.List [ Json.String "libelf" ])
-             else (k, v))
-           fields));
-  expect_corrupt "unsigned edit" (Environment.read_lock ctx env);
-  (* 2. a re-signed edit with an inconsistent hash is still corrupt *)
-  ignore (Vfs.write_file ctx.Context.vfs path pristine);
-  with_lock_json ctx "sig" (fun fields ->
-      resign
-        (List.map
-           (fun (k, v) ->
-             match (k, v) with
-             | "specs", Json.List [ Json.Obj spec ] ->
-                 ( k,
-                   Json.List
-                     [
-                       Json.Obj
-                         (List.map
-                            (fun (sk, sv) ->
-                              if sk = "hash" then (sk, Json.String "deadbeef")
-                              else (sk, sv))
-                            spec);
-                     ] )
-             | _ -> (k, v))
-           fields));
-  expect_corrupt "hash flip" (Environment.read_lock ctx env);
-  (* 3. a concrete DAG missing a dependency node (a "missing dep hash")
-     is rejected before any install happens *)
-  ignore (Vfs.write_file ctx.Context.vfs path pristine);
-  with_lock_json ctx "sig" (fun fields ->
-      resign
-        (List.map
-           (fun (k, v) ->
-             match (k, v) with
-             | "specs", Json.List [ Json.Obj spec ] ->
-                 ( k,
-                   Json.List
-                     [
-                       Json.Obj
-                         (List.map
-                            (fun (sk, sv) ->
-                              match (sk, sv) with
-                              | "concrete", cj -> (
-                                  match Json.member "nodes" cj with
-                                  | Some (Json.List nodes) ->
-                                      let keep =
-                                        List.filter
-                                          (fun n ->
-                                            Option.bind (Json.member "name" n)
-                                              Json.get_string
-                                            <> Some "libelf")
-                                          nodes
-                                      in
-                                      ( sk,
-                                        Json.Obj
-                                          [
-                                            ("format", Json.Int 1);
-                                            ( "root",
-                                              Json.String "libdwarf" );
-                                            ("nodes", Json.List keep);
-                                          ] )
-                                  | _ -> (sk, sv))
-                              | _ -> (sk, sv))
-                            spec);
-                     ] )
-             | _ -> (k, v))
-           fields));
+  let pristine = lock_text ctx "sig" in
+  let payload = payload_of pristine in
+  let checksum =
+    String.sub pristine (String.length "{\"format\":3,\"checksum\":\"") 64
+  in
+  let tampered what text =
+    write_text ctx "sig" text;
+    expect_corrupt what (Environment.read_lock ctx env)
+  in
+  let renamed_root =
+    edit_field "roots"
+      (function
+        | Json.List [ root ] ->
+            Json.List [ edit_field "spec" (fun _ -> Json.String "libelf") root ]
+        | j -> j)
+      payload
+  in
+  (* 1. any unsigned edit fails the checksum, a reformatted file its
+     framing *)
+  tampered "unsigned edit" (frame ~checksum renamed_root);
+  tampered "reindented"
+    (Json.to_string ~indent:2 (Result.get_ok (Json.of_string pristine)) ^ "\n");
+  (* 2. a re-signed root hash that names no node *)
+  tampered "hash flip"
+    (frame
+       (edit_field "roots"
+          (function
+            | Json.List [ root ] ->
+                Json.List
+                  [ edit_field "hash" (fun _ -> Json.String "deadbeef") root ]
+            | j -> j)
+          payload));
+  let nodes_named name f =
+    edit_field "nodes"
+      (function
+        | Json.Obj nodes ->
+            Json.Obj
+              (List.filter_map
+                 (fun (h, n) ->
+                   if Option.bind (Json.member "name" n) Json.get_string = Some name
+                   then Option.map (fun n -> (h, n)) (f n)
+                   else Some (h, n))
+                 nodes)
+        | j -> j)
+      payload
+  in
+  (* 3. a re-signed node whose content no longer hashes to its key *)
+  tampered "node edited under its hash"
+    (frame
+       (nodes_named "libelf" (fun n ->
+            Some (edit_field "version" (fun _ -> Json.String "0.8.10") n))));
+  (* 4. a missing dependency node is rejected before any install *)
+  write_text ctx "sig" (frame (nodes_named "libelf" (fun _ -> None)));
   (match Environment.install_locked ctx env with
   | Error (Environment.Locked_lock (Environment.Lock_corrupt _)) -> ()
   | Error e ->
@@ -386,7 +421,7 @@ let lock_tampering_rejected () =
         (Environment.locked_error_to_string e)
   | Ok _ -> Alcotest.fail "missing dep node accepted");
   (* pristine file still replays *)
-  ignore (Vfs.write_file ctx.Context.vfs path pristine);
+  write_text ctx "sig" pristine;
   ignore (ok_lock (Environment.read_lock ctx env))
 
 let stale_fingerprint_resolves () =
@@ -394,8 +429,9 @@ let stale_fingerprint_resolves () =
   let env_a = ok (Environment.create a ~name:"stale" ()) in
   let env_a = ok (Environment.add a env_a "libdwarf") in
   let _ = ok (Environment.install a env_a) in
-  (* a context with a different site configuration: base fingerprint
-     drifts, the lock is typed stale, never silently replayed *)
+  (* a context with a different site configuration: the config part of
+     the fingerprint drifts, the lock is typed stale and names it, never
+     silently replayed *)
   let config =
     Config.layer [ Config.parse_exn "site.name = cluster-b"; Universe.default_config ]
   in
@@ -404,7 +440,9 @@ let stale_fingerprint_resolves () =
   let env_b = ok (Environment.add b env_b "libdwarf") in
   copy_lock a b "stale";
   (match Environment.read_lock b env_b with
-  | Error (Environment.Lock_stale { lock_fp; current_fp; _ }) ->
+  | Error (Environment.Lock_stale { lock_fp; current_fp; reason }) ->
+      Alcotest.(check string) "names the config part" "config fingerprint changed"
+        reason;
       Alcotest.(check bool) "fingerprints differ" true (lock_fp <> current_fp)
   | Error e ->
       Alcotest.failf "expected Lock_stale, got %s"
@@ -423,10 +461,11 @@ let recipe_drift_is_stale () =
   let a = Context.create () in
   let env_a = ok (Environment.create a ~name:"drift" ()) in
   let env_a = ok (Environment.add a env_a "libdwarf") in
+  let env_a = ok (Environment.add a env_a "gsl") in
   let _ = ok (Environment.install a env_a) in
-  (* same repo name, same config, one edited recipe in the locked
-     closure: the base fingerprint matches but the per-spec Merkle
-     fingerprint catches the drift *)
+  (* same repo name, same config, one edited recipe in one locked
+     closure: every fingerprint part matches but the per-root Merkle
+     fingerprint catches the drift, under that root only *)
   let repo = Universe.repository () in
   let edited =
     Repository.create ~name:(Repository.name repo)
@@ -440,17 +479,83 @@ let recipe_drift_is_stale () =
   let b = Context.create ~repo:edited () in
   let env_b = ok (Environment.create b ~name:"drift" ()) in
   let env_b = ok (Environment.add b env_b "libdwarf") in
+  let env_b = ok (Environment.add b env_b "gsl") in
   copy_lock a b "drift";
   match Environment.read_lock b env_b with
   | Error (Environment.Lock_stale { reason; _ }) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "reason mentions drift (%s)" reason)
-        true
-        (Astring.String.is_infix ~affix:"drifted" reason)
+      Alcotest.(check string) "names the drifted root"
+        "package recipes drifted under libdwarf" reason
   | Error e ->
       Alcotest.failf "expected Lock_stale, got %s"
         (Environment.lock_error_to_string e)
   | Ok _ -> Alcotest.fail "recipe drift accepted"
+
+(* Generated locks: sets of 1-6 roots drawn from a pool that shares
+   dependencies (and, across roots, holds different nodes of one name),
+   each root concretized on its own. A format-3 lock reads back the same
+   roots and DAGs, and flipping any one byte of the file is corrupt. *)
+let lock_pool =
+  [| "mpileaks"; "mpileaks ^openmpi"; "callpath"; "callpath ^mpich@3.0.3";
+     "dyninst"; "libdwarf"; "libdwarf%intel"; "libelf"; "libelf@0.8.12";
+     "gerris"; "hdf5"; "py-numpy"; "gsl"; "boost" |]
+
+let lock_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair
+        (map
+           (List.sort_uniq compare)
+           (list_size (1 -- 6) (int_bound (Array.length lock_pool - 1))))
+        (list_size (return 8) (pair nat (1 -- 255))))
+  in
+  let print (roots, flips) =
+    Printf.sprintf "roots [%s], flips [%s]"
+      (String.concat "; " (List.map (fun i -> lock_pool.(i)) roots))
+      (String.concat "; "
+         (List.map (fun (p, x) -> Printf.sprintf "%d^%d" p x) flips))
+  in
+  make ~print gen
+
+let lock_roundtrip_property =
+  let ctx = Context.create () in
+  let n = ref 0 in
+  QCheck.Test.make ~count:40 ~name:"format-3 locks round-trip, any flip is corrupt"
+    lock_case
+    (fun (roots, flips) ->
+      incr n;
+      let name = Printf.sprintf "gen%d" !n in
+      let env = ok (Environment.create ctx ~name ()) in
+      let env =
+        List.fold_left (fun env i -> ok (Environment.add ctx env lock_pool.(i)))
+          env roots
+      in
+      let pairs =
+        List.map
+          (fun root -> (root, ok (Ospack.spec ctx root)))
+          env.Environment.env_roots
+      in
+      ok (Environment.write_lock ctx env pairs);
+      let lock = ok_lock (Environment.read_lock ctx env) in
+      let text = lock_text ctx name in
+      let same =
+        lock.Environment.lk_roots = env.Environment.env_roots
+        && List.for_all2
+             (fun (r1, c1) (r2, c2) ->
+               r1 = r2 && Concrete.equal c1 c2
+               && Concrete.root_hash c1 = Concrete.root_hash c2)
+             pairs lock.Environment.lk_specs
+      in
+      let corrupt_after (pos, x) =
+        let pos = pos mod String.length text in
+        let b = Bytes.of_string text in
+        Bytes.set b pos (Char.chr (Char.code text.[pos] lxor x));
+        write_text ctx name (Bytes.to_string b);
+        match Environment.read_lock ctx env with
+        | Error (Environment.Lock_corrupt _) -> true
+        | Ok _ | Error _ -> false
+      in
+      same && List.for_all corrupt_after flips)
 
 (* ------------------------------------------------------------------ *)
 (* Env-scoped views                                                   *)
@@ -514,6 +619,27 @@ let disjoint_views_share_store () =
     (targets ctx "/views/b");
   Alcotest.(check bool) "views non-empty" true
     (targets ctx "/views/a" <> [] && targets ctx "/views/b" <> [])
+
+(* a file squatting on a view path is a typed install error naming the
+   path, never an exception, and the squatter is left alone *)
+let view_conflict_is_an_error () =
+  let ctx = Context.create () in
+  let env = ok (Environment.create ctx ~name:"e" ~view:"/views/e" ()) in
+  let env = ok (Environment.add ctx env "libelf") in
+  let squatter = "/views/e/lib/libelf.so" in
+  ok
+    (Result.map_error Vfs.error_to_string
+       (Vfs.write_file ctx.Context.vfs squatter "not a link"));
+  (match Environment.install ctx env with
+  | Ok _ -> Alcotest.fail "the view linked over a regular file"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "names the path (%s)" e)
+        true
+        (Astring.String.is_infix ~affix:("file exists: " ^ squatter) e)
+  | exception Invalid_argument e -> Alcotest.failf "raised: %s" e);
+  Alcotest.(check (result string string)) "squatter untouched" (Ok "not a link")
+    (Result.map_error Vfs.error_to_string (Vfs.read_file ctx.Context.vfs squatter))
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety                                                       *)
@@ -605,7 +731,7 @@ let () =
         ] );
       ( "lockfile",
         [
-          Alcotest.test_case "format-2 round-trip" `Quick lock_roundtrip;
+          Alcotest.test_case "format-3 round-trip" `Quick lock_roundtrip;
           Alcotest.test_case "format-1 lockfile refused" `Quick
             lock_format_1_refused;
           Alcotest.test_case "tampering rejected typed" `Quick
@@ -614,11 +740,14 @@ let () =
             stale_fingerprint_resolves;
           Alcotest.test_case "recipe drift is stale" `Quick
             recipe_drift_is_stale;
+          QCheck_alcotest.to_alcotest lock_roundtrip_property;
         ] );
       ( "views",
         [
           Alcotest.test_case "two envs, one store, disjoint views" `Quick
             disjoint_views_share_store;
+          Alcotest.test_case "a file in the view is a typed error" `Quick
+            view_conflict_is_an_error;
         ] );
       ( "crash",
         [

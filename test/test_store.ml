@@ -371,6 +371,64 @@ let buildcache_roundtrip () =
         pulled_root.Database.r_hash (Concrete.root_hash stored)
   | Error e -> Alcotest.failf "provenance after pull: %s" e
 
+(* Builds and splices manifest what they wrote: for every package of the
+   universe that concretizes, installed into a fresh store, and for one
+   splice, every prefix's manifest (written from the builder's or the
+   splice's own payload) equals one rendered from a walk of the prefix,
+   and verifies clean. *)
+let manifests_from_payloads () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let check_prefixes what (ctx : Context.t) =
+    List.iter
+      (fun (r : Database.record) ->
+        if not r.Database.r_external then begin
+          let prefix = r.Database.r_prefix in
+          (match Vfs.read_file ctx.Context.vfs (prefix ^ "/.spack/manifest.json") with
+          | Ok written ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s payload manifest = walked manifest" what
+                   prefix)
+                (Provenance.render_manifest
+                   (Provenance.payload ctx.Context.vfs ~prefix))
+                written
+          | Error e ->
+              Alcotest.failf "%s: manifest of %s: %s" what prefix
+                (Vfs.error_to_string e));
+          match Provenance.verify_manifest ctx.Context.vfs ~prefix with
+          | Ok report when Provenance.report_clean report -> ()
+          | Ok _ -> Alcotest.failf "%s: %s verifies dirty" what prefix
+          | Error e -> Alcotest.failf "%s: verify %s: %s" what prefix e
+        end)
+      (Database.all (Installer.database ctx.Context.installer))
+  in
+  let built = ref 0 in
+  List.iter
+    (fun (p : Ospack_package.Package.t) ->
+      let ctx = Context.create () in
+      match Commands.spec ctx p.p_name with
+      | Error _ -> () (* virtual, or no solution *)
+      | Ok _ -> (
+          match Commands.install ctx p.p_name with
+          | Ok _ ->
+              incr built;
+              check_prefixes p.p_name ctx
+          | Error e -> Alcotest.failf "install %s: %s" p.p_name e))
+    (Repository.all_packages (Ospack_repo.Universe.repository ()));
+  Alcotest.(check bool)
+    (Printf.sprintf "most of the universe built (%d)" !built)
+    true (!built >= 200);
+  let ctx = Context.create ~cache_root:"/cache" () in
+  (match Commands.install ctx "dyninst" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "install dyninst: %s" e);
+  match Commands.splice ctx "dyninst" ~replace:"libelf@0.8.12" with
+  | Ok sp ->
+      Alcotest.(check bool) "the splice rewired a binary" true
+        (sp.Installer.sp_rewired > 0);
+      check_prefixes "splice" ctx
+  | Error e -> Alcotest.failf "splice: %s" e
+
 (* save must propagate problems instead of silently skipping entries:
    a record pointing at nothing, or at an empty tree, is an error *)
 let buildcache_save_errors () =
@@ -808,6 +866,8 @@ let () =
             unsupported_shard_format;
           Alcotest.test_case "binary cache with relocation" `Quick
             buildcache_roundtrip;
+          Alcotest.test_case "manifests from build and splice payloads" `Quick
+            manifests_from_payloads;
           Alcotest.test_case "buildcache save error propagation" `Quick
             buildcache_save_errors;
           Alcotest.test_case "stale symlinks + empty dirs on re-extract" `Quick

@@ -50,12 +50,17 @@ let expand_rules () =
   Alcotest.(check string) "unknown variable left verbatim" "/x/${NOPE}"
     (View.expand_rule "/x/${NOPE}" s)
 
+let sync vfs ~config ~rules ~installed =
+  match View.sync vfs ~config ~rules ~installed with
+  | Ok reports -> reports
+  | Error e -> Alcotest.failf "View.sync: %s" (Vfs.error_to_string e)
+
 let sync_links () =
   let vfs = Vfs.create () in
   let s1 = spec "mpileaks" "1.0" in
   ignore (Vfs.write_file vfs "/prefix1/bin/mpileaks" "x");
   let reports =
-    View.sync vfs ~config:Config.empty
+    sync vfs ~config:Config.empty
       ~rules:[ "/views/${PACKAGE}-${VERSION}" ]
       ~installed:[ (s1, "/prefix1") ]
   in
@@ -72,7 +77,7 @@ let conflict_resolution () =
   (* two versions collide on a version-less link: newer wins *)
   let old_s = spec "tool" "1.0" and new_s = spec "tool" "2.0" in
   let reports =
-    View.sync vfs ~config:Config.empty
+    sync vfs ~config:Config.empty
       ~rules:[ "/views/${PACKAGE}" ]
       ~installed:[ (old_s, "/old"); (new_s, "/new") ]
   in
@@ -83,7 +88,7 @@ let conflict_resolution () =
   let icc_s = spec ~compiler:("intel", "14.0.3") "tool" "1.0" in
   let cfg = Config.of_assoc [ ("compiler_order", "intel, gcc") ] in
   let reports =
-    View.sync vfs ~config:cfg
+    sync vfs ~config:cfg
       ~rules:[ "/views2/${PACKAGE}" ]
       ~installed:[ (new_s, "/gcc-new"); (icc_s, "/icc-old") ]
   in
@@ -98,7 +103,7 @@ let three_way_conflict () =
   let run installed =
     let vfs = Vfs.create () in
     List.hd
-      (View.sync vfs ~config:Config.empty
+      (sync vfs ~config:Config.empty
          ~rules:[ "/views/${PACKAGE}" ]
          ~installed)
   in
@@ -115,15 +120,35 @@ let sync_updates () =
   let vfs = Vfs.create () in
   let v1 = spec "tool" "1.0" in
   ignore
-    (View.sync vfs ~config:Config.empty ~rules:[ "/v/${PACKAGE}" ]
+    (sync vfs ~config:Config.empty ~rules:[ "/v/${PACKAGE}" ]
        ~installed:[ (v1, "/p1") ]);
   (* a new install takes over the link on re-sync *)
   let v2 = spec "tool" "2.0" in
   ignore
-    (View.sync vfs ~config:Config.empty ~rules:[ "/v/${PACKAGE}" ]
+    (sync vfs ~config:Config.empty ~rules:[ "/v/${PACKAGE}" ]
        ~installed:[ (v1, "/p1"); (v2, "/p2") ]);
   Alcotest.(check (result string (of_pp Vfs.pp_error))) "link moved" (Ok "/p2")
     (Vfs.readlink vfs "/v/tool")
+
+(* a link the filesystem refuses is a typed error, not an exception *)
+let refused_links_are_errors () =
+  let vfs = Vfs.create () in
+  let s = spec "tool" "1.0" in
+  ignore (Vfs.write_file vfs "/p/bin/tool" "x");
+  ignore (Vfs.write_file vfs "/v/x" "a file where a directory should be");
+  (match
+     View.sync vfs ~config:Config.empty ~rules:[ "/v/x/${PACKAGE}" ]
+       ~installed:[ (s, "/p") ]
+   with
+  | Error (Vfs.Not_a_directory _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Vfs.error_to_string e)
+  | Ok _ -> Alcotest.fail "linked under a regular file");
+  ignore (Vfs.write_file vfs "/m/bin/tool" "squatter");
+  match View.merge vfs ~config:Config.empty ~view_root:"/m" ~installed:[ (s, "/p") ] with
+  | Error (Vfs.Already_exists path) ->
+      Alcotest.(check string) "names the path" "/m/bin/tool" path
+  | Error e -> Alcotest.failf "wrong error: %s" (Vfs.error_to_string e)
+  | Ok _ -> Alcotest.fail "merged over a regular file"
 
 (* --- extensions (§4.2) --- *)
 
@@ -249,6 +274,8 @@ let () =
             conflict_resolution;
           Alcotest.test_case "three-way conflict" `Quick three_way_conflict;
           Alcotest.test_case "re-sync updates links" `Quick sync_updates;
+          Alcotest.test_case "refused links are typed errors" `Quick
+            refused_links_are_errors;
         ] );
       ( "extensions",
         [
