@@ -989,6 +989,41 @@ let script_cmd =
                match Ospack.buildcache_push ctx with
                | Ok n -> Format.printf "==> %d entries in the cache@." n
                | Error e -> errf "%s" e)
+           | "cache-entry-export" -> (
+               (* cache-entry-export QUERY FILE: copy the cache entry of
+                  the one installed spec matching QUERY out to the real
+                  filesystem, bytes as stored *)
+               match
+                 ( String.rindex_opt rest ' ',
+                   ctx.Ospack.Context.cache )
+               with
+               | None, _ -> errf "usage: cache-entry-export QUERY FILE"
+               | _, None -> errf "no build cache configured"
+               | Some i, Some cache -> (
+                   let query = String.trim (String.sub rest 0 i) in
+                   let path =
+                     String.sub rest (i + 1) (String.length rest - i - 1)
+                   in
+                   match Ospack.find ctx ~query () with
+                   | Error e -> errf "%s" e
+                   | Ok [ r ] -> (
+                       let entry =
+                         Ospack_store.Buildcache.entry_path cache
+                           r.Database.r_hash
+                       in
+                       match
+                         Ospack_vfs.Vfs.read_file ctx.Ospack.Context.vfs entry
+                       with
+                       | Error _ ->
+                           errf "no cache entry for %s/%s" query
+                             r.Database.r_hash
+                       | Ok content ->
+                           write_string_file path content;
+                           Format.printf "==> exported cache entry %s to %s@."
+                             r.Database.r_hash path)
+                   | Ok records ->
+                       errf "%s matches %d installed specs" query
+                         (List.length records)))
            | "verify" -> (
                let query = if rest = "" then None else Some rest in
                match Ospack.verify ctx ?query () with

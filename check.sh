@@ -162,6 +162,14 @@ mkdir -p "$bc_tmp"
 ./_build/default/bench/main.exe buildcache "$bc_tmp/doc1.json" > /dev/null
 ./_build/default/bench/main.exe buildcache "$bc_tmp/doc2.json" > /dev/null
 cmp "$bc_tmp/doc1.json" "$bc_tmp/doc2.json"
+# a pushed entry is format 2: its first line is the compact JSON header
+cat > "$bc_tmp/entry.spack" <<EOF
+install libdwarf
+cache-push
+cache-entry-export libdwarf $bc_tmp/libdwarf.entry
+EOF
+./_build/default/bin/spack.exe script "$bc_tmp/entry.spack" > "$bc_tmp/entry.out"
+head -n 1 "$bc_tmp/libdwarf.entry" | grep -q '^{"format":2,.*"spec_bytes":[0-9]*}$'
 ./_build/default/bin/spack.exe splice dyninst --replace libelf@0.8.12 > "$bc_tmp/splice.out"
 grep -q 'spliced hash differs' "$bc_tmp/splice.out"
 grep -q 'loader verified' "$bc_tmp/splice.out"

@@ -20,15 +20,12 @@ let archive_path t ~name ~version = t.root ^ "/" ^ archive_rel ~name ~version
    publish <archive>.md5 files *)
 let checksum_path t ~name ~version = archive_path t ~name ~version ^ ".md5"
 
-let write_exn t path content =
-  match Vfs.write_file t.vfs path content with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Mirror: " ^ Vfs.error_to_string e)
+let ( let* ) = Result.bind
 
 let add t ~name ~version =
   let content = archive_content ~name ~version in
-  write_exn t (archive_path t ~name ~version) content;
-  write_exn t
+  let* () = Vfs.write_file t.vfs (archive_path t ~name ~version) content in
+  Vfs.write_file t.vfs
     (checksum_path t ~name ~version)
     (Digest.to_hex (Digest.string content))
 
@@ -37,11 +34,12 @@ let populate t repo =
     (fun count pkg ->
       List.fold_left
         (fun count version ->
-          add t ~name:pkg.Package.p_name ~version;
-          count + 1)
+          let* count = count in
+          let* () = add t ~name:pkg.Package.p_name ~version in
+          Ok (count + 1))
         count
         (Package.known_versions pkg))
-    0
+    (Ok 0)
     (Repository.all_packages repo)
 
 let fetch t ~name ~version =

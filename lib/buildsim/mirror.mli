@@ -22,13 +22,20 @@ val archive_content :
 (** The canonical (deterministic) archive payload for a package
     version — the simulator's stand-in for a real tarball. *)
 
-val populate : t -> Ospack_package.Repository.t -> int
+val populate :
+  t -> Ospack_package.Repository.t -> (int, Ospack_vfs.Vfs.error) result
 (** Mirror every declared version of every package in the repository,
     recording each archive's md5 in the mirror's checksum index.
-    Returns the number of archives written. *)
+    Returns the number of archives written, or the first write the
+    filesystem refused (archives written before it stay). Never
+    raises. *)
 
-val add : t -> name:string -> version:Ospack_version.Version.t -> unit
-(** Mirror a single package version. *)
+val add :
+  t ->
+  name:string ->
+  version:Ospack_version.Version.t ->
+  (unit, Ospack_vfs.Vfs.error) result
+(** Mirror a single package version: the archive, then its checksum. *)
 
 val fetch :
   t ->

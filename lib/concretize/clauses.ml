@@ -50,12 +50,12 @@ let site_providers (ctx : I.ctx) virt =
   match Hashtbl.find_opt facts virt with
   | Some (I.Providers prs) -> prs
   | Some (I.Package_prefs _) | None ->
+      let site = Policy.rank_provider ctx.config ~virtual_:virt in
       let prs =
         Provider_index.providers ctx.index virt
         |> List.map (fun e -> e.Provider_index.e_provider)
         |> List.sort_uniq String.compare
-        |> List.map (fun pr ->
-               (Policy.rank_provider ctx.config ~virtual_:virt pr, pr))
+        |> List.map (fun pr -> (site pr, pr))
         |> List.sort compare |> List.map snd |> Array.of_list
       in
       Hashtbl.replace facts virt (I.Providers prs);

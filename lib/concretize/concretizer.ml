@@ -356,15 +356,18 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
         List.map (fun e -> e.Provider_index.e_provider) entries
         |> List.sort_uniq String.compare
       in
-      (* rank: user-forced, then already-in-DAG, then site order, then name *)
+      (* rank: user-forced, then already-in-DAG, then site order, then
+         name; each provider ranked once, before the sort *)
+      let site = Policy.rank_provider ctx.config ~virtual_ in
       let rank name =
         let forced = if Smap.mem name !user_cons then 0 else 1 in
         let present = if Hashtbl.mem nodes name then 0 else 1 in
-        let site = Policy.rank_provider ctx.config ~virtual_ name in
-        (forced, present, site, name)
+        (forced, present, site name, name)
       in
       let ranked =
-        List.sort (fun a b -> compare (rank a) (rank b)) provider_names
+        List.map rank provider_names
+        |> List.sort compare
+        |> List.map (fun (_, _, _, name) -> name)
       in
       let provider =
         match ranked with

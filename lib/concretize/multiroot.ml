@@ -132,15 +132,20 @@ let solve ?cache ?obs ~backend ~config ~compilers ~repo asts =
       match cached with
       | Some concrete -> split_all concrete
       | None -> (
+      (* a root set that cannot unify fails once per cache, as a single
+         query does *)
+      match Option.bind cache (fun c -> Ccache.failure c mast) with
+      | Some e -> Error (Unsat e)
+      | None -> (
           let meta_repo =
             Repository.create ~name:"env-meta" [ meta_package name asts ]
           in
           let layered = Repository.layered [ meta_repo; repo ] in
           let cctx = Concretizer.make_ctx ~config ?obs ~compilers layered in
           match Backends.solve backend cctx mast with
-          | Error e -> Error (Unsat e)
+          | Error e ->
+              Option.iter (fun c -> Ccache.store_failure c mast e) cache;
+              Error (Unsat e)
           | Ok concrete ->
-              (match cache with
-              | Some c -> Ccache.store c mast concrete
-              | None -> ());
-              split_all concrete))
+              Option.iter (fun c -> Ccache.store c mast concrete) cache;
+              split_all concrete)))

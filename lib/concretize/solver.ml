@@ -52,12 +52,22 @@ let normalize lits =
   in
   if ascending lits then lits else List.sort_uniq Int.compare lits
 
-let rec mem_int x = function [] -> false | y :: rest -> x = y || mem_int x rest
-
-(* does [all] hold the negation of some literal of the second list *)
-let rec tautology all = function
-  | [] -> false
-  | l :: rest -> mem_int (-l) all || tautology all rest
+(* Does a [normalize]d clause hold some literal and its negation? Its
+   negative literals read back to front and its positive ones are both
+   ascending in magnitude, so one merge of the two answers it. *)
+let tautology lits =
+  let rec split negs = function
+    | l :: rest when l < 0 -> split (-l :: negs) rest
+    | pos -> (negs, pos)
+  in
+  let rec meet negs pos =
+    match (negs, pos) with
+    | n :: negs', p :: pos' ->
+        n = p || if n < p then meet negs' pos else meet negs pos'
+    | [], _ | _, [] -> false
+  in
+  let negs, pos = split [] lits in
+  meet negs pos
 
 let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
   (* assignment state *)
@@ -315,7 +325,7 @@ let solve ?(obs = Obs.disabled) ~nvars ~clauses:input ~order () =
       List.iter
         (fun (lits, origin) ->
           let lits = normalize lits in
-          if not (tautology lits lits) then
+          if not (tautology lits) then
             match lits with
             | [] -> raise (Found_unsat (IntSet.singleton origin))
             | [ l ] ->

@@ -68,8 +68,9 @@ let choose_toolchain cfg compilers ~arch ?(features = []) ~req () =
 let provider_order cfg ~virtual_ =
   Config.get_list cfg ("providers." ^ virtual_)
 
-let rank_provider cfg ~virtual_ name =
-  rank_in_list (provider_order cfg ~virtual_) name
+let rank_provider cfg ~virtual_ =
+  let order = provider_order cfg ~virtual_ in
+  fun name -> rank_in_list order name
 
 let configured_packages cfg =
   let prefix = "packages." in

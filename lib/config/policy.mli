@@ -39,7 +39,9 @@ val provider_order : Config.t -> virtual_:string -> string list
 
 val rank_provider : Config.t -> virtual_:string -> string -> int
 (** Position in [providers.<virtual>] (0-based); [max_int] when unlisted,
-    so unlisted providers sort after listed ones. *)
+    so unlisted providers sort after listed ones. Partially applied to a
+    virtual it reads the configuration once, for every provider ranked
+    after. *)
 
 val configured_packages : Config.t -> string list
 (** The packages with a [packages.<name>.version] or

@@ -496,15 +496,17 @@ let pth_merge ~rel =
 
 let activate ctx text =
   let* name, ext, extendee = extension_pair ctx text in
-  Extensions.activate ctx.Context.vfs ~merge:pth_merge ~ext_name:name
-    ~ext_prefix:ext.Database.r_prefix
-    ~target_prefix:extendee.Database.r_prefix ()
+  Result.map_error Extensions.error_to_string
+    (Extensions.activate ctx.Context.vfs ~merge:pth_merge ~ext_name:name
+       ~ext_prefix:ext.Database.r_prefix
+       ~target_prefix:extendee.Database.r_prefix ())
 
 let deactivate ctx text =
   let* name, ext, extendee = extension_pair ctx text in
-  Extensions.deactivate ctx.Context.vfs ~ext_name:name
-    ~ext_prefix:ext.Database.r_prefix
-    ~target_prefix:extendee.Database.r_prefix
+  Result.map_error Extensions.error_to_string
+    (Extensions.deactivate ctx.Context.vfs ~ext_name:name
+       ~ext_prefix:ext.Database.r_prefix
+       ~target_prefix:extendee.Database.r_prefix)
 
 let reproduce (ctx : Context.t) ~prefix =
   (* prefer the structured spec.json: it restores the exact DAG without

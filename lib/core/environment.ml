@@ -264,46 +264,64 @@ let all f items =
       Ok (x :: xs))
     items (Ok [])
 
-(* One root's DAG out of the [nodes] map: its closure from the root
-   hash, dependency hashes renamed back to node names, every node's
-   recorded hash checked against the DAG it is part of. *)
-let dag_of nodes ~spec ~hash =
-  let names = Hashtbl.create 16 in
-  let rec visit acc hash =
-    if Hashtbl.mem names hash then Ok acc
-    else
-      match Hashtbl.find_opt nodes hash with
-      | None -> Error (Printf.sprintf "%s: no node %s in the lock" spec hash)
-      | Some (n : Concrete.node) ->
-          Hashtbl.add names hash n.Concrete.name;
-          List.fold_left
-            (fun acc dep ->
-              let* acc = acc in
-              visit acc dep)
-            (Ok ((hash, n) :: acc))
-            n.Concrete.deps
+(* Every root's DAG out of the one [nodes] map. Each recorded node hash
+   is checked once, by whichever root reaches it first: against the
+   node's own identity and its dependencies' hashes, checked before it.
+   Each root's closure is then renamed back to node names and built with
+   the hashes just checked, so no node of the lock is hashed twice. *)
+let dags_of nodes =
+  let checked = Hashtbl.create 64 in
+  let rec check ~spec hash =
+    match Hashtbl.find_opt checked hash with
+    | Some true -> Ok ()
+    | Some false -> Error (Printf.sprintf "%s: dependency cycle at %s" spec hash)
+    | None -> (
+        match Hashtbl.find_opt nodes hash with
+        | None -> Error (Printf.sprintf "%s: no node %s in the lock" spec hash)
+        | Some (n : Concrete.node) ->
+            Hashtbl.replace checked hash false;
+            let* () =
+              List.fold_left
+                (fun acc dep ->
+                  let* () = acc in
+                  check ~spec dep)
+                (Ok ()) n.Concrete.deps
+            in
+            (* the lock stores dependencies as their hashes *)
+            if Concrete.node_hash n n.Concrete.deps = hash then begin
+              Hashtbl.replace checked hash true;
+              Ok ()
+            end
+            else
+              Error
+                (Printf.sprintf "%s: recorded hash %s of %s does not match its DAG"
+                   spec hash n.Concrete.name))
   in
-  let* closure = visit [] hash in
-  let* c =
+  fun ~spec ~hash ->
+    let* () = check ~spec hash in
+    let names = Hashtbl.create 16 and named = Hashtbl.create 16 in
+    let rec visit acc hash =
+      let* acc = acc in
+      if Hashtbl.mem names hash then Ok acc
+      else
+        let n = Hashtbl.find nodes hash in
+        if Hashtbl.mem named n.Concrete.name then
+          Error (Printf.sprintf "%s: two nodes named %s" spec n.Concrete.name)
+        else begin
+          Hashtbl.add names hash n.Concrete.name;
+          Hashtbl.add named n.Concrete.name ();
+          List.fold_left visit (Ok ((n, hash) :: acc)) n.Concrete.deps
+        end
+    in
+    let* closure = visit (Ok []) hash in
     Result.map_error
       (Format.asprintf "%s: %a" spec Concrete.pp_validation_error)
-      (Concrete.make
+      (Concrete.make_hashed
          ~root:(Hashtbl.find names hash)
          (List.map
-            (fun (_, (n : Concrete.node)) ->
-              { n with Concrete.deps = List.map (Hashtbl.find names) n.deps })
+            (fun ((n : Concrete.node), h) ->
+              ({ n with Concrete.deps = List.map (Hashtbl.find names) n.deps }, h))
             closure))
-  in
-  match
-    List.find_opt
-      (fun (h, (n : Concrete.node)) -> Concrete.dag_hash c n.Concrete.name <> h)
-      closure
-  with
-  | None -> Ok c
-  | Some (h, n) ->
-      Error
-        (Printf.sprintf "%s: recorded hash %s of %s does not match its DAG"
-           spec h n.Concrete.name)
 
 let parse_lock payload =
   let* j = Json.of_string payload in
@@ -333,12 +351,13 @@ let parse_lock payload =
   let* roots =
     match Option.bind (Json.member "roots" j) Json.to_list with
     | Some items ->
+        let dag_of = dags_of nodes in
         all
           (fun item ->
             let* spec = get "root" "spec" Json.get_string item in
             let* hash = get spec "hash" Json.get_string item in
             let* merkle = get spec "merkle" Json.get_string item in
-            let* c = dag_of nodes ~spec ~hash in
+            let* c = dag_of ~spec ~hash in
             Ok (spec, merkle, c))
           items
     | None -> Error "missing roots"

@@ -60,6 +60,18 @@ let node_to_string n =
 (* The canonical identity string hashed for a node includes everything that
    affects the build: parameters, provided virtuals, and the hashes of the
    dependency sub-DAGs (so equal sub-DAGs share hashes — Fig. 9). *)
+let node_hash n dep_hashes =
+  let provided =
+    List.map
+      (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
+      n.provided
+    |> String.concat ","
+  in
+  let identity =
+    String.concat "|" (node_to_string n :: provided :: dep_hashes)
+  in
+  String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
+
 let hashes nodes =
   let memo = Hashtbl.create 16 in
   let rec hash_of name =
@@ -67,26 +79,13 @@ let hashes nodes =
     | Some h -> h
     | None ->
         let n = Smap.find name nodes in
-        let provided =
-          List.map
-            (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
-            n.provided
-          |> String.concat ","
-        in
-        let dep_hashes = List.map hash_of n.deps in
-        let identity =
-          String.concat "|"
-            (node_to_string n :: provided :: dep_hashes)
-        in
-        let h =
-          String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
-        in
+        let h = node_hash n (List.map hash_of n.deps) in
         Hashtbl.replace memo name h;
         h
   in
   Smap.mapi (fun name _ -> hash_of name) nodes
 
-let make ~root node_list =
+let validate ~root node_list =
   let nodes =
     List.fold_left (fun m n -> Smap.add n.name n m) Smap.empty node_list
   in
@@ -106,9 +105,25 @@ let make ~root node_list =
       if not (Smap.mem root nodes) then Error (Missing_root root)
       else
         let dag = build_dag node_list in
-        (match Dag.topological_sort dag with
+        match Dag.topological_sort dag with
         | Error cycle -> Error (Cyclic cycle)
-        | Ok _ -> Ok { root; nodes; dag; hashes = lazy (hashes nodes) })
+        | Ok _ -> Ok (nodes, dag)
+
+let make ~root node_list =
+  Result.map
+    (fun (nodes, dag) -> { root; nodes; dag; hashes = lazy (hashes nodes) })
+    (validate ~root node_list)
+
+let make_hashed ~root hashed =
+  Result.map
+    (fun (nodes, dag) ->
+      let memo =
+        List.fold_left
+          (fun m (n, h) -> Smap.add n.name h m)
+          Smap.empty hashed
+      in
+      { root; nodes; dag; hashes = Lazy.from_val memo })
+    (validate ~root (List.map fst hashed))
 
 let root t = t.root
 let node t name = Smap.find_opt name t.nodes

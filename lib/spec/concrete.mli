@@ -46,6 +46,18 @@ val make : root:string -> node list -> (t, validation_error) result
 (** Validate and build: the root and every referenced dependency must be
     present, and the dependency relation must be acyclic. *)
 
+val make_hashed :
+  root:string -> (node * string) list -> (t, validation_error) result
+(** {!make}, with each node's hash given instead of computed: the memo
+    starts full, so no lookup on the result hashes anything. The caller
+    vouches that every given hash is {!node_hash} of its node over its
+    dependencies' given hashes — [Environment.read_lock] checks exactly
+    that once per node for all the DAGs of a lockfile. *)
+
+val node_hash : node -> string list -> string
+(** The hash of a node whose dependencies, in [deps] order, hash to the
+    given strings: what {!dag_hash} computes for each node. *)
+
 val root : t -> string
 val root_node : t -> node
 

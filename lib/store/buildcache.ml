@@ -58,33 +58,78 @@ let io op path = function
   | Ok v -> Ok v
   | Error e -> Error (Cache_io { io_op = op; io_path = path; io_cause = e })
 
+(* On disk an entry is format 2, laid out like a tarball so a pull reads
+   each byte once and decodes no file body:
+
+   {v
+   {"format":2,"install_root":R,"prefix":P,"file_count":N,"spec_bytes":S}
+   <the S bytes of the compact spec JSON>
+   <kind> <rel_len> <content_len>
+   <rel><content>...
+   v}
+
+   one compact JSON header line, the spec and a newline, then [N]
+   records whose header line gives the byte lengths of the path and the
+   body that follow it. [kind] is [dir], [file] or [link] (a link's
+   content is its target). *)
+let format = 2
+
+let kind_tag = function Vfs.Dir -> "dir" | Vfs.File -> "file" | Vfs.Symlink -> "link"
+
+(* does [path] live at or under [prefix], on a path-component boundary? *)
+let under ~prefix path =
+  let plen = String.length prefix in
+  String.length path >= plen
+  && String.sub path 0 plen = prefix
+  && (String.length path = plen || path.[plen] = '/')
+
+let spec_bytes spec = Json.to_string (Concrete.to_json spec)
+
+let render_entry ~install_root ~prefix ~spec files =
+  let spec = spec_bytes spec in
+  let header =
+    Json.to_string
+      (Json.Obj
+         [
+           ("format", Json.Int format);
+           ("install_root", Json.String install_root);
+           ("prefix", Json.String prefix);
+           ("file_count", Json.Int (List.length files));
+           ("spec_bytes", Json.Int (String.length spec));
+         ])
+  in
+  let buf = Buffer.create (String.length header + String.length spec + 4096) in
+  Buffer.add_string buf header;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf spec;
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun (rel, kind, content) ->
+      Printf.bprintf buf "%s %d %d\n" (kind_tag kind) (String.length rel)
+        (String.length content);
+      Buffer.add_string buf rel;
+      Buffer.add_string buf content)
+    files;
+  Buffer.contents buf
+
 let archive_prefix t ~prefix =
   (* every walk entry must archive; a file we cannot read is an error,
      not a silent omission — a truncated entry would later extract
      "successfully" into a broken prefix. Directories are archived too
      so empty ones survive the round trip. *)
+  let plen = String.length prefix + 1 in
   let* rev_files =
     List.fold_left
       (fun acc (path, kind) ->
         let* acc = acc in
-        let plen = String.length prefix + 1 in
         let rel = String.sub path plen (String.length path - plen) in
-        let entry kind content =
-          Json.Obj
-            [
-              ("rel", Json.String rel);
-              ("kind", Json.String kind);
-              ("content", Json.String content);
-            ]
+        let* content =
+          match kind with
+          | Vfs.Dir -> Ok ""
+          | Vfs.File -> io "read" path (Vfs.read_file t.vfs path)
+          | Vfs.Symlink -> io "read" path (Vfs.readlink t.vfs path)
         in
-        match kind with
-        | Vfs.Dir -> Ok (entry "dir" "" :: acc)
-        | Vfs.File ->
-            let* content = io "read" path (Vfs.read_file t.vfs path) in
-            Ok (entry "file" content :: acc)
-        | Vfs.Symlink ->
-            let* target = io "read" path (Vfs.readlink t.vfs path) in
-            Ok (entry "link" target :: acc))
+        Ok ((rel, kind, content) :: acc))
       (Ok []) (Vfs.walk t.vfs prefix)
   in
   Ok (List.rev rev_files)
@@ -93,44 +138,32 @@ let save t ~install_root (record : Database.record) =
   if has t ~hash:record.Database.r_hash then Ok ()
   else
     let prefix = record.Database.r_prefix in
+    let bad_prefix reason =
+      Error (Bad_prefix { bp_prefix = prefix; bp_reason = reason })
+    in
     if not (Vfs.is_dir t.vfs prefix) then
-      Error
-        (Bad_prefix
-           {
-             bp_prefix = prefix;
-             bp_reason =
-               Printf.sprintf "prefix %s of %s is not a directory" prefix
-                 record.Database.r_hash;
-           })
+      bad_prefix
+        (Printf.sprintf "prefix %s of %s is not a directory" prefix
+           record.Database.r_hash)
+    else if not (under ~prefix:install_root prefix) then
+      (* readers refuse a header that breaks this rule, so a damaged
+         root cannot pass for another relocation *)
+      bad_prefix
+        (Printf.sprintf "prefix %s is not under install root %s" prefix
+           install_root)
     else
       let* files = archive_prefix t ~prefix in
       if files = [] then
-        Error
-          (Bad_prefix
-             {
-               bp_prefix = prefix;
-               bp_reason =
-                 Printf.sprintf "refusing to archive empty prefix %s" prefix;
-             })
+        bad_prefix (Printf.sprintf "refusing to archive empty prefix %s" prefix)
       else
-        let entry =
-          Json.Obj
-            [
-              ("format", Json.Int 1);
-              ("install_root", Json.String install_root);
-              ("prefix", Json.String prefix);
-              ("spec", Concrete.to_json record.Database.r_spec);
-              ("file_count", Json.Int (List.length files));
-              ("files", Json.List files);
-            ]
-        in
         (* crash-safe: the bytes land under a [.tmp] name and become
            visible only through the atomic rename — a kill at any barrier
            leaves either no entry or a complete one, never a truncated
-           JSON that would poison later extracts *)
+           entry that would poison later extracts *)
         match
           Sharded_dir.write t.vfs ~root:t.root record.Database.r_hash
-            (Json.to_string entry)
+            (render_entry ~install_root ~prefix ~spec:record.Database.r_spec
+               files)
         with
         | Ok () -> Ok ()
         | Error (io_op, io_path, io_cause) ->
@@ -219,80 +252,149 @@ let corrupt path reason = Error (Cache_corrupt { co_path = path; co_reason = rea
 type parsed_entry = {
   pe_path : string;
   pe_install_root : string;
-  pe_spec : Concrete.t;
-  pe_files : (string * string * string) list;  (** rel, kind, content *)
+  pe_spec : string;  (** the stored spec JSON, not decoded *)
+  pe_files : (string * Vfs.kind * string) list;  (** rel, kind, content *)
 }
 
+(* A decimal natural at [i], at most 16 digits so it cannot overflow:
+   its value and the index after it. *)
+let nat s i =
+  let n = String.length s in
+  let rec go j acc =
+    if j < n && j - i < 16 && s.[j] >= '0' && s.[j] <= '9' then
+      go (j + 1) ((acc * 10) + Char.code s.[j] - Char.code '0')
+    else if j = i then None
+    else Some (acc, j)
+  in
+  go i 0
+
+let kind_at s i =
+  let tag t k =
+    let l = String.length t in
+    if i + l < String.length s && String.sub s i l = t && s.[i + l] = ' ' then
+      Some (k, i + l + 1)
+    else None
+  in
+  match s.[i] with
+  | 'd' -> tag "dir" Vfs.Dir
+  | 'f' -> tag "file" Vfs.File
+  | 'l' -> tag "link" Vfs.Symlink
+  | _ -> None
+
+(* One record at [i]: [<kind> <rel_len> <content_len>\n<rel><content>].
+   Slices the two strings; never reads past the entry. *)
+let record_at s i =
+  let ( let* ) = Option.bind in
+  let n = String.length s in
+  let* kind, j = kind_at s i in
+  let* rel_len, j = nat s j in
+  let* () = if j < n && s.[j] = ' ' then Some () else None in
+  let* content_len, j = nat s (j + 1) in
+  let* () = if j < n && s.[j] = '\n' then Some () else None in
+  let body = j + 1 in
+  if rel_len + content_len > n - body then None
+  else
+    Some
+      ( (String.sub s body rel_len, kind, String.sub s (body + rel_len) content_len),
+        body + rel_len + content_len )
+
+(* A path that stays inside the prefix it is joined to: no empty, [.]
+   or [..] component, hence no leading or trailing slash. *)
+let inside rel =
+  List.for_all
+    (fun c -> c <> "" && c <> "." && c <> "..")
+    (String.split_on_char '/' rel)
+
+(* Read and frame an entry: header, spec slice, every record. The spec
+   is not decoded; nothing is written. *)
 let load_entry t ~hash =
   match find_entry t hash with
   | None -> Error (Cache_missing hash)
   | Some path ->
-      let* content = io "read" path (Vfs.read_file t.vfs path) in
-      let* entry =
-        match Json.of_string content with
-        | Ok j -> Ok j
-        | Error e -> corrupt path ("entry " ^ hash ^ ": " ^ e)
+      let* s = io "read" path (Vfs.read_file t.vfs path) in
+      let corrupt = corrupt path in
+      (* a format-1 entry is one JSON line: it parses whole as its
+         header, to be refused by its format *)
+      let nl = Option.value (String.index_opt s '\n') ~default:(String.length s) in
+      let* header =
+        match Json.of_string (String.sub s 0 nl) with
+        | Ok h -> Ok h
+        | Error e -> corrupt ("entry " ^ hash ^ ": " ^ e)
       in
-      let* from_root =
-        match Option.bind (Json.member "install_root" entry) Json.get_string with
-        | Some r -> Ok r
-        | None -> corrupt path "entry missing install_root"
+      let spec_off = nl + 1 in
+      let field key get =
+        match Option.bind (Json.member key header) get with
+        | Some v -> Ok v
+        | None -> corrupt ("entry missing " ^ key)
       in
-      let* spec =
-        match Json.member "spec" entry with
-        | Some sj -> (
-            match Concrete.of_json sj with
-            | Ok s -> Ok s
-            | Error e -> corrupt path e)
-        | None -> corrupt path "entry missing spec"
-      in
-      let* items =
-        match Option.bind (Json.member "files" entry) Json.to_list with
-        | Some items -> Ok items
-        | None -> corrupt path "entry missing files"
-      in
-      (* completeness guard: an entry whose file list does not match its
-         recorded count is truncated (partial write, hand-editing) and
-         must not extract into a plausible-looking but incomplete prefix;
-         without a count truncation is undetectable, so it is refused *)
       let* () =
-        match Option.bind (Json.member "file_count" entry) Json.get_int with
-        | None -> corrupt path "entry missing file_count"
-        | Some expected when expected = List.length items -> Ok ()
-        | Some expected ->
-            corrupt path
+        match Option.bind (Json.member "format" header) Json.get_int with
+        | Some f when f = format -> Ok ()
+        | Some f -> corrupt (Printf.sprintf "unsupported format %d" f)
+        | None -> corrupt "entry missing format"
+      in
+      let* install_root = field "install_root" Json.get_string in
+      let* prefix = field "prefix" Json.get_string in
+      let* () =
+        if under ~prefix:install_root prefix then Ok ()
+        else
+          corrupt
+            (Printf.sprintf "entry %s: prefix %s is not under install root %s"
+               hash prefix install_root)
+      in
+      (* completeness guard: without a count a truncation at a record
+         boundary would be undetectable, so a count-less entry is refused *)
+      let* file_count = field "file_count" Json.get_int in
+      let* spec_len = field "spec_bytes" Json.get_int in
+      let n = String.length s in
+      let* () =
+        if spec_len >= 0 && spec_len < n - spec_off
+           && s.[spec_off + spec_len] = '\n'
+        then Ok ()
+        else corrupt (Printf.sprintf "entry %s: spec runs past its length" hash)
+      in
+      let rec records i k acc =
+        if i = n then
+          if k = file_count then Ok (List.rev acc)
+          else
+            corrupt
               (Printf.sprintf
-                 "truncated entry %s: %d files listed, %d expected" hash
-                 (List.length items) expected)
+                 "truncated entry %s: %d files listed, %d expected" hash k
+                 file_count)
+        else if k = file_count then
+          corrupt
+            (Printf.sprintf "entry %s: %d bytes after its %d files" hash (n - i)
+               file_count)
+        else
+          match record_at s i with
+          | Some (((rel, _, _) as file), next) ->
+              if inside rel then records next (k + 1) (file :: acc)
+              else
+                corrupt
+                  (Printf.sprintf "entry %s: file path %S leaves the prefix"
+                     hash rel)
+          | None ->
+              corrupt
+                (Printf.sprintf "entry %s: malformed or truncated file %d"
+                   hash (k + 1))
       in
-      let* rev_files =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let get key =
-              match Option.bind (Json.member key item) Json.get_string with
-              | Some v -> Ok v
-              | None -> corrupt path "malformed file entry"
-            in
-            let* rel = get "rel" in
-            let* kind = get "kind" in
-            let* content = get "content" in
-            match kind with
-            | "dir" | "file" | "link" -> Ok ((rel, kind, content) :: acc)
-            | other -> corrupt path ("unknown entry kind " ^ other))
-          (Ok []) items
-      in
+      let* files = records (spec_off + spec_len + 1) 0 [] in
       Ok
         {
           pe_path = path;
-          pe_install_root = from_root;
-          pe_spec = spec;
-          pe_files = List.rev rev_files;
+          pe_install_root = install_root;
+          pe_spec = String.sub s spec_off spec_len;
+          pe_files = files;
         }
 
 let entry_spec t ~hash =
   let* pe = load_entry t ~hash in
-  Ok pe.pe_spec
+  match Json.of_string pe.pe_spec with
+  | Error e -> corrupt pe.pe_path ("entry " ^ hash ^ ": " ^ e)
+  | Ok j -> (
+      match Concrete.of_json j with
+      | Ok s -> Ok s
+      | Error e -> corrupt pe.pe_path e)
 
 (* the on-the-wire size of an entry — what a mirror transfer costs *)
 let entry_size t ~hash =
@@ -359,14 +461,14 @@ let materialize t ~prefix ~reloc_file ~reloc_link files =
         let* rev_payload = acc in
         let dest = prefix ^ "/" ^ rel in
         match kind with
-        | "dir" ->
+        | Vfs.Dir ->
             let* () = io "mkdir" dest (Vfs.mkdir_p t.vfs dest) in
-            Ok (manifested rel Vfs.Dir content rev_payload)
-        | "file" ->
-            let content = reloc_file rel content in
+            Ok rev_payload
+        | Vfs.File ->
+            let content = reloc_file content in
             let* () = io "write" dest (Vfs.write_file t.vfs dest content) in
             Ok (manifested rel Vfs.File content rev_payload)
-        | _ ->
+        | Vfs.Symlink ->
             let target = reloc_link content in
             let* () = symlink ~target dest in
             Ok (manifested rel Vfs.Symlink target rev_payload))
@@ -374,16 +476,21 @@ let materialize t ~prefix ~reloc_file ~reloc_link files =
   in
   Ok (List.rev rev_payload)
 
-let extract t ~hash ~install_root ~prefix =
+let extract t ~spec ~install_root ~prefix =
+  let hash = Concrete.root_hash spec in
   let* pe = load_entry t ~hash in
+  (* the stored spec, byte for byte: cheaper than decoding it, and proof
+     that the entry is the DAG being installed rather than merely some DAG *)
+  let* () =
+    if String.equal pe.pe_spec (spec_bytes spec) then Ok ()
+    else
+      corrupt pe.pe_path
+        (Printf.sprintf "entry %s holds another spec than %s/%s" hash
+           (Concrete.root spec) hash)
+  in
   let* () = reconcile_prefix t ~prefix pe.pe_files in
   let reloc = relocate ~from_root:pe.pe_install_root ~to_root:install_root in
-  let* payload =
-    materialize t ~prefix
-      ~reloc_file:(fun _rel content -> reloc content)
-      ~reloc_link:reloc pe.pe_files
-  in
-  Ok (pe.pe_spec, payload)
+  materialize t ~prefix ~reloc_file:reloc ~reloc_link:reloc pe.pe_files
 
 (* ------------------------------------------------------------------ *)
 (* Splicing (spack splice): rewire a cached binary onto a different
@@ -431,13 +538,6 @@ let splice_spec ~orig ~replacement =
         in
         Ok (Concrete.subspec spliced (Concrete.root orig), dep)
 
-(* does [path] live at or under [prefix], on a path-component boundary? *)
-let under ~prefix path =
-  let plen = String.length prefix in
-  String.length path >= plen
-  && String.sub path 0 plen = prefix
-  && (String.length path = plen || path.[plen] = '/')
-
 let swap_prefix pairs path =
   match List.find_opt (fun (old_p, _) -> under ~prefix:old_p path) pairs with
   | Some (old_p, new_p) ->
@@ -465,7 +565,7 @@ let splice t ~hash ~install_root ~prefix ~prefix_map =
   let specific = relocate_many ~pairs:prefix_map in
   let textual content = specific (base content) in
   let rewired = ref 0 in
-  let reloc_file _rel content =
+  let reloc_file content =
     match Binary.parse content with
     | Error _ -> textual content
     | Ok bin ->

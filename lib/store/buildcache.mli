@@ -15,7 +15,15 @@
     directory listing is the entry set. That is the only layout read (a
     file directly under the root is not an entry). Every entry is written
     via {!Ospack_vfs.Vfs.write_atomic}, so a crash leaves either no entry
-    or a complete one; stray [.tmp] files are swept on listing. *)
+    or a complete one; stray [.tmp] files are swept on listing.
+
+    An entry is format 2, laid out like a tarball: one compact JSON header
+    line ([format], [install_root], [prefix], [file_count], [spec_bytes]),
+    the compact spec JSON and a newline, then one record per file,
+    [<kind> <rel_len> <content_len>\n<rel><content>], with [kind] one of
+    [dir], [file], [link]. A pull slices each body out of the bytes it
+    read and decodes neither bodies nor the spec; any other format is
+    refused as [Cache_corrupt "unsupported format N"]. *)
 
 type t
 
@@ -28,9 +36,10 @@ type error =
       (** the filesystem refused an operation — {!transient} when the
           cause is an injected fault *)
   | Cache_corrupt of { co_path : string; co_reason : string }
-      (** the entry exists but cannot be trusted: unparseable JSON,
-          missing fields (a [file_count] among them), or a file list
-          shorter than its recorded count *)
+      (** the entry exists but cannot be trusted: another format, a
+          malformed header or record, missing fields (a [file_count]
+          among them), fewer or more records than its recorded count, or
+          (on {!extract}) a stored spec other than the one installed *)
   | Cache_missing of string  (** no entry for the hash, on any path *)
   | Bad_prefix of { bp_prefix : string; bp_reason : string }
       (** the prefix offered for archiving is unusable *)
@@ -57,8 +66,9 @@ val save :
     entry of the prefix walk must archive: an unreadable file or symlink
     is an error (never a silent omission), an empty or missing prefix is
     rejected, and directories are archived too so empty ones survive the
-    round trip. The entry records its file count so truncation is
-    detectable at extraction. The entry lands under its [.tmp] name and
+    round trip. The prefix must lie under [install_root] (a reader holds
+    the header to the same rule). The entry records its file count and
+    every record its lengths, so truncation is detectable at extraction. The entry lands under its [.tmp] name and
     becomes visible only through an atomic rename — a crash at any write
     barrier never leaves a truncated entry behind. *)
 
@@ -88,31 +98,38 @@ val relocate_many : pairs:(string * string) list -> string -> string
 
 val extract :
   t ->
-  hash:string ->
+  spec:Ospack_spec.Concrete.t ->
   install_root:string ->
   prefix:string ->
-  (Ospack_spec.Concrete.t * (string * string) list, error) result
-(** Materialize a cached build into [prefix], relocating every embedded
-    occurrence of the cached install root to [install_root]. Returns the
-    stored concrete spec and the payload just materialized: one
-    [(rel, md5)] per file and symlink outside [.spack], taken after
-    relocation by {!Provenance.manifest_entry}, in entry order. Entry
-    order is the walk order of the archived prefix, so the list equals
-    {!Provenance.payload} of the extracted prefix and the installer writes
-    the manifest from it without walking and re-reading the prefix.
+  ((string * string) list, error) result
+(** Materialize the cached build of [spec] (the entry under its root
+    hash) into [prefix], relocating every embedded occurrence of the
+    cached install root to [install_root]. Returns the payload just
+    materialized: one [(rel, md5)] per file and symlink outside [.spack],
+    taken after relocation by {!Provenance.manifest_entry}, in entry
+    order. Entry order is the walk order of the archived prefix, so the
+    list equals {!Provenance.payload} of the extracted prefix and the
+    installer writes the manifest from it without walking and re-reading
+    the prefix.
 
-    Entries whose file list does not match their recorded count are
-    rejected as truncated, and entries without a count are refused
-    ([Cache_corrupt]). A pre-existing destination holding any path the entry
-    does not list — leftovers from a different entry — is cleared
-    wholesale before materializing, so stale orphans can never keep
-    resolving under the loader. Re-extraction over a matching prefix is
-    idempotent: an existing symlink is kept only when its target matches
-    the (relocated) cached target; a stale link — or a non-link squatting
-    on the path — is removed and re-created. *)
+    The entry is refused ([Cache_corrupt]) unless its stored spec bytes
+    equal [spec]'s compact rendering — proof that it holds the DAG being
+    installed, at the cost of one render and a byte compare instead of a
+    decode — and unless it frames exactly: every record well formed and
+    in bounds, exactly [file_count] of them, no trailing bytes. Nothing
+    is written before the entry has framed and matched. A pre-existing
+    destination holding any path the entry does not list — leftovers
+    from a different entry — is cleared wholesale before materializing,
+    so stale orphans can never keep resolving under the loader.
+    Re-extraction over a matching prefix is idempotent: an existing
+    symlink is kept only when its target matches the (relocated) cached
+    target; a stale link — or a non-link squatting on the path — is
+    removed and re-created. *)
 
 val entry_spec : t -> hash:string -> (Ospack_spec.Concrete.t, error) result
-(** The concrete spec stored in an entry, without materializing it. *)
+(** The concrete spec stored in an entry, decoded, without materializing
+    it: the one reader that decodes a stored spec (splicing starts from
+    it). The entry must frame as {!extract} requires. *)
 
 val entry_size : t -> hash:string -> int option
 (** Bytes an entry occupies on disk — what a mirror transfer costs. *)

@@ -382,7 +382,8 @@ let install_node t spec name ~explicit =
       let prefix = prefix_of t spec name in
       let* () = write_pending t ~hash ~prefix in
       match
-        Buildcache.extract cache ~hash ~install_root:t.install_root ~prefix
+        Buildcache.extract cache ~spec:sub ~install_root:t.install_root
+          ~prefix
       with
       | Error e ->
           discard_partial t ~hash ~prefix;
@@ -390,7 +391,7 @@ let install_node t spec name ~explicit =
             (Install_failure
                (Printf.sprintf "buildcache %s: %s" name
                   (Buildcache.error_to_string e)))
-      | Ok (_stored_spec, payload) -> (
+      | Ok payload -> (
           (* relocation rewrote file contents: manifest the bytes the
              extractor just wrote, without walking the prefix again *)
           match Provenance.write_manifest t.vfs ~prefix payload with

@@ -16,6 +16,12 @@ let line_union_merge ~rel:_ ~existing ~incoming =
   in
   Some (unlines (have @ extra))
 
+type error = Refused of string | Io of Vfs.error
+
+let error_to_string = function
+  | Refused why -> why
+  | Io e -> Vfs.error_to_string e
+
 let registry target_prefix = target_prefix ^ "/.spack/extensions"
 
 let active vfs ~target_prefix =
@@ -38,9 +44,8 @@ let write_registry vfs ~target_prefix entries =
     | _ ->
         unlines (List.map (fun (n, p) -> n ^ " " ^ p) entries)
   in
-  match Vfs.write_file vfs (registry target_prefix) content with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Extensions: " ^ Vfs.error_to_string e)
+  Result.map_error (fun e -> Io e)
+    (Vfs.write_file vfs (registry target_prefix) content)
 
 (* relative paths of all regular files and symlinks under a prefix,
    excluding the provenance/bookkeeping directory *)
@@ -61,7 +66,7 @@ let ( let* ) = Result.bind
 let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
     ~target_prefix () =
   if List.mem_assoc ext_name (active vfs ~target_prefix) then
-    Error (Printf.sprintf "extension %s is already activated" ext_name)
+    Error (Refused (Printf.sprintf "extension %s is already activated" ext_name))
   else begin
     let rels = payload_files vfs ext_prefix in
     let created = ref [] in
@@ -92,13 +97,14 @@ let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
               | Ok () ->
                   created := dst :: !created;
                   link_all rest
-              | Error e -> Error (Vfs.error_to_string e))
+              | Error e -> Error (Io e))
           | Some kind -> (
               match merge ~rel with
               | None ->
                   Error
-                    (Printf.sprintf
-                       "cannot activate %s: file conflict on %s" ext_name rel)
+                    (Refused
+                       (Printf.sprintf "cannot activate %s: file conflict on %s"
+                          ext_name rel))
               | Some hook -> (
                   let existing =
                     Result.value (Vfs.read_file vfs dst) ~default:""
@@ -109,9 +115,10 @@ let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
                   match hook ~rel ~existing ~incoming with
                   | None ->
                       Error
-                        (Printf.sprintf
-                           "cannot activate %s: unmergeable conflict on %s"
-                           ext_name rel)
+                        (Refused
+                           (Printf.sprintf
+                              "cannot activate %s: unmergeable conflict on %s"
+                              ext_name rel))
                   | Some content -> (
                       let previous =
                         match kind with
@@ -127,22 +134,25 @@ let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
                       | Ok () ->
                           merged := (dst, previous) :: !merged;
                           link_all rest
-                      | Error e -> Error (Vfs.error_to_string e)))))
+                      | Error e -> Error (Io e)))))
     in
-    match link_all rels with
+    (* a registry that cannot be written rolls the links back too:
+       activation changes nothing unless it completes *)
+    match
+      let* () = link_all rels in
+      write_registry vfs ~target_prefix
+        (active vfs ~target_prefix @ [ (ext_name, ext_prefix) ])
+    with
     | Error e ->
         rollback ();
         Error e
-    | Ok () ->
-        write_registry vfs ~target_prefix
-          (active vfs ~target_prefix @ [ (ext_name, ext_prefix) ]);
-        Ok rels
+    | Ok () -> Ok rels
   end
 
 let deactivate vfs ~ext_name ~ext_prefix ~target_prefix =
   let entries = active vfs ~target_prefix in
   if not (List.mem_assoc ext_name entries) then
-    Error (Printf.sprintf "extension %s is not activated" ext_name)
+    Error (Refused (Printf.sprintf "extension %s is not activated" ext_name))
   else begin
     let rels = payload_files vfs ext_prefix in
     let* () =
@@ -170,12 +180,14 @@ let deactivate vfs ~ext_name ~ext_prefix ~target_prefix =
                     if remaining = [] then Vfs.remove vfs dst
                     else Vfs.write_file vfs dst (unlines remaining)
                   in
-                  Result.map_error Vfs.error_to_string result
+                  Result.map_error (fun e -> Io e) result
               | _ -> Ok ())
           | _ -> Ok ())
         (Ok ()) rels
     in
-    write_registry vfs ~target_prefix
-      (List.filter (fun (n, _) -> n <> ext_name) entries);
+    let* () =
+      write_registry vfs ~target_prefix
+        (List.filter (fun (n, _) -> n <> ext_name) entries)
+    in
     Ok rels
   end

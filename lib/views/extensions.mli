@@ -15,6 +15,15 @@ type merge_hook = rel:string -> existing:string -> incoming:string -> string opt
     is already present: [Some merged] writes the merged content; [None]
     declares a hard conflict. *)
 
+type error =
+  | Refused of string
+      (** already active, not active, or a file conflict; the message
+          names the extension and the path *)
+  | Io of Ospack_vfs.Vfs.error
+      (** the filesystem refused a link, a merged file or the registry *)
+
+val error_to_string : error -> string
+
 val line_union_merge : merge_hook
 (** Merge hook for line-oriented path-index files: the union of the two
     files' lines, first occurrence order preserved — how Python
@@ -27,20 +36,23 @@ val activate :
   ext_prefix:string ->
   target_prefix:string ->
   unit ->
-  (string list, string) result
+  (string list, error) result
 (** Link every file of [ext_prefix] (except its provenance directory) into
     [target_prefix]. Returns the relative paths linked or merged. On
-    conflict, already-created links are rolled back and an error names the
-    conflicting path. Fails if the extension is already active. *)
+    conflict or a refused write (the registry's included),
+    already-created links are rolled back and the error names the
+    conflicting path or carries the filesystem error. Fails if the
+    extension is already active. Never raises. *)
 
 val deactivate :
   Ospack_vfs.Vfs.t ->
   ext_name:string ->
   ext_prefix:string ->
   target_prefix:string ->
-  (string list, string) result
+  (string list, error) result
 (** Remove the extension's links (and its lines from merged files). Fails
-    if the extension is not active. *)
+    if the extension is not active, and with [Io] when a write is
+    refused. Never raises. *)
 
 val active : Ospack_vfs.Vfs.t -> target_prefix:string -> (string * string) list
 (** [(name, prefix)] of extensions currently activated in a prefix. *)

@@ -83,7 +83,7 @@ let save_crash_torture () =
       if not (Buildcache.has cache ~hash) then Ok ()
       else
         match
-          Buildcache.extract cache ~hash ~install_root:"/r1" ~prefix:"/chk/pkg"
+          Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/chk/pkg"
         with
         | Ok _ when Vfs.is_file vfs "/chk/pkg/bin/tool" -> Ok ()
         | Ok _ -> Error "surviving entry extracted without its files"
@@ -109,7 +109,7 @@ let save_crash_torture () =
     (* a rerun of the same save repairs the cache completely *)
     let* () = Result.map_error (( ^ ) "re-save: ") (save cache) in
     match
-      Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/out/pkg"
+      Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/out/pkg"
     with
     | Error e ->
         Error ("re-save did not repair: " ^ Buildcache.error_to_string e)
@@ -141,8 +141,7 @@ let transient_classification () =
       Alcotest.(check bool) "injected fault classified transient" true
         (Buildcache.transient e));
   Vfs.clear_fault_plan vfs;
-  match Buildcache.extract cache ~hash:"nope" ~install_root:"/r1" ~prefix:"/d"
-  with
+  match Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/d" with
   | Ok _ -> Alcotest.fail "missing entry extracted"
   | Error e ->
       Alcotest.(check bool) "a miss is not transient" false
@@ -271,9 +270,7 @@ let extract_clears_orphans () =
   save_exn cache ~install_root:"/r1" (record new_spec "/r1/new");
   let extract spec =
     match
-      Buildcache.extract cache
-        ~hash:(Concrete.root_hash spec)
-        ~install_root:"/r1" ~prefix:"/dest/pkg"
+      Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/dest/pkg"
     with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "extract: %s" (Buildcache.error_to_string e)
@@ -291,9 +288,268 @@ let extract_clears_orphans () =
 
 (* --- one entry format: flat and count-less entries are refused ------- *)
 
+(* A format-2 entry by hand, header fields as given: the spec line, then
+   one [<kind> <rel_len> <content_len>] record per file. *)
+let hand_entry header spec files =
+  let module Json = Ospack_json.Json in
+  let spec = Json.to_string (Concrete.to_json spec) in
+  let header =
+    List.map
+      (function
+        | "spec_bytes", _ -> ("spec_bytes", Json.Int (String.length spec))
+        | field -> field)
+      header
+  in
+  String.concat ""
+    (Json.to_string (Json.Obj header)
+     :: "\n" :: spec :: "\n"
+     :: List.map
+          (fun (kind, rel, content) ->
+            Printf.sprintf "%s %d %d\n%s%s" kind (String.length rel)
+              (String.length content) rel content)
+          files)
+
 (* a well-formed entry for libelf except that it records no file_count *)
 let countless_entry () =
   let module Json = Ospack_json.Json in
+  let spec = concretize "libelf" in
+  let entry =
+    hand_entry
+      [
+        ("format", Json.Int 2);
+        ("install_root", Json.String "/r1");
+        ("prefix", Json.String "/r1/pkg");
+        ("spec_bytes", Json.Null);
+      ]
+      spec
+      [ ("file", "bin/tool", "prefix=/r1/pkg\n") ]
+  in
+  (spec, entry)
+
+(* a record whose path climbs out of the prefix is refused before
+   anything is written *)
+let escaping_paths_refused () =
+  let module Json = Ospack_json.Json in
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let spec = concretize "libelf" in
+  let hash = Concrete.root_hash spec in
+  List.iter
+    (fun rel ->
+      let entry =
+        hand_entry
+          [
+            ("format", Json.Int 2);
+            ("install_root", Json.String "/r1");
+            ("prefix", Json.String "/r1/pkg");
+            ("file_count", Json.Int 2);
+            ("spec_bytes", Json.Null);
+          ]
+          spec
+          [ ("file", "bin/tool", "x"); ("file", rel, "escaped") ]
+      in
+      ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) entry);
+      (match
+         Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg"
+       with
+      | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
+          Alcotest.(check bool) ("refused: " ^ rel) true
+            (Astring.String.is_infix ~affix:"leaves the prefix" co_reason)
+      | Ok _ -> Alcotest.failf "%S extracted" rel
+      | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+      Alcotest.(check bool) ("nothing written: " ^ rel) false
+        (Vfs.exists vfs "/dest" || Vfs.exists vfs "/escaped"))
+    [ "../../escaped"; "bin/../../x"; "/escaped"; "bin//x"; "./x"; "bin/" ]
+
+let flat_entries_invisible () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let spec, entry = countless_entry () in
+  let hash = Concrete.root_hash spec in
+  (* the pre-shard layout: a file directly under the cache root *)
+  ok "write" (Vfs.write_file vfs ("/cache/" ^ hash ^ ".json") entry);
+  Alcotest.(check bool) "flat entry not found" false
+    (Buildcache.has cache ~hash);
+  Alcotest.(check (list string)) "flat entry not listed" []
+    (Buildcache.cached_hashes cache)
+
+let countless_entries_refused () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let spec, entry = countless_entry () in
+  let hash = Concrete.root_hash spec in
+  ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) entry);
+  (match Buildcache.entry_spec cache ~hash with
+  | Error (Buildcache.Cache_corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "an entry without file_count must not load"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  (match
+     Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg"
+   with
+  | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
+      Alcotest.(check string) "reason" "entry missing file_count" co_reason
+  | Ok _ -> Alcotest.fail "an entry without file_count must not extract"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  Alcotest.(check bool) "nothing materialized" false
+    (Vfs.exists vfs "/dest/pkg")
+
+(* --- format 2: framing, spec bytes, pull = build ---------------------- *)
+
+(* dyninst's three nodes, built under [/r1] and pushed: the entries a
+   real install produces *)
+let pushed_world () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  let inst =
+    Installer.create ~vfs ~repo ~compilers ~install_root:"/r1" ~cache ()
+  in
+  let spec = concretize "dyninst" in
+  (match Installer.install inst spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "install dyninst: %s" e);
+  (match Installer.push_to_cache inst cache with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "push: %s" e);
+  let entries =
+    List.map
+      (fun (n : Concrete.node) ->
+        let sub = Concrete.subspec spec n.Concrete.name in
+        let path = Buildcache.entry_path cache (Concrete.root_hash sub) in
+        match Vfs.read_file vfs path with
+        | Ok bytes -> (sub, path, bytes)
+        | Error e -> Alcotest.failf "read entry: %s" (Vfs.error_to_string e))
+      (Concrete.nodes spec)
+  in
+  (vfs, cache, Array.of_list entries)
+
+(* The bytes a reader must check, found independently of the reader:
+   the header line, the spec and every record header. Flipping one of
+   them must be refused, except inside the stored prefix past its
+   install root, which no reader uses. Returns the checked offsets and
+   the informational ones. *)
+let framing bytes =
+  let nl i = String.index_from bytes i '\n' in
+  let header_end = nl 0 in
+  let header = String.sub bytes 0 header_end in
+  let spec_end =
+    Scanf.sscanf
+      (List.find
+         (String.starts_with ~prefix:"\"spec_bytes\"")
+         (String.split_on_char ',' header))
+      "\"spec_bytes\":%d}" (fun n -> header_end + 1 + n)
+  in
+  let value key =
+    let k = "\"" ^ key ^ "\":\"" in
+    let start = Astring.String.find_sub ~sub:k header |> Option.get in
+    let start = start + String.length k in
+    (start, String.index_from header start '"')
+  in
+  let root_start, root_stop = value "install_root" in
+  let prefix_start, prefix_stop = value "prefix" in
+  let loose =
+    List.init
+      (prefix_stop - (prefix_start + (root_stop - root_start) + 1))
+      (fun i -> prefix_start + (root_stop - root_start) + 1 + i)
+  in
+  let rec records i acc =
+    if i >= String.length bytes then acc
+    else
+      let stop = nl i in
+      let rel_len, content_len =
+        Scanf.sscanf (String.sub bytes i (stop - i)) "%_s %d %d" (fun a b ->
+            (a, b))
+      in
+      records
+        (stop + 1 + rel_len + content_len)
+        (List.init (stop + 1 - i) (fun k -> i + k) @ acc)
+  in
+  let checked =
+    List.init (spec_end + 1) Fun.id @ records (spec_end + 1) []
+    |> List.filter (fun i -> not (List.mem i loose))
+  in
+  (checked, loose)
+
+type damage = Truncate of int | Flip of int * char
+
+let damage_to_string = function
+  | Truncate n -> Printf.sprintf "truncate to %d bytes" n
+  | Flip (i, c) -> Printf.sprintf "byte %d := %C" i c
+
+let damage_entries =
+  lazy
+    (let vfs, cache, entries = pushed_world () in
+     let clean =
+       Array.map
+         (fun (spec, _, bytes) ->
+           let prefix = "/clean/" ^ Concrete.root_hash spec in
+           match Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix with
+           | Ok payload -> (framing bytes, payload)
+           | Error e ->
+               Alcotest.failf "clean extract: %s" (Buildcache.error_to_string e))
+         entries
+     in
+     (vfs, cache, entries, clean))
+
+let arb_damage =
+  let open QCheck.Gen in
+  let _, _, entries, clean = Lazy.force damage_entries in
+  let gen =
+    int_bound (Array.length entries - 1) >>= fun k ->
+    let _, _, bytes = entries.(k) in
+    let (checked, loose), _ = clean.(k) in
+    let positions = Array.of_list (checked @ loose) in
+    let flip =
+      int_bound (Array.length positions - 1) >>= fun p ->
+      let i = positions.(p) in
+      map
+        (fun d -> Flip (i, Char.chr ((Char.code bytes.[i] + 1 + d) mod 256)))
+        (int_bound 254)
+    in
+    map
+      (fun d -> (k, d))
+      (oneof [ map (fun n -> Truncate n) (int_bound (String.length bytes - 1)); flip ])
+  in
+  QCheck.make ~print:(fun (k, d) -> Printf.sprintf "entry %d: %s" k (damage_to_string d)) gen
+
+(* Every truncation, and every flip of a checked byte, is refused as
+   corrupt before anything is written; a flip in the stored prefix past
+   its install root is refused or pulls the clean bytes. Never raises. *)
+let damaged_entries_refused =
+  QCheck.Test.make ~name:"damaged entries are Cache_corrupt, nothing written"
+    ~count:1500 arb_damage (fun (k, d) ->
+      let vfs, cache, entries, clean = Lazy.force damage_entries in
+      let spec, path, bytes = entries.(k) in
+      let (_, loose), clean_payload = clean.(k) in
+      let damaged =
+        match d with
+        | Truncate n -> String.sub bytes 0 n
+        | Flip (i, c) -> String.mapi (fun j b -> if j = i then c else b) bytes
+      in
+      ok "damage" (Vfs.write_file vfs path damaged);
+      let dest = "/dest/pkg" in
+      let result =
+        try Ok (Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:dest)
+        with exn -> Error (Printexc.to_string exn)
+      in
+      let wrote = Vfs.exists vfs dest in
+      ignore (Vfs.remove vfs ~recursive:true dest);
+      ok "restore" (Vfs.write_file vfs path bytes);
+      match (result, d) with
+      | Error exn, _ -> QCheck.Test.fail_reportf "raised %s" exn
+      | Ok (Error (Buildcache.Cache_corrupt _)), _ when not wrote -> true
+      | Ok (Ok payload), Flip (i, _) when List.mem i loose ->
+          payload = clean_payload
+      | Ok (Ok _), _ -> QCheck.Test.fail_reportf "damaged entry extracted"
+      | Ok (Error e), _ ->
+          QCheck.Test.fail_reportf "%s (wrote: %b)"
+            (Buildcache.error_to_string e) wrote)
+
+(* the format every earlier release wrote: one JSON object, bodies
+   escaped inside it *)
+let format1_refused () =
+  let module Json = Ospack_json.Json in
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
   let spec = concretize "libelf" in
   let entry =
     Json.Obj
@@ -302,6 +558,7 @@ let countless_entry () =
         ("install_root", Json.String "/r1");
         ("prefix", Json.String "/r1/pkg");
         ("spec", Concrete.to_json spec);
+        ("file_count", Json.Int 1);
         ( "files",
           Json.List
             [
@@ -314,37 +571,110 @@ let countless_entry () =
             ] );
       ]
   in
-  (Concrete.root_hash spec, Json.to_string entry)
-
-let flat_entries_invisible () =
-  let vfs = Vfs.create () in
-  let cache = Buildcache.create vfs ~root:"/cache" in
-  let hash, entry = countless_entry () in
-  (* the pre-shard layout: a file directly under the cache root *)
-  ok "write" (Vfs.write_file vfs ("/cache/" ^ hash ^ ".json") entry);
-  Alcotest.(check bool) "flat entry not found" false
-    (Buildcache.has cache ~hash);
-  Alcotest.(check (list string)) "flat entry not listed" []
-    (Buildcache.cached_hashes cache)
-
-let countless_entries_refused () =
-  let vfs = Vfs.create () in
-  let cache = Buildcache.create vfs ~root:"/cache" in
-  let hash, entry = countless_entry () in
-  ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) entry);
-  (match Buildcache.entry_spec cache ~hash with
-  | Error (Buildcache.Cache_corrupt _) -> ()
-  | Ok _ -> Alcotest.fail "an entry without file_count must not load"
-  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
-  (match
-     Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/dest/pkg"
-   with
+  let hash = Concrete.root_hash spec in
+  ok "write"
+    (Vfs.write_file vfs (Buildcache.entry_path cache hash) (Json.to_string entry));
+  (match Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg" with
   | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
-      Alcotest.(check string) "reason" "entry missing file_count" co_reason
-  | Ok _ -> Alcotest.fail "an entry without file_count must not extract"
+      Alcotest.(check string) "reason" "unsupported format 1" co_reason
+  | Ok _ -> Alcotest.fail "a format-1 entry must not extract"
   | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
-  Alcotest.(check bool) "nothing materialized" false
-    (Vfs.exists vfs "/dest/pkg")
+  (match Buildcache.entry_spec cache ~hash with
+  | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
+      Alcotest.(check string) "entry_spec reason" "unsupported format 1"
+        co_reason
+  | Ok _ -> Alcotest.fail "a format-1 entry must not decode"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  Alcotest.(check bool) "nothing materialized" false (Vfs.exists vfs "/dest")
+
+(* an intact entry filed under another DAG's hash: it frames and decodes,
+   but it is not the DAG being installed *)
+let foreign_spec_refused () =
+  let vfs = Vfs.create () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  mk_prefix vfs "/r1/pkg";
+  let stored = concretize "libelf" in
+  let wanted = concretize "libelf@0.8.12" in
+  save_exn cache ~install_root:"/r1" (record stored "/r1/pkg");
+  let bytes =
+    match Vfs.read_file vfs (Buildcache.entry_path cache (Concrete.root_hash stored)) with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "read: %s" (Vfs.error_to_string e)
+  in
+  let hash = Concrete.root_hash wanted in
+  ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) bytes);
+  (match Buildcache.extract cache ~spec:wanted ~install_root:"/r2" ~prefix:"/dest/pkg" with
+  | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
+      Alcotest.(check bool) "mismatch named" true
+        (Astring.String.is_infix ~affix:"holds another spec" co_reason)
+  | Ok _ -> Alcotest.fail "an entry for another DAG must not extract"
+  | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
+  Alcotest.(check bool) "nothing materialized" false (Vfs.exists vfs "/dest");
+  match Buildcache.entry_spec cache ~hash with
+  | Ok s ->
+      Alcotest.(check bool) "entry_spec decodes the stored DAG" true
+        (Concrete.equal s stored)
+  | Error e -> Alcotest.failf "entry_spec: %s" (Buildcache.error_to_string e)
+
+(* every file under [prefix], with its bytes (links as their targets),
+   but the build log: relocation leaves a root glued to a flag ([-L/r1])
+   as it is, by the path-token rule *)
+let tree vfs prefix =
+  let plen = String.length prefix + 1 in
+  List.filter_map
+    (fun (path, kind) ->
+      let rel = String.sub path plen (String.length path - plen) in
+      let body =
+        match kind with
+        | Vfs.Dir -> Ok "dir"
+        | Vfs.File -> Vfs.read_file vfs path
+        | Vfs.Symlink -> Result.map (( ^ ) "link:") (Vfs.readlink vfs path)
+      in
+      match body with
+      | _ when rel = ".spack/build.log" -> None
+      | Ok b -> Some (rel, b)
+      | Error e -> Alcotest.failf "read %s: %s" path (Vfs.error_to_string e))
+    (Vfs.walk vfs prefix)
+
+(* a pull into [/opt/bb] from entries built under [/opt/aaaa] leaves the
+   prefixes a source build at [/opt/bb] leaves, file for file *)
+let pull_equals_build () =
+  let spec = concretize "dyninst" in
+  let install inst =
+    match Installer.install inst spec with
+    | Ok outcomes -> outcomes
+    | Error e -> Alcotest.failf "install: %s" e
+  in
+  let src_vfs = Vfs.create () in
+  let cache = Buildcache.create src_vfs ~root:"/cache" in
+  let src =
+    Installer.create ~vfs:src_vfs ~repo ~compilers ~install_root:"/opt/aaaa" ()
+  in
+  ignore (install src);
+  (match Installer.push_to_cache src cache with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "push: %s" e);
+  let pull =
+    Installer.create ~vfs:src_vfs ~repo ~compilers ~install_root:"/opt/bb"
+      ~cache ()
+  in
+  let pulled = install pull in
+  Alcotest.(check int) "every node pulled" (List.length pulled)
+    (List.length
+       (List.filter (fun o -> o.Installer.o_cached) pulled));
+  let build_vfs = Vfs.create () in
+  let built =
+    install
+      (Installer.create ~vfs:build_vfs ~repo ~compilers ~install_root:"/opt/bb"
+         ())
+  in
+  List.iter2
+    (fun (p : Installer.outcome) (b : Installer.outcome) ->
+      let prefix = p.o_record.Database.r_prefix in
+      Alcotest.(check string) "same prefix" prefix b.o_record.Database.r_prefix;
+      Alcotest.(check (list (pair string string)))
+        ("files of " ^ prefix) (tree build_vfs prefix) (tree src_vfs prefix))
+    pulled built
 
 (* --- the mirror fleet ------------------------------------------------ *)
 
@@ -557,6 +887,14 @@ let () =
             flat_entries_invisible;
           Alcotest.test_case "entries without file_count refused" `Quick
             countless_entries_refused;
+          Alcotest.test_case "format 1 refused" `Quick format1_refused;
+          Alcotest.test_case "paths leaving the prefix refused" `Quick
+            escaping_paths_refused;
+          Alcotest.test_case "another DAG's entry refused, still decodes"
+            `Quick foreign_spec_refused;
+          QCheck_alcotest.to_alcotest damaged_entries_refused;
+          Alcotest.test_case "pull equals a source build, file for file"
+            `Quick pull_equals_build;
         ] );
       ( "mirror fleet",
         [

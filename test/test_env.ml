@@ -424,6 +424,62 @@ let lock_tampering_rejected () =
   write_text ctx "sig" pristine;
   ignore (ok_lock (Environment.read_lock ctx env))
 
+(* libelf is in both roots' DAGs and checked once, by the first root
+   that reaches it: a re-signed edit of it is still refused, naming it *)
+let shared_node_tamper_named () =
+  let ctx = Context.create () in
+  let env = ok (Environment.create ctx ~name:"shared" ()) in
+  let env = ok (Environment.add ctx env "dyninst") in
+  let env = ok (Environment.add ctx env "libdwarf") in
+  let pairs = ok (Environment.concretize_roots ctx env) in
+  ok (Environment.write_lock ctx env pairs);
+  let libelf_hash =
+    Concrete.dag_hash (List.assoc "libdwarf" pairs) "libelf"
+  in
+  let payload = payload_of (lock_text ctx "shared") in
+  write_text ctx "shared"
+    (frame
+       (edit_field "nodes"
+          (function
+            | Json.Obj nodes ->
+                Json.Obj
+                  (List.map
+                     (fun (h, n) ->
+                       if h = libelf_hash then
+                         (h, edit_field "version" (fun _ -> Json.String "0.8.10") n)
+                       else (h, n))
+                     nodes)
+            | j -> j)
+          payload));
+  match Environment.read_lock ctx env with
+  | Error (Environment.Lock_corrupt why) ->
+      Alcotest.(check bool) "names the shared node and its hash" true
+        (Astring.String.is_infix
+           ~affix:(Printf.sprintf "recorded hash %s of libelf" libelf_hash)
+           why)
+  | Error e ->
+      Alcotest.failf "expected Lock_corrupt, got %s"
+        (Environment.lock_error_to_string e)
+  | Ok _ -> Alcotest.fail "a shared node edited under its hash was accepted"
+
+(* two roots that cannot unify (each pins another MPI provider) solve
+   once per context: re-installs are answered by the failure memo *)
+let unify_failure_memoized () =
+  let obs = Ospack_obs.Obs.create () in
+  let ctx = Context.create ~obs () in
+  let env = ok (Environment.create ctx ~name:"clash" ()) in
+  let env = ok (Environment.add ctx env "mpileaks ^mvapich2@1.9") in
+  let env = ok (Environment.add ctx env "mpileaks@2.3 ^openmpi") in
+  let iterations =
+    List.init 3 (fun _ ->
+        (match Environment.install ctx env with
+        | Ok _ -> Alcotest.fail "conflicting roots unified"
+        | Error _ -> ());
+        Ospack_obs.Obs.counter obs "concretize.iterations")
+  in
+  Alcotest.(check (list int)) "iterations after each install" [ 3; 3; 3 ]
+    iterations
+
 let stale_fingerprint_resolves () =
   let a = Context.create () in
   let env_a = ok (Environment.create a ~name:"stale" ()) in
@@ -736,6 +792,10 @@ let () =
             lock_format_1_refused;
           Alcotest.test_case "tampering rejected typed" `Quick
             lock_tampering_rejected;
+          Alcotest.test_case "shared node tamper named" `Quick
+            shared_node_tamper_named;
+          Alcotest.test_case "unify failure solved once" `Quick
+            unify_failure_memoized;
           Alcotest.test_case "stale fingerprint forces re-solve" `Quick
             stale_fingerprint_resolves;
           Alcotest.test_case "recipe drift is stale" `Quick

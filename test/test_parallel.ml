@@ -225,7 +225,9 @@ let scheduler_counters () =
 
 let corrupted_mirror vfs =
   let mirror = Mirror.create vfs ~root:"/mirror" in
-  ignore (Mirror.populate mirror repo);
+  (match Mirror.populate mirror repo with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "populate: %s" (Vfs.error_to_string e));
   let version = Ospack_version.Version.of_string "8.2" in
   let path = "/mirror/" ^ Mirror.archive_rel ~name:"dyninst" ~version in
   (match Vfs.write_file vfs path "TAMPERED" with

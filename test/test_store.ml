@@ -497,8 +497,8 @@ let buildcache_stale_links_and_dirs () =
       Alcotest.failf "save: %s" (Ospack_store.Buildcache.error_to_string e));
   let extract root =
     match
-      Ospack_store.Buildcache.extract cache ~hash:record.Database.r_hash
-        ~install_root:root ~prefix:"/dest/pkg"
+      Ospack_store.Buildcache.extract cache ~spec ~install_root:root
+        ~prefix:"/dest/pkg"
     with
     | Ok _ -> ()
     | Error e ->
@@ -538,35 +538,29 @@ let buildcache_truncated_rejected () =
   let spec = concretize "libelf" in
   let hash = Concrete.root_hash spec in
   let module Json = Ospack_json.Json in
+  (* a format-2 entry that promises 3 files and holds 1 *)
+  let spec_json = Json.to_string (Concrete.to_json spec) in
   let entry =
-    Json.Obj
-      [
-        ("format", Json.Int 1);
-        ("install_root", Json.String "/r1");
-        ("prefix", Json.String "/r1/pkg");
-        ("spec", Concrete.to_json spec);
-        ("file_count", Json.Int 3);
-        ( "files",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("rel", Json.String "bin/tool");
-                  ("kind", Json.String "file");
-                  ("content", Json.String "x");
-                ];
-            ] );
-      ]
+    Json.to_string
+      (Json.Obj
+         [
+           ("format", Json.Int 2);
+           ("install_root", Json.String "/r1");
+           ("prefix", Json.String "/r1/pkg");
+           ("file_count", Json.Int 3);
+           ("spec_bytes", Json.Int (String.length spec_json));
+         ])
+    ^ "\n" ^ spec_json ^ "\nfile 8 1\nbin/toolx"
   in
   (match
      Vfs.write_file vfs
        (Ospack_store.Buildcache.entry_path cache hash)
-       (Json.to_string entry)
+       entry
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "write entry: %s" (Vfs.error_to_string e));
   match
-    Ospack_store.Buildcache.extract cache ~hash ~install_root:"/r2"
+    Ospack_store.Buildcache.extract cache ~spec ~install_root:"/r2"
       ~prefix:"/dest/pkg"
   with
   | Ok _ -> Alcotest.fail "truncated entry must not extract"
@@ -577,11 +571,26 @@ let buildcache_truncated_rejected () =
       Alcotest.(check bool) "nothing materialized" false
         (Vfs.is_file vfs "/dest/pkg/bin/tool")
 
+(* a refused archive write is a typed error, never an exception *)
+let mirror_fault_typed () =
+  let vfs = Vfs.create () in
+  let mirror = Ospack_buildsim.Mirror.create vfs ~root:"/mirror" in
+  Vfs.set_fault_plan vfs [ 3 ];
+  (match Ospack_buildsim.Mirror.populate mirror repo with
+  | Error (Vfs.Fault_injected _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Vfs.error_to_string e)
+  | Ok _ -> Alcotest.fail "populate survived a refused write");
+  Vfs.clear_fault_plan vfs;
+  match Ospack_buildsim.Mirror.populate mirror repo with
+  | Ok n -> Alcotest.(check int) "a rerun mirrors everything" 6 n
+  | Error e -> Alcotest.failf "populate: %s" (Vfs.error_to_string e)
+
 let mirror_fetching () =
   let vfs = Vfs.create () in
   let mirror = Ospack_buildsim.Mirror.create vfs ~root:"/mirror" in
-  let n = Ospack_buildsim.Mirror.populate mirror repo in
-  Alcotest.(check int) "every declared version mirrored" 6 n;
+  (match Ospack_buildsim.Mirror.populate mirror repo with
+  | Ok n -> Alcotest.(check int) "every declared version mirrored" 6 n
+  | Error e -> Alcotest.failf "populate: %s" (Vfs.error_to_string e));
   (* builds staged from the mirror verify checksums and log the fetch *)
   let inst = Installer.create ~mirror ~vfs ~repo ~compilers () in
   (match Installer.install inst (concretize "libelf") with
@@ -876,6 +885,8 @@ let () =
             buildcache_truncated_rejected;
           Alcotest.test_case "mirror fetch + checksum verification" `Quick
             mirror_fetching;
+          Alcotest.test_case "mirror write fault typed" `Quick
+            mirror_fault_typed;
           Alcotest.test_case "summary classification" `Quick
             summary_classification;
           Alcotest.test_case "buildcache hit/miss accounting" `Quick

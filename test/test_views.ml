@@ -178,7 +178,7 @@ let activate_deactivate () =
        ~ext_prefix:"/numpy" ~target_prefix:"/py" ()
    with
   | Ok rels -> Alcotest.(check int) "two payload files" 2 (List.length rels)
-  | Error e -> Alcotest.failf "activate: %s" e);
+  | Error e -> Alcotest.failf "activate: %s" (Extensions.error_to_string e));
   (* the module is now visible inside the python prefix, as if installed *)
   Alcotest.(check bool) "module linked in" true
     (Vfs.is_file vfs "/py/lib/python2.7/site-packages/numpy/__init__.py");
@@ -195,7 +195,8 @@ let activate_deactivate () =
        ~target_prefix:"/py"
    with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "deactivate: %s" e);
+  | Error e ->
+      Alcotest.failf "deactivate: %s" (Extensions.error_to_string e));
   Alcotest.(check bool) "links removed" false
     (Vfs.exists vfs "/py/lib/python2.7/site-packages/numpy/__init__.py");
   Alcotest.(check bool) "pth removed" false
@@ -218,7 +219,8 @@ let pth_merging () =
         ~ext_prefix:prefix ~target_prefix:"/py" ()
     with
     | Ok _ -> ()
-    | Error e -> Alcotest.failf "activate %s: %s" name e
+    | Error e ->
+        Alcotest.failf "activate %s: %s" name (Extensions.error_to_string e)
   in
   act "py-numpy" "/numpy";
   act "py-scipy" "/scipy";
@@ -234,7 +236,8 @@ let pth_merging () =
        ~target_prefix:"/py"
    with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "deactivate: %s" e);
+  | Error e ->
+      Alcotest.failf "deactivate: %s" (Extensions.error_to_string e));
   match Vfs.read_file vfs "/py/lib/python2.7/site-packages/extensions.pth" with
   | Ok content ->
       Alcotest.(check bool) "scipy line kept" true
@@ -253,15 +256,58 @@ let conflict_rollback () =
        ~ext_prefix:"/evil" ~target_prefix:"/py" ()
    with
   | Ok _ -> Alcotest.fail "conflict expected"
-  | Error msg ->
+  | Error e ->
       Alcotest.(check bool) "names the conflicting path" true
-        (Astring.String.is_infix ~affix:"bin/python" msg));
+        (Astring.String.is_infix ~affix:"bin/python"
+           (Extensions.error_to_string e)));
   (* rollback: nothing from the failed activation remains *)
   Alcotest.(check bool) "no partial links" false (Vfs.exists vfs "/py/share/doc");
   Alcotest.(check string) "original file intact" "interpreter"
     (Result.value (Vfs.read_file vfs "/py/bin/python") ~default:"?");
   Alcotest.(check (list (pair string string))) "not registered" []
     (Extensions.active vfs ~target_prefix:"/py")
+
+(* a refused write is a typed error, never an exception, and leaves
+   the target as it was *)
+let faulted_writes_typed () =
+  let vfs = setup_ext () in
+  let activate () =
+    Extensions.activate vfs ~merge:pth_merge ~ext_name:"py-numpy"
+      ~ext_prefix:"/numpy" ~target_prefix:"/py" ()
+  in
+  let deactivate () =
+    Extensions.deactivate vfs ~ext_name:"py-numpy" ~ext_prefix:"/numpy"
+      ~target_prefix:"/py"
+  in
+  let expect_io what = function
+    | Error (Extensions.Io (Vfs.Fault_injected _)) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Extensions.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s survived a refused write" what
+  in
+  let pth = "/py/lib/python2.7/site-packages/extensions.pth" in
+  ignore (Vfs.write_file vfs pth "/py/own\n");
+  let rolled_back what =
+    Alcotest.(check bool) (what ^ ": links rolled back") false
+      (Vfs.exists vfs "/py/lib/python2.7/site-packages/numpy/__init__.py");
+    Alcotest.(check string) (what ^ ": .pth restored") "/py/own\n"
+      (Result.value (Vfs.read_file vfs pth) ~default:"?");
+    Alcotest.(check (list (pair string string))) (what ^ ": not registered")
+      [] (Extensions.active vfs ~target_prefix:"/py")
+  in
+  (* write barrier 1 merges the .pth, 2 writes the registry *)
+  List.iter
+    (fun (barrier, what) ->
+      Vfs.set_fault_plan vfs [ barrier ];
+      expect_io what (activate ());
+      Vfs.clear_fault_plan vfs;
+      rolled_back what)
+    [ (1, "merged .pth write"); (2, "registry write") ];
+  (match activate () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "activate: %s" (Extensions.error_to_string e));
+  Vfs.set_fault_plan vfs (List.init 8 succ);
+  expect_io "deactivate" (deactivate ());
+  Vfs.clear_fault_plan vfs
 
 let () =
   Alcotest.run "views"
@@ -283,5 +329,7 @@ let () =
             activate_deactivate;
           Alcotest.test_case "pth merging" `Quick pth_merging;
           Alcotest.test_case "conflict rolls back" `Quick conflict_rollback;
+          Alcotest.test_case "faulted writes are typed errors" `Quick
+            faulted_writes_typed;
         ] );
     ]
