@@ -16,7 +16,8 @@ type node = {
 type t = {
   root : string;
   nodes : node Smap.t;
-  dag : Dag.t;
+  dag : Dag.t Lazy.t;
+      (* built on first use: the installer never reads a subspec's *)
   hashes : string Smap.t Lazy.t;
       (* every node's sub-DAG hash, computed on first lookup; a subspec
          shares its parent's, whose entries depend only on their sub-DAGs *)
@@ -111,7 +112,8 @@ let validate ~root node_list =
 
 let make ~root node_list =
   Result.map
-    (fun (nodes, dag) -> { root; nodes; dag; hashes = lazy (hashes nodes) })
+    (fun (nodes, dag) ->
+      { root; nodes; dag = Lazy.from_val dag; hashes = lazy (hashes nodes) })
     (validate ~root node_list)
 
 let make_hashed ~root hashed =
@@ -122,7 +124,7 @@ let make_hashed ~root hashed =
           (fun m (n, h) -> Smap.add n.name h m)
           Smap.empty hashed
       in
-      { root; nodes; dag; hashes = Lazy.from_val memo })
+      { root; nodes; dag = Lazy.from_val dag; hashes = Lazy.from_val memo })
     (validate ~root (List.map fst hashed))
 
 let root t = t.root
@@ -137,23 +139,27 @@ let root_node t = node_exn t t.root
 let nodes t = List.map snd (Smap.bindings t.nodes)
 let node_count t = Smap.cardinal t.nodes
 let deps_of t name = List.map (node_exn t) (node_exn t name).deps
-let to_dag t = t.dag
+let to_dag t = Lazy.force t.dag
 
+(* the closure by a walk over [deps]; its DAG, the subgraph of the
+   parent's, is built only if asked for *)
 let subspec t name =
-  let _ = node_exn t name in
-  let keep = Dag.reachable t.dag name in
+  let rec collect m name =
+    if Smap.mem name m then m
+    else
+      let n = node_exn t name in
+      List.fold_left collect (Smap.add name n m) n.deps
+  in
+  let nodes = collect Smap.empty name in
   {
     root = name;
-    nodes =
-      List.fold_left
-        (fun m n -> Smap.add n (node_exn t n) m)
-        Smap.empty keep;
-    dag = Dag.subgraph t.dag name;
+    nodes;
+    dag = lazy (build_dag (List.map snd (Smap.bindings nodes)));
     hashes = t.hashes;
   }
 
 let topological_order t =
-  match Dag.topological_sort t.dag with
+  match Dag.topological_sort (to_dag t) with
   | Ok order -> order
   | Error _ -> assert false (* validated acyclic in [make] *)
 
@@ -203,7 +209,7 @@ let to_string t =
 let tree_string t =
   Dag.to_tree
     ~pp_node:(fun name -> node_to_string (node_exn t name))
-    ~root:t.root t.dag
+    ~root:t.root (to_dag t)
 
 let equal_node a b =
   a.name = b.name

@@ -76,7 +76,8 @@ val subspec : t -> string -> t
 (** The concrete sub-DAG rooted at a node — what Spack passes to a
     package's [install] method (§3.4: "a sub-DAG rooted at the current
     node"). Raises [Invalid_argument] for unknown nodes. The subspec
-    shares its parent's hash memo. *)
+    shares its parent's hash memo; its nodes are collected by a walk
+    over [deps], and its {!to_dag} is built on first use. *)
 
 val to_dag : t -> Ospack_dag.Dag.t
 

@@ -175,10 +175,13 @@ let save t ~install_root (record : Database.record) =
    root [/opt/spack2] and the mid-path [/usr/opt/spack] do not.
    Boundary = any character outside the path-token alphabet
    [A-Za-z0-9._+-] (or the text edge); '/' is a boundary, so path
-   continuations still match. [relocate_many] applies several
-   replacements in one left-to-right scan (longest source first, no
-   chaining), which is what splicing needs: per-dependency prefix swaps
-   must win over the blanket root swap. *)
+   continuations still match. On the left, a run of token characters
+   that starts with '-' right after a boundary (or the text start) is a
+   flag, and a root glued to it relocates: [-L/opt/spack/lib].
+   [relocate_many] applies several replacements in one left-to-right
+   scan (longest source first, no chaining), which is what splicing
+   needs: per-dependency prefix swaps must win over the blanket root
+   swap. *)
 let is_token_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
@@ -216,18 +219,28 @@ let relocate_many ~pairs =
           then Some (i, pair)
           else pair_at i rest
     in
+    (* a left boundary before [i]: the text start, a non-token
+       character, or a run of token characters starting with '-' (a
+       flag). A run is walked back only from a match, which ends on a
+       boundary, so at most once per pair. *)
+    let rec flag_run k =
+      if k = 0 || not (is_token_char text.[k - 1]) then text.[k] = '-'
+      else flag_run (k - 1)
+    in
+    let left_boundary i =
+      i = 0 || not (is_token_char text.[i - 1]) || flag_run (i - 1)
+    in
     (* the first match at or after [i], with its position *)
     let rec next_match i =
       if i >= n then None
       else if
         Bytes.unsafe_get starts (Char.code (String.unsafe_get text i))
         = '\000'
-        || (i > 0 && is_token_char text.[i - 1])
       then next_match (i + 1)
       else
         match pair_at i pairs with
-        | None -> next_match (i + 1)
-        | found -> found
+        | Some _ as found when left_boundary i -> found
+        | _ -> next_match (i + 1)
     in
     match next_match 0 with
     | None -> text
@@ -476,13 +489,16 @@ let materialize t ~prefix ~reloc_file ~reloc_link files =
   in
   Ok (List.rev rev_payload)
 
-let extract t ~spec ~install_root ~prefix =
+let extract ?spec_json t ~spec ~install_root ~prefix =
   let hash = Concrete.root_hash spec in
   let* pe = load_entry t ~hash in
   (* the stored spec, byte for byte: cheaper than decoding it, and proof
      that the entry is the DAG being installed rather than merely some DAG *)
+  let spec_json =
+    match spec_json with Some s -> s | None -> spec_bytes spec
+  in
   let* () =
-    if String.equal pe.pe_spec (spec_bytes spec) then Ok ()
+    if String.equal pe.pe_spec spec_json then Ok ()
     else
       corrupt pe.pe_path
         (Printf.sprintf "entry %s holds another spec than %s/%s" hash

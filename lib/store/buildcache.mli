@@ -87,7 +87,10 @@ val relocate : from_root:string -> to_root:string -> string -> string
     either side, so [/opt/spack/bin] relocates while the distinct root
     [/opt/spack2] and the mid-path [/usr/opt/spack] are left alone.
     Boundary = any character outside [A-Za-z0-9._+-] or the text edge
-    ('/' is a boundary, so path continuations match). *)
+    ('/' is a boundary, so path continuations match). On the left, a
+    root glued to a flag also relocates: a run of those characters that
+    starts with ['-'] right after a boundary or the text start, so
+    [-L/opt/spack/lib] relocates while [a-L/opt/spack] does not. *)
 
 val relocate_many : pairs:(string * string) list -> string -> string
 (** Several replacements in one left-to-right scan (longest source
@@ -97,6 +100,7 @@ val relocate_many : pairs:(string * string) list -> string -> string
     a text with no match is returned as is. *)
 
 val extract :
+  ?spec_json:string ->
   t ->
   spec:Ospack_spec.Concrete.t ->
   install_root:string ->
@@ -114,8 +118,9 @@ val extract :
 
     The entry is refused ([Cache_corrupt]) unless its stored spec bytes
     equal [spec]'s compact rendering — proof that it holds the DAG being
-    installed, at the cost of one render and a byte compare instead of a
-    decode — and unless it frames exactly: every record well formed and
+    installed, at the cost of a byte compare instead of a decode, and of
+    one render unless the caller passes that rendering as [spec_json] —
+    and unless it frames exactly: every record well formed and
     in bounds, exactly [file_count] of them, no trailing bytes. Nothing
     is written before the entry has framed and matched. A pre-existing
     destination holding any path the entry does not list — leftovers

@@ -57,16 +57,17 @@ let dependents_of t hash =
 
 module Json = Ospack_json.Json
 
+let record_tail r =
+  [
+    ("hash", Json.String r.r_hash);
+    ("prefix", Json.String r.r_prefix);
+    ("explicit", Json.Bool r.r_explicit);
+    ("external", Json.Bool r.r_external);
+    ("build_seconds", Json.Float r.r_build_seconds);
+  ]
+
 let record_to_json r =
-  Json.Obj
-    [
-      ("spec", Concrete.to_json r.r_spec);
-      ("hash", Json.String r.r_hash);
-      ("prefix", Json.String r.r_prefix);
-      ("explicit", Json.Bool r.r_explicit);
-      ("external", Json.Bool r.r_external);
-      ("build_seconds", Json.Float r.r_build_seconds);
-    ]
+  Json.Obj (("spec", Concrete.to_json r.r_spec) :: record_tail r)
 
 let to_json t =
   Json.Obj

@@ -57,7 +57,12 @@ val to_json : t -> Ospack_json.Json.t
 
 val record_to_json : record -> Ospack_json.Json.t
 (** One record in the same shape {!to_json} uses — the unit the sharded
-    index persists, one file per record. *)
+    index persists, one file per record. Its first field is ["spec"],
+    followed by {!record_tail}. *)
+
+val record_tail : record -> (string * Ospack_json.Json.t) list
+(** The fields of {!record_to_json} after the leading ["spec"]: what a
+    writer that already holds the spec's rendering renders besides. *)
 
 val record_of_json : Ospack_json.Json.t -> (record, string) result
 (** Inverse of {!record_to_json}. *)

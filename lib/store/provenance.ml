@@ -5,15 +5,12 @@ let dir = ".spack"
 
 let ( let* ) = Result.bind
 
-let write vfs ~prefix ~spec ~package_source ~log =
+let write vfs ~prefix ~spec ~spec_json ~package_source ~log =
   let base = prefix ^ "/" ^ dir in
   let* () =
     Vfs.write_file vfs (base ^ "/spec") (Concrete.to_string spec ^ "\n")
   in
-  let* () =
-    Vfs.write_file vfs (base ^ "/spec.json")
-      (Ospack_json.Json.to_string (Concrete.to_json spec) ^ "\n")
-  in
+  let* () = Vfs.write_file vfs (base ^ "/spec.json") (spec_json ^ "\n") in
   let* () =
     Vfs.write_file vfs (base ^ "/build.log") (String.concat "\n" log ^ "\n")
   in

@@ -13,11 +13,14 @@ val write :
   Ospack_vfs.Vfs.t ->
   prefix:string ->
   spec:Ospack_spec.Concrete.t ->
+  spec_json:string ->
   package_source:string ->
   log:string list ->
   (unit, Ospack_vfs.Vfs.error) result
 (** Write [<prefix>/.spack/spec] (one-line form), [<prefix>/.spack/spec.json]
-    (the full structured DAG, compact JSON), [<prefix>/.spack/build.log] and
+    (the full structured DAG: [spec_json], which must be the compact
+    rendering of [spec]'s {!Ospack_spec.Concrete.to_json}, and a newline),
+    [<prefix>/.spack/build.log] and
     [<prefix>/.spack/package.source]. Stops at (and returns) the first
     failing write — never raises. *)
 

@@ -47,6 +47,8 @@ type fault_plan = {
 
 type t = {
   root : (string, node) Hashtbl.t;
+  dirs : (string, (string, node) Hashtbl.t * int) Hashtbl.t;
+      (* the directory cache: see [cache_dir] *)
   c : counters;
   mutable barriers : int;
   mutable plan : fault_plan option;
@@ -55,6 +57,7 @@ type t = {
 let create () =
   {
     root = Hashtbl.create 16;
+    dirs = Hashtbl.create 64;
     c =
       { stat = 0; read = 0; write = 0; mkdir = 0; link = 0; unlink = 0;
         readdir = 0 };
@@ -109,85 +112,136 @@ let reset_counters fs =
 
 let max_hops = 40
 
+(* The directory cache: the canonical path of a directory that a walk
+   reached without crossing a symlink -> its table and the number of
+   components of that path, which are exactly the [stat]s a walk from the
+   root spends to reach it. Bounded (emptied when full) and emptied
+   whenever a directory leaves its path ([remove], [rename]), so an entry
+   always names the live table at its path. *)
+let dir_cache_limit = 64
+
+let cache_dir fs key d depth =
+  if Hashtbl.length fs.dirs >= dir_cache_limit then Hashtbl.reset fs.dirs;
+  Hashtbl.replace fs.dirs key (d, depth)
+
+let forget_dirs fs = if Hashtbl.length fs.dirs > 0 then Hashtbl.reset fs.dirs
+
+(* The cached table of the directory holding a normalized path's last
+   component, which starts after [last]; the root is never cached. *)
+let cached_parent fs p last =
+  if last = 0 then ("", None)
+  else
+    let key = String.sub p 0 last in
+    (key, Hashtbl.find_opt fs.dirs key)
+
 let ( let* ) = Result.bind
 
-(* The canonical path walked so far travels as its reversed component
-   list and is rendered only when it is returned or reported: a step is
-   O(1), and a lookup whose path the caller drops never builds one. The
-   components of a normalized path are never "", "." or "..", so nothing
-   is re-normalized on the way down. *)
-let path_of rev = Vpath.concat (List.rev rev)
+(* The end of the component starting at [i] of a normalized path. *)
+let component_end p i =
+  match String.index_from_opt p i '/' with
+  | Some j -> j
+  | None -> String.length p
 
-(* Walk a path down from the root, following symlinks (including one at the
-   final component when [follow_last]). Returns the canonical path (as
-   reversed components) and node. [hops] bounds total symlink traversals
-   across the whole resolution. *)
+(* Walk a path down from the root, following symlinks (including one at
+   the final component when [follow_last]). The normalized path is walked
+   in place, each component sliced once, and a walk that crosses a
+   symlink restarts on the normalized target path, so the path a walk
+   ends on is canonical: it is returned with the node, and slices of it
+   name errors. [hops] bounds total symlink traversals across the whole
+   resolution. A walk starts at the cached directory holding the last
+   component when there is one, after charging the [stat]s a walk from
+   the root spends to reach it. *)
 let rec lookup fs ~follow_last ~hops path =
-  let components = Vpath.split (Vpath.normalize path) in
-  let rec step dir rev remaining hops =
+  let p = Vpath.normalize path in
+  let n = String.length p in
+  let last = String.rindex p '/' in
+  let key, cached = cached_parent fs p last in
+  (* [dir] is visited, and the component at [i] is looked up in it *)
+  let rec step dir i depth =
     fs.c.stat <- fs.c.stat + 1;
-    match remaining with
-    | [] -> Ok (rev, Ndir dir, hops)
-    | name :: rest -> (
-        let here = name :: rev in
-        match Hashtbl.find_opt dir name with
-        | None -> Error (Not_found (path_of here))
-        | Some node -> (
-            match node with
-            | Ndir d -> step d here rest hops
-            | Nfile _ when rest = [] -> Ok (here, node, hops)
-            | Nfile _ -> Error (Not_a_directory (path_of here))
-            | Nlink target ->
-                if rest = [] && not follow_last then Ok (here, node, hops)
-                else if hops <= 0 then Error (Symlink_loop (path_of here))
-                else
-                  let resolved_target = Vpath.join (path_of rev) target in
-                  let full =
-                    Vpath.normalize
-                      (resolved_target ^ "/" ^ String.concat "/" rest)
-                  in
-                  lookup fs ~follow_last ~hops:(hops - 1) full))
+    if i >= n then Ok (p, Ndir dir, hops)
+    else
+      let j = component_end p i in
+      match Hashtbl.find_opt dir (String.sub p i (j - i)) with
+      | None -> Error (Not_found (String.sub p 0 j))
+      | Some (Ndir d) ->
+          if j = last then cache_dir fs key d (depth + 1);
+          step d (j + 1) (depth + 1)
+      | Some (Nfile _ as node) when j = n -> Ok (p, node, hops)
+      | Some (Nfile _) -> Error (Not_a_directory (String.sub p 0 j))
+      | Some (Nlink target as node) ->
+          if j = n && not follow_last then Ok (p, node, hops)
+          else if hops <= 0 then Error (Symlink_loop (String.sub p 0 j))
+          else
+            let resolved_target =
+              Vpath.join (if i = 1 then "/" else String.sub p 0 (i - 1)) target
+            in
+            let full =
+              if j = n then resolved_target
+              else
+                Vpath.normalize
+                  (resolved_target ^ "/" ^ String.sub p (j + 1) (n - j - 1))
+            in
+            lookup fs ~follow_last ~hops:(hops - 1) full
   in
-  step fs.root [] components hops
+  match cached with
+  | Some (d, depth) ->
+      fs.c.stat <- fs.c.stat + depth;
+      step d (last + 1) depth
+  | None -> step fs.root 1 0
 
 let lookup_node fs ~follow_last path =
   match lookup fs ~follow_last ~hops:max_hops path with
-  | Ok (rev, n, _) -> Ok (rev, n)
+  | Ok (p, n, _) -> Ok (p, n)
   | Error e -> Error e
 
 (* Find (or create, with [create_missing]) the parent directory table of a
-   path; returns the parent table and the final component name. *)
+   path; returns the parent table and the final component name. A parent
+   reached without crossing a symlink is cached. *)
 let parent_dir fs ~create_missing path =
-  let norm = Vpath.normalize path in
-  match List.rev (Vpath.split norm) with
-  | [] -> Error (Is_a_directory "/")
-  | name :: rev_parents ->
-      let parents = List.rev rev_parents in
-      let rec descend dir rev = function
-        | [] -> Ok (dir, name)
-        | c :: rest -> (
-            fs.c.stat <- fs.c.stat + 1;
-            let here = c :: rev in
-            match Hashtbl.find_opt dir c with
-            | Some (Ndir d) -> descend d here rest
-            | Some (Nlink _) -> (
-                (* resolve the link, then continue from there *)
-                let here_path = path_of here in
-                match lookup_node fs ~follow_last:true here_path with
-                | Ok (_, Ndir d) -> descend d here rest
-                | Ok _ -> Error (Not_a_directory here_path)
-                | Error e -> Error e)
-            | Some (Nfile _) -> Error (Not_a_directory (path_of here))
-            | None ->
-                if create_missing then begin
-                  fs.c.mkdir <- fs.c.mkdir + 1;
-                  let d = Hashtbl.create 8 in
-                  Hashtbl.replace dir c (Ndir d);
-                  descend d here rest
-                end
-                else Error (Not_found (path_of here)))
-      in
-      descend fs.root [] parents
+  let p = Vpath.normalize path in
+  let n = String.length p in
+  if n = 1 then Error (Is_a_directory "/")
+  else
+    let last = String.rindex p '/' in
+    let name = String.sub p (last + 1) (n - last - 1) in
+    let key, cached = cached_parent fs p last in
+    (* the component at [i] is looked up in [dir]; [direct] until a
+       symlink is crossed *)
+    let rec descend dir i depth direct =
+      if i > last then begin
+        if direct && last > 0 then cache_dir fs key dir depth;
+        Ok (dir, name)
+      end
+      else begin
+        fs.c.stat <- fs.c.stat + 1;
+        let j = component_end p i in
+        let c = String.sub p i (j - i) in
+        match Hashtbl.find_opt dir c with
+        | Some (Ndir d) -> descend d (j + 1) (depth + 1) direct
+        | Some (Nlink _) -> (
+            (* resolve the link, then continue from there *)
+            let here = String.sub p 0 j in
+            match lookup_node fs ~follow_last:true here with
+            | Ok (_, Ndir d) -> descend d (j + 1) (depth + 1) false
+            | Ok _ -> Error (Not_a_directory here)
+            | Error e -> Error e)
+        | Some (Nfile _) -> Error (Not_a_directory (String.sub p 0 j))
+        | None ->
+            if create_missing then begin
+              fs.c.mkdir <- fs.c.mkdir + 1;
+              let d = Hashtbl.create 8 in
+              Hashtbl.replace dir c (Ndir d);
+              descend d (j + 1) (depth + 1) direct
+            end
+            else Error (Not_found (String.sub p 0 j))
+      end
+    in
+    match cached with
+    | Some (d, depth) ->
+        fs.c.stat <- fs.c.stat + depth;
+        Ok (d, name)
+    | None -> descend fs.root 1 0 true
 
 let mkdir_p fs path =
   let* () = check_crashed fs ~op:"mkdir" ~path in
@@ -216,8 +270,8 @@ let write_file fs path content =
       | Ok (_, Nfile r) ->
           r := content;
           Ok ()
-      | Ok (p, Ndir _) -> Error (Is_a_directory (path_of p))
-      | Ok (p, Nlink _) -> Error (Symlink_loop (path_of p))
+      | Ok (p, Ndir _) -> Error (Is_a_directory p)
+      | Ok (p, Nlink _) -> Error (Symlink_loop p)
       | Error (Not_found _) ->
           (* dangling link: write creates the target *)
           let* target =
@@ -237,8 +291,8 @@ let read_file fs path =
   fs.c.read <- fs.c.read + 1;
   match lookup_node fs ~follow_last:true path with
   | Ok (_, Nfile r) -> Ok !r
-  | Ok (p, Ndir _) -> Error (Is_a_directory (path_of p))
-  | Ok (p, Nlink _) -> Error (Symlink_loop (path_of p))
+  | Ok (p, Ndir _) -> Error (Is_a_directory p)
+  | Ok (p, Nlink _) -> Error (Symlink_loop p)
   | Error e -> Error e
 
 let symlink fs ~target ~link =
@@ -254,12 +308,12 @@ let symlink fs ~target ~link =
 let readlink fs path =
   match lookup_node fs ~follow_last:false path with
   | Ok (_, Nlink target) -> Ok target
-  | Ok (p, _) -> Error (Not_a_symlink (path_of p))
+  | Ok (p, _) -> Error (Not_a_symlink p)
   | Error e -> Error e
 
 let resolve fs path =
   match lookup fs ~follow_last:true ~hops:max_hops path with
-  | Ok (p, _, _) -> Ok (path_of p)
+  | Ok (p, _, _) -> Ok p
   | Error e -> Error e
 
 let kind_of fs path =
@@ -286,7 +340,7 @@ let ls fs path =
   match lookup_node fs ~follow_last:true path with
   | Ok (_, Ndir d) ->
       Ok (Hashtbl.fold (fun k _ acc -> k :: acc) d [] |> List.sort compare)
-  | Ok (p, _) -> Error (Not_a_directory (path_of p))
+  | Ok (p, _) -> Error (Not_a_directory p)
   | Error e -> Error e
 
 (* Every node strictly under a directory, depth-first in name order,
@@ -303,7 +357,7 @@ let collect fs path f =
          acc
   in
   match lookup_node fs ~follow_last:true path with
-  | Ok (p, Ndir d) -> List.rev (go [] (path_of p) d)
+  | Ok (p, Ndir d) -> List.rev (go [] p d)
   | _ -> []
 
 let walk fs path =
@@ -337,6 +391,9 @@ let rename fs ~src ~dst =
             | Ndir _ -> Error (Not_a_directory (Vpath.normalize dst))
             | _ -> Ok ())
       in
+      (* a directory moved (only a directory replaces one) leaves every
+         cached path under it *)
+      (match node with Ndir _ -> forget_dirs fs | Nfile _ | Nlink _ -> ());
       fs.c.write <- fs.c.write + 1;
       fs.c.unlink <- fs.c.unlink + 1;
       Hashtbl.remove sdir sname;
@@ -360,7 +417,8 @@ let remove fs ?(recursive = false) path =
   | None -> Error (Not_found (Vpath.normalize path))
   | Some (Ndir d) when Hashtbl.length d > 0 && not recursive ->
       Error (Already_exists (Vpath.normalize path))
-  | Some _ ->
+  | Some node ->
+      (match node with Ndir _ -> forget_dirs fs | Nfile _ | Nlink _ -> ());
       Hashtbl.remove dir name;
       Ok ()
 

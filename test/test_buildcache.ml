@@ -160,6 +160,18 @@ let relocate_boundaries () =
     "doc=/usr/opt/spack" (r "doc=/usr/opt/spack");
   Alcotest.(check string) "colon-separated search path relocates"
     "/new/root/lib:/other/lib" (r "/opt/spack/lib:/other/lib");
+  (* a root glued to a flag relocates; one inside a longer token not *)
+  let r1 = Buildcache.relocate ~from_root:"/r1" ~to_root:"/new" in
+  List.iter
+    (fun (text, want) -> Alcotest.(check string) text want (r1 text))
+    [
+      ("-L/r1/lib", "-L/new/lib");
+      ("-I/r1/x", "-I/new/x");
+      ("cc -Wl,-rpath,/r1/lib -L/r1/lib", "cc -Wl,-rpath,/new/lib -L/new/lib");
+      ("/usr/r1/x", "/usr/r1/x");
+      ("/r12/x", "/r12/x");
+      ("a-L/r1", "a-L/r1");
+    ];
   (* longest prefix wins, and replacements never chain *)
   Alcotest.(check string) "longest pair wins" "/b/x"
     (Buildcache.relocate_many
@@ -185,11 +197,18 @@ let reference_relocate_many ~pairs text =
   in
   let buf = Buffer.create (String.length text) in
   let n = String.length text in
+  (* the token run ending at [i - 1] starts with '-' *)
+  let rec flag_before i =
+    i > 0
+    && is_token_char text.[i - 1]
+    && (if i = 1 || not (is_token_char text.[i - 2]) then text.[i - 1] = '-'
+        else flag_before (i - 1))
+  in
   let matches_at i (from_root, _) =
     let flen = String.length from_root in
     i + flen <= n
     && String.sub text i flen = from_root
-    && (i = 0 || not (is_token_char text.[i - 1]))
+    && (i = 0 || not (is_token_char text.[i - 1]) || flag_before i)
     && (i + flen = n || not (is_token_char text.[i + flen]))
   in
   let rec go i =
@@ -616,9 +635,7 @@ let foreign_spec_refused () =
         (Concrete.equal s stored)
   | Error e -> Alcotest.failf "entry_spec: %s" (Buildcache.error_to_string e)
 
-(* every file under [prefix], with its bytes (links as their targets),
-   but the build log: relocation leaves a root glued to a flag ([-L/r1])
-   as it is, by the path-token rule *)
+(* every file under [prefix], with its bytes (links as their targets) *)
 let tree vfs prefix =
   let plen = String.length prefix + 1 in
   List.filter_map
@@ -631,7 +648,6 @@ let tree vfs prefix =
         | Vfs.Symlink -> Result.map (( ^ ) "link:") (Vfs.readlink vfs path)
       in
       match body with
-      | _ when rel = ".spack/build.log" -> None
       | Ok b -> Some (rel, b)
       | Error e -> Alcotest.failf "read %s: %s" path (Vfs.error_to_string e))
     (Vfs.walk vfs prefix)

@@ -839,6 +839,160 @@ let sharded_remove () =
   remove "0123";
   Alcotest.(check (list string)) "one left" [ "e102" ] (sd_keys vfs)
 
+(* --- install-path gates -------------------------------------------- *)
+
+module Universe = Ospack_repo.Universe
+module Buildcache = Ospack_store.Buildcache
+module Json = Ospack_json.Json
+
+let universe_cctx =
+  Concretizer.make_ctx ~config:Universe.default_config
+    ~compilers:Universe.compilers (Universe.repository ())
+
+let universe_concretize spec =
+  match Concretizer.concretize_string universe_cctx spec with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "concretize %s: %s" spec e
+
+(* One fixed scenario, every filesystem operation counted: mpileaks at
+   -j4 into a fresh root, pushed to a cache, pulled into a second root.
+   The counts are pinned exactly, so a change to how the store walks,
+   writes or renames shows here before it shows in a benchmark. *)
+let install_path_counters () =
+  let vfs = Vfs.create () in
+  let spec = universe_concretize "mpileaks" in
+  let installer ?cache install_root =
+    Installer.create ~vfs ~repo:(Universe.repository ())
+      ~compilers:Universe.compilers ~config:Universe.default_config
+      ~install_root ?cache ()
+  in
+  let install inst =
+    match Installer.install_parallel inst ~jobs:4 [ spec ] with
+    | Ok r when r.Installer.pr_failures = [] -> ()
+    | Ok _ -> Alcotest.fail "install failed"
+    | Error e -> Alcotest.failf "install: %s" e
+  in
+  let counts () =
+    let c = Vfs.counters vfs in
+    [ c.Vfs.stat; c.read; c.write; c.mkdir; c.link; c.unlink; c.readdir;
+      Vfs.write_barriers vfs ]
+  in
+  let src = installer "/r1" in
+  install src;
+  let built = counts () in
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  (match Installer.push_to_cache src cache with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "push: %s" e);
+  let pushed = counts () in
+  install (installer ~cache "/r2");
+  let pulled = counts () in
+  (* stat, read, write, mkdir, link, unlink, readdir, barriers *)
+  let check what want got = Alcotest.(check (list int)) what want got in
+  check "after the -j4 build" [ 518; 0; 105; 64; 0; 14; 0; 105 ] built;
+  check "after the push" [ 979; 56; 119; 72; 0; 21; 0; 119 ] pushed;
+  check "after the pull" [ 1621; 63; 203; 120; 0; 35; 0; 203 ] pulled
+
+(* A subspec collects its closure by a walk over [deps] and builds its
+   DAG lazily: for every node of six universe roots it must agree with
+   the parent DAG's [Dag.subgraph] in nodes, DAG, install order and
+   hashes. *)
+let subspec_matches_subgraph () =
+  List.iter
+    (fun root ->
+      let spec = universe_concretize root in
+      let dag = Concrete.to_dag spec in
+      List.iter
+        (fun (n : Concrete.node) ->
+          let name = n.Concrete.name in
+          let sub = Concrete.subspec spec name in
+          let what s = Printf.sprintf "%s/%s: %s" root name s in
+          let reach = Ospack_dag.Dag.subgraph dag name in
+          Alcotest.(check (list string)) (what "nodes")
+            (Ospack_dag.Dag.nodes reach)
+            (List.map (fun (m : Concrete.node) -> m.Concrete.name)
+               (Concrete.nodes sub));
+          Alcotest.(check bool) (what "to_dag") true
+            (Ospack_dag.Dag.equal reach (Concrete.to_dag sub));
+          Alcotest.(check (list string)) (what "topological order")
+            (match Ospack_dag.Dag.topological_sort reach with
+            | Ok order -> order
+            | Error _ -> Alcotest.fail "cyclic subgraph")
+            (Concrete.topological_order sub);
+          List.iter
+            (fun m ->
+              Alcotest.(check string) (what ("dag_hash " ^ m))
+                (Concrete.dag_hash spec m) (Concrete.dag_hash sub m))
+            (Ospack_dag.Dag.nodes reach))
+        (Concrete.nodes spec))
+    [ "mpileaks"; "dyninst"; "gerris"; "ares"; "py-numpy"; "hdf5" ]
+
+(* The record file [save_index] writes is the format-3 wrapper of
+   [record_to_json] and a newline, byte for byte, whether the record was
+   built, pulled, taken from an external or registered by a splice:
+   records whose spec bytes were rendered at install time splice them
+   in, the others render the spec here. *)
+let record_bytes_pinned () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let expect (inst : Installer.t) what (r : Database.record) =
+    let path =
+      Sharded_dir.path
+        ~root:(Installer.install_root inst ^ "/.spack-db/index")
+        r.Database.r_hash
+    in
+    match Vfs.read_file (Installer.vfs inst) path with
+    | Ok bytes ->
+        Alcotest.(check string) (what ^ " record " ^ path)
+          (Json.to_string
+             (Json.Obj
+                [ ("format", Json.Int 3);
+                  ("record", Database.record_to_json r) ])
+          ^ "\n")
+          bytes
+    | Error e -> Alcotest.failf "%s: %s" path (Vfs.error_to_string e)
+  in
+  let all inst = Database.all (Installer.database inst) in
+  (* built and external: mpileaks over a vendor mpich *)
+  let vfs = Vfs.create () in
+  let config =
+    Ospack_config.Config.of_assoc
+      [ ("externals.mpich", "mpich@3.0.4 | /opt/vendor/mpich-3.0.4") ]
+  in
+  let inst = Installer.create ~config ~vfs ~repo ~compilers () in
+  ignore (install inst "mpileaks ^mpich");
+  let records = all inst in
+  Alcotest.(check bool) "an external record" true
+    (List.exists (fun r -> r.Database.r_external) records);
+  List.iter
+    (fun r ->
+      expect inst (if r.Database.r_external then "external" else "built") r)
+    records;
+  (* pulled: the built store pushed, then pulled into another root *)
+  let cache = Buildcache.create vfs ~root:"/cache" in
+  (match Installer.push_to_cache inst cache with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "push: %s" e);
+  let pull = Installer.create ~vfs ~repo ~compilers ~install_root:"/r2" ~cache () in
+  let pulled = install pull "mpileaks ^openmpi" in
+  Alcotest.(check bool) "pulled records" true
+    (List.exists (fun o -> o.Installer.o_cached) pulled);
+  List.iter (expect pull "pulled") (all pull);
+  (* spliced: the new root and the alias records it registers *)
+  let ctx = Context.create ~cache_root:"/cache" () in
+  (match Commands.install ctx "dyninst" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "install dyninst: %s" e);
+  match Commands.splice ctx "dyninst" ~replace:"libelf@0.8.12" with
+  | Ok sp ->
+      let inst = ctx.Context.installer in
+      List.iter (expect inst "spliced") (all inst);
+      Alcotest.(check bool) "the spliced record is indexed" true
+        (Database.find_by_hash (Installer.database inst)
+           sp.Installer.sp_new_hash
+        <> None)
+  | Error e -> Alcotest.failf "splice: %s" e
+
 let () =
   Alcotest.run "store"
     [
@@ -893,5 +1047,14 @@ let () =
             cache_accounting;
           Alcotest.test_case "staging failures counted typed" `Quick
             staging_failure_accounting;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "filesystem counts pinned (build, push, pull)"
+            `Quick install_path_counters;
+          Alcotest.test_case "subspec = Dag.subgraph" `Quick
+            subspec_matches_subgraph;
+          Alcotest.test_case "record files = record_to_json" `Quick
+            record_bytes_pinned;
         ] );
     ]

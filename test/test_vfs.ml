@@ -341,7 +341,8 @@ let write_read_consistent =
 
 (* The reference filesystem: the same tree and the same operations, but
    every path step re-normalizes the whole accumulated path with the
-   plain algorithm (no canonical fast path). The kernels must match it in
+   plain algorithm (no canonical fast path) and every walk starts at the
+   root (no directory cache). The kernels must match it in
    results, error payloads, counters and barriers. *)
 module Ref = struct
   type node = F of string ref | D of (string, node) Hashtbl.t | L of string
@@ -406,8 +407,8 @@ module Ref = struct
   let lookup_node fs ~follow_last path =
     Result.map (fun (p, n, _) -> (p, n)) (lookup fs ~follow_last ~hops:40 path)
 
-  (* every modelled op creates missing parents *)
-  let parent_dir fs path =
+  (* missing parents are created unless [create] is false *)
+  let parent_dir ?(create = true) fs path =
     match List.rev (Vpath.split (normalize path)) with
     | [] -> Error (Vfs.Is_a_directory "/")
     | name :: rev_parents ->
@@ -424,6 +425,7 @@ module Ref = struct
                   | Ok _ -> Error (Vfs.Not_a_directory here)
                   | Error e -> Error e)
               | Some (F _) -> Error (Vfs.Not_a_directory here)
+              | None when not create -> Error (Vfs.Not_found here)
               | None ->
                   fs.c.mkdir <- fs.c.mkdir + 1;
                   let d = Hashtbl.create 8 in
@@ -490,6 +492,50 @@ module Ref = struct
   let resolve fs path =
     Result.map (fun (p, _, _) -> p) (lookup fs ~follow_last:true ~hops:40 path)
 
+  let kind_of fs path =
+    match lookup_node fs ~follow_last:false path with
+    | Ok (_, F _) -> Some Vfs.File
+    | Ok (_, D _) -> Some Vfs.Dir
+    | Ok (_, L _) -> Some Vfs.Symlink
+    | Error _ -> None
+
+  let is_file fs path =
+    match lookup_node fs ~follow_last:true path with
+    | Ok (_, F _) -> true
+    | _ -> false
+
+  let remove fs ~recursive path =
+    let* dir, name = parent_dir ~create:false fs path in
+    fs.c.unlink <- fs.c.unlink + 1;
+    match Hashtbl.find_opt dir name with
+    | None -> Error (Vfs.Not_found (normalize path))
+    | Some (D d) when Hashtbl.length d > 0 && not recursive ->
+        Error (Vfs.Already_exists (normalize path))
+    | Some _ ->
+        Hashtbl.remove dir name;
+        Ok ()
+
+  let rename fs ~src ~dst =
+    fs.barriers <- fs.barriers + 1;
+    let* sdir, sname = parent_dir ~create:false fs src in
+    match Hashtbl.find_opt sdir sname with
+    | None -> Error (Vfs.Not_found (normalize src))
+    | Some node ->
+        let* ddir, dname = parent_dir fs dst in
+        let* () =
+          match (Hashtbl.find_opt ddir dname, node) with
+          | None, _ -> Ok ()
+          | Some (D d), D _ when Hashtbl.length d = 0 -> Ok ()
+          | Some (D _), _ -> Error (Vfs.Is_a_directory (normalize dst))
+          | Some _, D _ -> Error (Vfs.Not_a_directory (normalize dst))
+          | Some _, _ -> Ok ()
+        in
+        fs.c.write <- fs.c.write + 1;
+        fs.c.unlink <- fs.c.unlink + 1;
+        Hashtbl.remove sdir sname;
+        Hashtbl.replace ddir dname node;
+        Ok ()
+
   let walk fs path =
     let rec go acc dir_path d =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) d []
@@ -549,6 +595,10 @@ type op =
   | Read of string
   | Resolve of string
   | Walk of string
+  | Remove of string * bool  (** path, recursive *)
+  | Rename of string * string  (** src, dst *)
+  | Kind_of of string
+  | Is_file of string
 
 let show_op = function
   | Mkdir p -> Printf.sprintf "mkdir %S" p
@@ -557,6 +607,11 @@ let show_op = function
   | Read p -> Printf.sprintf "read %S" p
   | Resolve p -> Printf.sprintf "resolve %S" p
   | Walk p -> Printf.sprintf "walk %S" p
+  | Remove (p, recursive) ->
+      Printf.sprintf "remove%s %S" (if recursive then " -r" else "") p
+  | Rename (s, d) -> Printf.sprintf "rename %S -> %S" s d
+  | Kind_of p -> Printf.sprintf "kind_of %S" p
+  | Is_file p -> Printf.sprintf "is_file %S" p
 
 let arb_script =
   let open QCheck.Gen in
@@ -574,6 +629,10 @@ let arb_script =
         (3, map (fun p -> Read p) path);
         (1, map (fun p -> Resolve p) path);
         (1, map (fun p -> Walk p) path);
+        (2, map2 (fun p r -> Remove (p, r)) path bool);
+        (2, map2 (fun s d -> Rename (s, d)) path path);
+        (1, map (fun p -> Kind_of p) path);
+        (1, map (fun p -> Is_file p) path);
       ]
   in
   QCheck.make
@@ -584,6 +643,8 @@ type outcome =
   | Unit of (unit, Vfs.error) result
   | Text of (string, Vfs.error) result
   | Walked of (string * Vfs.kind) list
+  | Kind of Vfs.kind option
+  | Flag of bool
 
 let walk_matches_reference =
   QCheck.Test.make ~name:"path walks = reference (results, errors, counters)"
@@ -602,6 +663,13 @@ let walk_matches_reference =
             | Read p -> (Text (Vfs.read_file fs p), Text (Ref.read_file r p))
             | Resolve p -> (Text (Vfs.resolve fs p), Text (Ref.resolve r p))
             | Walk p -> (Walked (Vfs.walk fs p), Walked (Ref.walk r p))
+            | Remove (p, recursive) ->
+                ( Unit (Vfs.remove fs ~recursive p),
+                  Unit (Ref.remove r ~recursive p) )
+            | Rename (src, dst) ->
+                (Unit (Vfs.rename fs ~src ~dst), Unit (Ref.rename r ~src ~dst))
+            | Kind_of p -> (Kind (Vfs.kind_of fs p), Kind (Ref.kind_of r p))
+            | Is_file p -> (Flag (Vfs.is_file fs p), Flag (Ref.is_file r p))
           in
           got = want
           && Vfs.counters fs = r.Ref.c
