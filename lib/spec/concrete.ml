@@ -266,6 +266,10 @@ let to_json t =
       ("nodes", Json.List (List.map node_to_json (nodes t)));
     ]
 
+type rendered = { spec : t; json : string }
+
+let render spec = { spec; json = Json.to_string (to_json spec) }
+
 let ( let* ) = Result.bind
 
 let field what o key access =

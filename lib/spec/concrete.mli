@@ -130,6 +130,14 @@ val to_json : t -> Ospack_json.Json.t
     the analogue of the spec file Spack stores for provenance (§3.4.3).
     {!of_json} inverts it exactly, independent of package-file drift. *)
 
+type rendered = private { spec : t; json : string }
+(** A spec with its compact JSON, [Json.to_string (to_json spec)]. Only
+    {!render} makes one, so the two always agree: a writer or check that
+    needs both takes one [rendered] instead of a pair that could name
+    different DAGs. *)
+
+val render : t -> rendered
+
 val of_json : Ospack_json.Json.t -> (t, string) result
 (** Parse and re-validate a serialized spec. *)
 

@@ -83,10 +83,8 @@ let under ~prefix path =
   && String.sub path 0 plen = prefix
   && (String.length path = plen || path.[plen] = '/')
 
-let spec_bytes spec = Json.to_string (Concrete.to_json spec)
-
 let render_entry ~install_root ~prefix ~spec files =
-  let spec = spec_bytes spec in
+  let spec = (Concrete.render spec).json in
   let header =
     Json.to_string
       (Json.Obj
@@ -489,20 +487,17 @@ let materialize t ~prefix ~reloc_file ~reloc_link files =
   in
   Ok (List.rev rev_payload)
 
-let extract ?spec_json t ~spec ~install_root ~prefix =
-  let hash = Concrete.root_hash spec in
+let extract t ~(spec : Concrete.rendered) ~install_root ~prefix =
+  let hash = Concrete.root_hash spec.spec in
   let* pe = load_entry t ~hash in
   (* the stored spec, byte for byte: cheaper than decoding it, and proof
      that the entry is the DAG being installed rather than merely some DAG *)
-  let spec_json =
-    match spec_json with Some s -> s | None -> spec_bytes spec
-  in
   let* () =
-    if String.equal pe.pe_spec spec_json then Ok ()
+    if String.equal pe.pe_spec spec.json then Ok ()
     else
       corrupt pe.pe_path
         (Printf.sprintf "entry %s holds another spec than %s/%s" hash
-           (Concrete.root spec) hash)
+           (Concrete.root spec.spec) hash)
   in
   let* () = reconcile_prefix t ~prefix pe.pe_files in
   let reloc = relocate ~from_root:pe.pe_install_root ~to_root:install_root in

@@ -100,9 +100,8 @@ val relocate_many : pairs:(string * string) list -> string -> string
     a text with no match is returned as is. *)
 
 val extract :
-  ?spec_json:string ->
   t ->
-  spec:Ospack_spec.Concrete.t ->
+  spec:Ospack_spec.Concrete.rendered ->
   install_root:string ->
   prefix:string ->
   ((string * string) list, error) result
@@ -118,9 +117,8 @@ val extract :
 
     The entry is refused ([Cache_corrupt]) unless its stored spec bytes
     equal [spec]'s compact rendering — proof that it holds the DAG being
-    installed, at the cost of a byte compare instead of a decode, and of
-    one render unless the caller passes that rendering as [spec_json] —
-    and unless it frames exactly: every record well formed and
+    installed, at the cost of a byte compare instead of a decode — and
+    unless it frames exactly: every record well formed and
     in bounds, exactly [file_count] of them, no trailing bytes. Nothing
     is written before the entry has framed and matched. A pre-existing
     destination holding any path the entry does not list — leftovers

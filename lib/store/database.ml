@@ -69,6 +69,25 @@ let record_tail r =
 let record_to_json r =
   Json.Obj (("spec", Concrete.to_json r.r_spec) :: record_tail r)
 
+(* [{"format":F,"record":<record>}] and a newline. A record renders its
+   spec first, so the spec's bytes follow the head directly and the
+   rendering of the other fields follows them, its '{' dropped. *)
+let record_file ~format ?spec r =
+  let spec =
+    match spec with
+    | Some (s : Concrete.rendered) when s.spec == r.r_spec -> s.json
+    | _ -> (Concrete.render r.r_spec).json
+  in
+  let tail = Json.to_string (Json.Obj (record_tail r)) in
+  String.concat ""
+    [
+      Printf.sprintf {|{"format":%d,"record":{"spec":|} format;
+      spec;
+      ",";
+      String.sub tail 1 (String.length tail - 1);
+      "}\n";
+    ]
+
 let to_json t =
   Json.Obj
     [

@@ -57,12 +57,15 @@ val to_json : t -> Ospack_json.Json.t
 
 val record_to_json : record -> Ospack_json.Json.t
 (** One record in the same shape {!to_json} uses — the unit the sharded
-    index persists, one file per record. Its first field is ["spec"],
-    followed by {!record_tail}. *)
+    index persists, one file per record. *)
 
-val record_tail : record -> (string * Ospack_json.Json.t) list
-(** The fields of {!record_to_json} after the leading ["spec"]: what a
-    writer that already holds the spec's rendering renders besides. *)
+val record_file :
+  format:int -> ?spec:Ospack_spec.Concrete.rendered -> record -> string
+(** A record file: the compact rendering of
+    [{"format":format,"record":record_to_json r}] and a newline, byte for
+    byte. When [spec] was rendered from [r]'s own spec value (the same
+    value, not merely an equal one), its bytes are used instead of
+    rendering the spec again. *)
 
 val record_of_json : Ospack_json.Json.t -> (record, string) result
 (** Inverse of {!record_to_json}. *)

@@ -43,10 +43,10 @@ type t = {
           [save_index] — the only files a save writes or removes *)
   mutable index_bytes : int;
       (** cumulative bytes of index persistence (record files) *)
-  rendered : (string, string) Hashtbl.t;
-      (** hash -> the compact spec JSON [install_node] rendered for a
-          record not yet saved, which [save_index] splices in instead
-          of rendering the spec again *)
+  rendered : (string, Concrete.rendered) Hashtbl.t;
+      (** hash -> the spec rendering [install_node] made for a record
+          not yet saved, which [save_index] reuses instead of rendering
+          the spec again *)
 }
 
 type outcome = {
@@ -141,39 +141,12 @@ let record_format = 3
 
 let mark_dirty t hash = t.dirty <- SSet.add hash t.dirty
 
-let add_record ?spec_json t record =
+let add_record ?spec t record =
   Database.add t.db record;
-  Option.iter (Hashtbl.replace t.rendered record.Database.r_hash) spec_json;
+  Option.iter (Hashtbl.replace t.rendered record.Database.r_hash) spec;
   mark_dirty t record.Database.r_hash
 
 let index_bytes_written t = t.index_bytes
-
-(* [{"format":3,"record":<record>}] and a newline. A record renders its
-   spec first, so a spec already rendered is spliced in after this head
-   and ahead of the rendering of the other fields, whose '{' it
-   replaces. *)
-let record_head = Printf.sprintf {|{"format":%d,"record":{"spec":|} record_format
-
-let record_content ?spec_json record =
-  match spec_json with
-  | None ->
-      Json.to_string
-        (Json.Obj
-           [
-             ("format", Json.Int record_format);
-             ("record", Database.record_to_json record);
-           ])
-      ^ "\n"
-  | Some spec ->
-      let tail = Json.to_string (Json.Obj (Database.record_tail record)) in
-      String.concat ""
-        [
-          record_head;
-          spec;
-          ",";
-          String.sub tail 1 (String.length tail - 1);
-          "}\n";
-        ]
 
 let save_index t =
   let root = index_dir t in
@@ -181,7 +154,8 @@ let save_index t =
     match Database.find_by_hash t.db hash with
     | Some r -> (
         let content =
-          record_content ?spec_json:(Hashtbl.find_opt t.rendered hash) r
+          Database.record_file ~format:record_format
+            ?spec:(Hashtbl.find_opt t.rendered hash) r
         in
         match Sharded_dir.write t.vfs ~root hash content with
         | Error (se_action, se_path, se_cause) ->
@@ -409,10 +383,10 @@ let install_node t spec name ~explicit =
       Obs.count t.obs "buildcache.hits" 1;
       let prefix = prefix_of t spec name in
       let* () = write_pending t ~hash ~prefix in
-      let spec_json = Json.to_string (Concrete.to_json sub) in
+      let rendered = Concrete.render sub in
       match
-        Buildcache.extract ~spec_json cache ~spec:sub
-          ~install_root:t.install_root ~prefix
+        Buildcache.extract cache ~spec:rendered ~install_root:t.install_root
+          ~prefix
       with
       | Error e ->
           discard_partial t ~hash ~prefix;
@@ -441,7 +415,7 @@ let install_node t spec name ~explicit =
                   r_build_seconds = 0.0;
                 }
               in
-              add_record ~spec_json t record;
+              add_record ~spec:rendered t record;
               Ok
                 {
                   o_record = record;
@@ -487,7 +461,7 @@ let install_node t spec name ~explicit =
              ~mirror:t.mirror ~stage_root:t.stage_root ~spec:sub ~node:name
              ~pkg ~prefix ~dep_prefix ())
       in
-      let spec_json = Json.to_string (Concrete.to_json sub) in
+      let rendered = Concrete.render sub in
       let* () =
         Result.map_error
           (fun e ->
@@ -495,7 +469,7 @@ let install_node t spec name ~explicit =
             Install_failure
               (Printf.sprintf "provenance %s: %s" name (Vfs.error_to_string e)))
           (let* () =
-             Provenance.write t.vfs ~prefix ~spec:sub ~spec_json
+             Provenance.write t.vfs ~prefix ~spec:rendered
                ~package_source:pkg.Package.p_source ~log:result.Builder.br_log
            in
            (* the builder hands over what it wrote: manifest those
@@ -517,7 +491,7 @@ let install_node t spec name ~explicit =
           r_build_seconds = result.Builder.br_time;
         }
       in
-      add_record ~spec_json t record;
+      add_record ~spec:rendered t record;
       t.st.st_built <- t.st.st_built + 1;
       Obs.count t.obs "install.built" 1;
       Obs.observe t.obs "build.node_seconds" result.Builder.br_time;

@@ -5,12 +5,12 @@ let dir = ".spack"
 
 let ( let* ) = Result.bind
 
-let write vfs ~prefix ~spec ~spec_json ~package_source ~log =
+let write vfs ~prefix ~(spec : Concrete.rendered) ~package_source ~log =
   let base = prefix ^ "/" ^ dir in
   let* () =
-    Vfs.write_file vfs (base ^ "/spec") (Concrete.to_string spec ^ "\n")
+    Vfs.write_file vfs (base ^ "/spec") (Concrete.to_string spec.spec ^ "\n")
   in
-  let* () = Vfs.write_file vfs (base ^ "/spec.json") (spec_json ^ "\n") in
+  let* () = Vfs.write_file vfs (base ^ "/spec.json") (spec.json ^ "\n") in
   let* () =
     Vfs.write_file vfs (base ^ "/build.log") (String.concat "\n" log ^ "\n")
   in

@@ -12,14 +12,12 @@ val dir : string
 val write :
   Ospack_vfs.Vfs.t ->
   prefix:string ->
-  spec:Ospack_spec.Concrete.t ->
-  spec_json:string ->
+  spec:Ospack_spec.Concrete.rendered ->
   package_source:string ->
   log:string list ->
   (unit, Ospack_vfs.Vfs.error) result
 (** Write [<prefix>/.spack/spec] (one-line form), [<prefix>/.spack/spec.json]
-    (the full structured DAG: [spec_json], which must be the compact
-    rendering of [spec]'s {!Ospack_spec.Concrete.to_json}, and a newline),
+    (the full structured DAG: [spec]'s compact rendering and a newline),
     [<prefix>/.spack/build.log] and
     [<prefix>/.spack/package.source]. Stops at (and returns) the first
     failing write — never raises. *)

@@ -47,8 +47,6 @@ type fault_plan = {
 
 type t = {
   root : (string, node) Hashtbl.t;
-  dirs : (string, (string, node) Hashtbl.t * int) Hashtbl.t;
-      (* the directory cache: see [cache_dir] *)
   c : counters;
   mutable barriers : int;
   mutable plan : fault_plan option;
@@ -57,7 +55,6 @@ type t = {
 let create () =
   {
     root = Hashtbl.create 16;
-    dirs = Hashtbl.create 64;
     c =
       { stat = 0; read = 0; write = 0; mkdir = 0; link = 0; unlink = 0;
         readdir = 0 };
@@ -112,28 +109,6 @@ let reset_counters fs =
 
 let max_hops = 40
 
-(* The directory cache: the canonical path of a directory that a walk
-   reached without crossing a symlink -> its table and the number of
-   components of that path, which are exactly the [stat]s a walk from the
-   root spends to reach it. Bounded (emptied when full) and emptied
-   whenever a directory leaves its path ([remove], [rename]), so an entry
-   always names the live table at its path. *)
-let dir_cache_limit = 64
-
-let cache_dir fs key d depth =
-  if Hashtbl.length fs.dirs >= dir_cache_limit then Hashtbl.reset fs.dirs;
-  Hashtbl.replace fs.dirs key (d, depth)
-
-let forget_dirs fs = if Hashtbl.length fs.dirs > 0 then Hashtbl.reset fs.dirs
-
-(* The cached table of the directory holding a normalized path's last
-   component, which starts after [last]; the root is never cached. *)
-let cached_parent fs p last =
-  if last = 0 then ("", None)
-  else
-    let key = String.sub p 0 last in
-    (key, Hashtbl.find_opt fs.dirs key)
-
 let ( let* ) = Result.bind
 
 (* The end of the component starting at [i] of a normalized path. *)
@@ -148,25 +123,19 @@ let component_end p i =
    symlink restarts on the normalized target path, so the path a walk
    ends on is canonical: it is returned with the node, and slices of it
    name errors. [hops] bounds total symlink traversals across the whole
-   resolution. A walk starts at the cached directory holding the last
-   component when there is one, after charging the [stat]s a walk from
-   the root spends to reach it. *)
+   resolution. *)
 let rec lookup fs ~follow_last ~hops path =
   let p = Vpath.normalize path in
   let n = String.length p in
-  let last = String.rindex p '/' in
-  let key, cached = cached_parent fs p last in
   (* [dir] is visited, and the component at [i] is looked up in it *)
-  let rec step dir i depth =
+  let rec step dir i =
     fs.c.stat <- fs.c.stat + 1;
     if i >= n then Ok (p, Ndir dir, hops)
     else
       let j = component_end p i in
       match Hashtbl.find_opt dir (String.sub p i (j - i)) with
       | None -> Error (Not_found (String.sub p 0 j))
-      | Some (Ndir d) ->
-          if j = last then cache_dir fs key d (depth + 1);
-          step d (j + 1) (depth + 1)
+      | Some (Ndir d) -> step d (j + 1)
       | Some (Nfile _ as node) when j = n -> Ok (p, node, hops)
       | Some (Nfile _) -> Error (Not_a_directory (String.sub p 0 j))
       | Some (Nlink target as node) ->
@@ -184,11 +153,7 @@ let rec lookup fs ~follow_last ~hops path =
             in
             lookup fs ~follow_last ~hops:(hops - 1) full
   in
-  match cached with
-  | Some (d, depth) ->
-      fs.c.stat <- fs.c.stat + depth;
-      step d (last + 1) depth
-  | None -> step fs.root 1 0
+  step fs.root 1
 
 let lookup_node fs ~follow_last path =
   match lookup fs ~follow_last ~hops:max_hops path with
@@ -196,8 +161,7 @@ let lookup_node fs ~follow_last path =
   | Error e -> Error e
 
 (* Find (or create, with [create_missing]) the parent directory table of a
-   path; returns the parent table and the final component name. A parent
-   reached without crossing a symlink is cached. *)
+   path; returns the parent table and the final component name. *)
 let parent_dir fs ~create_missing path =
   let p = Vpath.normalize path in
   let n = String.length p in
@@ -205,25 +169,20 @@ let parent_dir fs ~create_missing path =
   else
     let last = String.rindex p '/' in
     let name = String.sub p (last + 1) (n - last - 1) in
-    let key, cached = cached_parent fs p last in
-    (* the component at [i] is looked up in [dir]; [direct] until a
-       symlink is crossed *)
-    let rec descend dir i depth direct =
-      if i > last then begin
-        if direct && last > 0 then cache_dir fs key dir depth;
-        Ok (dir, name)
-      end
+    (* the component at [i] is looked up in [dir] *)
+    let rec descend dir i =
+      if i > last then Ok (dir, name)
       else begin
         fs.c.stat <- fs.c.stat + 1;
         let j = component_end p i in
         let c = String.sub p i (j - i) in
         match Hashtbl.find_opt dir c with
-        | Some (Ndir d) -> descend d (j + 1) (depth + 1) direct
+        | Some (Ndir d) -> descend d (j + 1)
         | Some (Nlink _) -> (
             (* resolve the link, then continue from there *)
             let here = String.sub p 0 j in
             match lookup_node fs ~follow_last:true here with
-            | Ok (_, Ndir d) -> descend d (j + 1) (depth + 1) false
+            | Ok (_, Ndir d) -> descend d (j + 1)
             | Ok _ -> Error (Not_a_directory here)
             | Error e -> Error e)
         | Some (Nfile _) -> Error (Not_a_directory (String.sub p 0 j))
@@ -232,16 +191,12 @@ let parent_dir fs ~create_missing path =
               fs.c.mkdir <- fs.c.mkdir + 1;
               let d = Hashtbl.create 8 in
               Hashtbl.replace dir c (Ndir d);
-              descend d (j + 1) (depth + 1) direct
+              descend d (j + 1)
             end
             else Error (Not_found (String.sub p 0 j))
       end
     in
-    match cached with
-    | Some (d, depth) ->
-        fs.c.stat <- fs.c.stat + depth;
-        Ok (d, name)
-    | None -> descend fs.root 1 0 true
+    descend fs.root 1
 
 let mkdir_p fs path =
   let* () = check_crashed fs ~op:"mkdir" ~path in
@@ -391,9 +346,6 @@ let rename fs ~src ~dst =
             | Ndir _ -> Error (Not_a_directory (Vpath.normalize dst))
             | _ -> Ok ())
       in
-      (* a directory moved (only a directory replaces one) leaves every
-         cached path under it *)
-      (match node with Ndir _ -> forget_dirs fs | Nfile _ | Nlink _ -> ());
       fs.c.write <- fs.c.write + 1;
       fs.c.unlink <- fs.c.unlink + 1;
       Hashtbl.remove sdir sname;
@@ -417,8 +369,7 @@ let remove fs ?(recursive = false) path =
   | None -> Error (Not_found (Vpath.normalize path))
   | Some (Ndir d) when Hashtbl.length d > 0 && not recursive ->
       Error (Already_exists (Vpath.normalize path))
-  | Some node ->
-      (match node with Ndir _ -> forget_dirs fs | Nfile _ | Nlink _ -> ());
+  | Some _ ->
       Hashtbl.remove dir name;
       Ok ()
 

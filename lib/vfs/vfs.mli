@@ -9,19 +9,7 @@
     All paths are absolute; they are normalized with {!Vpath.normalize}
     on entry. Symlink targets may be absolute or relative to the link's
     directory. Lookups follow symlinks in intermediate components;
-    final-component behaviour is documented per function.
-
-    {b Directory cache.} A walk reads the normalized path in place, one
-    component slice at a time. A small cache (at most 64 entries, emptied
-    when full) maps the canonical path of a directory that a walk reached
-    without crossing a symlink to that directory; the directory holding a
-    path's last component is looked up there first. A hit charges
-    [stat] exactly what the walk from the root it saves would have, so
-    {!counters} and {!write_barriers} do not depend on the cache. It is
-    emptied whenever a directory leaves its path: a directory removed
-    ({!remove}), and a directory renamed, which includes one renamed
-    over an empty directory ({!rename}). There is no option to turn it
-    off, and nothing outside this module sees it. *)
+    final-component behaviour is documented per function. *)
 
 type t
 
@@ -42,9 +30,7 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 type counters = {
-  mutable stat : int;
-      (** path components traversed, counted as for a walk from the root
-          even where the directory cache skips it *)
+  mutable stat : int;  (** path components traversed *)
   mutable read : int;
   mutable write : int;
   mutable mkdir : int;

@@ -83,7 +83,7 @@ let save_crash_torture () =
       if not (Buildcache.has cache ~hash) then Ok ()
       else
         match
-          Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/chk/pkg"
+          Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r1" ~prefix:"/chk/pkg"
         with
         | Ok _ when Vfs.is_file vfs "/chk/pkg/bin/tool" -> Ok ()
         | Ok _ -> Error "surviving entry extracted without its files"
@@ -109,7 +109,7 @@ let save_crash_torture () =
     (* a rerun of the same save repairs the cache completely *)
     let* () = Result.map_error (( ^ ) "re-save: ") (save cache) in
     match
-      Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/out/pkg"
+      Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix:"/out/pkg"
     with
     | Error e ->
         Error ("re-save did not repair: " ^ Buildcache.error_to_string e)
@@ -141,7 +141,7 @@ let transient_classification () =
       Alcotest.(check bool) "injected fault classified transient" true
         (Buildcache.transient e));
   Vfs.clear_fault_plan vfs;
-  match Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/d" with
+  match Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r1" ~prefix:"/d" with
   | Ok _ -> Alcotest.fail "missing entry extracted"
   | Error e ->
       Alcotest.(check bool) "a miss is not transient" false
@@ -289,7 +289,7 @@ let extract_clears_orphans () =
   save_exn cache ~install_root:"/r1" (record new_spec "/r1/new");
   let extract spec =
     match
-      Buildcache.extract cache ~spec ~install_root:"/r1" ~prefix:"/dest/pkg"
+      Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r1" ~prefix:"/dest/pkg"
     with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "extract: %s" (Buildcache.error_to_string e)
@@ -369,7 +369,7 @@ let escaping_paths_refused () =
       in
       ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) entry);
       (match
-         Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg"
+         Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix:"/dest/pkg"
        with
       | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
           Alcotest.(check bool) ("refused: " ^ rel) true
@@ -403,7 +403,7 @@ let countless_entries_refused () =
   | Ok _ -> Alcotest.fail "an entry without file_count must not load"
   | Error e -> Alcotest.failf "wrong error: %s" (Buildcache.error_to_string e));
   (match
-     Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg"
+     Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix:"/dest/pkg"
    with
   | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
       Alcotest.(check string) "reason" "entry missing file_count" co_reason
@@ -501,7 +501,7 @@ let damage_entries =
        Array.map
          (fun (spec, _, bytes) ->
            let prefix = "/clean/" ^ Concrete.root_hash spec in
-           match Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix with
+           match Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix with
            | Ok payload -> (framing bytes, payload)
            | Error e ->
                Alcotest.failf "clean extract: %s" (Buildcache.error_to_string e))
@@ -547,7 +547,7 @@ let damaged_entries_refused =
       ok "damage" (Vfs.write_file vfs path damaged);
       let dest = "/dest/pkg" in
       let result =
-        try Ok (Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:dest)
+        try Ok (Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix:dest)
         with exn -> Error (Printexc.to_string exn)
       in
       let wrote = Vfs.exists vfs dest in
@@ -593,7 +593,7 @@ let format1_refused () =
   let hash = Concrete.root_hash spec in
   ok "write"
     (Vfs.write_file vfs (Buildcache.entry_path cache hash) (Json.to_string entry));
-  (match Buildcache.extract cache ~spec ~install_root:"/r2" ~prefix:"/dest/pkg" with
+  (match Buildcache.extract cache ~spec:(Concrete.render spec) ~install_root:"/r2" ~prefix:"/dest/pkg" with
   | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
       Alcotest.(check string) "reason" "unsupported format 1" co_reason
   | Ok _ -> Alcotest.fail "a format-1 entry must not extract"
@@ -622,7 +622,7 @@ let foreign_spec_refused () =
   in
   let hash = Concrete.root_hash wanted in
   ok "write" (Vfs.write_file vfs (Buildcache.entry_path cache hash) bytes);
-  (match Buildcache.extract cache ~spec:wanted ~install_root:"/r2" ~prefix:"/dest/pkg" with
+  (match Buildcache.extract cache ~spec:(Concrete.render wanted) ~install_root:"/r2" ~prefix:"/dest/pkg" with
   | Error (Buildcache.Cache_corrupt { co_reason; _ }) ->
       Alcotest.(check bool) "mismatch named" true
         (Astring.String.is_infix ~affix:"holds another spec" co_reason)

@@ -497,7 +497,8 @@ let buildcache_stale_links_and_dirs () =
       Alcotest.failf "save: %s" (Ospack_store.Buildcache.error_to_string e));
   let extract root =
     match
-      Ospack_store.Buildcache.extract cache ~spec ~install_root:root
+      Ospack_store.Buildcache.extract cache ~spec:(Concrete.render spec)
+        ~install_root:root
         ~prefix:"/dest/pkg"
     with
     | Ok _ -> ()
@@ -560,7 +561,8 @@ let buildcache_truncated_rejected () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "write entry: %s" (Vfs.error_to_string e));
   match
-    Ospack_store.Buildcache.extract cache ~spec ~install_root:"/r2"
+    Ospack_store.Buildcache.extract cache ~spec:(Concrete.render spec)
+      ~install_root:"/r2"
       ~prefix:"/dest/pkg"
   with
   | Ok _ -> Alcotest.fail "truncated entry must not extract"

@@ -341,8 +341,7 @@ let write_read_consistent =
 
 (* The reference filesystem: the same tree and the same operations, but
    every path step re-normalizes the whole accumulated path with the
-   plain algorithm (no canonical fast path) and every walk starts at the
-   root (no directory cache). The kernels must match it in
+   plain algorithm (no canonical fast path). The kernels must match it in
    results, error payloads, counters and barriers. *)
 module Ref = struct
   type node = F of string ref | D of (string, node) Hashtbl.t | L of string
