@@ -461,7 +461,32 @@ let explain_decisions () =
       Alcotest.(check bool) "no spurious single-candidate entries" true
         (List.for_all
            (fun d -> not (Astring.String.is_infix ~affix:"of 1 candidates" d))
-           decisions)
+           decisions);
+      (* the exact lines, in the order the decisions were taken *)
+      let lines spec =
+        match Concretizer.concretize_explain ctx (Parser.parse_exn spec) with
+        | Ok (_, lines) -> lines
+        | Error e -> Alcotest.failf "%s: %s" spec (Cerror.to_string e)
+      in
+      Alcotest.(check (list string)) "mpileaks"
+        [
+          "virtual mpi -> mpich (1 of 3 candidates)";
+          "version of mpileaks -> 1.1 (1 of 2 candidates)";
+          "version of callpath -> 1.1 (1 of 3 candidates)";
+          "version of dyninst -> 8.2 (1 of 2 candidates)";
+          "version of libelf -> 0.8.13 (1 of 2 candidates)";
+        ]
+        (lines "mpileaks");
+      Alcotest.(check (list string)) "mpileaks %intel ^openmpi"
+        [
+          "virtual mpi -> openmpi (1 of 3 candidates)";
+          "version of mpileaks -> 1.1 (1 of 2 candidates)";
+          "version of openmpi -> 1.8.2 (1 of 2 candidates)";
+          "version of callpath -> 1.1 (1 of 3 candidates)";
+          "version of dyninst -> 8.2 (1 of 2 candidates)";
+          "version of libelf -> 0.8.13 (1 of 2 candidates)";
+        ]
+        (lines "mpileaks %intel ^openmpi")
 
 (* the core soundness property: a successful concretization satisfies the
    abstract spec it came from *)
@@ -515,6 +540,22 @@ let satisfies_input_property =
 let universe_ctx () =
   Concretizer.make_ctx ~config:Universe.default_config
     ~compilers:Universe.compilers (Universe.repository ())
+
+(* §4.5: the greedy backend's failure core is its decision path up to
+   the dead end, then the blocking error *)
+let greedy_blocked_path () =
+  let module I = Ospack_concretize.Concretizer_intf in
+  let module Backends = Ospack_concretize.Backends in
+  let oc =
+    Backends.solve_full Backends.Greedy (universe_ctx ())
+      (Parser.parse_exn "mpileaks ^mpi+hwloc ^hwloc@1.9")
+  in
+  Alcotest.(check (list string)) "blocked decision path"
+    [
+      "virtual mpi -> mvapich2 (1 of 6 candidates)";
+      "blocked: conflicting version constraints on hwloc: 1.8 vs 1.9";
+    ]
+    oc.I.oc_core
 
 let universe_concretizes () =
   let ctx = universe_ctx () in
@@ -640,6 +681,8 @@ let () =
           Alcotest.test_case "compiler features (§4.5)" `Quick
             compiler_features;
           Alcotest.test_case "decision explanations" `Quick explain_decisions;
+          Alcotest.test_case "greedy blocked path (§4.5)" `Quick
+            greedy_blocked_path;
           QCheck_alcotest.to_alcotest satisfies_input_property;
         ] );
       ( "universe",
