@@ -26,156 +26,135 @@ let greedy_run ?forced (ctx : I.ctx) ast =
   in
   (result, trace, stats)
 
-module Greedy_backend = struct
-  let name = "greedy"
+(* a failed greedy run's conflict chain: the decisions it took, then
+   what blocked it *)
+let blocked_path trace e =
+  List.map Concretizer.explain_decision trace
+  @ [ "blocked: " ^ Cerror.to_string e ]
 
-  let solve_full (ctx : I.ctx) ast =
-    let result, trace, stats = greedy_run ctx ast in
-    let stats = { stats with I.st_decisions = List.length trace } in
-    let core =
-      match result with
-      | Ok _ -> []
-      | Error e ->
-          List.map Concretizer.explain_decision trace
-          @ [ "blocked: " ^ Cerror.to_string e ]
-    in
-    { I.oc_result = result; oc_stats = stats; oc_core = core }
+let greedy (ctx : I.ctx) ast =
+  let result, trace, stats = greedy_run ctx ast in
+  let stats = { stats with I.st_decisions = List.length trace } in
+  let core =
+    match result with Ok _ -> [] | Error e -> blocked_path trace e
+  in
+  { I.oc_result = result; oc_stats = stats; oc_core = core }
 
-  let solve ctx ast = (solve_full ctx ast).I.oc_result
-end
+let max_rounds = 64
 
-module Clause_backend = struct
-  let name = "clauses"
+let solver_stats (s : Solver.stats) =
+  {
+    I.empty_stats with
+    st_decisions = s.Solver.s_decisions;
+    st_propagations = s.Solver.s_propagations;
+    st_conflicts = s.Solver.s_conflicts;
+    st_restarts = s.Solver.s_restarts;
+  }
 
-  let max_rounds = 64
-
-  let solver_stats (s : Solver.stats) =
-    {
-      I.empty_stats with
-      st_decisions = s.Solver.s_decisions;
-      st_propagations = s.Solver.s_propagations;
-      st_conflicts = s.Solver.s_conflicts;
-      st_restarts = s.Solver.s_restarts;
-    }
-
-  (* Deletion-based core minimization over reason groups: drop a whole
-     reason's clauses, re-solve, keep the drop if still UNSAT. Bounded
-     to small cores; the unminimized core is already valid. *)
-  let minimize enc blocking core_ids =
-    let nvars = Clauses.nvars enc in
-    let order = Clauses.order enc in
-    let valid = List.filter (fun o -> o >= 0) core_ids in
-    let groups =
-      List.sort_uniq compare (List.map (Clauses.reason enc) valid)
-    in
-    if List.length groups > 25 then core_ids
-    else begin
-      let removed = Hashtbl.create 8 in
-      let current = ref core_ids in
-      List.iter
-        (fun g ->
-          let cls =
-            List.filter
-              (fun (_, o) ->
-                let r = Clauses.reason enc o in
-                (not (Hashtbl.mem removed r)) && r <> g)
-              (Clauses.clause_list enc)
-            @ blocking
-          in
-          match fst (Solver.solve ~nvars ~clauses:cls ~order ()) with
-          | Solver.Unsat core' ->
-              Hashtbl.add removed g ();
-              current := core'
-          | Solver.Sat _ -> ())
-        groups;
-      !current
-    end
-
-  let solve_full (ctx : I.ctx) ast =
-    (* round 0: pure greedy. When greedy succeeds the two backends agree
-       byte-identically, and that answer is preference-optimal (greedy
-       takes the best-ranked candidate at every decision point). *)
-    let r0, trace0, stats0 = greedy_run ctx ast in
-    match r0 with
-    | Ok c ->
-        {
-          I.oc_result = Ok c;
-          oc_stats = { stats0 with I.st_decisions = List.length trace0 };
-          oc_core = [];
-        }
-    | Error e0 -> (
-        let greedy_core =
-          List.map Concretizer.explain_decision trace0
-          @ [ "blocked: " ^ Cerror.to_string e0 ]
+(* Deletion-based core minimization over reason groups: drop a whole
+   reason's clauses, re-solve, keep the drop if still UNSAT. Bounded
+   to small cores; the unminimized core is already valid. *)
+let minimize enc blocking core_ids =
+  let nvars = Clauses.nvars enc in
+  let order = Clauses.order enc in
+  let valid = List.filter (fun o -> o >= 0) core_ids in
+  let groups = List.sort_uniq compare (List.map (Clauses.reason enc) valid) in
+  if List.length groups > 25 then core_ids
+  else begin
+    let removed = Hashtbl.create 8 in
+    let current = ref core_ids in
+    List.iter
+      (fun g ->
+        let cls =
+          List.filter
+            (fun (_, o) ->
+              let r = Clauses.reason enc o in
+              (not (Hashtbl.mem removed r)) && r <> g)
+            (Clauses.clause_list enc)
+          @ blocking
         in
-        match Clauses.encode ctx ast with
-        | exception _ ->
-            (* the encoder could not express the problem; report the
-               greedy outcome rather than failing opaquely *)
-            { I.oc_result = Error e0; oc_stats = stats0; oc_core = greedy_core }
-        | enc ->
-            let base_clauses = Clauses.clause_list enc in
-            let rec refine blocking stats round =
-              if round > max_rounds then
-                {
-                  I.oc_result = Error e0;
-                  oc_stats = stats;
-                  oc_core =
-                    [
-                      Printf.sprintf
-                        "exhausted %d candidate models without one the \
-                         greedy oracle accepts"
-                        max_rounds;
-                    ];
-                }
-              else
-                let sobs = Obs.create () in
-                let outcome, sstats =
-                  Solver.solve ~obs:sobs ~nvars:(Clauses.nvars enc)
-                    ~clauses:(base_clauses @ blocking)
-                    ~order:(Clauses.order enc) ()
-                in
-                mirror sobs ctx.obs;
-                let stats = I.add_stats stats (solver_stats sstats) in
-                match outcome with
-                | Solver.Unsat core_ids ->
-                    let core_ids = minimize enc blocking core_ids in
-                    {
-                      I.oc_result = Error e0;
-                      oc_stats = stats;
-                      oc_core = Clauses.render_core enc core_ids;
-                    }
-                | Solver.Sat model -> (
-                    let forced = Clauses.decisions_of_model enc model in
-                    let r, _trace, ostats = greedy_run ~forced ctx ast in
-                    let stats = I.add_stats stats ostats in
-                    match r with
-                    | Ok c ->
-                        { I.oc_result = Ok c; oc_stats = stats; oc_core = [] }
-                    | Error _ ->
-                        (* the oracle refutes this model and every
-                           superset of its provider/version choices *)
-                        let block =
-                          ( List.map (fun l -> -l)
-                              (Clauses.blocking_lits enc model),
-                            -1 )
-                        in
-                        refine (block :: blocking) stats (round + 1))
-            in
-            refine [] stats0 1)
+        match fst (Solver.solve ~nvars ~clauses:cls ~order ()) with
+        | Solver.Unsat core' ->
+            Hashtbl.add removed g ();
+            current := core'
+        | Solver.Sat _ -> ())
+      groups;
+    !current
+  end
 
-  let solve ctx ast = (solve_full ctx ast).I.oc_result
-end
+let clauses (ctx : I.ctx) ast =
+  (* round 0: pure greedy. When greedy succeeds the two backends agree
+     byte-identically, and that answer is preference-optimal (greedy
+     takes the best-ranked candidate at every decision point). *)
+  let r0, trace0, stats0 = greedy_run ctx ast in
+  match r0 with
+  | Ok c ->
+      {
+        I.oc_result = Ok c;
+        oc_stats = { stats0 with I.st_decisions = List.length trace0 };
+        oc_core = [];
+      }
+  | Error e0 -> (
+      match Clauses.encode ctx ast with
+      | exception _ ->
+          (* the encoder could not express the problem; report the
+             greedy outcome rather than failing opaquely *)
+          {
+            I.oc_result = Error e0;
+            oc_stats = stats0;
+            oc_core = blocked_path trace0 e0;
+          }
+      | enc ->
+          let base_clauses = Clauses.clause_list enc in
+          let rec refine blocking stats round =
+            if round > max_rounds then
+              {
+                I.oc_result = Error e0;
+                oc_stats = stats;
+                oc_core =
+                  [
+                    Printf.sprintf
+                      "exhausted %d candidate models without one the greedy \
+                       oracle accepts"
+                      max_rounds;
+                  ];
+              }
+            else
+              let sobs = Obs.create () in
+              let outcome, sstats =
+                Solver.solve ~obs:sobs ~nvars:(Clauses.nvars enc)
+                  ~clauses:(base_clauses @ blocking)
+                  ~order:(Clauses.order enc) ()
+              in
+              mirror sobs ctx.obs;
+              let stats = I.add_stats stats (solver_stats sstats) in
+              match outcome with
+              | Solver.Unsat core_ids ->
+                  let core_ids = minimize enc blocking core_ids in
+                  {
+                    I.oc_result = Error e0;
+                    oc_stats = stats;
+                    oc_core = Clauses.render_core enc core_ids;
+                  }
+              | Solver.Sat model -> (
+                  let forced = Clauses.decisions_of_model enc model in
+                  let r, _trace, ostats = greedy_run ~forced ctx ast in
+                  let stats = I.add_stats stats ostats in
+                  match r with
+                  | Ok c -> { I.oc_result = Ok c; oc_stats = stats; oc_core = [] }
+                  | Error _ ->
+                      (* the oracle refutes this model and every superset
+                         of its provider/version choices *)
+                      let block =
+                        ( List.map (fun l -> -l) (Clauses.blocking_lits enc model),
+                          -1 )
+                      in
+                      refine (block :: blocking) stats (round + 1))
+          in
+          refine [] stats0 1)
 
-let solve backend ctx ast =
-  match backend with
-  | Greedy -> Greedy_backend.solve ctx ast
-  | Clauses -> Clause_backend.solve ctx ast
-
-let solve_full backend ctx ast =
-  match backend with
-  | Greedy -> Greedy_backend.solve_full ctx ast
-  | Clauses -> Clause_backend.solve_full ctx ast
+let solve_full = function Greedy -> greedy | Clauses -> clauses
+let solve backend ctx ast = (solve_full backend ctx ast).I.oc_result
 
 let explanation backend (outcome : I.outcome) =
   match outcome.I.oc_result with

@@ -290,6 +290,34 @@ let failure t ast =
 
 let store_failure t ast e = Hashtbl.replace t.cc_failures (key_of ast) e
 
+let memo ?cache ?installed ~obs ast solve =
+  let reused =
+    match installed with
+    | None -> None
+    | Some find ->
+        Obs.span obs ~cat:"ccache" "ccache.reuse_lookup" (fun () ->
+            let found = find ast in
+            if Option.is_some found then Obs.count obs "ccache.reuse_hits" 1;
+            found)
+  in
+  match (reused, cache) with
+  | Some c, _ -> Ok c
+  | None, None -> solve ()
+  | None, Some t -> (
+      match
+        Obs.span obs ~cat:"ccache" "ccache.lookup" (fun () -> lookup t ast)
+      with
+      | Some c -> Ok c
+      | None -> (
+          match failure t ast with
+          | Some e -> Error e
+          | None ->
+              let result = solve () in
+              (match result with
+              | Ok c -> store t ast c
+              | Error e -> store_failure t ast e);
+              result))
+
 let seed_map t = t.cc_seeds
 let seed_count t = t.cc_seed_count
 let seeds t = Concrete.Smap.bindings t.cc_seeds

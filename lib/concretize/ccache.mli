@@ -139,6 +139,31 @@ val failure : t -> Ospack_spec.Ast.t -> Cerror.t option
 val store_failure : t -> Ospack_spec.Ast.t -> Cerror.t -> unit
 (** Record that solving this spec failed with the given error. *)
 
+val memo :
+  ?cache:t ->
+  ?installed:(Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option) ->
+  obs:Ospack_obs.Obs.t ->
+  Ospack_spec.Ast.t ->
+  (unit -> (Ospack_spec.Concrete.t, Cerror.t) result) ->
+  (Ospack_spec.Concrete.t, Cerror.t) result
+(** [memo ?cache ?installed ~obs ast solve] answers one concretization
+    query; every cached concretization path goes through it, whatever
+    its backend. The layers, in order:
+
+    + {b store-aware reuse} — when [installed] finds an installed
+      concrete spec satisfying [ast], it is returned as-is (span
+      [ccache.reuse_lookup], counter [ccache.reuse_hits]). A reuse
+      answer is never stored: it reflects the store, not the packages.
+    + {b whole-query memo} — a {!lookup} hit (span [ccache.lookup]).
+    + {b failure memo} — a query whose solve already failed under this
+      cache returns that error without solving ({!failure}).
+    + {b solve} — [solve ()], stored back by {!store} on success and
+      by {!store_failure} on failure.
+
+    Without [cache], a query reuse does not answer goes straight to
+    [solve ()]. The spans and [ccache.reuse_hits] go to [obs]; the
+    cache's own counters to the cache's sink. *)
+
 val seed_map : t -> Ospack_spec.Concrete.node Ospack_spec.Concrete.Smap.t
 (** The sub-DAG memo, owned by the cache: for each package that appeared
     in any stored, imported or read-back concretization, the concrete

@@ -118,9 +118,6 @@ type decision = {
 
 type run_state = {
   ctx : ctx;
-  obs : Obs.t;
-      (* usually [ctx.obs]; [concretize_explain] substitutes its own
-         enabled sink so the decision log always has somewhere to go *)
   choices : (string * int) list;  (* index-based decision overrides *)
   forced : (string * string) list;
       (* value-based decision overrides: key -> rendered value. Used by
@@ -194,11 +191,10 @@ let decide rs key ~repr first rest =
       Hashtbl.add rs.decisions key (i, repr chosen);
       let d = { d_key = key; d_alternatives = n; d_chosen = repr chosen } in
       rs.trace <- d :: rs.trace;
-      (* the policy-decision log is an obs event stream: the explain
-         rendering reads it back, and enabled traces show each
-         decision as an annotation at the point it was taken *)
-      Obs.count rs.obs "concretize.decisions" 1;
-      Obs.annotate rs.obs ~cat:"explain" (explain_decision d);
+      (* enabled traces show each decision as an annotation at the
+         point it was taken *)
+      Obs.count rs.ctx.obs "concretize.decisions" 1;
+      Obs.annotate rs.ctx.obs ~cat:"explain" (explain_decision d);
       chosen
 
 (* Record where a version constraint on [name] came from, so a later
@@ -280,7 +276,7 @@ let ranked_versions cfg pkg constraint_ =
    iteration 1, and the fixed point converges to the cold answer. *)
 let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
   let ctx = rs.ctx in
-  let obs = rs.obs in
+  let obs = ctx.obs in
   (* every constraint merge is counted — the per-iteration cost driver
      the ASP follow-up paper's evaluation is built around *)
   let intersect_or_fail a b =
@@ -764,11 +760,10 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
 (* Public entry points                                                 *)
 
 let run_once ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
-  let obs = Option.value obs ~default:ctx.obs in
+  let ctx = match obs with None -> ctx | Some obs -> { ctx with obs } in
   let rs =
     {
       ctx;
-      obs;
       choices;
       forced;
       decisions = Hashtbl.create 8;
@@ -806,57 +801,21 @@ let seed_for cache (abstract : Ast.t) =
     (check root.Ast.name root (Ccache.seed_map cache, Ccache.seed_count cache))
 
 let concretize_cached ?cache ?installed (ctx : ctx) abstract =
-  let obs = ctx.obs in
-  let reused =
-    match installed with
-    | None -> None
-    | Some find ->
-        Obs.span obs ~cat:"ccache" "ccache.reuse_lookup" (fun () ->
-            match find abstract with
-            | Some c ->
-                Obs.count obs "ccache.reuse_hits" 1;
-                Some c
-            | None -> None)
-  in
-  match reused with
-  | Some c -> Ok c
-  | None -> (
-      match cache with
-      | None -> concretize ctx abstract
-      | Some cache -> (
-          let hit =
-            Obs.span obs ~cat:"ccache" "ccache.lookup" (fun () ->
-                Ccache.lookup cache abstract)
-          in
-          match hit with
-          | Some c -> Ok c
-          | None -> (
-              match Ccache.failure cache abstract with
-              | Some e -> Error e
-              | None ->
-                  let seed =
-                    Obs.span obs ~cat:"ccache" "ccache.seed" (fun () ->
-                        let s, count = seed_for cache abstract in
-                        Obs.count obs "ccache.seeded_pins" count;
-                        s)
-                  in
-                  let result = fst (run_once ~seed ctx [] abstract) in
-                  (match result with
-                  | Ok c -> Ccache.store cache abstract c
-                  | Error e -> Ccache.store_failure cache abstract e);
-                  result)))
+  Ccache.memo ?cache ?installed ~obs:ctx.obs abstract (fun () ->
+      let seed =
+        Option.map
+          (fun cache ->
+            Obs.span ctx.obs ~cat:"ccache" "ccache.seed" (fun () ->
+                let s, count = seed_for cache abstract in
+                Obs.count ctx.obs "ccache.seeded_pins" count;
+                s))
+          cache
+      in
+      fst (run_once ?seed ctx [] abstract))
 
 let concretize_explain (ctx : ctx) abstract =
-  (* the explain lines are read back from the obs event stream (rather
-     than a bespoke string list): the run annotates each decision as it
-     is taken, and we collect the annotations it produced. When the
-     session already records, the same annotations land in its trace. *)
-  let obs = if Obs.enabled ctx.obs then ctx.obs else Obs.create () in
-  let m = Obs.mark obs in
-  let result, _trace = run_once ~obs ctx [] abstract in
-  Result.map
-    (fun c -> (c, Obs.annotations_since obs ~cat:"explain" m))
-    result
+  let result, trace = run_once ctx [] abstract in
+  Result.map (fun c -> (c, List.map explain_decision trace)) result
 
 let concretize_string ctx spec =
   match Parser.parse spec with

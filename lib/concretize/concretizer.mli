@@ -54,19 +54,13 @@ val concretize_cached :
   ctx ->
   Ospack_spec.Ast.t ->
   (Ospack_spec.Concrete.t, Cerror.t) result
-(** {!concretize} through the concretization cache, in four layers:
+(** {!concretize} through the concretization cache's memo
+    ({!Ccache.memo}): store-aware reuse when [installed] is given
+    ([--reuse]; the callback is typically [Database.find_satisfying]
+    plus the §3.2.3 newest-version tie-break), the whole-query memo, the
+    memo of failed queries, then a solve stored back. The greedy solve
+    adds one layer of its own:
 
-    + {b store-aware reuse} — when [installed] is given, an installed
-      concrete spec satisfying the abstract query is returned as-is
-      instead of re-solving ([--reuse]; the callback is typically
-      [Database.find_satisfying] plus the §3.2.3 newest-version
-      tie-break). Counted as [ccache.reuse_hits].
-    + {b whole-query memo} — a cache hit under the current context
-      fingerprint returns the stored concretization
-      ([ccache.hits]/[ccache.misses]).
-    + {b failure memo} — a query whose solve already failed under this
-      cache returns that error without solving again
-      ([ccache.failure_hits]; {!Ccache.failure}, in memory only).
     + {b sub-DAG seeding} — on a miss, pins harvested from earlier
       concretizations prime the fixed point's first iteration
       ([ccache.seeded_pins]), so shared subtrees (the [mvapich2] under
@@ -84,9 +78,7 @@ val concretize_cached :
     converges to the cold answer because only pins are seeded — never
     nodes, edges, or provided sets — so iteration 1 sees exactly the
     cold-start DAG. The bench's [concretize] mode asserts this identity
-    over the whole workload suite. A solve's result is stored back:
-    a success as an entry, a failure in the failure memo. Reuse results
-    are not (they reflect the store, not the current packages). *)
+    over the whole workload suite. *)
 
 val seed_for :
   Ccache.t ->
@@ -104,11 +96,10 @@ val concretize_explain :
   (Ospack_spec.Concrete.t * string list, Cerror.t) result
 (** Like {!concretize}, additionally returning one human-readable line per
     policy decision the greedy run took (virtual-provider and version
-    choices with their candidate counts) — [spack spec --explain]. The
-    lines are read back from the obs event stream: the run annotates each
-    decision as it takes it (under an internal enabled sink when
-    [ctx.obs] is disabled), so the same lines appear as trace
-    annotations in recording sessions. *)
+    choices with their candidate counts) — [spack spec --explain]: the
+    run's decision trace, each rendered by {!explain_decision}. An
+    enabled [ctx.obs] also records each line as a trace annotation
+    (cat ["explain"]) when the decision is taken. *)
 
 val concretize_string :
   ctx -> string -> (Ospack_spec.Concrete.t, string) result

@@ -1,13 +1,13 @@
-(** The backend-agnostic concretizer interface.
+(** The types every concretizer backend shares.
 
     The paper's concretizer (§3.4) is one specific algorithm — a greedy
     fixed point where "a decision once taken is never revisited". Spack
     itself later swapped that algorithm for a complete optimizing solver
     without changing what a concretizer {e is}: a function from an
     abstract spec to a concrete spec under a package universe and site
-    policy. This module pins down that contract so the greedy fixed
-    point and the clause-based complete solver ({!Backends}) are
-    interchangeable behind one signature. *)
+    policy. The solving context, the backend choice and the solve report
+    below are that contract; {!Backends.solve_full} dispatches on the
+    backend. *)
 
 (** A package's [packages.<name>.*] settings in the config. *)
 type prefs = {
@@ -108,18 +108,3 @@ type outcome = {
   oc_core : string list;
       (** empty on success; on failure, one line per core/chain element *)
 }
-
-(** What every concretizer backend implements. *)
-module type S = sig
-  val name : string
-
-  val solve :
-    ctx -> Ospack_spec.Ast.t -> (Ospack_spec.Concrete.t, Cerror.t) result
-
-  val solve_full : ctx -> Ospack_spec.Ast.t -> outcome
-  (** Like {!solve}, additionally reporting statistics and, on failure,
-      the conflict explanation. Counters mirror into [ctx.obs]
-      ([solver.decisions], [solver.propagations], [solver.conflicts],
-      [solver.restarts] for the clause backend; the greedy counters keep
-      their [concretize.*] names). *)
-end

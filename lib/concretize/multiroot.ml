@@ -6,6 +6,7 @@ module Constraint_ops = Ospack_spec.Constraint_ops
 module Package = Ospack_package.Package
 module Repository = Ospack_package.Repository
 module Sha256 = Ospack_hash.Sha256
+module Obs = Ospack_obs.Obs
 
 type error =
   | Root_conflict of {
@@ -114,38 +115,27 @@ let solve ?cache ?obs ~backend ~config ~compilers ~repo asts =
   match asts with
   | [] -> Ok []
   | _ -> (
-      let canonical = List.map Printer.to_string asts in
-      let name = meta_name canonical in
+      let name = meta_name (List.map Printer.to_string asts) in
       Result.bind (merged_constraints asts) @@ fun constraints ->
       let mast = meta_ast name constraints in
-      let split_all concrete =
-        List.fold_left
-          (fun acc ast ->
-            Result.bind acc (fun specs ->
-                Result.map (fun s -> s :: specs) (split_root concrete ast)))
-          (Ok []) asts
-        |> Result.map List.rev
-      in
-      let cached =
-        match cache with None -> None | Some c -> Ccache.lookup c mast
-      in
-      match cached with
-      | Some concrete -> split_all concrete
-      | None -> (
       (* a root set that cannot unify fails once per cache, as a single
          query does *)
-      match Option.bind cache (fun c -> Ccache.failure c mast) with
-      | Some e -> Error (Unsat e)
-      | None -> (
-          let meta_repo =
-            Repository.create ~name:"env-meta" [ meta_package name asts ]
-          in
-          let layered = Repository.layered [ meta_repo; repo ] in
-          let cctx = Concretizer.make_ctx ~config ?obs ~compilers layered in
-          match Backends.solve backend cctx mast with
-          | Error e ->
-              Option.iter (fun c -> Ccache.store_failure c mast e) cache;
-              Error (Unsat e)
-          | Ok concrete ->
-              Option.iter (fun c -> Ccache.store c mast concrete) cache;
-              split_all concrete)))
+      let solved =
+        Ccache.memo ?cache ~obs:(Option.value obs ~default:Obs.disabled) mast
+          (fun () ->
+            let meta_repo =
+              Repository.create ~name:"env-meta" [ meta_package name asts ]
+            in
+            let layered = Repository.layered [ meta_repo; repo ] in
+            let cctx = Concretizer.make_ctx ~config ?obs ~compilers layered in
+            Backends.solve backend cctx mast)
+      in
+      match solved with
+      | Error e -> Error (Unsat e)
+      | Ok concrete ->
+          List.fold_left
+            (fun acc ast ->
+              Result.bind acc (fun specs ->
+                  Result.map (fun s -> s :: specs) (split_root concrete ast)))
+            (Ok []) asts
+          |> Result.map List.rev)

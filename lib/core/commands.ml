@@ -61,52 +61,38 @@ let best_installed (ctx : Context.t) ast =
       | Some b -> if better r b then Some r else best)
     None candidates
 
-(* Every concretization below the command layer flows through the
-   fingerprinted cache ({!Ospack_concretize.Ccache}) unless [fresh] asks
-   for a from-scratch solve; successful results persist to the store root
-   immediately (write-then-rename, like the database index). [reuse]
-   additionally short-circuits to an installed concrete spec satisfying
-   the query (the store-aware reuse of the ASP follow-up paper, in the
-   greedy setting). *)
-let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
-  let installed =
-    if reuse then
-      Some
-        (fun q ->
-          Option.map (fun r -> r.Database.r_spec) (best_installed ctx q))
-    else None
-  in
-  let before = Ccache.length ctx.ccache in
-  let result =
-    match ctx.backend with
-    | Backends.Greedy ->
-        Concretizer.concretize_cached ~cache:ctx.ccache ?installed ctx.cctx
-          ast
-    | Backends.Clauses -> (
-        (* same layers as the greedy path: store-aware reuse, the
-           whole-query memo (fingerprinted per backend), the memo of
-           failed queries, then a full solve stored back either way *)
-        match
-          match installed with None -> None | Some find -> find ast
-        with
-        | Some c -> Ok c
-        | None -> (
-            match Ccache.lookup ctx.ccache ast with
-            | Some c -> Ok c
-            | None -> (
-                match Ccache.failure ctx.ccache ast with
-                | Some e -> Error e
-                | None ->
-                    let r = Backends.solve Backends.Clauses ctx.cctx ast in
-                    (match r with
-                    | Ok c -> Ccache.store ctx.ccache ast c
-                    | Error e -> Ccache.store_failure ctx.ccache ast e);
-                    r)))
-  in
-  (match result with
-  | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
-  | _ -> ());
-  result
+(* Every concretization below the command layer comes here: [fresh]
+   solves from scratch on the context's backend; otherwise the query
+   goes through the concretization cache's memo ({!Ccache.memo}), and
+   [reuse] first short-circuits to an installed concrete spec satisfying
+   it (the store-aware reuse of the ASP follow-up paper). A grown cache
+   persists to the store root at once (write-then-rename, like the
+   database index). *)
+let concretize (ctx : Context.t) ~fresh ~reuse ast =
+  if fresh then Backends.solve ctx.backend ctx.cctx ast
+  else
+    let installed =
+      if reuse then
+        Some
+          (fun q ->
+            Option.map (fun r -> r.Database.r_spec) (best_installed ctx q))
+      else None
+    in
+    let before = Ccache.length ctx.ccache in
+    let result =
+      match ctx.backend with
+      | Backends.Greedy ->
+          (* the greedy solve seeds its fixed point from the cache *)
+          Concretizer.concretize_cached ~cache:ctx.ccache ?installed ctx.cctx
+            ast
+      | Backends.Clauses ->
+          Ccache.memo ~cache:ctx.ccache ?installed ~obs:ctx.cctx.obs ast
+            (fun () -> Backends.solve Backends.Clauses ctx.cctx ast)
+    in
+    (match result with
+    | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
+    | _ -> ());
+    result
 
 (* On failure, re-solve uncached through the backend's full interface
    and append the rendered conflict chain: the clause backend's unsat
@@ -125,11 +111,7 @@ let spec ?(fresh = false) ?(reuse = false) (ctx : Context.t) text =
   match Parser.parse text with
   | Error e -> Error e
   | Ok ast -> (
-      let result =
-        if fresh then Backends.solve ctx.backend ctx.cctx ast
-        else concretize_cached ctx ~reuse ast
-      in
-      match result with
+      match concretize ctx ~fresh ~reuse ast with
       | Ok c -> Ok c
       | Error e -> render_unsat ctx ast e)
 
@@ -155,11 +137,7 @@ let solve (ctx : Context.t) text =
           Backends.solve_full ctx.backend ctx.cctx ast )
 
 let concretize_ast ?(fresh = false) (ctx : Context.t) ast =
-  let result =
-    if fresh then Backends.solve ctx.backend ctx.cctx ast
-    else concretize_cached ctx ast
-  in
-  Result.map_error (render_cerror ctx) result
+  Result.map_error (render_cerror ctx) (concretize ctx ~fresh ~reuse:false ast)
 
 let report ?parallel spec outcomes =
   {
@@ -224,10 +202,6 @@ let profile ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
       in
       Ok { pf_spec = concrete; pf_report = preport; pf_profile = prof }
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let find (ctx : Context.t) ?query () =
   let db = Installer.database ctx.installer in
   match query with
@@ -253,7 +227,8 @@ let find (ctx : Context.t) ?query () =
             in
             Ok
               (List.filter
-                 (fun r -> starts_with ~prefix:hash_prefix r.Database.r_hash)
+                 (fun r ->
+                   String.starts_with ~prefix:hash_prefix r.Database.r_hash)
                  base))
 
 let uninstall (ctx : Context.t) text =

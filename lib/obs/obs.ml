@@ -157,24 +157,7 @@ let annotate t ?(cat = "note") name =
       let ts = tick s in
       record s (Instant { name; cat; ts })
 
-type mark = int
-
-let mark = function None -> 0 | Some s -> s.n_events
-
 let events_in_order s = List.rev s.events
-
-let annotations_since t ?cat m =
-  match t with
-  | None -> []
-  | Some s ->
-      events_in_order s
-      |> List.filteri (fun i _ -> i >= m)
-      |> List.filter_map (function
-           | Instant { name; cat = c; _ } -> (
-               match cat with
-               | Some want when want <> c -> None
-               | _ -> Some name)
-           | Begin _ | End _ -> None)
 
 (* ---------------- phase aggregation ---------------- *)
 

@@ -88,15 +88,6 @@ val histograms : t -> (string * hist_summary) list
 val annotate : t -> ?cat:string -> string -> unit
 (** Record an instant event — e.g. one concretizer policy decision. *)
 
-type mark
-
-val mark : t -> mark
-(** The current position in the event stream. *)
-
-val annotations_since : t -> ?cat:string -> mark -> string list
-(** The payloads of the instant events recorded after [mark], in order,
-    optionally restricted to a category. *)
-
 (** {1 Reports} *)
 
 type phase_row = {

@@ -230,7 +230,21 @@ let cached_equals_cold () =
         (Concrete.equal cold first && Concrete.equal cold warm))
     [ "app"; "app@1.0"; "app+debug"; "libx"; "mympi@1.9"; "mpi" ]
 
-let reuse_layer () =
+(* Store-aware reuse answers a query an installed spec satisfies, counts
+   it, and stores nothing; a query the store cannot satisfy is solved.
+   Asked of the greedy memo directly, and through [Commands.spec
+   ~reuse:true] on either backend. *)
+type reuse_input = {
+  ri_name : string;
+  ri_obs : Obs.t;  (** where [ccache.reuse_hits] is counted *)
+  ri_installed : Concrete.t;
+  ri_ask : string -> Concrete.t;  (** a reuse-enabled concretization *)
+  ri_entries : unit -> int;
+  ri_reusable : string;  (** satisfied by [ri_installed] *)
+  ri_unsatisfied : string;  (** not satisfied by [ri_installed] *)
+}
+
+let reuse_direct () =
   let obs = Obs.create () in
   let packages = base_packages () in
   let cache = Ccache.create ~obs ~context:(mk_context packages) () in
@@ -240,18 +254,66 @@ let reuse_layer () =
   let installed ast =
     if Concrete.satisfies installed_spec ast then Some installed_spec else None
   in
-  let entries_before = Ccache.length cache in
-  let got = concretize_ok ~cache ~installed ctx "app" in
-  Alcotest.(check bool) "reuse returns the installed spec as-is" true
-    (Concrete.equal got installed_spec);
-  Alcotest.(check int) "reuse hit counted" 1
-    (Obs.counter obs "ccache.reuse_hits");
-  Alcotest.(check int) "reuse result not stored back" entries_before
-    (Ccache.length cache);
-  (* a query the store cannot satisfy falls through to the solver *)
-  let solved = concretize_ok ~cache ~installed ctx "app@2.0" in
-  Alcotest.(check bool) "fallthrough solves fresh" true
-    (not (Concrete.equal solved installed_spec))
+  {
+    ri_name = "Concretizer.concretize_cached";
+    ri_obs = obs;
+    ri_installed = installed_spec;
+    ri_ask = concretize_ok ~cache ~installed ctx;
+    ri_entries = (fun () -> Ccache.length cache);
+    ri_reusable = "app";
+    ri_unsatisfied = "app@2.0";
+  }
+
+let reuse_via_commands backend () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let name = "Commands.spec " ^ Ospack_concretize.Backends.to_string backend in
+  let obs = Obs.create () in
+  let ctx = Context.create ~obs ~backend () in
+  let installed_spec =
+    match Commands.install ctx "libelf@0.8.12" with
+    | Ok r -> r.Commands.ir_spec
+    | Error e -> Alcotest.failf "%s: install: %s" name e
+  in
+  {
+    ri_name = name;
+    ri_obs = obs;
+    ri_installed = installed_spec;
+    ri_ask =
+      (fun spec ->
+        match Commands.spec ~reuse:true ctx spec with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "%s: %s: %s" name spec e);
+    ri_entries = (fun () -> Ccache.length ctx.Context.ccache);
+    ri_reusable = "libelf";
+    ri_unsatisfied = "libelf@0.8.13";
+  }
+
+let reuse_layer () =
+  List.iter
+    (fun make ->
+      let r = make () in
+      let check_int what = Alcotest.(check int) (r.ri_name ^ ": " ^ what) in
+      let reuse_hits_before = Obs.counter r.ri_obs "ccache.reuse_hits" in
+      let entries_before = r.ri_entries () in
+      let got = r.ri_ask r.ri_reusable in
+      Alcotest.(check bool)
+        (r.ri_name ^ ": reuse returns the installed spec as-is")
+        true
+        (Concrete.equal got r.ri_installed);
+      check_int "reuse hit counted" (reuse_hits_before + 1)
+        (Obs.counter r.ri_obs "ccache.reuse_hits");
+      check_int "reuse result not stored back" entries_before
+        (r.ri_entries ());
+      (* a query the store cannot satisfy falls through to the solver *)
+      let solved = r.ri_ask r.ri_unsatisfied in
+      Alcotest.(check bool) (r.ri_name ^ ": fallthrough solves fresh") true
+        (not (Concrete.equal solved r.ri_installed)))
+    [
+      reuse_direct;
+      reuse_via_commands Ospack_concretize.Backends.Greedy;
+      reuse_via_commands Ospack_concretize.Backends.Clauses;
+    ]
 
 (* A failing query asked twice in one context solves once: the second
    answer comes from the failure memo, on either backend, and reads the
