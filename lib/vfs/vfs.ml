@@ -13,6 +13,7 @@ type error =
   | Symlink_loop of string
   | Not_a_symlink of string
   | Fault_injected of { fi_op : string; fi_path : string }
+  | Into_own_subtree of { src : string; dst : string }
 
 let error_to_string = function
   | Not_found p -> Printf.sprintf "no such file or directory: %s" p
@@ -23,6 +24,9 @@ let error_to_string = function
   | Not_a_symlink p -> Printf.sprintf "not a symbolic link: %s" p
   | Fault_injected { fi_op; fi_path } ->
       Printf.sprintf "fault injected: %s %s" fi_op fi_path
+  | Into_own_subtree { src; dst } ->
+      Printf.sprintf "cannot move directory %s into its own subtree: %s" src
+        dst
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
@@ -160,9 +164,14 @@ let lookup_node fs ~follow_last path =
   | Ok (p, n, _) -> Ok (p, n)
   | Error e -> Error e
 
-(* Find (or create, with [create_missing]) the parent directory table of a
-   path; returns the parent table and the final component name. *)
-let parent_dir fs ~create_missing path =
+(* What a parent walk does at a missing component: create it, fail with
+   [Not_found], or stop there, returning the directory it reached and
+   the missing component (where [Create] would begin creating). *)
+type missing = Create | Fail | Stop
+
+(* Find (or create) the parent directory table of a path; returns the
+   parent table and the final component name. *)
+let parent_dir fs ~missing path =
   let p = Vpath.normalize path in
   let n = String.length p in
   if n = 1 then Error (Is_a_directory "/")
@@ -186,14 +195,15 @@ let parent_dir fs ~create_missing path =
             | Ok _ -> Error (Not_a_directory here)
             | Error e -> Error e)
         | Some (Nfile _) -> Error (Not_a_directory (String.sub p 0 j))
-        | None ->
-            if create_missing then begin
-              fs.c.mkdir <- fs.c.mkdir + 1;
-              let d = Hashtbl.create 8 in
-              Hashtbl.replace dir c (Ndir d);
-              descend d (j + 1)
-            end
-            else Error (Not_found (String.sub p 0 j))
+        | None -> (
+            match missing with
+            | Create ->
+                fs.c.mkdir <- fs.c.mkdir + 1;
+                let d = Hashtbl.create 8 in
+                Hashtbl.replace dir c (Ndir d);
+                descend d (j + 1)
+            | Fail -> Error (Not_found (String.sub p 0 j))
+            | Stop -> Ok (dir, c))
       end
     in
     descend fs.root 1
@@ -202,7 +212,7 @@ let mkdir_p fs path =
   let* () = check_crashed fs ~op:"mkdir" ~path in
   if Vpath.normalize path = "/" then Ok ()
   else
-    let* dir, name = parent_dir fs ~create_missing:true path in
+    let* dir, name = parent_dir fs ~missing:Create path in
     match Hashtbl.find_opt dir name with
     | Some (Ndir _) -> Ok ()
     | Some _ -> Error (Not_a_directory (Vpath.normalize path))
@@ -213,7 +223,7 @@ let mkdir_p fs path =
 
 let write_file fs path content =
   let* () = barrier fs ~op:"write" ~path in
-  let* dir, name = parent_dir fs ~create_missing:true path in
+  let* dir, name = parent_dir fs ~missing:Create path in
   fs.c.write <- fs.c.write + 1;
   match Hashtbl.find_opt dir name with
   | Some (Ndir _) -> Error (Is_a_directory (Vpath.normalize path))
@@ -234,7 +244,7 @@ let write_file fs path content =
             | Some (Nlink t) -> Ok (Vpath.join (Vpath.dirname (Vpath.normalize path)) t)
             | _ -> Error (Not_found path)
           in
-          let* tdir, tname = parent_dir fs ~create_missing:true target in
+          let* tdir, tname = parent_dir fs ~missing:Create target in
           Hashtbl.replace tdir tname (Nfile (ref content));
           Ok ()
       | Error e -> Error e)
@@ -252,7 +262,7 @@ let read_file fs path =
 
 let symlink fs ~target ~link =
   let* () = check_crashed fs ~op:"symlink" ~path:link in
-  let* dir, name = parent_dir fs ~create_missing:true link in
+  let* dir, name = parent_dir fs ~missing:Create link in
   fs.c.link <- fs.c.link + 1;
   match Hashtbl.find_opt dir name with
   | Some _ -> Error (Already_exists (Vpath.normalize link))
@@ -327,13 +337,34 @@ let snapshot fs path =
     | Nlink target -> here ^ " L " ^ target
     | Ndir _ -> here ^ " D")
 
+(* Does directory [d]'s subtree, [d] included, hold the table [t]? *)
+let rec holds d t =
+  d == t
+  || Seq.exists
+       (function Ndir c -> holds c t | Nfile _ | Nlink _ -> false)
+       (Hashtbl.to_seq_values d)
+
 let rename fs ~src ~dst =
   let* () = barrier fs ~op:"rename" ~path:dst in
-  let* sdir, sname = parent_dir fs ~create_missing:false src in
+  let* sdir, sname = parent_dir fs ~missing:Fail src in
   match Hashtbl.find_opt sdir sname with
   | None -> Error (Not_found (Vpath.normalize src))
   | Some node ->
-      let* ddir, dname = parent_dir fs ~create_missing:true dst in
+      (* a directory never moves into its own subtree (POSIX EINVAL):
+         the walk to [dst]'s parent stops at its first missing component,
+         so the refusal creates nothing *)
+      let* () =
+        match node with
+        | Ndir d -> (
+            match parent_dir fs ~missing:Stop dst with
+            | Ok (ddir, _) when holds d ddir ->
+                Error
+                  (Into_own_subtree
+                     { src = Vpath.normalize src; dst = Vpath.normalize dst })
+            | Ok _ | Error _ -> Ok ())
+        | Nfile _ | Nlink _ -> Ok ()
+      in
+      let* ddir, dname = parent_dir fs ~missing:Create dst in
       let* () =
         match Hashtbl.find_opt ddir dname with
         | None -> Ok ()
@@ -363,7 +394,7 @@ let write_atomic fs path content =
 
 let remove fs ?(recursive = false) path =
   let* () = check_crashed fs ~op:"remove" ~path in
-  let* dir, name = parent_dir fs ~create_missing:false path in
+  let* dir, name = parent_dir fs ~missing:Fail path in
   fs.c.unlink <- fs.c.unlink + 1;
   match Hashtbl.find_opt dir name with
   | None -> Error (Not_found (Vpath.normalize path))

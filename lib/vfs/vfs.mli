@@ -25,6 +25,9 @@ type error =
   | Fault_injected of { fi_op : string; fi_path : string }
       (** An armed fault plan killed this operation (test-only; see
           {!set_fault_plan}). *)
+  | Into_own_subtree of { src : string; dst : string }
+      (** {!rename} refused to move the directory [src] to [dst] inside
+          its own subtree (POSIX [EINVAL]). *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -136,7 +139,9 @@ val rename : t -> src:string -> dst:string -> (unit, error) result
     step (the POSIX rename contract behind write-then-rename persistence:
     readers see either the old or the new content, never a partial file).
     A directory at [dst] must be empty and can only be replaced by a
-    directory. *)
+    directory. A directory never moves into its own subtree, symlinks
+    followed: that rename is refused as {!Into_own_subtree}, before any
+    of [dst]'s parents is created. *)
 
 val write_atomic :
   t -> string -> string -> (unit, string * string * error) result

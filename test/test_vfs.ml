@@ -170,7 +170,23 @@ let rename_cases () =
   Alcotest.(check (result string err)) "tree travels" (Ok "x")
     (Vfs.read_file fs "/db/empty/f");
   Alcotest.(check bool) "directory over file refused" true
-    (Result.is_error (Vfs.rename fs ~src:"/db/empty" ~dst:"/db/deep/cache.json"))
+    (Result.is_error (Vfs.rename fs ~src:"/db/empty" ~dst:"/db/deep/cache.json"));
+  (* a directory never moves into its own subtree (POSIX EINVAL), even
+     through a symlink; the refusal creates none of the destination's
+     parents and leaves the tree where it was *)
+  ignore (Vfs.symlink fs ~target:"/db/empty" ~link:"/inside");
+  let before = Vfs.snapshot fs "/" in
+  List.iter
+    (fun dst ->
+      Alcotest.(check (result unit err)) ("into its own subtree: " ^ dst)
+        (Error (Vfs.Into_own_subtree { src = "/db"; dst }))
+        (Vfs.rename fs ~src:"/db" ~dst);
+      Alcotest.(check (list string)) ("refusal changed nothing: " ^ dst)
+        before (Vfs.snapshot fs "/"))
+    [ "/db/sub"; "/db/new/deeper/db"; "/db/empty/f2"; "/inside/x/y" ];
+  Alcotest.(check (result string err)) "source intact after the refusals"
+    (Ok "x")
+    (Vfs.read_file fs "/db/empty/f")
 
 (* --- deterministic fault injection --- *)
 
@@ -406,8 +422,10 @@ module Ref = struct
   let lookup_node fs ~follow_last path =
     Result.map (fun (p, n, _) -> (p, n)) (lookup fs ~follow_last ~hops:40 path)
 
-  (* missing parents are created unless [create] is false *)
-  let parent_dir ?(create = true) fs path =
+  (* missing parents are created unless [create] is false; with [stop],
+     the walk ends at the first missing component instead, returning the
+     directory it reached *)
+  let parent_dir ?(create = true) ?(stop = false) fs path =
     match List.rev (Vpath.split (normalize path)) with
     | [] -> Error (Vfs.Is_a_directory "/")
     | name :: rev_parents ->
@@ -424,6 +442,7 @@ module Ref = struct
                   | Ok _ -> Error (Vfs.Not_a_directory here)
                   | Error e -> Error e)
               | Some (F _) -> Error (Vfs.Not_a_directory here)
+              | None when stop -> Ok (dir, c)
               | None when not create -> Error (Vfs.Not_found here)
               | None ->
                   fs.c.mkdir <- fs.c.mkdir + 1;
@@ -514,12 +533,30 @@ module Ref = struct
         Hashtbl.remove dir name;
         Ok ()
 
+  (* the directory tables at or below [d] *)
+  let rec tables d =
+    d
+    :: Hashtbl.fold
+         (fun _ n acc -> match n with D c -> tables c @ acc | F _ | L _ -> acc)
+         d []
+
   let rename fs ~src ~dst =
     fs.barriers <- fs.barriers + 1;
     let* sdir, sname = parent_dir ~create:false fs src in
     match Hashtbl.find_opt sdir sname with
     | None -> Error (Vfs.Not_found (normalize src))
     | Some node ->
+        let* () =
+          match node with
+          | D d -> (
+              match parent_dir ~stop:true fs dst with
+              | Ok (target, _) when List.memq target (tables d) ->
+                  Error
+                    (Vfs.Into_own_subtree
+                       { src = normalize src; dst = normalize dst })
+              | Ok _ | Error _ -> Ok ())
+          | F _ | L _ -> Ok ()
+        in
         let* ddir, dname = parent_dir fs dst in
         let* () =
           match (Hashtbl.find_opt ddir dname, node) with
@@ -630,6 +667,11 @@ let arb_script =
         (1, map (fun p -> Walk p) path);
         (2, map2 (fun p r -> Remove (p, r)) path bool);
         (2, map2 (fun s d -> Rename (s, d)) path path);
+        (* a destination inside the source's own subtree *)
+        ( 1,
+          map2
+            (fun s rest -> Rename (s, s ^ "/" ^ rest))
+            path (gen_path ~absolute:false) );
         (1, map (fun p -> Kind_of p) path);
         (1, map (fun p -> Is_file p) path);
       ]
