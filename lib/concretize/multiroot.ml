@@ -98,17 +98,11 @@ let split_root concrete ast =
   let rn = ast.Ast.root.Ast.name in
   let target =
     match Concrete.node concrete rn with
-    | Some n -> Some n.Concrete.name
-    | None ->
-        List.find_map
-          (fun (n : Concrete.node) ->
-            if List.mem_assoc rn n.Concrete.provided then
-              Some n.Concrete.name
-            else None)
-          (Concrete.nodes concrete)
+    | None -> Concrete.provider concrete rn
+    | found -> found
   in
   match target with
-  | Some name -> Ok (Concrete.subspec concrete name)
+  | Some n -> Ok (Concrete.subspec concrete n.Concrete.name)
   | None -> Error (Dropped_root (Printer.to_string ast))
 
 let solve ?cache ?obs ~backend ~config ~compilers ~repo asts =

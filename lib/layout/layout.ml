@@ -24,14 +24,6 @@ let options_string (n : Concrete.node) =
   in
   match enabled with [] -> "" | vs -> "-" ^ String.concat "-" vs
 
-let mpi_of spec =
-  List.find_map
-    (fun n ->
-      List.find_map
-        (fun (virt, _) -> if virt = "mpi" then Some n else None)
-        n.Concrete.provided)
-    (Concrete.nodes spec)
-
 let node_path scheme ~root spec name =
   let n = Concrete.node_exn spec name in
   let cname, cver = n.Concrete.compiler in
@@ -52,7 +44,7 @@ let node_path scheme ~root spec name =
     | Ornl -> [ n.Concrete.arch; name; version; build ]
     | Tacc_lmod ->
         let mpi, mpi_version =
-          match mpi_of spec with
+          match Concrete.provider spec "mpi" with
           | Some m when m.Concrete.name <> name ->
               (m.Concrete.name, Version.to_string m.Concrete.version)
           | _ -> ("serial", "none")

@@ -46,15 +46,9 @@ let tcl spec ~prefix =
     (env_entries spec ~prefix);
   Buffer.contents buf
 
-let mpi_of spec =
-  List.find_map
-    (fun n ->
-      if List.mem_assoc "mpi" n.Concrete.provided then Some n else None)
-    (Concrete.nodes spec)
-
 let lmod_hierarchy_path spec =
   let name, version, cname, cver = root_info spec in
-  match mpi_of spec with
+  match Concrete.provider spec "mpi" with
   | Some m when m.Concrete.name <> name ->
       Printf.sprintf "%s/%s/%s/%s/%s/%s.lua" cname cver m.Concrete.name
         (Version.to_string m.Concrete.version)

@@ -137,6 +137,11 @@ let node_exn t name =
 
 let root_node t = node_exn t t.root
 let nodes t = List.map snd (Smap.bindings t.nodes)
+
+let provider t virtual_ =
+  Smap.to_seq t.nodes
+  |> Seq.find_map (fun (_, n) ->
+         if List.mem_assoc virtual_ n.provided then Some n else None)
 let node_count t = Smap.cardinal t.nodes
 let deps_of t name = List.map (node_exn t) (node_exn t name).deps
 let to_dag t = Lazy.force t.dag

@@ -67,6 +67,10 @@ val node_exn : t -> string -> node
 val nodes : t -> node list
 (** All nodes, sorted by name. *)
 
+val provider : t -> string -> node option
+(** The first node, by name, providing the given virtual interface (the
+    DAG's MPI is [provider spec "mpi"]). *)
+
 val node_count : t -> int
 
 val deps_of : t -> string -> node list

@@ -1,4 +1,5 @@
 module Vfs = Ospack_vfs.Vfs
+module Vpath = Ospack_vfs.Vpath
 module Sharded_dir = Ospack_vfs.Sharded_dir
 module Concrete = Ospack_spec.Concrete
 module Json = Ospack_json.Json
@@ -76,13 +77,6 @@ let format = 2
 
 let kind_tag = function Vfs.Dir -> "dir" | Vfs.File -> "file" | Vfs.Symlink -> "link"
 
-(* does [path] live at or under [prefix], on a path-component boundary? *)
-let under ~prefix path =
-  let plen = String.length prefix in
-  String.length path >= plen
-  && String.sub path 0 plen = prefix
-  && (String.length path = plen || path.[plen] = '/')
-
 let render_entry ~install_root ~prefix ~spec files =
   let spec = (Concrete.render spec).json in
   let header =
@@ -143,7 +137,7 @@ let save t ~install_root (record : Database.record) =
       bad_prefix
         (Printf.sprintf "prefix %s of %s is not a directory" prefix
            record.Database.r_hash)
-    else if not (under ~prefix:install_root prefix) then
+    else if not (Vpath.under ~prefix:install_root prefix) then
       (* readers refuse a header that breaks this rule, so a damaged
          root cannot pass for another relocation *)
       bad_prefix
@@ -347,7 +341,7 @@ let load_entry t ~hash =
       let* install_root = field "install_root" Json.get_string in
       let* prefix = field "prefix" Json.get_string in
       let* () =
-        if under ~prefix:install_root prefix then Ok ()
+        if Vpath.under ~prefix:install_root prefix then Ok ()
         else
           corrupt
             (Printf.sprintf "entry %s: prefix %s is not under install root %s"
@@ -550,7 +544,9 @@ let splice_spec ~orig ~replacement =
         Ok (Concrete.subspec spliced (Concrete.root orig), dep)
 
 let swap_prefix pairs path =
-  match List.find_opt (fun (old_p, _) -> under ~prefix:old_p path) pairs with
+  match
+    List.find_opt (fun (old_p, _) -> Vpath.under ~prefix:old_p path) pairs
+  with
   | Some (old_p, new_p) ->
       new_p ^ String.sub path (String.length old_p)
                (String.length path - String.length old_p)

@@ -1,4 +1,5 @@
 module Vfs = Ospack_vfs.Vfs
+module Vpath = Ospack_vfs.Vpath
 module Concrete = Ospack_spec.Concrete
 module Obs = Ospack_obs.Obs
 
@@ -34,9 +35,6 @@ let ( let* ) = Result.bind
 let snapshot_index db =
   Database.all db
   |> List.map (fun r -> Ospack_json.Json.to_string (Database.record_to_json r))
-
-let under path ~prefix =
-  path = prefix || String.starts_with ~prefix:(prefix ^ "/") path
 
 let run ?(jobs = 1) ?every ?config ~repo ~compilers specs =
   if jobs < 1 then Error "torture: jobs must be >= 1"
@@ -84,9 +82,9 @@ let run ?(jobs = 1) ?every ?config ~repo ~compilers specs =
            and symlink under the store (outside the db's own bookkeeping)
            belongs to a loaded record's prefix *)
         let indexed p =
-          under p ~prefix:db_root
+          Vpath.under ~prefix:db_root p
           || List.exists
-               (fun (r : Database.record) -> under p ~prefix:r.r_prefix)
+               (fun (r : Database.record) -> Vpath.under ~prefix:r.r_prefix p)
                loaded
         in
         let* () =

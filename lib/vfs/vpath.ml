@@ -3,6 +3,11 @@ let split p =
 
 let is_absolute p = String.length p > 0 && p.[0] = '/'
 
+let under ~prefix p =
+  let n = String.length prefix in
+  String.starts_with ~prefix p
+  && (String.length p = n || p.[n] = '/' || prefix = "/")
+
 let concat components = "/" ^ String.concat "/" components
 
 (* absolute, no empty, "." or ".." component, no trailing '/': the fixed

@@ -35,5 +35,9 @@ val basename : string -> string
 
 val is_absolute : string -> bool
 
+val under : prefix:string -> string -> bool
+(** [under ~prefix p]: the canonical path [p] is [prefix] or lies below
+    it, on a component boundary (["/a/bc"] is not under ["/a/b"]). *)
+
 val concat : string list -> string
 (** Build an absolute path from components. *)

@@ -47,20 +47,6 @@ let write_registry vfs ~target_prefix entries =
   Result.map_error (fun e -> Io e)
     (Vfs.write_file vfs (registry target_prefix) content)
 
-(* relative paths of all regular files and symlinks under a prefix,
-   excluding the provenance/bookkeeping directory *)
-let payload_files vfs prefix =
-  Vfs.walk vfs prefix
-  |> List.filter_map (fun (path, kind) ->
-         match kind with
-         | Vfs.Dir -> None
-         | Vfs.File | Vfs.Symlink ->
-             let plen = String.length prefix + 1 in
-             let rel = String.sub path plen (String.length path - plen) in
-             if String.length rel >= 6 && String.sub rel 0 6 = ".spack" then
-               None
-             else Some rel)
-
 let ( let* ) = Result.bind
 
 let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
@@ -68,7 +54,7 @@ let activate vfs ?(merge = fun ~rel:_ -> None) ~ext_name ~ext_prefix
   if List.mem_assoc ext_name (active vfs ~target_prefix) then
     Error (Refused (Printf.sprintf "extension %s is already activated" ext_name))
   else begin
-    let rels = payload_files vfs ext_prefix in
+    let rels = View.payload_files vfs ext_prefix in
     let created = ref [] in
     let merged = ref [] in
     (* merged : (path, previous state) — a merged path may previously have
@@ -154,7 +140,7 @@ let deactivate vfs ~ext_name ~ext_prefix ~target_prefix =
   if not (List.mem_assoc ext_name entries) then
     Error (Refused (Printf.sprintf "extension %s is not activated" ext_name))
   else begin
-    let rels = payload_files vfs ext_prefix in
+    let rels = View.payload_files vfs ext_prefix in
     let* () =
       List.fold_left
         (fun acc rel ->

@@ -16,17 +16,11 @@ type link_report = {
   lr_shadowed : string list;
 }
 
-let mpi_of spec =
-  List.find_map
-    (fun n ->
-      if List.mem_assoc "mpi" n.Concrete.provided then Some n else None)
-    (Concrete.nodes spec)
-
 let variables spec =
   let n = Concrete.root_node spec in
   let cname, cver = n.Concrete.compiler in
   let mpiname, mpiversion =
-    match mpi_of spec with
+    match Concrete.provider spec "mpi" with
     | Some m when m.Concrete.name <> n.Concrete.name ->
         (m.Concrete.name, Version.to_string m.Concrete.version)
     | _ -> ("nompi", "0")

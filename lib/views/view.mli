@@ -46,6 +46,12 @@ type merge_report = {
           installs would place at the same location *)
 }
 
+val payload_files : Ospack_vfs.Vfs.t -> string -> string list
+(** The prefix-relative paths of every regular file and symlink under an
+    install prefix, in {!Ospack_vfs.Vfs.walk} order, skipping the
+    [.spack] provenance directory: what a view or an extension
+    activation links. *)
+
 val merge :
   Ospack_vfs.Vfs.t ->
   config:Ospack_config.Config.t ->
