@@ -141,12 +141,14 @@ let clauses (ctx : I.ctx) ast =
                   let r, _trace, ostats = greedy_run ~forced ctx ast in
                   let stats = I.add_stats stats ostats in
                   match r with
-                  | Ok c -> { I.oc_result = Ok c; oc_stats = stats; oc_core = [] }
+                  | Ok c ->
+                      { I.oc_result = Ok c; oc_stats = stats; oc_core = [] }
                   | Error _ ->
                       (* the oracle refutes this model and every superset
                          of its provider/version choices *)
                       let block =
-                        ( List.map (fun l -> -l) (Clauses.blocking_lits enc model),
+                        ( List.map (fun l -> -l)
+                            (Clauses.blocking_lits enc model),
                           -1 )
                       in
                       refine (block :: blocking) stats (round + 1))

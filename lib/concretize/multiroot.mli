@@ -20,9 +20,12 @@
       provider node).
 
     The whole unified solve memoizes through the ordinary concretization
-    cache when [cache] is given: the key is the canonical printed meta
-    spec (digest-named, so distinct root sets never collide), and the
-    entry validates per the usual Merkle fingerprint over its closure. *)
+    cache when [cache] is given, by {!Ccache.memo} like any single query
+    (an unseeded solve, a failure memoized too): the key is the
+    canonical printed meta spec (digest-named, so distinct root sets
+    never collide), and the entry validates per the usual Merkle
+    fingerprint over its closure. The memo's [ccache.lookup] span goes
+    to [obs]. *)
 
 type error =
   | Root_conflict of {
