@@ -1,11 +1,16 @@
 module Obs = Ospack_obs.Obs
 module I = Concretizer_intf
 
-type t = I.backend = Greedy | Clauses
+type t = Greedy | Clauses
 
-let to_string = I.backend_to_string
-let of_string = I.backend_of_string
-let all = I.all_backends
+let to_string = function Greedy -> "greedy" | Clauses -> "clauses"
+
+let of_string = function
+  | "greedy" -> Some Greedy
+  | "clauses" -> Some Clauses
+  | _ -> None
+
+let all = [ Greedy; Clauses ]
 
 let mirror src dst =
   List.iter (fun (k, n) -> Obs.count dst k n) (Obs.counters src)

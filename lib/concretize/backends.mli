@@ -27,7 +27,10 @@
     [solver.conflicts] and [solver.restarts] for the clause solver, the
     [concretize.*] names for every greedy run. *)
 
-type t = Concretizer_intf.backend = Greedy | Clauses
+(** Which concretizer implementation to use. *)
+type t =
+  | Greedy  (** the paper's greedy fixed point: one run, never revisited *)
+  | Clauses  (** complete clause-based solver with unsat cores *)
 
 val to_string : t -> string
 val of_string : string -> t option

@@ -5,9 +5,8 @@
     itself later swapped that algorithm for a complete optimizing solver
     without changing what a concretizer {e is}: a function from an
     abstract spec to a concrete spec under a package universe and site
-    policy. The solving context, the backend choice and the solve report
-    below are that contract; {!Backends.solve_full} dispatches on the
-    backend. *)
+    policy. The solving context and the solve report below are that
+    contract; {!Backends.solve_full} dispatches on the backend. *)
 
 (** A package's [packages.<name>.*] settings in the config. *)
 type prefs = {
@@ -41,20 +40,6 @@ type ctx = {
       (** built by the first clause encoding, so greedy-only contexts
           never build it *)
 }
-
-(** Which concretizer implementation to use. *)
-type backend =
-  | Greedy  (** the paper's greedy fixed point: one run, never revisited *)
-  | Clauses  (** complete clause-based solver with unsat cores *)
-
-let backend_to_string = function Greedy -> "greedy" | Clauses -> "clauses"
-
-let backend_of_string = function
-  | "greedy" -> Some Greedy
-  | "clauses" -> Some Clauses
-  | _ -> None
-
-let all_backends = [ Greedy; Clauses ]
 
 (** Search-effort statistics, in the vocabulary of both algorithm
     families. A greedy run reports iterations/runs and its policy

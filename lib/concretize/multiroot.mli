@@ -48,7 +48,7 @@ val meta_name : string list -> string
 val solve :
   ?cache:Ccache.t ->
   ?obs:Ospack_obs.Obs.t ->
-  backend:Concretizer_intf.backend ->
+  backend:Backends.t ->
   config:Ospack_config.Config.t ->
   compilers:Ospack_config.Compilers.t ->
   repo:Ospack_package.Repository.t ->
