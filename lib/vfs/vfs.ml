@@ -344,26 +344,24 @@ let rec holds d t =
        (function Ndir c -> holds c t | Nfile _ | Nlink _ -> false)
        (Hashtbl.to_seq_values d)
 
+(* Would [dst]'s parent lie in directory [d]'s subtree? The walk stops at
+   [dst]'s first missing component, so asking creates nothing. *)
+let moves_into fs d dst =
+  match parent_dir fs ~missing:Stop dst with
+  | Ok (ddir, _) -> holds d ddir
+  | Error _ -> false
+
 let rename fs ~src ~dst =
   let* () = barrier fs ~op:"rename" ~path:dst in
   let* sdir, sname = parent_dir fs ~missing:Fail src in
   match Hashtbl.find_opt sdir sname with
   | None -> Error (Not_found (Vpath.normalize src))
+  | Some (Ndir d) when moves_into fs d dst ->
+      (* POSIX refuses this with EINVAL *)
+      Error
+        (Into_own_subtree
+           { src = Vpath.normalize src; dst = Vpath.normalize dst })
   | Some node ->
-      (* a directory never moves into its own subtree (POSIX EINVAL):
-         the walk to [dst]'s parent stops at its first missing component,
-         so the refusal creates nothing *)
-      let* () =
-        match node with
-        | Ndir d -> (
-            match parent_dir fs ~missing:Stop dst with
-            | Ok (ddir, _) when holds d ddir ->
-                Error
-                  (Into_own_subtree
-                     { src = Vpath.normalize src; dst = Vpath.normalize dst })
-            | Ok _ | Error _ -> Ok ())
-        | Nfile _ | Nlink _ -> Ok ()
-      in
       let* ddir, dname = parent_dir fs ~missing:Create dst in
       let* () =
         match Hashtbl.find_opt ddir dname with
