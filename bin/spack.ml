@@ -809,6 +809,20 @@ let trace_validate_cmd =
    store, so multi-step workflows (install, find, activate, view, gc) work
    from the shell despite per-process state. Lines: `# comment`, or
    `<command> [args...]`. *)
+(* [split_word ~at s] splits a script line at its first space (or, with
+   [~at:`Last], its last) into the two trimmed sides; [None] when the
+   line holds no space *)
+let split_word ?(at = `First) s =
+  let index =
+    match at with `First -> String.index_opt | `Last -> String.rindex_opt
+  in
+  match index s ' ' with
+  | None -> None
+  | Some i ->
+      Some
+        ( String.trim (String.sub s 0 i),
+          String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
+
 (* "NAME [-j N]" for the env script commands *)
 let env_jobs rest =
   let tokens =
@@ -881,12 +895,7 @@ let script_cmd =
          else begin
            Format.printf "@.spack> %s@." line;
            let cmd, rest =
-             match String.index_opt line ' ' with
-             | None -> (line, "")
-             | Some i ->
-                 ( String.sub line 0 i,
-                   String.trim
-                     (String.sub line (i + 1) (String.length line - i - 1)) )
+             Option.value (split_word line) ~default:(line, "")
            in
            match cmd with
            | "install" -> (
@@ -994,16 +1003,11 @@ let script_cmd =
                   the one installed spec matching QUERY out to the real
                   filesystem, bytes as stored *)
                match
-                 ( String.rindex_opt rest ' ',
-                   ctx.Ospack.Context.cache )
+                 (split_word ~at:`Last rest, ctx.Ospack.Context.cache)
                with
                | None, _ -> errf "usage: cache-entry-export QUERY FILE"
                | _, None -> errf "no build cache configured"
-               | Some i, Some cache -> (
-                   let query = String.trim (String.sub rest 0 i) in
-                   let path =
-                     String.sub rest (i + 1) (String.length rest - i - 1)
-                   in
+               | Some (query, path), Some cache -> (
                    match Ospack.find ctx ~query () with
                    | Error e -> errf "%s" e
                    | Ok [ r ] -> (
@@ -1048,28 +1052,18 @@ let script_cmd =
            | "env-create" -> (
                (* env-create NAME [VIEWPATH] *)
                let name, view =
-                 match String.index_opt rest ' ' with
+                 match split_word rest with
                  | None -> (rest, None)
-                 | Some i ->
-                     ( String.sub rest 0 i,
-                       Some
-                         (String.trim
-                            (String.sub rest (i + 1)
-                               (String.length rest - i - 1))) )
+                 | Some (name, view) -> (name, Some view)
                in
                match Ospack.Environment.create ctx ~name ?view () with
                | Ok _ -> Format.printf "==> created environment %s@." name
                | Error e -> errf "%s" e)
            | "env-add" -> (
                (* env-add NAME SPEC *)
-               match String.index_opt rest ' ' with
+               match split_word rest with
                | None -> errf "usage: env-add NAME SPEC"
-               | Some i -> (
-                   let name = String.sub rest 0 i in
-                   let spec =
-                     String.trim
-                       (String.sub rest (i + 1) (String.length rest - i - 1))
-                   in
+               | Some (name, spec) -> (
                    match Ospack.Environment.load ctx ~name with
                    | Error e -> errf "%s" e
                    | Ok env -> (
@@ -1104,14 +1098,9 @@ let script_cmd =
                (* env-lock-export NAME FILE: copy the env's lockfile out to
                   the real filesystem (the cross-process bridge, like
                   --ccache) *)
-               match String.index_opt rest ' ' with
+               match split_word rest with
                | None -> errf "usage: env-lock-export NAME FILE"
-               | Some i -> (
-                   let name = String.sub rest 0 i in
-                   let path =
-                     String.trim
-                       (String.sub rest (i + 1) (String.length rest - i - 1))
-                   in
+               | Some (name, path) -> (
                    match
                      Ospack_vfs.Vfs.read_file ctx.Ospack.Context.vfs
                        (Ospack.Environment.lock_path name)
@@ -1125,14 +1114,9 @@ let script_cmd =
                (* env-lock-import NAME FILE: adopt a lockfile written by a
                   previous process; validated (checksum + fingerprint) on
                   first use, never trusted blindly *)
-               match String.index_opt rest ' ' with
+               match split_word rest with
                | None -> errf "usage: env-lock-import NAME FILE"
-               | Some i -> (
-                   let name = String.sub rest 0 i in
-                   let path =
-                     String.trim
-                       (String.sub rest (i + 1) (String.length rest - i - 1))
-                   in
+               | Some (name, path) -> (
                    if not (Sys.file_exists path) then
                      errf "no such file: %s" path
                    else
