@@ -368,6 +368,7 @@ let rename fs ~src ~dst =
         | None -> Ok ()
         | Some (Ndir d) -> (
             match node with
+            | Ndir s when s == d -> Ok () (* onto itself: POSIX does nothing *)
             | Ndir _ when Hashtbl.length d = 0 -> Ok ()
             | _ -> Error (Is_a_directory (Vpath.normalize dst)))
         | Some _ -> (

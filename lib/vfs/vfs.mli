@@ -141,7 +141,10 @@ val rename : t -> src:string -> dst:string -> (unit, error) result
     A directory at [dst] must be empty and can only be replaced by a
     directory. A directory never moves into its own subtree, symlinks
     followed: that rename is refused as {!Into_own_subtree}, before any
-    of [dst]'s parents is created. *)
+    of [dst]'s parents is created. A directory renamed onto itself
+    ([dst] names the same directory, empty or not) succeeds and leaves
+    the tree unchanged; like every rename it still crosses one write
+    barrier and counts one [write] and one [unlink]. *)
 
 val write_atomic :
   t -> string -> string -> (unit, string * string * error) result

@@ -186,7 +186,18 @@ let rename_cases () =
     [ "/db/sub"; "/db/new/deeper/db"; "/db/empty/f2"; "/inside/x/y" ];
   Alcotest.(check (result string err)) "source intact after the refusals"
     (Ok "x")
-    (Vfs.read_file fs "/db/empty/f")
+    (Vfs.read_file fs "/db/empty/f");
+  (* a non-empty directory renamed onto itself, directly or through a
+     symlinked parent, is a POSIX no-op: success, the tree unchanged *)
+  ignore (Vfs.symlink fs ~target:"/db" ~link:"/alias");
+  let before = Vfs.snapshot fs "/" in
+  List.iter
+    (fun dst ->
+      Alcotest.(check (result unit err)) ("onto itself: " ^ dst) (Ok ())
+        (Vfs.rename fs ~src:"/db/empty" ~dst);
+      Alcotest.(check (list string)) ("no-op left the tree: " ^ dst) before
+        (Vfs.snapshot fs "/"))
+    [ "/db/empty"; "/db//empty/"; "/alias/empty" ]
 
 (* --- deterministic fault injection --- *)
 
@@ -561,6 +572,7 @@ module Ref = struct
         let* () =
           match (Hashtbl.find_opt ddir dname, node) with
           | None, _ -> Ok ()
+          | Some (D d), D s when s == d -> Ok ()
           | Some (D d), D _ when Hashtbl.length d = 0 -> Ok ()
           | Some (D _), _ -> Error (Vfs.Is_a_directory (normalize dst))
           | Some _, D _ -> Error (Vfs.Not_a_directory (normalize dst))
@@ -667,6 +679,8 @@ let arb_script =
         (1, map (fun p -> Walk p) path);
         (2, map2 (fun p r -> Remove (p, r)) path bool);
         (2, map2 (fun s d -> Rename (s, d)) path path);
+        (* a node renamed onto itself *)
+        (1, map (fun s -> Rename (s, s)) path);
         (* a destination inside the source's own subtree *)
         ( 1,
           map2
