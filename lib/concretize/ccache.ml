@@ -38,6 +38,13 @@ type entry = {
          changes, so the recorded value stays exact *)
 }
 
+(* a memoized failure, and what its rendering explains once asked for
+   ([Some None]: the backend gave no explanation) *)
+type failure = {
+  f_error : Cerror.t;
+  mutable f_explanation : Cerror.explanation option option;
+}
+
 type t = {
   cc_context : context;
   cc_dir : (Vfs.t * string) option;
@@ -57,7 +64,7 @@ type t = {
          a node's parameters inside one DAG need not match its
          standalone concretization. *)
   mutable cc_seed_count : int;  (* bindings in [cc_seeds] *)
-  cc_failures : (string, Cerror.t) Hashtbl.t;
+  cc_failures : (string, failure) Hashtbl.t;
       (* keys whose solve failed under this context: memory only, never
          persisted or counted in [length] *)
   cc_obs : Obs.t;
@@ -283,12 +290,23 @@ let failure t ast =
   if Hashtbl.length t.cc_failures = 0 then None
   else
     match Hashtbl.find_opt t.cc_failures (key_of ast) with
-    | Some e ->
+    | Some f ->
         Obs.count t.cc_obs "ccache.failure_hits" 1;
-        Some e
+        Some f.f_error
     | None -> None
 
-let store_failure t ast e = Hashtbl.replace t.cc_failures (key_of ast) e
+let store_failure t ast e =
+  Hashtbl.replace t.cc_failures (key_of ast)
+    { f_error = e; f_explanation = None }
+
+let failure_explanation t ast explain =
+  match Hashtbl.find_opt t.cc_failures (key_of ast) with
+  | None -> explain ()
+  | Some { f_explanation = Some x; _ } -> x
+  | Some f ->
+      let x = explain () in
+      f.f_explanation <- Some x;
+      x
 
 let memo ?cache ?installed ~obs ast solve =
   let reused =

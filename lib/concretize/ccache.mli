@@ -139,6 +139,17 @@ val failure : t -> Ospack_spec.Ast.t -> Cerror.t option
 val store_failure : t -> Ospack_spec.Ast.t -> Cerror.t -> unit
 (** Record that solving this spec failed with the given error. *)
 
+val failure_explanation :
+  t ->
+  Ospack_spec.Ast.t ->
+  (unit -> Cerror.explanation option) ->
+  Cerror.explanation option
+(** [failure_explanation t ast explain]: the conflict explanation of this
+    spec's memoized failure. The first request runs [explain ()] and
+    keeps its answer beside the error, so a repeated failing query is
+    rendered again without solving. A spec with no memoized failure gets
+    [explain ()], kept nowhere. Counts nothing. *)
+
 val memo :
   ?cache:t ->
   ?installed:(Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option) ->

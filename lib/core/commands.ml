@@ -94,12 +94,20 @@ let concretize (ctx : Context.t) ~fresh ~reuse ast =
     | _ -> ());
     result
 
-(* On failure, re-solve uncached through the backend's full interface
+(* On failure, re-solve unseeded through the backend's full interface
    and append the rendered conflict chain: the clause backend's unsat
-   core, or the greedy backend's blocked decision path (pseudo-core). *)
-let render_unsat (ctx : Context.t) ast e =
-  let outcome = Backends.solve_full ctx.backend ctx.cctx ast in
-  match Backends.explanation ctx.backend outcome with
+   core, or the greedy backend's blocked decision path (pseudo-core).
+   Unless [fresh], the failure memo keeps that explanation, so a repeat
+   renders it without solving. *)
+let render_unsat (ctx : Context.t) ~fresh ast e =
+  let explain () =
+    Backends.explanation ctx.backend
+      (Backends.solve_full ctx.backend ctx.cctx ast)
+  in
+  match
+    if fresh then explain ()
+    else Ccache.failure_explanation ctx.ccache ast explain
+  with
   | None -> Error (render_cerror ctx e)
   | Some expl ->
       Error
@@ -113,7 +121,7 @@ let spec ?(fresh = false) ?(reuse = false) (ctx : Context.t) text =
   | Ok ast -> (
       match concretize ctx ~fresh ~reuse ast with
       | Ok c -> Ok c
-      | Error e -> render_unsat ctx ast e)
+      | Error e -> render_unsat ctx ~fresh ast e)
 
 let spec_explain (ctx : Context.t) text =
   match Parser.parse text with

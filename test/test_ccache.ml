@@ -365,6 +365,48 @@ let failed_query_solves_once () =
         && Obs.counter obs' "ccache.failure_hits" = 0))
     [ Backends.Greedy; Backends.Clauses ]
 
+(* [spec] keeps a failing query's rendered explanation in the failure
+   memo: a repeat renders the same text without solving again, on both
+   backends, for the §4.5 divergence spec (greedy fails, clauses solve)
+   and a true conflict *)
+let failed_spec_renders_once () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let module Backends = Ospack_concretize.Backends in
+  List.iter
+    (fun (backend, query) ->
+      let name = Backends.to_string backend ^ " " ^ query in
+      let spec ?fresh ctx =
+        Result.map Concrete.to_string (Commands.spec ?fresh ctx query)
+      in
+      let solve_counters = [ "concretize.iterations"; "solver.decisions" ] in
+      let counts obs = List.map (fun k -> Obs.counter obs k) solve_counters in
+      let expected = spec ~fresh:true (Context.create ~backend ()) in
+      let obs = Obs.create () in
+      let ctx = Context.create ~obs ~backend () in
+      let first = spec ctx in
+      let after_first = counts obs in
+      Alcotest.(check (result string string)) (name ^ ": as --fresh renders")
+        expected first;
+      List.iter
+        (fun i ->
+          Alcotest.(check (result string string))
+            (Printf.sprintf "%s: repeat %d, same text" name i)
+            first (spec ctx);
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: repeat %d solves nothing" name i)
+            after_first (counts obs);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: repeat %d, failure hits" name i)
+            (if Result.is_error first then i else 0)
+            (Obs.counter obs "ccache.failure_hits"))
+        [ 1; 2 ])
+    (List.concat_map
+       (fun backend ->
+         [ (backend, "mpileaks ^mpi+hwloc ^hwloc@1.9");
+           (backend, "gerris ^mpich@1.4") ])
+       [ Backends.Greedy; Backends.Clauses ])
+
 (* --- persistence and invalidation --- *)
 
 (* every backed cache below persists under this root: one file per entry *)
@@ -1106,6 +1148,8 @@ let () =
           Alcotest.test_case "store-aware reuse" `Quick reuse_layer;
           Alcotest.test_case "failed query solves once" `Quick
             failed_query_solves_once;
+          Alcotest.test_case "failed spec renders once" `Quick
+            failed_spec_renders_once;
         ] );
       ( "persistence",
         [
