@@ -37,6 +37,17 @@ module Version = Ospack_version.Version
 module Sha256 = Ospack_hash.Sha256
 module Backends = Ospack_concretize.Backends
 module I = Ospack_concretize.Concretizer_intf
+module Cerror = Ospack_concretize.Cerror
+module Ccache = Ospack_concretize.Ccache
+module Package = Ospack_package.Package
+module Buildcache = Ospack_store.Buildcache
+module Cachefleet = Ospack_store.Cachefleet
+module Obs = Ospack_obs.Obs
+module Profile = Ospack_obs.Profile
+module Baseline = Ospack_obs.Baseline
+module Json = Ospack_json.Json
+module Context = Ospack.Context
+module Environment = Ospack.Environment
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
@@ -45,6 +56,21 @@ let universe_ctx ?(overrides = []) () =
   Concretizer.make_ctx
     ~config:(Config.layer [ Config.of_assoc overrides; Universe.default_config ])
     ~compilers:Universe.compilers (Universe.repository ())
+
+(* a failed step aborts the run, naming the step; [ok_with] renders a
+   typed error first *)
+let ok_with show label = function
+  | Ok x -> x
+  | Error e -> failwith (label ^ ": " ^ show e)
+
+let ok label = ok_with Fun.id label
+
+(* an installer over the default universe, on a fresh in-memory
+   filesystem unless [vfs] is given *)
+let universe_installer ?config ?fs ?use_wrappers ?install_root ?cache ?obs
+    ?(vfs = Vfs.create ()) () =
+  Installer.create ?config ?fs ?use_wrappers ?install_root ?cache ?obs ~vfs
+    ~repo:(Universe.repository ()) ~compilers:Universe.compilers ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -225,19 +251,11 @@ let fig8 () =
 
 let fig9 () =
   section "Fig. 9: sub-DAG sharing between mpich and openmpi builds";
-  let vfs = Vfs.create () in
-  let inst =
-    Installer.create ~vfs ~repo:(Universe.repository ())
-      ~compilers:Universe.compilers ()
-  in
+  let inst = universe_installer () in
   let ctx = universe_ctx () in
   let install spec =
-    match Concretizer.concretize_string ctx spec with
-    | Error e -> failwith e
-    | Ok c -> (
-        match Installer.install inst c with
-        | Ok outcomes -> outcomes
-        | Error e -> failwith e)
+    let c = ok spec (Concretizer.concretize_string ctx spec) in
+    ok spec (Installer.install inst c)
   in
   let first = install "mpileaks ^mvapich2@1.9" in
   let t_first = Installer.total_build_seconds inst in
@@ -272,27 +290,26 @@ let fig10_packages =
 
 (* --- scaffolding shared by the document modes ------------------------ *)
 
-let parse s =
-  match Parser.parse s with
-  | Ok a -> a
-  | Error e -> failwith (s ^ ": " ^ e)
+let parse s = ok s (Parser.parse s)
 
 (* the byte-identity probe of a concrete spec: JSON plus rendered tree *)
 let render c =
-  Ospack_json.Json.to_string (Concrete.to_json c)
+  Json.to_string (Concrete.to_json c)
   ^ "\n" ^ Concrete.tree_string c
 
 (* one concretizer context over the default universe, built on first use *)
 let universe_cctx =
   lazy
     (Concretizer.make_ctx ~config:Universe.default_config
-       ~obs:(Ospack_obs.Obs.create ()) ~compilers:Universe.compilers
+       ~obs:(Obs.create ()) ~compilers:Universe.compilers
        (Universe.repository ()))
 
 let concrete s =
-  match Concretizer.concretize (Lazy.force universe_cctx) (parse s) with
-  | Ok c -> c
-  | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e)
+  ok_with Cerror.to_string s
+    (Concretizer.concretize (Lazy.force universe_cctx) (parse s))
+
+(* the informational real time of a document step *)
+let wall_ms secs = ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. secs))
 
 (* the 21-query suite of the concretize, solve and store modes: each
    Fig. 10 package bare, with %gcc, and pinned to its newest version *)
@@ -300,7 +317,7 @@ let query_suite () =
   let newest name =
     match Repository.find (Universe.repository ()) name with
     | Some p -> (
-        match Ospack_package.Package.known_versions p with
+        match Package.known_versions p with
         | v :: _ -> Version.to_string v
         | [] -> failwith (name ^ ": no versions"))
     | None -> failwith ("unknown package " ^ name)
@@ -310,32 +327,38 @@ let query_suite () =
       [ name; name ^ " %gcc"; Printf.sprintf "%s@%s" name (newest name) ])
     fig10_packages
 
+(* the simulated seconds of one package's root build on [fs], with or
+   without compiler wrappers; an enabled [obs] records the concretize and
+   install phases *)
+let build_seconds ?(obs = Obs.disabled) name fs use_wrappers =
+  let cctx =
+    Concretizer.make_ctx ~config:Universe.default_config ~obs
+      ~compilers:Universe.compilers (Universe.repository ())
+  in
+  let spec =
+    ok name
+      (Obs.span obs ~cat:"concretize" "concretize" (fun () ->
+           Concretizer.concretize_string cctx name))
+  in
+  let inst = universe_installer ~fs ~use_wrappers ~obs () in
+  let outcomes =
+    ok name
+      (Obs.span obs ~cat:"install" "install" (fun () ->
+           Installer.install inst spec))
+  in
+  let root = List.nth outcomes (List.length outcomes - 1) in
+  root.Installer.o_record.Database.r_build_seconds
+
 type build_times = { nfs_w : float; tmp_w : float; tmp_nw : float }
 
 let simulate_builds () =
-  let ctx = universe_ctx () in
-  let build name fs use_wrappers =
-    match Concretizer.concretize_string ctx name with
-    | Error e -> failwith (name ^ ": " ^ e)
-    | Ok spec -> (
-        let vfs = Vfs.create () in
-        let inst =
-          Installer.create ~fs ~use_wrappers ~vfs
-            ~repo:(Universe.repository ()) ~compilers:Universe.compilers ()
-        in
-        match Installer.install inst spec with
-        | Ok outcomes ->
-            let root = List.nth outcomes (List.length outcomes - 1) in
-            root.Installer.o_record.Database.r_build_seconds
-        | Error e -> failwith (name ^ ": " ^ e))
-  in
   List.map
     (fun (name, _, _) ->
       ( name,
         {
-          nfs_w = build name Fsmodel.nfs true;
-          tmp_w = build name Fsmodel.tmpfs true;
-          tmp_nw = build name Fsmodel.tmpfs false;
+          nfs_w = build_seconds name Fsmodel.nfs true;
+          tmp_w = build_seconds name Fsmodel.tmpfs true;
+          tmp_nw = build_seconds name Fsmodel.tmpfs false;
         } ))
     fig10_packages
 
@@ -459,25 +482,16 @@ let ablation () =
     (without_index /. with_index);
   (* third ablation: building from source vs pulling the binary cache *)
   let vfs = Vfs.create () in
-  let repo = Universe.repository () in
-  let cache = Ospack_store.Buildcache.create vfs ~root:"/bc" in
-  let builder = Installer.create ~vfs ~repo ~compilers:Universe.compilers () in
+  let cache = Buildcache.create vfs ~root:"/bc" in
+  let builder = universe_installer ~vfs () in
   let spec =
-    match Concretizer.concretize_string ctx "mpileaks ^mvapich2@1.9" with
-    | Ok c -> c
-    | Error e -> failwith e
+    ok "mpileaks"
+      (Concretizer.concretize_string ctx "mpileaks ^mvapich2@1.9")
   in
-  (match Installer.install builder spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (ok "install" (Installer.install builder spec));
   let built_seconds = Installer.total_build_seconds builder in
-  (match Installer.push_to_cache builder cache with
-  | Ok _ -> ()
-  | Error e -> failwith e);
-  let puller =
-    Installer.create ~install_root:"/pulled" ~cache ~vfs ~repo
-      ~compilers:Universe.compilers ()
-  in
+  ignore (ok "push" (Installer.push_to_cache builder cache));
+  let puller = universe_installer ~install_root:"/pulled" ~cache ~vfs () in
   let (_ : (Installer.outcome list, string) result), pull_wall =
     time_it (fun () -> Installer.install puller spec)
   in
@@ -555,37 +569,10 @@ let micro () =
    simulated build time is bit-identical — instrumentation must not
    perturb the cost model. *)
 let obs_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
-  let repo = Universe.repository () in
-  let build name fs use_wrappers ~obs =
-    let cctx =
-      Concretizer.make_ctx ~config:Universe.default_config ~obs
-        ~compilers:Universe.compilers repo
-    in
-    match
-      Obs.span obs ~cat:"concretize" "concretize" (fun () ->
-          Concretizer.concretize_string cctx name)
-    with
-    | Error e -> failwith (name ^ ": " ^ e)
-    | Ok spec -> (
-        let inst =
-          Installer.create ~fs ~use_wrappers ~obs ~vfs:(Vfs.create ()) ~repo
-            ~compilers:Universe.compilers ()
-        in
-        match
-          Obs.span obs ~cat:"install" "install" (fun () ->
-              Installer.install inst spec)
-        with
-        | Ok outcomes ->
-            let root = List.nth outcomes (List.length outcomes - 1) in
-            root.Installer.o_record.Database.r_build_seconds
-        | Error e -> failwith (name ^ ": " ^ e))
-  in
   let workload name fs fs_name use_wrappers =
     let obs = Obs.create () in
-    let seconds = build name fs use_wrappers ~obs in
-    let plain = build name fs use_wrappers ~obs:Obs.disabled in
+    let seconds = build_seconds ~obs name fs use_wrappers in
+    let plain = build_seconds name fs use_wrappers in
     if plain <> seconds then
       failwith
         (Printf.sprintf "%s on %s: instrumentation perturbed br_time (%f vs %f)"
@@ -638,42 +625,24 @@ let obs_doc () =
    CP identical at every -j level, efficiency never above 1, and the
    makespan equal to the CP bound once jobs >= nodes. *)
 let parallel_doc () =
-  let module Json = Ospack_json.Json in
-  let module Profile = Ospack_obs.Profile in
-  let repo = Universe.repository () in
-  let ctx = universe_ctx () in
-  let concrete name =
-    match Concretizer.concretize_string ctx name with
-    | Ok c -> c
-    | Error e -> failwith (name ^ ": " ^ e)
-  in
   let jobs_list = [ 1; 2; 4; 8 ] in
   let run_workload ~name ~specs ~fs ~fs_name =
     let run j =
-      let inst =
-        Installer.create ~fs ~vfs:(Vfs.create ()) ~repo
-          ~compilers:Universe.compilers ()
-      in
-      match Installer.install_parallel inst ~jobs:j specs with
-      | Error e -> failwith (Printf.sprintf "%s -j%d: %s" name j e)
-      | Ok r ->
-          if r.Installer.pr_failures <> [] then
-            failwith
-              (Printf.sprintf "%s -j%d: %s" name j
-                 (Installer.failures_to_string r.Installer.pr_failures));
-          let index =
-            Json.to_string (Database.to_json (Installer.database inst))
-          in
-          (r, index)
+      let inst = universe_installer ~fs () in
+      let label = Printf.sprintf "%s -j%d" name j in
+      let r = ok label (Installer.install_parallel inst ~jobs:j specs) in
+      if r.Installer.pr_failures <> [] then
+        failwith
+          (label ^ ": " ^ Installer.failures_to_string r.Installer.pr_failures);
+      (r, Json.to_string (Database.to_json (Installer.database inst)))
     in
     let results = List.map run jobs_list in
     (* critical-path analysis of each recorded schedule *)
     let profs =
       List.map
         (fun (r, _) ->
-          match Profile.analyze (Installer.profile_input ~specs r) with
-          | Ok p -> p
-          | Error e -> failwith (Printf.sprintf "%s: profile: %s" name e))
+          ok (name ^ ": profile")
+            (Profile.analyze (Installer.profile_input ~specs r)))
         results
     in
     let p1 = List.hd profs in
@@ -803,9 +772,6 @@ let parallel_doc () =
    --reuse, asserting every reused spec satisfies its query. Fails unless
    warm uses at least 5x fewer concretizer iterations than cold. *)
 let concretize_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
-  let module Ccache = Ospack_concretize.Ccache in
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
@@ -814,9 +780,11 @@ let concretize_doc () =
   let solve ~obs ~cache ast =
     let cctx = Concretizer.make_ctx ~config ~obs ~compilers repo in
     let before = Obs.counter obs "concretize.iterations" in
-    match Concretizer.concretize_cached ?cache cctx ast with
-    | Ok c -> (c, Obs.counter obs "concretize.iterations" - before)
-    | Error e -> failwith (Ospack_concretize.Cerror.to_string e)
+    let c =
+      ok_with Cerror.to_string (Printer.to_string ast)
+        (Concretizer.concretize_cached ?cache cctx ast)
+    in
+    (c, Obs.counter obs "concretize.iterations" - before)
   in
   (* isolated cold / warm / fresh per workload *)
   let rows =
@@ -854,22 +822,18 @@ let concretize_doc () =
   (* store-aware reuse: install the seven packages, replay the suite with
      --reuse; a reused spec need not equal the cold concretization (it
      reflects the store), but it must satisfy the query *)
-  let rctx = Ospack.Context.create ~obs:(Obs.create ()) () in
+  let rctx = Context.create ~obs:(Obs.create ()) () in
   List.iter
     (fun (name, _, _) ->
-      match Ospack.install rctx name with
-      | Ok _ -> ()
-      | Error e -> failwith (name ^ ": install failed: " ^ e))
+      ignore (ok (name ^ ": install failed") (Ospack.install rctx name)))
     fig10_packages;
-  let robs = rctx.Ospack.Context.obs in
+  let robs = rctx.Context.obs in
   let reuse_before = Obs.counter robs "ccache.reuse_hits" in
   List.iter
     (fun (s, ast, _, _, _) ->
-      match Ospack.spec ~reuse:true rctx s with
-      | Ok c ->
-          if not (Concrete.satisfies c ast) then
-            failwith (s ^ ": reused spec does not satisfy the query")
-      | Error e -> failwith (s ^ ": " ^ e))
+      let c = ok s (Ospack.spec ~reuse:true rctx s) in
+      if not (Concrete.satisfies c ast) then
+        failwith (s ^ ": reused spec does not satisfy the query"))
     rows;
   let reuse_hits = Obs.counter robs "ccache.reuse_hits" - reuse_before in
   let sum l = List.fold_left ( + ) 0 l in
@@ -928,8 +892,6 @@ let concretize_doc () =
      satisfies the query);
    - the unsat spec: both UNSAT, with a non-empty clause-backend core. *)
 let solve_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
@@ -949,7 +911,7 @@ let solve_doc () =
         ("restarts", Json.Int s.I.st_restarts);
         ("greedy_runs", Json.Int s.I.st_runs);
         ("iterations", Json.Int s.I.st_iterations);
-        ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. secs));
+        wall_ms secs;
       ]
   in
   let rows =
@@ -1024,10 +986,7 @@ let solve_doc () =
 
 (* `main.exe store` — the sharded-store benchmark. Three scenarios:
    - installs: the seven Fig. 10/11 packages installed sequentially,
-     accounting the index bytes the sharded layout actually wrote per
-     install against what the legacy whole-file rewrite (index.json
-     re-rendered after every node attempt) would have written. Fails
-     unless sharding reduced total index traffic.
+     accounting the index bytes the sharded layout writes per install.
    - warm queries: a fresh installer loads the sharded index and serves
      ~10k find_satisfying queries; counts are asserted deterministic,
      wall time is informational.
@@ -1038,68 +997,31 @@ let solve_doc () =
      unrelated entries live — the point of per-entry Merkle
      fingerprints. *)
 let store_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
-  let module Vfs = Ospack_vfs.Vfs in
-  let module Installer = Ospack_store.Installer in
-  let module Database = Ospack_store.Database in
-  let module Ccache = Ospack_concretize.Ccache in
-  let module Package = Ospack_package.Package in
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
-  (* --- index bytes per install: sharded vs legacy whole-file rewrite --- *)
+  (* --- index bytes per install --- *)
   let vfs = Vfs.create () in
-  let inst = Installer.create ~config ~vfs ~repo ~compilers () in
-  let shadow = Database.create () in
-  let install_rows, sharded_total, legacy_total =
-    List.fold_left
-      (fun (rows, stotal, ltotal) (name, _, _) ->
+  let inst = universe_installer ~config ~vfs () in
+  let installs =
+    List.map
+      (fun (name, _, _) ->
         let before = Installer.index_bytes_written inst in
         let outcomes =
-          match Installer.install inst (concrete name) with
-          | Ok o -> o
-          | Error e -> failwith (name ^ ": install failed: " ^ e)
+          ok (name ^ ": install failed")
+            (Installer.install inst (concrete name))
         in
-        let sharded = Installer.index_bytes_written inst - before in
-        (* the legacy layout re-rendered the whole index after every node
-           attempt; reconstruct exactly those bytes *)
-        let legacy =
-          List.fold_left
-            (fun acc (o : Installer.outcome) ->
-              Database.add shadow o.Installer.o_record;
-              acc
-              + String.length
-                  (Json.to_string ~indent:2 (Database.to_json shadow)))
-            0 outcomes
-        in
-        let row =
-          Json.Obj
-            [
-              ("spec", Json.String name);
-              ("nodes", Json.Int (List.length outcomes));
-              ("index_bytes_sharded", Json.Int sharded);
-              ("index_bytes_legacy", Json.Int legacy);
-            ]
-        in
-        (row :: rows, stotal + sharded, ltotal + legacy))
-      ([], 0, 0) fig10_packages
+        let bytes = Installer.index_bytes_written inst - before in
+        (name, List.length outcomes, bytes))
+      fig10_packages
   in
-  let install_rows = List.rev install_rows in
-  if sharded_total >= legacy_total then
-    failwith
-      (Printf.sprintf
-         "sharded index wrote %d bytes vs %d legacy — sharding must reduce \
-          index traffic"
-         sharded_total legacy_total);
+  let sharded_total =
+    List.fold_left (fun acc (_, _, bytes) -> acc + bytes) 0 installs
+  in
   (* --- ~10k-query warm index traffic against a freshly loaded store --- *)
-  let fresh = Installer.create ~config ~vfs ~repo ~compilers () in
+  let fresh = universe_installer ~config ~vfs () in
   let load_result, load_secs = time_it (fun () -> Installer.load_index fresh) in
-  let loaded =
-    match load_result with
-    | Ok n -> n
-    | Error e -> failwith ("load_index: " ^ e)
-  in
+  let loaded = ok "load_index" load_result in
   let db = Installer.database fresh in
   if loaded <> Database.count (Installer.database inst) then
     failwith "sharded reload lost records";
@@ -1125,17 +1047,13 @@ let store_doc () =
   let cache = Ccache.create ~dir ~context:cx0 () in
   List.iter
     (fun s ->
-      match
-        Concretizer.concretize_cached ~cache (Lazy.force universe_cctx)
-          (parse s)
-      with
-      | Ok _ -> ()
-      | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e))
+      ignore
+        (ok_with Cerror.to_string s
+           (Concretizer.concretize_cached ~cache (Lazy.force universe_cctx)
+              (parse s))))
     workloads;
   let stored = Ccache.length cache in
-  (match Ccache.save cache with
-  | Ok () -> ()
-  | Error e -> failwith ("ccache save: " ^ e));
+  ok "ccache save" (Ccache.save cache);
   (* edit one leaf recipe that provides no virtual: add a version *)
   let edited = "libdwarf" in
   let edited_repo =
@@ -1167,29 +1085,31 @@ let store_doc () =
     Json.Obj
       [
         ("format", Json.Int 1);
-        ("installs", Json.List install_rows);
+        ( "installs",
+          Json.List
+            (List.map
+               (fun (name, nodes, bytes) ->
+                 Json.Obj
+                   [
+                     ("spec", Json.String name);
+                     ("nodes", Json.Int nodes);
+                     ("index_bytes_sharded", Json.Int bytes);
+                   ])
+               installs) );
         ( "index",
           Json.Obj
             [
               ("records", Json.Int (Database.count db));
               ("index_bytes_sharded", Json.Int sharded_total);
-              ("index_bytes_legacy", Json.Int legacy_total);
-              ("bytes_ratio_pct", Json.Int (100 * sharded_total / legacy_total));
             ] );
         ( "warm_queries",
           Json.Obj
             [
               ("records_loaded", Json.Int loaded);
-              ( "load",
-                Json.Obj
-                  [ ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. load_secs)) ]
-              );
+              ("load", Json.Obj [ wall_ms load_secs ]);
               ("count", Json.Int query_count);
               ("hits", Json.Int !hits);
-              ( "serve",
-                Json.Obj
-                  [ ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. query_secs)) ]
-              );
+              ("serve", Json.Obj [ wall_ms query_secs ]);
             ] );
         ( "ccache",
           Json.Obj
@@ -1203,12 +1123,10 @@ let store_doc () =
   in
   Printf.printf
     "installed %d packages (%d records)\n\
-     index traffic: %d bytes sharded vs %d legacy (%d%%)\n\
+     index traffic: %d bytes sharded\n\
      warm queries: %d served, %d hits\n\
      ccache: %d entries; editing %s evicted %d, %d survived\n"
     (List.length fig10_packages) (Database.count db) sharded_total
-    legacy_total
-    (100 * sharded_total / legacy_total)
     query_count !hits stored edited evicted survivors;
   doc
 
@@ -1223,26 +1141,15 @@ let store_doc () =
    libelf@0.8.12 and asserts the recomputed hash, the RPATH rewiring,
    and the empty-environment loader verification. *)
 let buildcache_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
-  let module Vfs = Ospack_vfs.Vfs in
-  let module Installer = Ospack_store.Installer in
-  let module Database = Ospack_store.Database in
-  let module Buildcache = Ospack_store.Buildcache in
-  let module Cachefleet = Ospack_store.Cachefleet in
-  let repo = Universe.repository () in
   let config = Universe.default_config in
-  let compilers = Universe.compilers in
   (* --- build the roster once and stock three mirrors from it --- *)
   let vfs = Vfs.create () in
-  let inst = Installer.create ~config ~vfs ~repo ~compilers () in
+  let inst = universe_installer ~config ~vfs () in
   let items =
     List.map
       (fun (name, _, _) ->
         let spec = concrete name in
-        (match Installer.install inst spec with
-        | Ok _ -> ()
-        | Error e -> failwith (name ^ ": install failed: " ^ e));
+        ignore (ok (name ^ ": install failed") (Installer.install inst spec));
         let hash = Concrete.root_hash spec in
         match Database.find_by_hash (Installer.database inst) hash with
         | Some record ->
@@ -1260,14 +1167,10 @@ let buildcache_doc () =
     List.iteri
       (fun rank ((item : Cachefleet.item), record) ->
         if keep rank then
-          match
-            Buildcache.save cache
-              ~install_root:(Installer.install_root inst)
-              record
-          with
-          | Ok () -> ()
-          | Error e ->
-              failwith (item.it_name ^ ": " ^ Buildcache.error_to_string e))
+          ok_with Buildcache.error_to_string item.it_name
+            (Buildcache.save cache
+               ~install_root:(Installer.install_root inst)
+               record))
       items;
     cache
   in
@@ -1329,28 +1232,16 @@ let buildcache_doc () =
   (* --- splice a cached dyninst onto a different libelf --- *)
   let svfs = Vfs.create () in
   let scache = Buildcache.create svfs ~root:"/bench/buildcache" in
-  let sinst =
-    Installer.create ~config ~vfs:svfs ~repo ~compilers ~cache:scache ()
-  in
+  let sinst = universe_installer ~config ~vfs:svfs ~cache:scache () in
   let target = concrete "dyninst" in
-  (match Installer.install sinst target with
-  | Ok _ -> ()
-  | Error e -> failwith ("dyninst: install failed: " ^ e));
-  let pushed =
-    match Installer.push_to_cache sinst scache with
-    | Ok n -> n
-    | Error e -> failwith ("push: " ^ e)
-  in
+  ignore (ok "dyninst: install failed" (Installer.install sinst target));
+  let pushed = ok "push" (Installer.push_to_cache sinst scache) in
   let replacement = concrete "libelf@0.8.12" in
-  (match Installer.install sinst replacement with
-  | Ok _ -> ()
-  | Error e -> failwith ("libelf@0.8.12: install failed: " ^ e));
+  ignore
+    (ok "libelf@0.8.12: install failed" (Installer.install sinst replacement));
   let sp =
-    match
-      Installer.splice sinst ~hash:(Concrete.root_hash target) ~replacement
-    with
-    | Ok r -> r
-    | Error e -> failwith ("splice: " ^ e)
+    ok "splice"
+      (Installer.splice sinst ~hash:(Concrete.root_hash target) ~replacement)
   in
   if sp.Installer.sp_new_hash = sp.sp_old_hash then
     failwith "splicing a different dependency must recompute the root hash";
@@ -1392,23 +1283,12 @@ let buildcache_doc () =
    disjoint views. Wall-clock solve/replay times are informational;
    every count is exact. *)
 let env_doc () =
-  let module Obs = Ospack_obs.Obs in
-  let module Json = Ospack_json.Json in
-  let module Environment = Ospack.Environment in
-  let module Context = Ospack.Context in
   let roots = [ "stat +gui"; "mpileaks ^mvapich2@1.9"; "tau" ] in
   let build_env ctx ~name ?view specs =
-    let env =
-      match Environment.create ctx ~name ?view () with
-      | Ok e -> e
-      | Error e -> failwith (name ^ ": " ^ e)
-    in
     List.fold_left
-      (fun env spec ->
-        match Environment.add ctx env spec with
-        | Ok e -> e
-        | Error e -> failwith (spec ^ ": " ^ e))
-      env specs
+      (fun env spec -> ok spec (Environment.add ctx env spec))
+      (ok name (Environment.create ctx ~name ?view ()))
+      specs
   in
   (* the ccache lives outside the store, so a solving context's store
      holds nothing a replay lacks *)
@@ -1421,10 +1301,7 @@ let env_doc () =
   let a = Context.create () in
   let env_a = build_env a ~name:"prod" ~view:"/bench/view" roots in
   let report_a, cold_secs =
-    time_it (fun () ->
-        match Environment.install ~jobs:4 a env_a with
-        | Ok r -> r
-        | Error e -> failwith ("env install: " ^ e))
+    time_it (fun () -> ok "env install" (Environment.install ~jobs:4 a env_a))
   in
   let nodes =
     List.length report_a.Environment.er_report.Installer.pr_outcomes
@@ -1433,28 +1310,25 @@ let env_doc () =
      solve is asserted hash-identical to it inside install *)
   let _, warm_secs =
     time_it (fun () ->
-        match Environment.install ~jobs:4 a env_a with
-        | Ok r -> r
-        | Error e -> failwith ("warm env install: " ^ e))
+        ok "warm env install" (Environment.install ~jobs:4 a env_a))
   in
   (* --- context B: replay the lockfile into an empty store --- *)
   let b = Context.create () in
   let env_b = build_env b ~name:"prod" ~view:"/bench/view" roots in
+  let lock_path = Environment.lock_path "prod" in
   let lock_bytes =
-    match Vfs.read_file a.Context.vfs (Environment.lock_path "prod") with
-    | Ok c -> c
-    | Error e -> failwith ("lock read: " ^ Vfs.error_to_string e)
+    ok_with Vfs.error_to_string "lock read"
+      (Vfs.read_file a.Context.vfs lock_path)
   in
-  (match Vfs.write_file b.Context.vfs (Environment.lock_path "prod") lock_bytes with
-  | Ok () -> ()
-  | Error e -> failwith ("lock copy: " ^ Vfs.error_to_string e));
+  let copy_lock ctx =
+    ok_with Vfs.error_to_string "lock copy"
+      (Vfs.write_file ctx.Context.vfs lock_path lock_bytes)
+  in
+  copy_lock b;
   let report_b, replay_secs =
     time_it (fun () ->
-        match Environment.install_locked ~jobs:4 b env_b with
-        | Ok r -> r
-        | Error e ->
-            failwith
-              ("locked replay: " ^ Environment.locked_error_to_string e))
+        ok_with Environment.locked_error_to_string "locked replay"
+          (Environment.install_locked ~jobs:4 b env_b))
   in
   if snapshot a "/ospack/opt" <> snapshot b "/ospack/opt" then
     failwith "solve and lockfile replay must produce byte-identical stores";
@@ -1471,9 +1345,7 @@ let env_doc () =
   in
   let c = Context.create ~config:stale_config () in
   let env_c = build_env c ~name:"prod" roots in
-  (match Vfs.write_file c.Context.vfs (Environment.lock_path "prod") lock_bytes with
-  | Ok () -> ()
-  | Error e -> failwith ("lock copy: " ^ Vfs.error_to_string e));
+  copy_lock c;
   (match Environment.install_locked c env_c with
   | Error (Environment.Locked_lock (Environment.Lock_stale _)) -> ()
   | Error e ->
@@ -1489,16 +1361,13 @@ let env_doc () =
     List.map
       (fun (name, root) ->
         let env = build_env d ~name ~view:("/views/" ^ name) [ root ] in
-        match Environment.install ~jobs:4 d env with
-        | Ok r ->
-            let links = r.Environment.er_linked in
-            let closure =
-              List.fold_left
-                (fun acc (_, c) -> acc + Concrete.node_count c)
-                0 r.Environment.er_roots
-            in
-            (name, root, closure, links)
-        | Error e -> failwith (name ^ ": " ^ e))
+        let r = ok name (Environment.install ~jobs:4 d env) in
+        let closure =
+          List.fold_left
+            (fun acc (_, c) -> acc + Concrete.node_count c)
+            0 r.Environment.er_roots
+        in
+        (name, root, closure, r.Environment.er_linked))
       [ ("tools", "dyninst"); ("debug", "libdwarf"); ("math", "gsl") ]
   in
   let closure_total =
@@ -1522,14 +1391,8 @@ let env_doc () =
               ("nodes", Json.Int nodes);
               ("jobs", Json.Int report_a.Environment.er_report.Installer.pr_jobs);
               ("view_links", Json.Int report_a.Environment.er_linked);
-              ( "solve_cold",
-                Json.Obj
-                  [ ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. cold_secs)) ]
-              );
-              ( "solve_warm",
-                Json.Obj
-                  [ ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. warm_secs)) ]
-              );
+              ("solve_cold", Json.Obj [ wall_ms cold_secs ]);
+              ("solve_warm", Json.Obj [ wall_ms warm_secs ]);
             ] );
         ( "replay",
           Json.Obj
@@ -1537,10 +1400,7 @@ let env_doc () =
               ("nodes", Json.Int (List.length report_b.Environment.er_report.Installer.pr_outcomes));
               ("byte_identical", Json.Bool true);
               ("stale_rejected", Json.Bool true);
-              ( "install",
-                Json.Obj
-                  [ ("wall_ms", Json.fixed ~decimals:3 (1000.0 *. replay_secs)) ]
-              );
+              ("install", Json.Obj [ wall_ms replay_secs ]);
             ] );
         ( "shared_store",
           Json.Obj
@@ -1622,7 +1482,6 @@ let time_fields =
   ]
 
 let rec inject_costs pct json =
-  let module Json = Ospack_json.Json in
   match json with
   | Json.Obj fields ->
       Json.Obj
@@ -1652,8 +1511,6 @@ let usage () =
   exit 2
 
 let run_mode name doc_fn default_path args =
-  let module Json = Ospack_json.Json in
-  let module Baseline = Ospack_obs.Baseline in
   let check = ref false and update = ref false in
   let inject = ref 0.0 and path = ref None in
   let rec parse = function
