@@ -351,7 +351,7 @@ let failed_query_solves_once () =
         (Ccache.length ctx.Context.ccache);
       Alcotest.(check string) (name ^ ": same text as --fresh")
         (ask ~fresh:true ctx) second;
-      (* [spec] renders the conflict from its own uncached solve *)
+      (* [spec] renders the conflict from an unseeded solve *)
       let spec ?fresh () =
         Result.map Concrete.to_string (Commands.spec ?fresh ctx query)
       in
