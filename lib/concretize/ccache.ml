@@ -21,7 +21,8 @@ let algorithm_version = "greedy-fixpoint-1"
    every entry (algorithm+backend tag, repository name, toolchains,
    configuration — everything except package recipes), plus the
    repository (whose identity hashes it memoizes) and its provider index
-   for the per-entry Merkle fingerprints. *)
+   for the per-entry Merkle fingerprints, and those fingerprints by
+   closure. *)
 type context = {
   cx_base : string;
   cx_parts : (string * string) list Lazy.t;
@@ -29,6 +30,11 @@ type context = {
          records them so a drift names its part *)
   cx_repo : Repository.t;
   cx_providers : Provider_index.t Lazy.t;
+  cx_fingerprints : (string, string) Hashtbl.t;
+      (* closure key -> its entry fingerprint: the fingerprint reads only
+         the closure's names and the virtuals they provide, and every
+         identity hash and provider behind them is fixed with the
+         context *)
 }
 
 type entry = {
@@ -70,7 +76,7 @@ type t = {
   cc_obs : Obs.t;
 }
 
-let context ?(backend = "greedy") ~repo ~compilers ~config () =
+let context ?(backend = "greedy") ?providers ~repo ~compilers ~config () =
   (* the base is one SHA-256 over the parts' lines in this order; each
      part is kept so [fingerprint_parts] can hash it alone. The backend
      is part of the algorithm tag: greedy and clause-solver entries must
@@ -116,7 +122,11 @@ let context ?(backend = "greedy") ~repo ~compilers ~config () =
     cx_parts =
       lazy (List.map (fun (part, lines) -> (part, Sha256.hex_digest lines)) parts);
     cx_repo = repo;
-    cx_providers = lazy (Provider_index.build repo);
+    cx_providers =
+      (match providers with
+      | Some index -> Lazy.from_val index
+      | None -> lazy (Provider_index.build repo));
+    cx_fingerprints = Hashtbl.create 16;
   }
 
 let base_fingerprint cx = cx.cx_base
@@ -131,8 +141,8 @@ let identity_hash cx name = Repository.identity_hash cx.cx_repo name
    provider can change which one concretization picks, even if the
    stored DAG never contained it). Editing a recipe therefore
    invalidates only the entries whose closure (or provider set) can see
-   the edit. *)
-let entry_fingerprint cx concrete =
+   the edit. This computes it from scratch. *)
+let fingerprint cx concrete =
   let ctx = Sha256.init () in
   Sha256.feed ctx ("base " ^ cx.cx_base ^ "\n");
   let virtuals = ref StrSet.empty in
@@ -158,6 +168,31 @@ let entry_fingerprint cx concrete =
            (String.concat "," providers)))
     !virtuals;
   Hex.encode (Sha256.finalize ctx)
+
+(* What [fingerprint] reads of a DAG: its node names, in order, each
+   with the virtuals it provides. Names hold no space or newline. *)
+let closure_key concrete =
+  let b = Buffer.create 128 in
+  List.iter
+    (fun (n : Concrete.node) ->
+      Buffer.add_string b n.Concrete.name;
+      List.iter
+        (fun (v, _) ->
+          Buffer.add_char b ' ';
+          Buffer.add_string b v)
+        n.Concrete.provided;
+      Buffer.add_char b '\n')
+    (Concrete.nodes concrete);
+  Buffer.contents b
+
+let entry_fingerprint cx concrete =
+  let key = closure_key concrete in
+  match Hashtbl.find_opt cx.cx_fingerprints key with
+  | Some fp -> fp
+  | None ->
+      let fp = fingerprint cx concrete in
+      Hashtbl.add cx.cx_fingerprints key fp;
+      fp
 
 let create ?(obs = Obs.disabled) ?dir ~context:cx () =
   {
@@ -352,7 +387,7 @@ let to_json t =
     List.map
       (fun k ->
         let c = (Hashtbl.find t.cc_entries k).e_concrete in
-        Json.Obj (entry_fields k ~merkle:(entry_fingerprint cx c) c))
+        Json.Obj (entry_fields k ~merkle:(fingerprint cx c) c))
       (sorted_keys t.cc_entries)
   in
   Json.Obj (header cx @ [ ("entries", Json.List entries) ])

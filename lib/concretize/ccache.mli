@@ -46,10 +46,11 @@
 type t
 
 type context
-(** The validation context: base fingerprint plus the repository and its
-    provider index. Build one per (repo, compilers, config, backend) and
-    share it across cache operations; per-package identity hashes are
-    memoized in the repository itself
+(** The validation context: base fingerprint plus the repository, its
+    provider index, and the entry fingerprints it has computed, by
+    closure. Build one per (repo, compilers, config, backend) and share
+    it across cache operations; per-package identity hashes are memoized
+    in the repository itself
     ({!Ospack_package.Repository.identity_hash}), so fresh contexts over
     one repository never re-hash a recipe. *)
 
@@ -59,6 +60,7 @@ val algorithm_version : string
 
 val context :
   ?backend:string ->
+  ?providers:Ospack_package.Provider_index.t ->
   repo:Ospack_package.Repository.t ->
   compilers:Ospack_config.Compilers.t ->
   config:Ospack_config.Config.t ->
@@ -68,7 +70,9 @@ val context :
     configuration, so covering the config covers the policy. [backend]
     (default ["greedy"]) extends the algorithm tag with the selected
     concretizer backend, so entries produced by one backend are never
-    served to another. *)
+    served to another. [providers] is [repo]'s provider index when the
+    caller already built one (a concretizer context has); without it the
+    first fingerprint that needs one builds it. *)
 
 val base_fingerprint : context -> string
 (** The base fingerprint (64 hex chars) — everything shared by all
@@ -87,7 +91,12 @@ val entry_fingerprint : context -> Ospack_spec.Concrete.t -> string
 (** The Merkle fingerprint (64 hex chars) a concrete DAG must hash to
     for an entry holding it to be valid under [context]: base
     fingerprint, identity hash of each closure package, and provider
-    identities of each virtual interface used. *)
+    identities of each virtual interface used. It reads only the
+    closure's node names and the virtuals each provides, and everything
+    behind those is fixed with the context, so the context keeps each
+    closure's fingerprint: a later DAG over the same names and provided
+    virtuals is not hashed again. A new context (another repository,
+    such as a recipe edit, or another base) starts with none. *)
 
 val create :
   ?obs:Ospack_obs.Obs.t ->
@@ -199,8 +208,9 @@ val length : t -> int
 val to_json : t -> Ospack_json.Json.t
 (** The portable document of the in-memory entries: format version,
     base fingerprint, and one [{spec; merkle; concrete}] object per
-    entry, sorted by spec. Every Merkle fingerprint is recomputed, so
-    this is also the reference each entry file is checked against. *)
+    entry, sorted by spec. Every Merkle fingerprint is recomputed from
+    scratch, past the context's closure memo, so this is also the
+    reference each entry file and the memo are checked against. *)
 
 val import : t -> string -> unit
 (** Merge a serialized {!to_json} document into [t], {e validating} it

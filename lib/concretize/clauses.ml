@@ -36,32 +36,6 @@ let var_to_string t v =
   | Provider_is (virt, pr) -> Printf.sprintf "Prov(%s=%s)" virt pr
 
 (* ------------------------------------------------------------------ *)
-(* Per-context facts (see Concretizer_intf.fact)                       *)
-
-let no_prefs = { I.site_versions = None; variants = [] }
-
-let package_prefs (ctx : I.ctx) name =
-  match Hashtbl.find_opt (Lazy.force ctx.facts) name with
-  | Some (I.Package_prefs prefs) -> prefs
-  | Some (I.Providers _) | None -> no_prefs
-
-let site_providers (ctx : I.ctx) virt =
-  let facts = Lazy.force ctx.facts in
-  match Hashtbl.find_opt facts virt with
-  | Some (I.Providers prs) -> prs
-  | Some (I.Package_prefs _) | None ->
-      let site = Policy.rank_provider ctx.config ~virtual_:virt in
-      let prs =
-        Provider_index.providers ctx.index virt
-        |> List.map (fun e -> e.Provider_index.e_provider)
-        |> List.sort_uniq String.compare
-        |> List.map (fun pr -> (site pr, pr))
-        |> List.sort compare |> List.map snd |> Array.of_list
-      in
-      Hashtbl.replace facts virt (I.Providers prs);
-      prs
-
-(* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
 
 (* A package of the closure. Its variables are fixed by [make_vars]. *)
@@ -135,7 +109,7 @@ let compute_closure b =
     if not (in_closure b name) then
       match Repository.find b.ctx.repo name with
       | Some pkg ->
-          let prefs = package_prefs b.ctx name in
+          let prefs = I.package_prefs b.ctx name in
           Hashtbl.add b.slots name { pkg; prefs; cands = []; pvar = 0 };
           b.closure <- name :: b.closure;
           Queue.add pkg q
@@ -207,7 +181,7 @@ let providers b virt =
       let forced, rest =
         Array.fold_right
           (fun pr acc -> if in_closure b pr then pr :: acc else acc)
-          (site_providers b.ctx virt) []
+          (I.site_providers b.ctx virt) []
         |> List.partition (fun pr -> Smap.mem pr b.abstract.Ast.deps)
       in
       let prs =

@@ -15,34 +15,23 @@ module Smap = Ast.Smap
 module Sset = Set.Make (String)
 module Obs = Ospack_obs.Obs
 
-type ctx = Concretizer_intf.ctx = {
+module I = Concretizer_intf
+
+type ctx = I.ctx = {
   repo : Repository.t;
   index : Provider_index.t;
   config : Config.t;
   compilers : Compilers.t;
   obs : Obs.t;
-  facts : (string, Concretizer_intf.fact) Hashtbl.t Lazy.t;
+  compiler_order : Ast.compiler_req list;
+  facts : (string, I.fact) Hashtbl.t Lazy.t;
 }
-
-(* the clause encoder's per-context facts, seeded with the preferences
-   of every package the config names *)
-let config_facts config =
-  let facts = Hashtbl.create 16 in
-  List.iter
-    (fun package ->
-      Hashtbl.replace facts package
-        (Concretizer_intf.Package_prefs
-           {
-             site_versions = Policy.preferred_versions config ~package;
-             variants = Policy.variant_preference config ~package;
-           }))
-    (Policy.configured_packages config);
-  facts
 
 let make_ctx ?(config = Config.empty) ?(obs = Obs.disabled) ~compilers repo =
   let index = Provider_index.build repo in
-  let facts = lazy (config_facts config) in
-  { repo; index; config; compilers; obs; facts }
+  let compiler_order = Policy.compiler_order config in
+  let facts = lazy (I.config_facts config) in
+  { repo; index; config; compilers; obs; compiler_order; facts }
 
 let fail e = raise (Cerror.Error e)
 
@@ -116,6 +105,36 @@ type decision = {
   d_chosen : string;  (* human-readable chosen value *)
 }
 
+(* Where a version constraint on a package came from, kept as it was
+   found and rendered only by a {!Cerror.No_version} that names it. *)
+type vsource =
+  | User_spec
+  | Provides_condition of string  (* the provider *)
+  | Depends_on of string * Ast.node  (* the dependent, its depends_on *)
+  | Constraint_from of string * Ast.node
+      (* the dependent, a deep constraint of its depends_on *)
+
+let vsource_to_string = function
+  | User_spec -> "the user spec"
+  | Provides_condition provider -> "provides condition on " ^ provider
+  | Depends_on (name, dep) ->
+      Printf.sprintf "%s depends on %s" name (Printer.node_to_string dep)
+  | Constraint_from (name, c) ->
+      Printf.sprintf "constraint from %s (depends_on %s)" name
+        (Printer.node_to_string c)
+
+(* two sources are the same when they render alike; a recipe's node is
+   the same value on every iteration, so the rendering is a fallback *)
+let same_vsource a b =
+  match (a, b) with
+  | User_spec, User_spec -> true
+  | Provides_condition p, Provides_condition q -> String.equal p q
+  | Depends_on (n, d), Depends_on (m, e)
+  | Constraint_from (n, d), Constraint_from (m, e) ->
+      String.equal n m
+      && (d == e || Printer.node_to_string d = Printer.node_to_string e)
+  | _ -> false
+
 type run_state = {
   ctx : ctx;
   choices : (string * int) list;  (* index-based decision overrides *)
@@ -132,7 +151,7 @@ type run_state = {
          {e value}, not the same position. The index is the fallback
          when the remembered value is no longer a candidate. *)
   mutable trace : decision list;  (* reversed *)
-  vsources : (string, (string * Vlist.t) list) Hashtbl.t;
+  vsources : (string, (vsource * Vlist.t) list) Hashtbl.t;
       (* per-package version-constraint provenance, for nearest-miss
          rendering in {!Cerror.No_version} *)
 }
@@ -170,9 +189,12 @@ let decide rs key ~repr first rest =
   let n = List.length alternatives in
   match Hashtbl.find_opt rs.decisions key with
   | Some (i, value) -> (
-      match index_where (fun a -> repr a = value) alternatives with
-      | Some j -> List.nth alternatives j
-      | None -> List.nth alternatives (min i (n - 1)))
+      let remembered = List.nth alternatives (min i (n - 1)) in
+      if repr remembered = value then remembered
+      else
+        match index_where (fun a -> repr a = value) alternatives with
+        | Some j -> List.nth alternatives j
+        | None -> remembered)
   | None ->
       let forced_index =
         match List.assoc_opt key rs.forced with
@@ -194,7 +216,8 @@ let decide rs key ~repr first rest =
       (* enabled traces show each decision as an annotation at the
          point it was taken *)
       Obs.count rs.ctx.obs "concretize.decisions" 1;
-      Obs.annotate rs.ctx.obs ~cat:"explain" (explain_decision d);
+      if Obs.enabled rs.ctx.obs then
+        Obs.annotate rs.ctx.obs ~cat:"explain" (explain_decision d);
       chosen
 
 (* Record where a version constraint on [name] came from, so a later
@@ -207,7 +230,11 @@ let note_vsource rs name src vl =
     let existing =
       Option.value (Hashtbl.find_opt rs.vsources name) ~default:[]
     in
-    if not (List.exists (fun (s, v) -> s = src && Vlist.equal v vl) existing)
+    if
+      not
+        (List.exists
+           (fun (s, v) -> Vlist.equal v vl && same_vsource s src)
+           existing)
     then Hashtbl.replace rs.vsources name (existing @ [ (src, vl) ])
 
 (* Evaluate a when-predicate for [name] against the previous iteration's
@@ -262,10 +289,6 @@ let rank_versions ~site_pref pkg (constraint_ : Vlist.t) =
     match Vlist.concrete constraint_ with Some v -> [ v ] | None -> []
   else ranked
 
-let ranked_versions cfg pkg constraint_ =
-  let site_pref = Policy.preferred_versions cfg ~package:pkg.Package.p_name in
-  rank_versions ~site_pref pkg constraint_
-
 (* [seed] pre-populates the previous-iteration pins the first iteration
    evaluates its when-clauses against. A cold run starts from no pins; a
    seeded run starts from pins harvested from earlier concretizations in
@@ -284,10 +307,10 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
     intersect_or_fail a b
   in
   let user_cons = ref abstract.Ast.deps in
-  note_vsource rs abstract.Ast.root.Ast.name "the user spec"
+  note_vsource rs abstract.Ast.root.Ast.name User_spec
     abstract.Ast.root.Ast.versions;
   Smap.iter
-    (fun name c -> note_vsource rs name "the user spec" c.Ast.versions)
+    (fun name c -> note_vsource rs name User_spec c.Ast.versions)
     abstract.Ast.deps;
   (* constraints contributed by deep depends_on specs, by package name *)
   let max_iterations = 50 in
@@ -348,22 +371,23 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
         fail
           (Cerror.No_provider
              { virtual_; constraint_ = Printer.node_to_string req });
-      let provider_names =
-        List.map (fun e -> e.Provider_index.e_provider) entries
-        |> List.sort_uniq String.compare
-      in
-      (* rank: user-forced, then already-in-DAG, then site order, then
-         name; each provider ranked once, before the sort *)
-      let site = Policy.rank_provider ctx.config ~virtual_ in
-      let rank name =
-        let forced = if Smap.mem name !user_cons then 0 else 1 in
-        let present = if Hashtbl.mem nodes name then 0 else 1 in
-        (forced, present, site name, name)
-      in
+      (* rank: user-forced, then already-in-DAG, then site order (the
+         position in the context's site-ordered providers, which breaks
+         ties by name); one integer key per satisfying provider *)
+      let site = I.site_providers ctx virtual_ in
+      let n = Array.length site in
+      let keyed = ref [] in
+      Array.iteri
+        (fun i name ->
+          if List.exists (fun e -> e.Provider_index.e_provider = name) entries
+          then
+            let forced = if Smap.mem name !user_cons then 0 else 2 in
+            let present = if Hashtbl.mem nodes name then 0 else 1 in
+            keyed := (((forced + present) * n) + i, name) :: !keyed)
+        site;
       let ranked =
-        List.map rank provider_names
-        |> List.sort compare
-        |> List.map (fun (_, _, _, name) -> name)
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) !keyed
+        |> List.map snd
       in
       let provider =
         match ranked with
@@ -400,8 +424,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
           | None -> Ast.unconstrained provider
           | Some w -> { w.Ast.root with Ast.name = provider }
         in
-        note_vsource rs provider
-          (Printf.sprintf "provides condition on %s" provider)
+        note_vsource rs provider (Provides_condition provider)
           from_when.Ast.versions;
         let provider_req = intersect_or_fail transferred from_when in
         let name = ensure ~required_by provider_req in
@@ -465,15 +488,12 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
             in
             if active then begin
               note_vsource rs d.Package.d_spec.Ast.root.Ast.name
-                (Printf.sprintf "%s depends on %s" name
-                   (Printer.node_to_string d.Package.d_spec.Ast.root))
+                (Depends_on (name, d.Package.d_spec.Ast.root))
                 d.Package.d_spec.Ast.root.Ast.versions;
               (* deep constraints of this depends_on apply DAG-wide *)
               Ast.Smap.iter
                 (fun dep_name c ->
-                  note_vsource rs dep_name
-                    (Printf.sprintf "constraint from %s (depends_on %s)" name
-                       (Printer.node_to_string c))
+                  note_vsource rs dep_name (Constraint_from (name, c))
                     c.Ast.versions;
                   extra :=
                     Smap.update dep_name
@@ -505,6 +525,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
         let info = Hashtbl.find nodes name in
         let pkg = info.pkg in
         let cons = info.cons in
+        let prefs = I.package_prefs ctx name in
         (* architecture *)
         let parent_pins =
           match info.required_by with
@@ -553,8 +574,8 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
           match cons.Ast.compiler with
           | Some req -> (
               match
-                Policy.choose_toolchain ctx.config ctx.compilers ~arch
-                  ~features ~req:(Some req) ()
+                Policy.choose_toolchain ~order:ctx.compiler_order ctx.config
+                  ctx.compilers ~arch ~features ~req:(Some req) ()
               with
               | Some tc -> (tc.Compilers.tc_name, tc.Compilers.tc_version)
               | None ->
@@ -581,8 +602,8 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
               | Some c -> c
               | None -> (
                   match
-                    Policy.choose_toolchain ctx.config ctx.compilers ~arch
-                      ~features ~req:None ()
+                    Policy.choose_toolchain ~order:ctx.compiler_order
+                      ctx.config ctx.compilers ~arch ~features ~req:None ()
                   with
                   | Some tc -> (tc.Compilers.tc_name, tc.Compilers.tc_version)
                   | None ->
@@ -593,7 +614,10 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
         in
         (* version *)
         let version =
-          match ranked_versions ctx.config pkg cons.Ast.versions with
+          match
+            rank_versions ~site_pref:prefs.I.site_versions pkg
+              cons.Ast.versions
+          with
           | [] ->
               let sources =
                 Option.value (Hashtbl.find_opt rs.vsources name) ~default:[]
@@ -609,7 +633,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
                          with
                          | Some (src, vl) ->
                              Printf.sprintf "excluded by @%s (%s)"
-                               (Vlist.to_string vl) src
+                               (Vlist.to_string vl) (vsource_to_string src)
                          | None -> "excluded by the combined constraint"
                        in
                        (Version.to_string v, why))
@@ -638,10 +662,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
                 match Ast.Smap.find_opt vname cons.Ast.variants with
                 | Some v -> v
                 | None -> (
-                    match
-                      List.assoc_opt vname
-                        (Policy.variant_preference ctx.config ~package:name)
-                    with
+                    match List.assoc_opt vname prefs.I.variants with
                     | Some v -> v
                     | None -> default)
               in

@@ -25,6 +25,7 @@ type ctx = Concretizer_intf.ctx = {
   config : Ospack_config.Config.t;
   compilers : Ospack_config.Compilers.t;
   obs : Ospack_obs.Obs.t;
+  compiler_order : Ospack_spec.Ast.compiler_req list;
   facts : (string, Concretizer_intf.fact) Hashtbl.t Lazy.t;
 }
 
@@ -35,7 +36,9 @@ val make_ctx :
   Ospack_package.Repository.t ->
   ctx
 (** Build a context (and the provider index) over a repository. Its
-    clause-encoding facts are built on first use.
+    [compiler_order] is parsed here, once; its policy facts
+    ({!Concretizer_intf.fact}) are built on the first solve that reads
+    one, greedy or clause encoding.
 
     When [obs] is an enabled sink (default: {!Ospack_obs.Obs.disabled}),
     every concretization records one span per fixed-point iteration plus
@@ -143,14 +146,9 @@ val rank_versions :
   Ospack_package.Package.t ->
   Ospack_version.Vlist.t ->
   Ospack_version.Version.t list
-(** {!ranked_versions} given the package's site preference. *)
-
-val ranked_versions :
-  Ospack_config.Config.t ->
-  Ospack_package.Package.t ->
-  Ospack_version.Vlist.t ->
-  Ospack_version.Version.t list
-(** The version-preference policy: candidates best-first (site-preferred,
-    then package-preferred, then newest), restricted to the constraint;
-    a concrete point constraint is extrapolated when nothing is known.
-    Shared with the clause backend so both rank versions identically. *)
+(** The version-preference policy: candidates best-first (within
+    [site_pref], then package-preferred, then newest), restricted to the
+    constraint; a concrete point constraint is extrapolated when nothing
+    is known. Shared with the clause backend so both rank versions
+    identically; both take [site_pref] from the context's facts
+    ({!Concretizer_intf.package_prefs}). *)

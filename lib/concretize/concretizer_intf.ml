@@ -15,9 +15,11 @@ type prefs = {
   variants : (string * bool) list;  (** [packages.<name>.variants], parsed *)
 }
 
-(** What the clause encoder keeps per context, by name (a name is a
-    package or a virtual, never both). A context's repository and config
-    never change, so a fact stays exact for every later query. *)
+(** The site policy both backends read, kept per context by name (a
+    name is a package or a virtual, never both), so a query reads a
+    config key or ranks a provider list at most once per context. A
+    context's repository and config never change, so a fact stays exact
+    for every later query. *)
 type fact =
   | Package_prefs of prefs
       (** for each package the config names; every other package has
@@ -28,18 +30,63 @@ type fact =
 (** The solving context: everything outside the abstract spec that a
     concretization depends on. Shared by every backend (and re-exported
     as {!Concretizer.ctx} for compatibility). Build it with
-    {!Concretizer.make_ctx}: [facts] is only valid for the repository and
-    config it was created with. *)
+    {!Concretizer.make_ctx}: [compiler_order] and [facts] are only valid
+    for the repository and config they were created with. *)
 type ctx = {
   repo : Ospack_package.Repository.t;
   index : Ospack_package.Provider_index.t;
   config : Ospack_config.Config.t;
   compilers : Ospack_config.Compilers.t;
   obs : Ospack_obs.Obs.t;
+  compiler_order : Ospack_spec.Ast.compiler_req list;
+      (** the config's [compiler_order], parsed once *)
   facts : (string, fact) Hashtbl.t Lazy.t;
-      (** built by the first clause encoding, so greedy-only contexts
-          never build it *)
+      (** built by the first solve that reads a preference or ranks a
+          provider, greedy or clause encoding *)
 }
+
+(* the per-context facts, seeded with the preferences of every package
+   the config names *)
+let config_facts config =
+  let facts = Hashtbl.create 16 in
+  List.iter
+    (fun package ->
+      Hashtbl.replace facts package
+        (Package_prefs
+           {
+             site_versions =
+               Ospack_config.Policy.preferred_versions config ~package;
+             variants = Ospack_config.Policy.variant_preference config ~package;
+           }))
+    (Ospack_config.Policy.configured_packages config);
+  facts
+
+let no_prefs = { site_versions = None; variants = [] }
+
+(** A package's [packages.<name>.*] settings, from the context's facts. *)
+let package_prefs ctx name =
+  match Hashtbl.find_opt (Lazy.force ctx.facts) name with
+  | Some (Package_prefs prefs) -> prefs
+  | Some (Providers _) | None -> no_prefs
+
+(** Every provider of a virtual, in site order ([providers.<virtual>]
+    position, then name), ranked on the context's first ask. *)
+let site_providers ctx virt =
+  let facts = Lazy.force ctx.facts in
+  match Hashtbl.find_opt facts virt with
+  | Some (Providers prs) -> prs
+  | Some (Package_prefs _) | None ->
+      let module Provider_index = Ospack_package.Provider_index in
+      let site = Ospack_config.Policy.rank_provider ctx.config ~virtual_:virt in
+      let prs =
+        Provider_index.providers ctx.index virt
+        |> List.map (fun e -> e.Provider_index.e_provider)
+        |> List.sort_uniq String.compare
+        |> List.map (fun pr -> (site pr, pr))
+        |> List.sort compare |> List.map snd |> Array.of_list
+      in
+      Hashtbl.replace facts virt (Providers prs);
+      prs
 
 (** Search-effort statistics, in the vocabulary of both algorithm
     families. A greedy run reports iterations/runs and its policy

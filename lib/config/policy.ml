@@ -32,14 +32,14 @@ let rank_in_list order item =
   in
   go 0 order
 
-let choose_toolchain cfg compilers ~arch ?(features = []) ~req () =
+let choose_toolchain ?order cfg compilers ~arch ?(features = []) ~req () =
   let candidates =
     (match req with
     | Some r -> Compilers.satisfying compilers ~arch r
     | None -> Compilers.available compilers ~arch)
     |> List.filter (fun tc -> Compilers.has_features tc features)
   in
-  let order = compiler_order cfg in
+  let order = match order with Some o -> o | None -> compiler_order cfg in
   let order_rank tc =
     let rec go i = function
       | [] -> max_int
@@ -52,18 +52,20 @@ let choose_toolchain cfg compilers ~arch ?(features = []) ~req () =
       rank_in_list builtin_vendor_rank tc.Compilers.tc_name,
       tc.Compilers.tc_name )
   in
-  let better a b =
-    let ka = key a and kb = key b in
-    if ka < kb then true
-    else if ka > kb then false
-    else Version.compare a.Compilers.tc_version b.Compilers.tc_version > 0
+  (* each candidate keyed once *)
+  let better (ka, a) (kb, b) =
+    let c = compare ka kb in
+    c < 0
+    || (c = 0 && Version.compare a.Compilers.tc_version b.Compilers.tc_version > 0)
   in
   List.fold_left
     (fun best tc ->
+      let cand = (key tc, tc) in
       match best with
-      | None -> Some tc
-      | Some b -> if better tc b then Some tc else best)
+      | Some b when not (better cand b) -> best
+      | Some _ | None -> Some cand)
     None candidates
+  |> Option.map snd
 
 let provider_order cfg ~virtual_ =
   Config.get_list cfg ("providers." ^ virtual_)

@@ -22,6 +22,7 @@ val compiler_order : Config.t -> Ospack_spec.Ast.compiler_req list
     that fail to parse are ignored. *)
 
 val choose_toolchain :
+  ?order:Ospack_spec.Ast.compiler_req list ->
   Config.t ->
   Compilers.t ->
   arch:string ->
@@ -33,7 +34,9 @@ val choose_toolchain :
     every requested [features] entry (§4.5 compiler features): first by
     [compiler_order] position, then by a built-in vendor order
     (gcc, intel, clang, xl, pgi, cray, then alphabetical), then newest
-    version first. [None] when no toolchain qualifies. *)
+    version first. [None] when no toolchain qualifies. [order] is
+    [compiler_order cfg] already parsed; without it the config is parsed
+    on every call. *)
 
 val provider_order : Config.t -> virtual_:string -> string list
 

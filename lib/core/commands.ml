@@ -67,9 +67,13 @@ let best_installed (ctx : Context.t) ast =
    [reuse] first short-circuits to an installed concrete spec satisfying
    it (the store-aware reuse of the ASP follow-up paper). A grown cache
    persists to the store root at once (write-then-rename, like the
-   database index). *)
-let concretize (ctx : Context.t) ~fresh ~reuse ast =
-  if fresh then Backends.solve ctx.backend ctx.cctx ast
+   database index). Beside the result it returns the outcome of the
+   unseeded backend solve it ran, if it ran one: [fresh], or the clause
+   backend's memoized solve. *)
+let concretize_solved (ctx : Context.t) ~fresh ~reuse ast =
+  if fresh then
+    let outcome = Backends.solve_full ctx.backend ctx.cctx ast in
+    (outcome.oc_result, Some outcome)
   else
     let installed =
       if reuse then
@@ -79,6 +83,7 @@ let concretize (ctx : Context.t) ~fresh ~reuse ast =
       else None
     in
     let before = Ccache.length ctx.ccache in
+    let solved = ref None in
     let result =
       match ctx.backend with
       | Backends.Greedy ->
@@ -87,22 +92,32 @@ let concretize (ctx : Context.t) ~fresh ~reuse ast =
             ast
       | Backends.Clauses ->
           Ccache.memo ~cache:ctx.ccache ?installed ~obs:ctx.cctx.obs ast
-            (fun () -> Backends.solve Backends.Clauses ctx.cctx ast)
+            (fun () ->
+              let outcome = Backends.solve_full Backends.Clauses ctx.cctx ast in
+              solved := Some outcome;
+              outcome.oc_result)
     in
     (match result with
     | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
     | _ -> ());
-    result
+    (result, !solved)
 
-(* On failure, re-solve unseeded through the backend's full interface
-   and append the rendered conflict chain: the clause backend's unsat
-   core, or the greedy backend's blocked decision path (pseudo-core).
-   Unless [fresh], the failure memo keeps that explanation, so a repeat
-   renders it without solving. *)
-let render_unsat (ctx : Context.t) ~fresh ast e =
+let concretize ctx ~fresh ~reuse ast = fst (concretize_solved ctx ~fresh ~reuse ast)
+
+(* On failure, append the rendered conflict chain: the clause backend's
+   unsat core, or the greedy backend's blocked decision path
+   (pseudo-core). It is [solved]'s, the failed unseeded solve itself,
+   when there was one; otherwise (the greedy memoized solve, seeded from
+   the cache, whose seeds can change the blocked path; or a failure
+   memo hit) one unseeded solve through the backend's full interface
+   renders it. Unless [fresh], the failure memo keeps that explanation,
+   so a repeat renders it without solving. *)
+let render_unsat (ctx : Context.t) ~fresh ?solved ast e =
   let explain () =
     Backends.explanation ctx.backend
-      (Backends.solve_full ctx.backend ctx.cctx ast)
+      (match solved with
+      | Some outcome -> outcome
+      | None -> Backends.solve_full ctx.backend ctx.cctx ast)
   in
   match
     if fresh then explain ()
@@ -119,9 +134,9 @@ let spec ?(fresh = false) ?(reuse = false) (ctx : Context.t) text =
   match Parser.parse text with
   | Error e -> Error e
   | Ok ast -> (
-      match concretize ctx ~fresh ~reuse ast with
-      | Ok c -> Ok c
-      | Error e -> render_unsat ctx ~fresh ast e)
+      match concretize_solved ctx ~fresh ~reuse ast with
+      | Ok c, _ -> Ok c
+      | Error e, solved -> render_unsat ctx ~fresh ?solved ast e)
 
 let spec_explain (ctx : Context.t) text =
   match Parser.parse text with

@@ -37,7 +37,17 @@ val spec :
     solve. [fresh] bypasses the cache entirely ([spack spec --fresh]);
     [reuse] first looks for an installed concrete spec satisfying the
     query and returns it as-is ([spack spec --reuse] — the store-aware
-    reuse semantics, §3.2.3 generalized to concretization). *)
+    reuse semantics, §3.2.3 generalized to concretization).
+
+    A failure is rendered with its conflict explanation: the unsat core
+    (clause backend) or the blocked decision path (greedy). Each failing
+    query solves once where its solve was unseeded: under [fresh] on
+    either backend, and on the clause backend's memoized path, the
+    explanation is the failed solve's own. The greedy memoized solve is
+    seeded from the cache, and seeds can change the blocked path, so its
+    explanation comes from a second, unseeded solve. Unless [fresh], the
+    failure memo keeps the explanation beside the error, so a repeat
+    renders without solving. *)
 
 val spec_explain :
   Context.t -> string ->

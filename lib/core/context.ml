@@ -50,8 +50,8 @@ let create ?config ?repo ?compilers ?fs ?scheme
       ~compilers ()
   in
   let cx =
-    Ccache.context ~backend:(Backends.to_string backend) ~repo ~compilers
-      ~config ()
+    Ccache.context ~backend:(Backends.to_string backend)
+      ~providers:cctx.Concretizer.index ~repo ~compilers ~config ()
   in
   let ccache = Ccache.create ~obs ~dir:(vfs, ccache_root) ~context:cx () in
   (* an imported cache (from a previous process) is validated eagerly and
@@ -88,8 +88,9 @@ let with_site_packages t site_pkgs =
      lookup under it revalidates a persisted entry per its Merkle
      fingerprint before serving it *)
   let cx =
-    Ccache.context ~backend:(Backends.to_string t.backend) ~repo
-      ~compilers:t.compilers ~config:t.config ()
+    Ccache.context ~backend:(Backends.to_string t.backend)
+      ~providers:cctx.Concretizer.index ~repo ~compilers:t.compilers
+      ~config:t.config ()
   in
   let ccache =
     Ccache.create ~obs:t.obs ~dir:(t.vfs, t.ccache_path) ~context:cx ()

@@ -407,6 +407,40 @@ let failed_spec_renders_once () =
            (backend, "gerris ^mpich@1.4") ])
        [ Backends.Greedy; Backends.Clauses ])
 
+(* A failing query solves once wherever its solve is unseeded: the
+   clause backend's memoized path and --fresh on either backend render
+   the explanation of the failed solve itself. *)
+let failing_spec_solves_once () =
+  let module Context = Ospack.Context in
+  let module Commands = Ospack.Commands in
+  let module Backends = Ospack_concretize.Backends in
+  let module Universe = Ospack_repo.Universe in
+  let query = "gerris ^mpich@1.4" in
+  let run ?fresh backend =
+    let obs = Obs.create () in
+    let ctx = Context.create ~obs ~backend () in
+    (Result.map Concrete.to_string (Commands.spec ?fresh ctx query), obs)
+  in
+  let memoized, memo_obs = run Backends.Clauses in
+  let fresh, fresh_obs = run ~fresh:true Backends.Clauses in
+  Alcotest.(check bool) "the query fails" true (Result.is_error memoized);
+  Alcotest.(check (result string string)) "memoized renders as --fresh"
+    fresh memoized;
+  Alcotest.(check int) "clauses, memoized: one conflict" 1
+    (Obs.counter memo_obs "solver.conflicts");
+  Alcotest.(check int) "clauses, --fresh: one conflict" 1
+    (Obs.counter fresh_obs "solver.conflicts");
+  let one = Obs.create () in
+  ignore
+    (Backends.solve_full Backends.Greedy
+       (Concretizer.make_ctx ~config:Universe.default_config ~obs:one
+          ~compilers:Universe.compilers (Universe.repository ()))
+       (parse query));
+  let _, greedy_obs = run ~fresh:true Backends.Greedy in
+  Alcotest.(check int) "greedy, --fresh: one solve's iterations"
+    (Obs.counter one "concretize.iterations")
+    (Obs.counter greedy_obs "concretize.iterations")
+
 (* --- persistence and invalidation --- *)
 
 (* every backed cache below persists under this root: one file per entry *)
@@ -1126,6 +1160,128 @@ let seed_map_property =
       in
       List.for_all (fun op -> step op && seeds_match ()) ops)
 
+(* --- the context's fingerprint memo --- *)
+
+let entries_of cache =
+  match Json.member "entries" (Ccache.to_json cache) with
+  | Some (Json.List l) -> l
+  | _ -> Alcotest.fail "to_json has no entries"
+
+(* every universe answer of the spec-stream population and an
+   environment's meta entry: the memoized fingerprint of each stored
+   entry equals the one [to_json] recomputes from scratch *)
+let memo_equals_scratch () =
+  let module Context = Ospack.Context in
+  let module Multiroot = Ospack_concretize.Multiroot in
+  let module Backends = Ospack_concretize.Backends in
+  let module Version = Ospack_version.Version in
+  let ctx = Context.create () in
+  List.iter
+    (fun pkg ->
+      let n = pkg.p_name in
+      let newest =
+        List.sort (fun a b -> Version.compare b a) (known_versions pkg)
+      in
+      List.iter
+        (fun q -> ignore (Ospack.spec ctx q))
+        ([ n; n ^ " %gcc"; n ^ " %intel" ]
+        @ match newest with v :: _ -> [ n ^ "@" ^ Version.to_string v ] | [] -> []))
+    (Repository.all_packages ctx.Context.repo);
+  (match
+     Multiroot.solve ~cache:ctx.Context.ccache ~backend:Backends.Greedy
+       ~config:ctx.Context.config ~compilers:ctx.Context.compilers
+       ~repo:ctx.Context.repo
+       (List.map parse [ "mpileaks"; "dyninst"; "gerris" ])
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unified solve: %s" (Multiroot.error_to_string e));
+  let cx = Ccache.context_of ctx.Context.ccache in
+  let entries = entries_of ctx.Context.ccache in
+  Alcotest.(check bool) "most of the population stored" true
+    (List.length entries > 900);
+  let field name e =
+    match Option.bind (Json.member name e) Json.get_string with
+    | Some v -> v
+    | None -> Alcotest.failf "entry without %s" name
+  in
+  Alcotest.(check bool) "the env meta entry is stored" true
+    (List.exists
+       (fun e -> Astring.String.is_prefix ~affix:"env-roots-" (field "spec" e))
+       entries);
+  List.iter
+    (fun e ->
+      match Option.map Concrete.of_json (Json.member "concrete" e) with
+      | Some (Ok c) ->
+          Alcotest.(check string) (field "spec" e) (field "merkle" e)
+            (Ccache.entry_fingerprint cx c)
+      | Some (Error _) | None -> Alcotest.fail "entry without a concrete DAG")
+    entries
+
+(* the same node names with another provided set hash differently, so
+   the memo's key must carry the provided virtuals *)
+let memo_key_sees_provided () =
+  let packages = base_packages () in
+  let repo = Repository.create packages in
+  let context () =
+    Ccache.context ~repo ~compilers ~config:Config.empty ()
+  in
+  let cx = context () in
+  let scratch c = Ccache.entry_fingerprint (context ()) c in
+  let with_mpi = concretize_ok (ctx_of packages) "app" in
+  let without_mpi =
+    match
+      Concrete.make ~root:"app"
+        (List.map
+           (fun (n : Concrete.node) ->
+             if n.Concrete.name = "mympi" then { n with Concrete.provided = [] }
+             else n)
+           (Concrete.nodes with_mpi))
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "the edited DAG is invalid"
+  in
+  Alcotest.(check bool) "the two closures hash differently" true
+    (scratch with_mpi <> scratch without_mpi);
+  Alcotest.(check string) "first closure" (scratch with_mpi)
+    (Ccache.entry_fingerprint cx with_mpi);
+  Alcotest.(check string) "same names, no provided virtual"
+    (scratch without_mpi)
+    (Ccache.entry_fingerprint cx without_mpi)
+
+(* two site layers of the same name share a base, so the second reads
+   the first's entries back: the memo is the new context's own, and an
+   edited site recipe evicts exactly the entries whose closure holds it *)
+let site_edit_invalidates_its_closure () =
+  let module Context = Ospack.Context in
+  let obs = Obs.create () in
+  let base = Context.create ~obs () in
+  let queries = [ "libelf"; "libdwarf"; "dyninst"; "zlib"; "hwloc"; "cmake" ] in
+  let site versions =
+    Context.with_site_packages base
+      [ make_pkg "libelf" (List.map (fun v -> version v) versions) ]
+  in
+  let first = site [ "9.9" ] in
+  let sees_libelf =
+    List.filter
+      (fun q ->
+        match Ospack.spec first q with
+        | Ok c -> Option.is_some (Concrete.node c "libelf")
+        | Error e -> Alcotest.failf "%s: %s" q e)
+      queries
+  in
+  Alcotest.(check bool) "some closures hold libelf, some do not" true
+    (sees_libelf <> [] && List.length sees_libelf < List.length queries);
+  let count name = Obs.counter obs name in
+  let hits = count "ccache.hits" and evicted = count "ccache.invalidations" in
+  let edited = site [ "9.9"; "9.8" ] in
+  List.iter (fun q -> ignore (Ospack.spec edited q)) queries;
+  Alcotest.(check int) "entries that see the edit are evicted"
+    (List.length sees_libelf)
+    (count "ccache.invalidations" - evicted);
+  Alcotest.(check int) "the others are read back"
+    (List.length queries - List.length sees_libelf)
+    (count "ccache.hits" - hits)
+
 let () =
   Alcotest.run "ccache"
     [
@@ -1150,6 +1306,17 @@ let () =
             failed_query_solves_once;
           Alcotest.test_case "failed spec renders once" `Quick
             failed_spec_renders_once;
+          Alcotest.test_case "failing spec solves once" `Quick
+            failing_spec_solves_once;
+        ] );
+      ( "fingerprint memo",
+        [
+          Alcotest.test_case "memo equals from scratch" `Quick
+            memo_equals_scratch;
+          Alcotest.test_case "key sees provided virtuals" `Quick
+            memo_key_sees_provided;
+          Alcotest.test_case "site edit evicts its closure" `Quick
+            site_edit_invalidates_its_closure;
         ] );
       ( "persistence",
         [
