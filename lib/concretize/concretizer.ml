@@ -148,8 +148,9 @@ type run_state = {
          be ranked differently on a later call in the same iteration
          (e.g. a provider already placed in the DAG ranks ahead of the
          site order), and the same decision must stick to the same
-         {e value}, not the same position. The index is the fallback
-         when the remembered value is no longer a candidate. *)
+         {e value}, not the same position. A re-lookup tries the
+         remembered index first, and the index is the fallback when the
+         remembered value is no longer a candidate. *)
   mutable trace : decision list;  (* reversed *)
   vsources : (string, (vsource * Vlist.t) list) Hashtbl.t;
       (* per-package version-constraint provenance, for nearest-miss
