@@ -23,7 +23,8 @@
       looked up through the closure's per-package candidate lists rather
       than by rendered name;
     - the facts that depend only on the repository and config are kept in
-      the context's {!Concretizer_intf.fact} table: each virtual's
+      the context's {!Concretizer_intf.fact} table, which the greedy
+      reads too: each virtual's
       providers in site order, and the version and variant preferences of
       the packages the config names (built once, from the config's keys;
       every other package has none). That is exact because a context's

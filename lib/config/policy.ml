@@ -56,7 +56,8 @@ let choose_toolchain ?order cfg compilers ~arch ?(features = []) ~req () =
   let better (ka, a) (kb, b) =
     let c = compare ka kb in
     c < 0
-    || (c = 0 && Version.compare a.Compilers.tc_version b.Compilers.tc_version > 0)
+    || c = 0
+       && Version.compare a.Compilers.tc_version b.Compilers.tc_version > 0
   in
   List.fold_left
     (fun best tc ->

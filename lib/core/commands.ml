@@ -102,7 +102,8 @@ let concretize_solved (ctx : Context.t) ~fresh ~reuse ast =
     | _ -> ());
     (result, !solved)
 
-let concretize ctx ~fresh ~reuse ast = fst (concretize_solved ctx ~fresh ~reuse ast)
+let concretize ctx ~fresh ~reuse ast =
+  fst (concretize_solved ctx ~fresh ~reuse ast)
 
 (* On failure, append the rendered conflict chain: the clause backend's
    unsat core, or the greedy backend's blocked decision path
