@@ -45,6 +45,9 @@ type ctx = {
           provider, greedy or clause encoding *)
 }
 
+module Policy = Ospack_config.Policy
+module Provider_index = Ospack_package.Provider_index
+
 (* the per-context facts, seeded with the preferences of every package
    the config names *)
 let config_facts config =
@@ -54,11 +57,10 @@ let config_facts config =
       Hashtbl.replace facts package
         (Package_prefs
            {
-             site_versions =
-               Ospack_config.Policy.preferred_versions config ~package;
-             variants = Ospack_config.Policy.variant_preference config ~package;
+             site_versions = Policy.preferred_versions config ~package;
+             variants = Policy.variant_preference config ~package;
            }))
-    (Ospack_config.Policy.configured_packages config);
+    (Policy.configured_packages config);
   facts
 
 let no_prefs = { site_versions = None; variants = [] }
@@ -76,8 +78,7 @@ let site_providers ctx virt =
   match Hashtbl.find_opt facts virt with
   | Some (Providers prs) -> prs
   | Some (Package_prefs _) | None ->
-      let module Provider_index = Ospack_package.Provider_index in
-      let site = Ospack_config.Policy.rank_provider ctx.config ~virtual_:virt in
+      let site = Policy.rank_provider ctx.config ~virtual_:virt in
       let prs =
         Provider_index.providers ctx.index virt
         |> List.map (fun e -> e.Provider_index.e_provider)
