@@ -1309,7 +1309,7 @@ let () =
           Alcotest.test_case "failing spec solves once" `Quick
             failing_spec_solves_once;
         ] );
-      ( "fingerprint memo",
+      ( "closure memo",
         [
           Alcotest.test_case "memo equals from scratch" `Quick
             memo_equals_scratch;
