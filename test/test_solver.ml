@@ -73,6 +73,60 @@ let solver_propagation_stats () =
   Alcotest.(check bool) "propagations counted" true
     (stats.Solver.s_propagations >= 2)
 
+(* Checked by brute force over every assignment of at most 12
+   variables: a model satisfies every clause, and the clauses a core
+   names are unsatisfiable on their own. *)
+let solver_brute_force =
+  let gen =
+    QCheck.Gen.(
+      let* nvars = int_range 1 12 in
+      let lit =
+        map2 (fun v pos -> if pos then v else -v) (int_range 1 nvars) bool
+      in
+      let clause =
+        frequency
+          [ (1, return []); (15, list_size (int_range 1 2) lit);
+            (150, list_repeat 3 lit); (50, list_size (int_range 4 5) lit) ]
+      in
+      (* up to about 6 clauses per variable: past the 3-SAT threshold *)
+      let* clauses = list_size (int_range 0 (6 * nvars)) clause in
+      let* order = list_size (int_range 0 nvars) lit in
+      return (nvars, clauses, order))
+  in
+  let print (nvars, clauses, order) =
+    let lits l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+    Printf.sprintf "nvars=%d clauses=%s order=%s" nvars
+      (String.concat " " (List.map lits clauses))
+      (lits order)
+  in
+  let satisfies value clause =
+    List.exists (fun l -> value (abs l) = (l > 0)) clause
+  in
+  let satisfiable nvars clauses =
+    let rec from bits =
+      bits < 1 lsl nvars
+      && (List.for_all
+            (satisfies (fun v -> bits land (1 lsl (v - 1)) <> 0))
+            clauses
+         || from (bits + 1))
+    in
+    from 0
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"models satisfy every clause, cores are unsatisfiable"
+    (QCheck.make ~print gen)
+    (fun (nvars, clauses, order) ->
+      let clauses = List.mapi (fun k c -> (c, k)) clauses in
+      match fst (Solver.solve ~nvars ~clauses ~order ()) with
+      | Solver.Sat model ->
+          List.for_all (fun (c, _) -> satisfies (Array.get model) c) clauses
+      | Solver.Unsat core ->
+          not
+            (satisfiable nvars
+               (List.filter_map
+                  (fun (c, k) -> if List.mem k core then Some c else None)
+                  clauses)))
+
 (* ------------------------------------------------------------------ *)
 (* differential agreement                                              *)
 
@@ -336,6 +390,7 @@ let () =
           Alcotest.test_case "UNSAT core extraction" `Quick solver_unsat_core;
           Alcotest.test_case "propagation stats" `Quick
             solver_propagation_stats;
+          QCheck_alcotest.to_alcotest solver_brute_force;
         ] );
       ( "differential",
         [
