@@ -15,21 +15,16 @@ let all = [ Greedy; Clauses ]
 let mirror src dst =
   List.iter (fun (k, n) -> Obs.count dst k n) (Obs.counters src)
 
-(* One greedy run against a fresh enabled sink, so per-stage counter
-   deltas are readable even when ctx.obs is disabled; totals mirror
-   into ctx.obs either way. *)
+(* One greedy run. An enabled ctx.obs gets the run's counter totals,
+   recorded against a fresh sink so the run's spans and annotations stay
+   out of ctx.obs; against a disabled one the run records nothing. *)
 let greedy_run ?forced (ctx : I.ctx) ast =
-  let obs = Obs.create () in
-  let result, trace = Concretizer.run_trace ~obs ?forced ctx [] ast in
-  mirror obs ctx.obs;
-  let stats =
-    {
-      I.empty_stats with
-      st_iterations = Obs.counter obs "concretize.iterations";
-      st_runs = 1;
-    }
+  let obs = if Obs.enabled ctx.obs then Obs.create () else Obs.disabled in
+  let result, trace, iterations =
+    Concretizer.run_counted ~obs ?forced ctx [] ast
   in
-  (result, trace, stats)
+  mirror obs ctx.obs;
+  (result, trace, { I.empty_stats with st_iterations = iterations; st_runs = 1 })
 
 (* a failed greedy run's conflict chain: the decisions it took, then
    what blocked it *)

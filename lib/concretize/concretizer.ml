@@ -152,6 +152,7 @@ type run_state = {
          remembered index first, and the index is the fallback when the
          remembered value is no longer a candidate. *)
   mutable trace : decision list;  (* reversed *)
+  mutable iterations : int;  (* fixed-point iterations begun *)
   vsources : (string, (vsource * Vlist.t) list) Hashtbl.t;
       (* per-package version-constraint provenance, for nearest-miss
          rendering in {!Cerror.No_version} *)
@@ -319,6 +320,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
     if iter > max_iterations then
       fail (Cerror.Not_converged { iterations = max_iterations });
     Obs.count obs "concretize.iterations" 1;
+    rs.iterations <- iter;
     let root_name, nodes, snapshot =
       Obs.span obs ~cat:"concretize"
         ~args:[ ("iteration", string_of_int iter) ]
@@ -781,7 +783,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)
 
-let run_once ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
+let run_full ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
   let ctx = match obs with None -> ctx | Some obs -> { ctx with obs } in
   let rs =
     {
@@ -790,15 +792,26 @@ let run_once ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
       forced;
       decisions = Hashtbl.create 8;
       trace = [];
+      iterations = 0;
       vsources = Hashtbl.create 8;
     }
   in
-  match run ?seed rs abstract with
-  | concrete -> (Ok concrete, List.rev rs.trace)
-  | exception Cerror.Error e -> (Error e, List.rev rs.trace)
+  let result =
+    match run ?seed rs abstract with
+    | concrete -> Ok concrete
+    | exception Cerror.Error e -> Error e
+  in
+  (result, List.rev rs.trace, rs.iterations)
 
-let run_trace ?obs ?(forced = []) (ctx : ctx) choices abstract =
-  run_once ?obs ~forced ctx choices abstract
+let run_once ?obs ?seed ?forced ctx choices abstract =
+  let result, trace, _ = run_full ?obs ?seed ?forced ctx choices abstract in
+  (result, trace)
+
+let run_trace ?obs ?forced ctx choices abstract =
+  run_once ?obs ?forced ctx choices abstract
+
+let run_counted ?obs ?forced ctx choices abstract =
+  run_full ?obs ?forced ctx choices abstract
 
 let concretize ctx abstract = fst (run_once ctx [] abstract)
 

@@ -141,6 +141,17 @@ val run_trace :
     values not among the candidates are ignored (the greedy default
     applies). *)
 
+val run_counted :
+  ?obs:Ospack_obs.Obs.t ->
+  ?forced:(string * string) list ->
+  ctx ->
+  (string * int) list ->
+  Ospack_spec.Ast.t ->
+  (Ospack_spec.Concrete.t, Cerror.t) result * decision list * int
+(** {!run_trace}, also returning the number of fixed-point iterations
+    the run began (what it counts in [concretize.iterations]), so a
+    caller can report them without an enabled sink. *)
+
 val rank_versions :
   site_pref:Ospack_version.Vlist.t option ->
   Ospack_package.Package.t ->
