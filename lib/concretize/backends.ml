@@ -52,15 +52,23 @@ let solver_stats (s : Solver.stats) =
   }
 
 (* Deletion-based core minimization over reason groups: drop a whole
-   reason's clauses, re-solve, keep the drop if still UNSAT. Bounded
-   to small cores; the unminimized core is already valid. *)
+   reason's clauses, re-solve, keep the drop if still UNSAT. Groups are
+   tried in the order of their reasons. Bounded to small cores; the
+   unminimized core is already valid. *)
 let minimize enc blocking core_ids =
   let nvars = Clauses.nvars enc in
   let order = Clauses.order enc in
-  let valid = List.filter (fun o -> o >= 0) core_ids in
-  let groups = List.sort_uniq compare (List.map (Clauses.reason enc) valid) in
-  if List.length groups > 25 then core_ids
+  (* one origin per reason, in the order of the reasons *)
+  let reps =
+    List.filter_map
+      (fun o -> if o < 0 then None else Some (Clauses.reason enc o, o))
+      core_ids
+    |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+  in
+  if List.length reps > 25 then core_ids
   else begin
+    let group = Clauses.reason_group enc in
+    let groups = List.map (fun (_, o) -> group o) reps in
     let removed = Hashtbl.create 8 in
     let current = ref core_ids in
     List.iter
@@ -68,8 +76,8 @@ let minimize enc blocking core_ids =
         let cls =
           List.filter
             (fun (_, o) ->
-              let r = Clauses.reason enc o in
-              (not (Hashtbl.mem removed r)) && r <> g)
+              let h = group o in
+              h <> g && not (Hashtbl.mem removed h))
             (Clauses.clause_list enc)
           @ blocking
         in

@@ -21,6 +21,9 @@ type t = {
   reasons : string Lazy.t array Lazy.t;
       (* origin id -> rendering; the array is built, and each reason
          rendered, only when a reason is asked for *)
+  groups : int array Lazy.t;
+      (* origin id -> the first origin whose reason renders the same;
+         built, rendering every reason, on first use *)
   ord : int list;
 }
 
@@ -28,6 +31,28 @@ let nvars t = t.nvars
 let clause_list t = t.cl
 let order t = t.ord
 let reason t o = Lazy.force (Lazy.force t.reasons).(o)
+let reason_group t o = (Lazy.force t.groups).(o)
+
+(* An origin whose reason is the previous origin's rendering (the
+   clauses of one directive are emitted together and share one) joins
+   that origin's group without hashing, so the table holds one entry per
+   distinct reason and stays small. *)
+let reason_groups reasons =
+  let first = Hashtbl.create 16 in
+  let groups = Array.make (Array.length reasons) 0 in
+  Array.iteri
+    (fun o r ->
+      groups.(o) <-
+        (if o > 0 && reasons.(o - 1) == r then groups.(o - 1)
+         else
+           let s = Lazy.force r in
+           match Hashtbl.find_opt first s with
+           | Some g -> g
+           | None ->
+               Hashtbl.add first s o;
+               o))
+    reasons;
+  groups
 
 let var_to_string t v =
   match t.kinds.(v) with
@@ -630,11 +655,13 @@ let encode ctx abstract =
   emit_structural b;
   let kinds = array_of_rev (b.nv + 1) (Present "") b.rkinds in
   let n = b.nreasons and rreasons = b.rreasons in
+  let reasons = lazy (array_of_rev n (Lazy.from_val "") rreasons) in
   {
     nvars = b.nv;
     kinds;
     cl = List.rev b.rclauses;
-    reasons = lazy (array_of_rev n (Lazy.from_val "") rreasons);
+    reasons;
+    groups = lazy (reason_groups (Lazy.force reasons));
     ord;
   }
 

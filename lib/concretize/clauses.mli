@@ -56,6 +56,11 @@ val reason : t -> int -> string
 (** Human-readable rendering of the constraint behind an origin id,
     rendered on the first call and shared by later ones. *)
 
+val reason_group : t -> int -> int
+(** The origin id's reason group: the first origin whose {!reason}
+    renders the same. The first call renders every reason, once per
+    encoding. *)
+
 val var_to_string : t -> int -> string
 (** Render a variable: [P(pkg)], [V(pkg@v)], or [Prov(virt=pkg)]. *)
 
