@@ -10,7 +10,7 @@ type stats = {
   s_restarts : int;
 }
 
-(* The solver's storage, all of it int arrays that outlive one solve.
+(* The solver's storage, kept from one solve to the next.
 
    Every clause's literals sit in one arena, [lits], the clause [ci]
    at [cstart.(ci)] for [clen.(ci)] literals, its two watched literals
@@ -18,15 +18,18 @@ type stats = {
    clause (index [learned_base] and up) keeps its origin set in
    [learned_origins]. Each literal's watch list is a region of [watch]
    at [wstart] holding [wlen] of [wcap] clause indices; a full list
-   moves to the end of [watch] with twice the room.
+   moves to the end of [watch] with twice the room, keeping its order.
 
    A solve resets the lengths and the per-variable tables it uses and
    grows any table its problem does not fit, so after the largest
    problem a solve allocates none of this. Fresh tables per solve were
-   slower: every table over 256 words goes straight to the major heap,
+   slower: every array over 256 words goes straight to the major heap,
    and one that points at young values (the old clause records) keeps
-   them alive through the remembered set. *)
+   them alive through the remembered set until the next minor
+   collection promotes them. Only the two origin tables hold pointers,
+   and only for learned clauses and level-0 variables. *)
 type workspace = {
+  mutable nvars : int;
   mutable lits : int array;
   mutable lits_len : int;
   mutable cstart : int array;
@@ -63,6 +66,7 @@ type workspace = {
 let key =
   Domain.DLS.new_key (fun () ->
       {
+        nvars = 0;
         lits = [||];
         lits_len = 0;
         cstart = [||];
@@ -103,7 +107,12 @@ let grow a n used fill =
     b
   end
 
+let check_lit w l =
+  if l = 0 || abs l > w.nvars then
+    invalid_arg (Printf.sprintf "Solver.solve: literal %d (nvars %d)" l w.nvars)
+
 let reset w ~nvars ~order =
+  w.nvars <- nvars;
   let nv = nvars + 1 in
   if Array.length w.assign < nv then begin
     let nv = max nv (2 * Array.length w.assign) in
@@ -139,6 +148,7 @@ let reset w ~nvars ~order =
   w.order_len <- 0;
   List.iter
     (fun l ->
+      check_lit w l;
       w.order <- grow w.order (w.order_len + 1) w.order_len 0;
       w.order.(w.order_len) <- l;
       w.order_len <- w.order_len + 1)
@@ -354,45 +364,41 @@ let assert_unit w l ci =
   match lit_value w l with
   | 1 -> ()
   | 0 -> enqueue w l ci
-  | _ ->
-      raise
-        (Found_unsat (IntSet.union (add_origins w ci IntSet.empty)
-                        (level0_origins w (abs l))))
+  | _ -> raise (Found_unsat (add_origins w ci (level0_origins w (abs l))))
 
-(* [learnt] written at the arena's end, stored as a learned clause *)
-let add_learned w learnt origins =
-  let s = w.lits_len in
-  let len = List.length learnt in
-  w.lits <- grow w.lits (s + len) s 0;
-  List.iteri (fun k l -> w.lits.(s + k) <- l) learnt;
-  let li = w.nclauses - w.learned_base in
-  w.learned_origins <-
-    grow w.learned_origins (li + 1) li IntSet.empty;
-  w.learned_origins.(li) <- origins;
-  (s, len)
+let rec copy w e = function
+  | [] -> e
+  | l :: rest ->
+      check_lit w l;
+      w.lits <- grow w.lits (e + 1) e 0;
+      w.lits.(e) <- l;
+      copy w (e + 1) rest
 
+(* [learnt] (uip first) stored as a learned clause; a unit one's [btlevel]
+   is 0 *)
 let record w learnt btlevel origins =
   match learnt with
   | [] -> raise (Found_unsat origins)
-  | [ l ] ->
-      cancel_until w 0;
-      let _ = add_learned w learnt origins in
-      let ci = add_clause_store w 1 (-1) in
-      assert_unit w l ci
   | l :: _ ->
       cancel_until w btlevel;
-      let s, len = add_learned w learnt origins in
-      (* watch invariant: position 1 holds a highest-level literal *)
-      let lits = w.lits in
-      let mi = ref (s + 1) in
-      for k = s + 2 to s + len - 1 do
-        if w.level.(abs lits.(k)) > w.level.(abs lits.(!mi)) then mi := k
-      done;
-      let t = lits.(s + 1) in
-      lits.(s + 1) <- lits.(!mi);
-      lits.(!mi) <- t;
-      let ci = add_clause_store w len (-1) in
-      enqueue w l ci
+      let s = w.lits_len in
+      let len = copy w s learnt - s in
+      let li = w.nclauses - w.learned_base in
+      w.learned_origins <- grow w.learned_origins (li + 1) li IntSet.empty;
+      w.learned_origins.(li) <- origins;
+      if len = 1 then assert_unit w l (add_clause_store w 1 (-1))
+      else begin
+        (* watch invariant: position 1 holds a highest-level literal *)
+        let lits = w.lits in
+        let mi = ref (s + 1) in
+        for k = s + 2 to s + len - 1 do
+          if w.level.(abs lits.(k)) > w.level.(abs lits.(!mi)) then mi := k
+        done;
+        let t = lits.(s + 1) in
+        lits.(s + 1) <- lits.(!mi);
+        lits.(!mi) <- t;
+        enqueue w l (add_clause_store w len (-1))
+      end
 
 (* the first literal of the order whose variable is unassigned, else the
    first unassigned variable negated, else 0 *)
@@ -405,13 +411,6 @@ let rec decide_next w nvars i =
     let v = i - w.order_len + 1 in
     if w.assign.(v) = 0 then -v else decide_next w nvars (i + 1)
 
-let rec copy w e = function
-  | [] -> e
-  | l :: rest ->
-      w.lits <- grow w.lits (e + 1) e 0;
-      w.lits.(e) <- l;
-      copy w (e + 1) rest
-
 (* Copies an input clause to the arena's end, sorted and without
    duplicates, and returns its length, or -1 for a tautology (which
    leaves the arena as it was). *)
@@ -419,30 +418,21 @@ let load_clause w lits =
   let s = w.lits_len in
   let e = copy w s lits in
   let a = w.lits in
-  (* most encoder clauses are already strictly ascending *)
-  let ascending = ref true in
+  (* insertion sort: linear on ascending input (most encoder clauses),
+     quadratic only in one clause's length; the longest unsorted
+     clauses, CEGAR's blocking clauses, hold one literal per provider or
+     version choice of a model *)
   for k = s + 1 to e - 1 do
-    if a.(k - 1) >= a.(k) then ascending := false
+    let x = a.(k) in
+    let m = ref k in
+    while !m > s && a.(!m - 1) > x do
+      a.(!m) <- a.(!m - 1);
+      decr m
+    done;
+    a.(!m) <- x
   done;
-  if not !ascending then begin
-    if e - s > 32 then begin
-      let sorted = Array.sub a s (e - s) in
-      Array.sort Int.compare sorted;
-      Array.blit sorted 0 a s (e - s)
-    end
-    else
-      for k = s + 1 to e - 1 do
-        let x = a.(k) in
-        let m = ref k in
-        while !m > s && a.(!m - 1) > x do
-          a.(!m) <- a.(!m - 1);
-          decr m
-        done;
-        a.(!m) <- x
-      done
-  end;
   let e =
-    if !ascending || e = s then e
+    if e = s then e
     else begin
       let d = ref (s + 1) in
       for k = s + 1 to e - 1 do

@@ -12,7 +12,18 @@
     decision order whose literal signs encode the preferred phase — the
     optimization weights (prefer ranked providers and newest versions
     positively, extra builds negatively) are expressed entirely through
-    that order, so the first model found is the weight-optimal one. *)
+    that order, so the first model found is the weight-optimal one.
+
+    Storage is int-only and reused: every clause's literals live in one
+    int arena, an input clause's origin is an int (only learned clauses
+    hold origin sets), and watch lists are int regions of one array. These
+    tables and the per-variable arrays belong to one workspace per domain,
+    which each solve resets and grows to the largest problem the domain
+    has solved; it is never shrunk. A solve therefore allocates little
+    beyond its input, result and learned clauses, and keeps no
+    old-to-young pointers that would promote a solve's clauses. [solve]
+    calls no code of its caller, so a domain never runs two solves on its
+    workspace at once. *)
 
 type outcome =
   | Sat of bool array  (** index [v] holds the value of variable [v] *)
@@ -38,4 +49,7 @@ val solve :
     whose variable is unassigned is asserted with the given sign;
     variables not in [order] default to false. Counters mirror into [obs]
     as [solver.decisions] / [solver.propagations] / [solver.conflicts] /
-    [solver.restarts]. *)
+    [solver.restarts].
+
+    @raise Invalid_argument if a literal of [clauses] or [order] is 0 or
+    names a variable above [nvars]. *)

@@ -73,6 +73,20 @@ let solver_propagation_stats () =
   Alcotest.(check bool) "propagations counted" true
     (stats.Solver.s_propagations >= 2)
 
+(* A literal outside 1..nvars is refused, and the solve after it starts
+   from a clean slate. *)
+let solver_bad_literal () =
+  let refused clauses order =
+    match Solver.solve ~nvars:2 ~clauses ~order () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "variable above nvars" true
+    (refused [ ([ 1; 3 ], 0) ] []);
+  Alcotest.(check bool) "literal 0" true (refused [ ([ 0 ], 0) ] []);
+  Alcotest.(check bool) "order above nvars" true (refused [] [ -3 ]);
+  solver_unsat_core ()
+
 (* Checked by brute force over every assignment of at most 12
    variables: a model satisfies every clause, and the clauses a core
    names are unsatisfiable on their own. *)
@@ -390,6 +404,8 @@ let () =
           Alcotest.test_case "UNSAT core extraction" `Quick solver_unsat_core;
           Alcotest.test_case "propagation stats" `Quick
             solver_propagation_stats;
+          Alcotest.test_case "literals out of range" `Quick
+            solver_bad_literal;
           QCheck_alcotest.to_alcotest solver_brute_force;
         ] );
       ( "differential",
