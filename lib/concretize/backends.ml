@@ -24,7 +24,8 @@ let greedy_run ?forced (ctx : I.ctx) ast =
     Concretizer.run_counted ~obs ?forced ctx [] ast
   in
   mirror obs ctx.obs;
-  (result, trace, { I.empty_stats with st_iterations = iterations; st_runs = 1 })
+  let stats = { I.empty_stats with st_iterations = iterations; st_runs = 1 } in
+  (result, trace, stats)
 
 (* a failed greedy run's conflict chain: the decisions it took, then
    what blocked it *)

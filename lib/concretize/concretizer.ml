@@ -783,7 +783,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)
 
-let run_full ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
+let run_once ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
   let ctx = match obs with None -> ctx | Some obs -> { ctx with obs } in
   let rs =
     {
@@ -803,17 +803,16 @@ let run_full ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
   in
   (result, List.rev rs.trace, rs.iterations)
 
-let run_once ?obs ?seed ?forced ctx choices abstract =
-  let result, trace, _ = run_full ?obs ?seed ?forced ctx choices abstract in
+let run_trace ?obs ?forced ctx choices abstract =
+  let result, trace, _ = run_once ?obs ?forced ctx choices abstract in
   (result, trace)
 
-let run_trace ?obs ?forced ctx choices abstract =
+let run_counted ?obs ?forced ctx choices abstract =
   run_once ?obs ?forced ctx choices abstract
 
-let run_counted ?obs ?forced ctx choices abstract =
-  run_full ?obs ?forced ctx choices abstract
-
-let concretize ctx abstract = fst (run_once ctx [] abstract)
+let concretize ctx abstract =
+  let result, _, _ = run_once ctx [] abstract in
+  result
 
 (* Pins seed for a query, with its size: every package the cache ever
    concretized, except where the stored node contradicts the query's own
@@ -846,10 +845,11 @@ let concretize_cached ?cache ?installed (ctx : ctx) abstract =
                 s))
           cache
       in
-      fst (run_once ?seed ctx [] abstract))
+      let result, _, _ = run_once ?seed ctx [] abstract in
+      result)
 
 let concretize_explain (ctx : ctx) abstract =
-  let result, trace = run_once ctx [] abstract in
+  let result, trace, _ = run_once ctx [] abstract in
   Result.map (fun c -> (c, List.map explain_decision trace)) result
 
 let concretize_string ctx spec =

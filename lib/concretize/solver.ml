@@ -112,6 +112,7 @@ let check_lit w l =
     invalid_arg (Printf.sprintf "Solver.solve: literal %d (nvars %d)" l w.nvars)
 
 let reset w ~nvars ~order =
+  let last = w.nvars + 1 in
   w.nvars <- nvars;
   let nv = nvars + 1 in
   if Array.length w.assign < nv then begin
@@ -130,7 +131,8 @@ let reset w ~nvars ~order =
   else begin
     Array.fill w.assign 0 nv 0;
     Array.fill w.reason 0 nv (-1);
-    Array.fill w.var_origins 0 nv None;
+    (* up to the last solve's size too: drop all its origin sets *)
+    Array.fill w.var_origins 0 (max nv last) None;
     Array.fill w.seen 0 nv false;
     Array.fill w.wlen 0 (2 * nv) 0;
     Array.fill w.wcap 0 (2 * nv) 0

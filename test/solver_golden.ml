@@ -84,7 +84,9 @@ let problem i =
      shuffled; the rest default to false *)
   let order =
     List.filter_map
-      (fun v -> if int 4 = 0 then None else Some (if Random.State.bool rng then v else -v))
+      (fun v ->
+        if int 4 = 0 then None
+        else Some (if Random.State.bool rng then v else -v))
       (List.init nvars (fun v -> v + 1))
     |> List.map (fun l -> (Random.State.bits rng, l))
     |> List.sort compare |> List.map snd
@@ -92,7 +94,9 @@ let problem i =
   { nvars; clauses; order }
 
 let line name p =
-  let outcome, s = Solver.solve ~nvars:p.nvars ~clauses:p.clauses ~order:p.order () in
+  let outcome, s =
+    Solver.solve ~nvars:p.nvars ~clauses:p.clauses ~order:p.order ()
+  in
   let answer =
     match outcome with
     | Solver.Sat model ->
@@ -128,7 +132,11 @@ let cnf () =
 
 (* hand-made problems that end while their clauses are loaded *)
 let empty_clause =
-  { nvars = 4; clauses = [ ([ 1; 2 ], 0); ([], 1); ([ -3; 4 ], 2) ]; order = [ 1 ] }
+  {
+    nvars = 4;
+    clauses = [ ([ 1; 2 ], 0); ([], 1); ([ -3; 4 ], 2) ];
+    order = [ 1 ];
+  }
 
 let conflicting_units =
   {
