@@ -7,7 +7,6 @@ let empty = Smap.empty
 let of_assoc bindings =
   List.fold_left (fun e (k, v) -> Smap.add k v e) Smap.empty bindings
 
-let to_assoc t = Smap.bindings t
 let get t name = Smap.find_opt name t
 let set t name value = Smap.add name value t
 

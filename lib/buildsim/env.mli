@@ -15,9 +15,6 @@ val empty : t
 val of_assoc : (string * string) list -> t
 (** Later bindings win over earlier ones for the same name. *)
 
-val to_assoc : t -> (string * string) list
-(** Bindings sorted by variable name. *)
-
 val get : t -> string -> string option
 val set : t -> string -> string -> t
 

@@ -16,10 +16,6 @@ type failure = {
 
 val failure_to_string : failure -> string
 
-val system_dirs : string list
-(** The default trusted directories, searched last (["/lib"],
-    ["/usr/lib"]). *)
-
 val resolve :
   ?obs:Ospack_obs.Obs.t ->
   Ospack_vfs.Vfs.t ->

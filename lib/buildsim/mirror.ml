@@ -11,6 +11,7 @@ let root t = t.root
 let archive_rel ~name ~version =
   Printf.sprintf "%s-%s.tar.gz" name (Version.to_string version)
 
+(* the simulator's stand-in for a real tarball: deterministic per version *)
 let archive_content ~name ~version =
   Printf.sprintf "source archive: %s %s\n" name (Version.to_string version)
 

@@ -17,11 +17,6 @@ val root : t -> string
 val archive_rel : name:string -> version:Ospack_version.Version.t -> string
 (** The mirror-relative archive name: [<name>-<version>.tar.gz]. *)
 
-val archive_content :
-  name:string -> version:Ospack_version.Version.t -> string
-(** The canonical (deterministic) archive payload for a package
-    version — the simulator's stand-in for a real tarball. *)
-
 val populate :
   t -> Ospack_package.Repository.t -> (int, Ospack_vfs.Vfs.error) result
 (** Mirror every declared version of every package in the repository,

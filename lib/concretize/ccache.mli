@@ -54,10 +54,6 @@ type context
     ({!Ospack_package.Repository.identity_hash}), so fresh contexts over
     one repository never re-hash a recipe. *)
 
-val algorithm_version : string
-(** Bumped whenever the concretizer's semantics change; part of the base
-    fingerprint so an upgraded binary never trusts an old cache. *)
-
 val context :
   ?backend:string ->
   ?providers:Ospack_package.Provider_index.t ->
@@ -139,14 +135,11 @@ val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
 
 val failure : t -> Ospack_spec.Ast.t -> Cerror.t option
 (** The error a solve of this spec already failed with under this
-    cache, recorded by {!store_failure}; counts [ccache.failure_hits]
+    cache, recorded by {!memo}; counts [ccache.failure_hits]
     when found. Consulted after {!lookup} misses, so a failing query in
     a long-lived context solves once. The memo lives in memory only: it
     is never persisted, exported or counted by {!length}, and a fresh
     cache starts without it. *)
-
-val store_failure : t -> Ospack_spec.Ast.t -> Cerror.t -> unit
-(** Record that solving this spec failed with the given error. *)
 
 val failure_explanation :
   t ->
@@ -178,7 +171,7 @@ val memo :
     + {b failure memo} — a query whose solve already failed under this
       cache returns that error without solving ({!failure}).
     + {b solve} — [solve ()], stored back by {!store} on success and
-      by {!store_failure} on failure.
+      recorded in the failure memo on failure.
 
     Without [cache], a query reuse does not answer goes straight to
     [solve ()]. The spans and [ccache.reuse_hits] go to [obs]; the

@@ -38,9 +38,7 @@ val pp : Format.formatter -> t -> unit
     for the greedy backend the blocked decision path (pseudo-core). *)
 type explanation = { ex_backend : string; ex_error : t; ex_chain : string list }
 
-val explain_heading : backend:string -> string
-(** ["blocked decision path (greedy backend):"] or
-    ["unsat core (<backend> backend):"]. *)
-
 val explain_to_string : explanation -> string
-(** The heading followed by one ["  - "]-indented line per chain element. *)
+(** The heading (["blocked decision path (greedy backend):"] or
+    ["unsat core (<backend> backend):"]) followed by one ["  - "]-indented
+    line per chain element. *)

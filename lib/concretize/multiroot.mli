@@ -41,10 +41,6 @@ type error =
 
 val error_to_string : error -> string
 
-val meta_name : string list -> string
-(** The synthetic root's package name for the given canonical root
-    strings: ["env-roots-"] plus 12 hex chars of a SHA-256 digest. *)
-
 val solve :
   ?cache:Ccache.t ->
   ?obs:Ospack_obs.Obs.t ->

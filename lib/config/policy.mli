@@ -38,8 +38,6 @@ val choose_toolchain :
     [compiler_order cfg] already parsed; without it the config is parsed
     on every call. *)
 
-val provider_order : Config.t -> virtual_:string -> string list
-
 val rank_provider : Config.t -> virtual_:string -> string -> int
 (** Position in [providers.<virtual>] (0-based); [max_int] when unlisted,
     so unlisted providers sort after listed ones. Partially applied to a

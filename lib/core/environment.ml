@@ -418,11 +418,6 @@ let read_lock (ctx : Context.t) t =
                          (String.concat ", "
                             (List.map (fun (r, _, _) -> r) drifted))))))
 
-let locked_specs (ctx : Context.t) t =
-  match read_lock ctx t with
-  | Ok lock -> Ok (List.map snd lock.lk_specs)
-  | Error e -> Error (lock_error_to_string e)
-
 (* ------------------------------------------------------------------ *)
 (* Solve / fetch                                                      *)
 

@@ -36,12 +36,10 @@ type t = {
   env_view : string option;  (** view root, when the env keeps a view *)
 }
 
-val envs_root : string
 val manifest_path : string -> string
 val lock_path : string -> string
 
-val lock_format : int
-(** Current lockfile format (3), the only one read: any other format is
+(** The lockfile format is 3, the only one read: any other format is
     [Lock_corrupt "unknown format N"] and the file is left untouched.
 
     A format-3 lockfile is one compact JSON object,
@@ -115,11 +113,6 @@ val write_lock :
 (** Write the lockfile for these (canonical root, concrete DAG) pairs:
     rendered once, compactly, and written with
     {!Ospack_vfs.Vfs.write_atomic}. *)
-
-val locked_specs :
-  Context.t -> t -> (Ospack_spec.Concrete.t list, string) result
-(** The locked concrete specs, with the lock error rendered to a string
-    (convenience for callers that do not branch on staleness). *)
 
 (** {1 Solve / fetch} *)
 

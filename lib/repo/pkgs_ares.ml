@@ -104,8 +104,6 @@ let spec_of_config config =
   | `Lite -> "ares@" ^ version_of_config `Lite ^ " +lite"
   | c -> "ares@" ^ version_of_config c
 
-let expected_node_census = 47
-
 let ares =
   let always = [ "matprop"; "overlink"; "qd"; "leos"; "mslib"; "tdf";
                  "cheetah"; "dsd";

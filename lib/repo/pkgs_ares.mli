@@ -13,14 +13,7 @@ val packages : Ospack_package.Package.t list
 (** ARES plus every LLNL physics/math/utility package of Fig. 13 that the
     core repository does not already provide. *)
 
-val version_of_config : [ `Current | `Previous | `Lite | `Dev ] -> string
-(** The ARES version string standing for each Table 3 configuration
-    ([`Lite] shares the current version and sets the [lite] variant). *)
-
 val spec_of_config : [ `Current | `Previous | `Lite | `Dev ] -> string
-(** A full ares spec string for a configuration, e.g.
-    ["ares@2015.03 ~lite"]. *)
-
-val expected_node_census : int
-(** Node count of the concretized full (non-lite) development DAG — 47 in
-    the paper. *)
+(** A full ares spec string for a Table 3 configuration, e.g.
+    ["ares@2015.03 ~lite"] ([`Lite] shares the current version and sets
+    the [lite] variant). *)

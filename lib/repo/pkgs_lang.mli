@@ -8,6 +8,3 @@ val packages : Ospack_package.Package.t list
 
 val r_site_library : string
 (** Relative site-library directory under an R (or R-extension) prefix. *)
-
-val lua_share : string
-(** Relative Lua module directory. *)

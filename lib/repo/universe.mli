@@ -2,12 +2,10 @@
     synthetic fill, sized to the 245 packages of the paper's Fig. 8
     concretization experiment. *)
 
-val target_size : int
-(** 245, the repository size reported in §3.4.1. *)
-
 val repository : unit -> Ospack_package.Repository.t
 (** The assembled (memoized) repository: core + python + ares packages,
-    padded with synthetic packages to exactly {!target_size}. *)
+    padded with synthetic packages to exactly 245, the repository size
+    reported in §3.4.1. *)
 
 val compilers : Ospack_config.Compilers.t
 (** {!Platforms.toolchains}. *)

@@ -29,14 +29,10 @@ let node_is_unconstrained n =
   && Smap.is_empty n.variants
   && n.arch = None
 
-let of_node node = { root = node; deps = Smap.empty }
-
 let with_versions versions n = { n with versions }
 let with_compiler compiler n = { n with compiler }
 let with_variant v enabled n = { n with variants = Smap.add v enabled n.variants }
 let with_arch arch n = { n with arch }
-
-let constrained_nodes t = t.root :: List.map snd (Smap.bindings t.deps)
 
 let dep t name = Smap.find_opt name t.deps
 

@@ -34,16 +34,10 @@ val anonymous : node
 val node_is_unconstrained : node -> bool
 (** True when only the name is set. *)
 
-val of_node : node -> t
-(** A spec with no dependency constraints. *)
-
 val with_versions : Ospack_version.Vlist.t -> node -> node
 val with_compiler : compiler_req option -> node -> node
 val with_variant : string -> bool -> node -> node
 val with_arch : string option -> node -> node
-
-val constrained_nodes : t -> node list
-(** Root followed by dependency constraint nodes, sorted by name. *)
 
 val dep : t -> string -> node option
 

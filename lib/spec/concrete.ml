@@ -143,7 +143,6 @@ let provider t virtual_ =
   |> Seq.find_map (fun (_, n) ->
          if List.mem_assoc virtual_ n.provided then Some n else None)
 let node_count t = Smap.cardinal t.nodes
-let deps_of t name = List.map (node_exn t) (node_exn t name).deps
 let to_dag t = Lazy.force t.dag
 
 (* the closure by a walk over [deps]; its DAG, the subgraph of the

@@ -73,9 +73,6 @@ val provider : t -> string -> node option
 
 val node_count : t -> int
 
-val deps_of : t -> string -> node list
-(** Direct dependencies of a node. *)
-
 val subspec : t -> string -> t
 (** The concrete sub-DAG rooted at a node — what Spack passes to a
     package's [install] method (§3.4: "a sub-DAG rooted at the current

@@ -13,8 +13,6 @@ let conflict_to_string c =
     (if c.package = "" then "<anonymous>" else c.package)
     c.left c.right
 
-let pp_conflict fmt c = Format.pp_print_string fmt (conflict_to_string c)
-
 let ( let* ) = Result.bind
 
 let intersect_name pkg a b =

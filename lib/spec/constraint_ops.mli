@@ -16,7 +16,6 @@ type conflict = {
   right : string;
 }
 
-val pp_conflict : Format.formatter -> conflict -> unit
 val conflict_to_string : conflict -> string
 
 val intersect_node : Ast.node -> Ast.node -> (Ast.node, conflict) result

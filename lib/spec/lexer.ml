@@ -22,8 +22,6 @@ let token_to_string = function
   | Comma -> "','"
   | Colon -> "':'"
 
-let pp_token fmt t = Format.pp_print_string fmt (token_to_string t)
-
 let is_id_start c =
   (c >= 'A' && c <= 'Z')
   || (c >= 'a' && c <= 'z')

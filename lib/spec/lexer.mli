@@ -17,7 +17,6 @@ type token =
   | Comma  (** version list separator *)
   | Colon  (** version range separator *)
 
-val pp_token : Format.formatter -> token -> unit
 val token_to_string : token -> string
 
 val tokenize : string -> (token list, string) result

@@ -69,10 +69,12 @@ let record_tail r =
 let record_to_json r =
   Json.Obj (("spec", Concrete.to_json r.r_spec) :: record_tail r)
 
-(* [{"format":F,"record":<record>}] and a newline. A record renders its
+let record_format = 3
+
+(* [{"format":3,"record":<record>}] and a newline. A record renders its
    spec first, so the spec's bytes follow the head directly and the
    rendering of the other fields follows them, its '{' dropped. *)
-let record_file ~format ?spec r =
+let record_file ?spec r =
   let spec =
     match spec with
     | Some (s : Concrete.rendered) when s.spec == r.r_spec -> s.json
@@ -81,7 +83,7 @@ let record_file ~format ?spec r =
   let tail = Json.to_string (Json.Obj (record_tail r)) in
   String.concat ""
     [
-      Printf.sprintf {|{"format":%d,"record":{"spec":|} format;
+      Printf.sprintf {|{"format":%d,"record":{"spec":|} record_format;
       spec;
       ",";
       String.sub tail 1 (String.length tail - 1);
@@ -132,6 +134,17 @@ let record_of_json j =
       r_external = external_;
       r_build_seconds = build_seconds;
     }
+
+let record_of_file content =
+  let* j = Json.of_string content in
+  (* one on-disk format: anything but [record_format] is refused *)
+  let format = Option.bind (Json.member "format" j) Json.get_int in
+  match (format, Json.member "record" j) with
+  | None, _ -> Error "missing format"
+  | Some f, _ when f <> record_format ->
+      Error (Printf.sprintf "unsupported format %d" f)
+  | Some _, Some item -> record_of_json item
+  | Some _, None -> Error "missing record"
 
 let remove t hash =
   match find_by_hash t hash with

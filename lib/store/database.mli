@@ -59,13 +59,16 @@ val record_to_json : record -> Ospack_json.Json.t
 (** One record in the same shape {!to_json} uses — the unit the sharded
     index persists, one file per record. *)
 
-val record_file :
-  format:int -> ?spec:Ospack_spec.Concrete.rendered -> record -> string
+val record_file : ?spec:Ospack_spec.Concrete.rendered -> record -> string
 (** A record file: the compact rendering of
-    [{"format":format,"record":record_to_json r}] and a newline, byte for
+    [{"format":3,"record":record_to_json r}] and a newline, byte for
     byte. When [spec] was rendered from [r]'s own spec value (the same
     value, not merely an equal one), its bytes are used instead of
     rendering the spec again. *)
 
 val record_of_json : Ospack_json.Json.t -> (record, string) result
 (** Inverse of {!record_to_json}. *)
+
+val record_of_file : string -> (record, string) result
+(** Inverse of {!record_file}. Format 3 is the only one read: any other
+    is [Error "unsupported format N"]. *)

@@ -116,8 +116,6 @@ let stats t =
    the store on disk is always a prefix of the completed store with no
    unindexed orphans. *)
 
-module Json = Ospack_json.Json
-
 let ( let* ) = Result.bind
 
 type store_error =
@@ -137,8 +135,6 @@ let record_path t hash = Sharded_dir.path ~root:(index_dir t) hash
 let pending_dir t = db_root t ^ "/pending"
 let pending_path t hash = pending_dir t ^ "/" ^ hash
 
-let record_format = 3
-
 let mark_dirty t hash = t.dirty <- SSet.add hash t.dirty
 
 let add_record ?spec t record =
@@ -154,8 +150,7 @@ let save_index t =
     match Database.find_by_hash t.db hash with
     | Some r -> (
         let content =
-          Database.record_file ~format:record_format
-            ?spec:(Hashtbl.find_opt t.rendered hash) r
+          Database.record_file ?spec:(Hashtbl.find_opt t.rendered hash) r
         in
         match Sharded_dir.write t.vfs ~root hash content with
         | Error (se_action, se_path, se_cause) ->
@@ -179,23 +174,6 @@ let save_index t =
       t.dirty <- SSet.remove hash t.dirty;
       Ok ())
     t.dirty (Ok ())
-
-let parse_record ~path content =
-  let corrupt se_reason = Error (Store_corrupt { se_path = path; se_reason }) in
-  match Json.of_string content with
-  | Error e -> corrupt e
-  | Ok j -> (
-      (* one on-disk format: anything but [record_format] is refused *)
-      let format = Option.bind (Json.member "format" j) Json.get_int in
-      match (format, Json.member "record" j) with
-      | None, _ -> corrupt "missing format"
-      | Some f, _ when f <> record_format ->
-          corrupt (Printf.sprintf "unsupported format %d" f)
-      | Some _, Some item -> (
-          match Database.record_of_json item with
-          | Ok r -> Ok r
-          | Error e -> corrupt e)
-      | Some _, None -> corrupt "missing record")
 
 (* remove any prefix whose pending marker survived a crash without an
    index entry — the partially materialized node of a killed install *)
@@ -237,7 +215,11 @@ let load_index_typed t =
         | Error e ->
             Error (Store_io { se_action = "read"; se_path = path; se_cause = e })
         | Ok content ->
-            let* r = parse_record ~path content in
+            let* r =
+              Result.map_error
+                (fun se_reason -> Store_corrupt { se_path = path; se_reason })
+                (Database.record_of_file content)
+            in
             Ok (r :: acc))
       (Ok [])
       (Sharded_dir.keys t.vfs ~root:(index_dir t))
@@ -255,6 +237,7 @@ let database t = t.db
 let vfs t = t.vfs
 let install_root t = t.install_root
 
+(* layout-based, so it needs no installed node *)
 let prefix_of t spec name =
   Layout.node_path t.scheme ~root:t.install_root spec name
 

@@ -70,10 +70,6 @@ val database : t -> Database.t
 val vfs : t -> Ospack_vfs.Vfs.t
 val install_root : t -> string
 
-val prefix_of : t -> Ospack_spec.Concrete.t -> string -> string
-(** The prefix a node of a spec installs into (deterministic, layout-based;
-    does not require the node to be installed). *)
-
 val install :
   t -> ?explicit:bool -> Ospack_spec.Concrete.t -> (outcome list, string) result
 (** Install a concrete spec: {!install_parallel} at [~jobs:1], so one
@@ -88,10 +84,6 @@ type node_error =
       (** the builder's typed error (staging / missing dep / step) *)
   | Install_failure of string
       (** non-build failure: cache extraction, missing package definition *)
-
-val node_error_to_string : node_error -> string
-(** Renders one node's error (the text after [<node>: ] in
-    {!failure_to_string}). *)
 
 type failure =
   | Failed of { f_node : string; f_hash : string; f_error : node_error }
