@@ -4,7 +4,8 @@
    virtual clock, typed retry/failover on transient faults, and
    source-build fallback for entries no mirror carries. Everything is
    seeded and float-grid-disciplined, so a trace replays byte-identically
-   — the property the bench double-run gate and check.sh rely on. *)
+   — the property the bench double-run gate and the byte diff of the
+   fleet document against BENCH_buildcache.json rely on. *)
 
 module Obs = Ospack_obs.Obs
 module Json = Ospack_json.Json
